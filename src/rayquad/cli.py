@@ -47,14 +47,13 @@ class ExperimentSpec:
     scene: Path | None = None
     models: tuple[ModelKind, ...] = (ModelKind.CONSTANT, ModelKind.LINEAR)
     n_coarse: int = 128
-    n_fine: int = 64
     offsets: int = 32
     seed: int = 0
     out: Path = field(default_factory=lambda: Path("out"))
     tol: float = 1e-10
 
     def __post_init__(self):
-        if min(self.n_coarse, self.n_fine, self.offsets) < 1:
+        if min(self.n_coarse, self.offsets) < 1:
             raise ValueError("sample and offset counts must be at least 1")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
@@ -481,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list: constant,linear[,quadratic]",
     )
     parser.add_argument("--n-coarse", type=int, default=128)
-    parser.add_argument("--n-fine", type=int, default=64)
     parser.add_argument("--offsets", type=int, default=32)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=Path("out"))
@@ -496,7 +494,6 @@ def main(argv=None) -> int:
         scene=args.scene,
         models=args.models,
         n_coarse=args.n_coarse,
-        n_fine=args.n_fine,
         offsets=args.offsets,
         seed=args.seed,
         out=args.out,

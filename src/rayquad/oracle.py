@@ -7,14 +7,17 @@ test.  The expected color integral
     O(s) = cumulative opacity from the near bound,
 
 is evaluated by (1) tabulating O on a dense grid, one cubic Hermite piece
-per sub-panel built from generic Simpson panel integrals, and (2) driving
-an adaptive Simpson rule over the outer integrand between field
-breakpoints.  For densities that are piecewise polynomial of degree <= 1
-the tabulation is exact (Simpson integrates cubics exactly and the
-Hermite piece reproduces the quadratic antiderivative), so the only error
-is the outer adaptive tolerance.  For smooth densities the tabulation is
-refined by doubling until the result stabilizes.  The documented error
-budget of every oracle value is ten times the requested tolerance.
+per sub-panel built from generic Simpson panel integrals, and (2) an
+adaptive Simpson rule over the outer integrand, one task per panel
+between field breakpoints and per color channel.  For densities that are
+piecewise polynomial of degree <= 1 the tabulation is exact (Simpson
+integrates cubics exactly and the Hermite piece reproduces the quadratic
+antiderivative), so the only error is the outer adaptive tolerance.  For
+smooth densities the tabulation is refined by doubling until the result
+stabilizes.  The documented error budget of every oracle value is ten
+times the requested tolerance.  The adaptive rule grows all panel trees
+together, one field call per tree level; each tree and its sums depend
+only on its own task, never on the batch it runs in.
 
 Field evaluations that land exactly on a panel edge are nudged one ulp
 into the panel, so piecewise integrands are integrated with one-sided
@@ -32,7 +35,6 @@ from .fields import (
     ConstantSlab,
     DensityProfile,
     LinearRamp,
-    UniformColor,
 )
 from .rays import RaySegment
 
@@ -60,21 +62,77 @@ class NoConvergenceError(RuntimeError):
         self.partial = partial
 
 
+def _adaptive_simpson(f, a, b, tol, max_depth: int = 48):
+    """Level-synchronous adaptive Simpson over independent tasks.
+
+    Task ``k`` integrates over [a[k], b[k]] to absolute tolerance tol[k].
+    ``f(x, task)`` evaluates the points of every live panel, one call per
+    tree level.  Returns per-task value, error estimate, evaluation count
+    and whether a panel still failed at ``max_depth``.
+    """
+
+    def call(points: list[np.ndarray], task: np.ndarray) -> np.ndarray:
+        x = np.concatenate(points)
+        y = np.asarray(f(x, np.concatenate([task] * len(points))), dtype=np.float64)
+        if not np.all(np.isfinite(y)):
+            raise ValueError(f"integrand is not finite at {x[~np.isfinite(y)][0]}")
+        return y.reshape(len(points), -1)
+
+    n = a.size
+    task = np.arange(n)
+    m = 0.5 * (a + b)
+    fa, fm, fb = call([a, m, b], task)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    # Halving the tolerance per level must stop at rounding scale, or panels
+    # whose error estimate is pure float noise can never be accepted.
+    floor = np.maximum(1e-300, 0.25 * np.finfo(float).eps * np.abs(whole))
+    levels = []
+    for depth in range(max_depth + 1):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = call([lm, rm], task)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = (left + right - whole) / 15.0
+        ordered = (a < lm) & (lm < m) & (m < rm) & (rm < b)
+        split = ~((np.abs(err) <= tol) | (a == b) | ~ordered)
+        levels.append((left + right + err, np.abs(err), split, task))
+        if depth == max_depth or not split.any():
+            break
+        # Left children, then right children, in split-node order; a
+        # child's midpoint is its parent's quarter point, bit for bit.
+        half = np.maximum(tol / 2.0, floor)
+        halves = np.concatenate(
+            [a, m, lm, left, fa, flm, fm, half, floor]
+            + [m, b, rm, right, fm, frm, fb, half, floor]
+        ).reshape(18, -1)[:, split]
+        a, b, m, whole, fa, fm, fb, tol, floor = np.hstack((halves[:9], halves[9:]))
+        task = np.concatenate([task[split], task[split]])
+
+    # Panels still splitting at the last level are accepted as they stand.
+    failed = np.bincount(task[split], minlength=n) > 0
+    evals = 3 + 2 * np.bincount(np.concatenate([lv[3] for lv in levels]), minlength=n)
+    # The children of the i-th split node sit at i and k + i one level down,
+    # so each split node's (value, error) is its left plus right child's.
+    value, error, _, _ = levels.pop()
+    for node_value, node_error, split, _ in reversed(levels):
+        k = value.size // 2
+        node_value[split] = value[:k] + value[k:]
+        node_error[split] = error[:k] + error[k:]
+        value, error = node_value, node_error
+    return value, error, evals, failed
+
+
 def integrate_adaptive(
-    f,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    rtol: float = 0.0,
-    max_depth: int = 48,
+    f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48
 ) -> IntegrationResult:
     """Adaptive Simpson integration of a scalar function on [a, b].
 
     Panels are split until the Richardson error estimate of each panel
-    drops below its share of ``tol`` (or ``rtol`` times the running value,
-    whichever is larger); the extrapolated correction is folded into the
-    result.  Raises NoConvergenceError with the partial result attached
-    if any panel is still failing at ``max_depth``.
+    drops below its share of ``tol``; the extrapolated correction is
+    folded into the result.  ``f`` is called once per point.  Raises
+    NoConvergenceError with the partial result attached if any panel is
+    still failing at ``max_depth``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -83,50 +141,15 @@ def integrate_adaptive(
     if a > b:
         raise ValueError(f"reversed bounds [{a}, {b}]")
 
-    evals = 0
-
-    def call(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        y = float(f(x))
-        if not np.isfinite(y):
-            raise ValueError(f"integrand is not finite at {x}")
-        return y
-
-    def simpson(fa: float, fm: float, fb: float, h: float) -> float:
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    fa, fm, fb = call(a), call(0.5 * (a + b)), call(b)
-    whole = simpson(fa, fm, fb, b - a)
-    budget = max(tol, rtol * abs(whole))
-    # Halving the budget per level must stop at rounding scale, or panels
-    # whose error estimate is pure float noise can never be accepted.
-    budget_floor = max(1e-300, 0.25 * np.finfo(float).eps * abs(whole))
-
-    failed = False
-
-    def recurse(a, b, fa, fm, fb, whole, budget, depth):
-        nonlocal failed
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = call(lm), call(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= budget or a == b or not (a < lm < m < rm < b):
-            return left + right + err, abs(err)
-        if depth >= max_depth:
-            failed = True
-            return left + right + err, abs(err)
-        half = max(budget / 2.0, budget_floor)
-        lv, le = recurse(a, m, fa, flm, fm, left, half, depth + 1)
-        rv, re = recurse(m, b, fm, frm, fb, right, half, depth + 1)
-        return lv + rv, le + re
-
-    value, err = recurse(a, b, fa, fm, fb, whole, budget, 0)
-    result = IntegrationResult(value=value, error_estimate=err, evaluations=evals)
-    if failed:
+    value, error, evals, failed = _adaptive_simpson(
+        lambda x, _task: [float(f(xi)) for xi in x.tolist()],
+        np.array([a], float),
+        np.array([b], float),
+        np.array([tol]),
+        max_depth,
+    )
+    result = IntegrationResult(float(value[0]), float(error[0]), int(evals[0]))
+    if failed[0]:
         raise NoConvergenceError(
             f"adaptive Simpson did not converge on [{a}, {b}] at depth {max_depth}",
             partial=result,
@@ -223,17 +246,6 @@ class CumulativeOpacityTable:
         )
 
 
-def _nudged(f, a: float, b: float):
-    """Clamp evaluations into the open panel so edges use one-sided limits."""
-    lo = np.nextafter(a, b)
-    hi = np.nextafter(b, a)
-
-    def g(x: float) -> float:
-        return f(min(max(x, lo), hi))
-
-    return g
-
-
 def _is_exact_class(density: DensityProfile) -> bool:
     return density.polynomial_degree is not None and density.polynomial_degree <= 1
 
@@ -245,35 +257,58 @@ def _render_pass(
     tol: float,
     weight=None,
 ) -> tuple[np.ndarray, float, int]:
-    """Integrate tau * exp(-O) * c (optionally * weight) panel by panel."""
+    """Integrate tau * exp(-O) * c (optionally * weight) panel by panel,
+    one engine task per (panel, channel) with panels outer."""
     channels = field.color.channels
-    base = np.unique(
-        np.concatenate(
-            [table.base, field.color.breakpoints().clip(segment.near, segment.far)]
-        )
-    )
-    span = segment.span
+    color_breaks = field.color.breakpoints().clip(segment.near, segment.far)
+    base = np.unique(np.concatenate([table.base, color_breaks]))
+    lo = np.repeat(base[:-1], channels)
+    hi = np.repeat(base[1:], channels)
+    channel = np.tile(np.arange(channels), base.size - 1)
+    inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
+
+    def integrand(x: np.ndarray, task: np.ndarray) -> np.ndarray:
+        x = np.minimum(np.maximum(x, inner_lo[task]), inner_hi[task])
+        color = field.color_at(x)[np.arange(x.size), channel[task]]
+        y = field.tau(x) * np.exp(-table.cumulative(x)) * color
+        return y if weight is None else y * weight(x)
+
+    panel_tol = np.maximum(tol * (hi - lo) / segment.span, 1e-300)
+    value, error, evals, failed = _adaptive_simpson(integrand, lo, hi, panel_tol)
+    # Accumulate in task order; np.sum's pairwise order would change last bits.
     out = np.zeros(channels)
-    err_total = 0.0
-    evals = 0
-    for lo, hi in zip(base[:-1], base[1:]):
-        panel_tol = max(tol * (hi - lo) / span, 1e-300)
-        for ch in range(channels):
+    for ch, v in zip(channel, value):
+        out[ch] += v
+    err_total, n_evals = float(np.add.accumulate(error)[-1]), int(evals.sum())
+    if failed.any():
+        k = np.argmax(failed)
+        raise NoConvergenceError(
+            f"adaptive Simpson did not converge on [{lo[k]}, {hi[k]}] at depth 48",
+            partial=IntegrationResult(float(out[0]), err_total, n_evals),
+        )
+    return out, err_total, n_evals
 
-            def integrand(x: float, ch=ch) -> float:
-                w = 1.0 if weight is None else weight(x)
-                return (
-                    float(field.tau(x))
-                    * np.exp(-table.cumulative(x))
-                    * float(field.color_at(x)[0, ch])
-                    * w
-                )
 
-            res = integrate_adaptive(_nudged(integrand, lo, hi), lo, hi, tol=panel_tol)
-            out[ch] += res.value
-            err_total += res.error_estimate
-            evals += res.evaluations
-    return out, err_total, evals
+def _refine_until_stable(
+    density: DensityProfile, segment: RaySegment, tol: float, run_pass
+) -> np.ndarray:
+    """Rerun ``run_pass`` on doubled tabulations until values agree to 3 * tol."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    table = CumulativeOpacityTable(density, segment)
+    value, _, _ = run_pass(table)
+    if _is_exact_class(density):
+        return value
+    for _ in range(8):
+        table = table.refined()
+        refined, err, evals = run_pass(table)
+        if np.max(np.abs(refined - value)) <= 3.0 * tol:
+            return refined
+        value = refined
+    raise NoConvergenceError(
+        "cumulative opacity tabulation did not stabilize",
+        partial=IntegrationResult(float(value[0]), err, evals),
+    )
 
 
 def true_render(
@@ -285,21 +320,8 @@ def true_render(
     tabulation error of the cumulative opacity, which is driven below tol
     by doubling the tabulation density until the result stabilizes.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    table = CumulativeOpacityTable(field.density, segment)
-    value, _, _ = _render_pass(field, segment, table, tol)
-    if _is_exact_class(field.density):
-        return value
-    for _ in range(8):
-        table = table.refined()
-        refined_value, _, _ = _render_pass(field, segment, table, tol)
-        if np.max(np.abs(refined_value - value)) <= 3.0 * tol:
-            return refined_value
-        value = refined_value
-    raise NoConvergenceError(
-        "cumulative opacity tabulation did not stabilize",
-        partial=IntegrationResult(float(value[0]), np.inf, 3),
+    return _refine_until_stable(
+        field.density, segment, tol, lambda t: _render_pass(field, segment, t, tol)
     )
 
 
@@ -383,36 +405,14 @@ def true_mean_termination(
     opaque_far: bool = True,
 ) -> float:
     """Expected termination distance; an opaque far plane absorbs the rest."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    unit = AnalyticField(field.density)
 
     def once(table):
-        value, _, _ = _render_pass(
-            _unit_color(field), segment, table, tol, weight=lambda x: x
-        )
-        mean = float(value[0])
-        if opaque_far:
-            mean += segment.far * np.exp(-table.total)
-        return mean
+        value, err, evals = _render_pass(unit, segment, table, tol, weight=lambda x: x)
+        far_mass = segment.far * np.exp(-table.total) if opaque_far else 0.0
+        return value + far_mass, err, evals
 
-    table = CumulativeOpacityTable(field.density, segment)
-    value = once(table)
-    if _is_exact_class(field.density):
-        return value
-    for _ in range(8):
-        table = table.refined()
-        refined = once(table)
-        if abs(refined - value) <= 3.0 * tol:
-            return refined
-        value = refined
-    raise NoConvergenceError(
-        "cumulative opacity tabulation did not stabilize",
-        partial=IntegrationResult(value, np.inf, 3),
-    )
-
-
-def _unit_color(field: AnalyticField) -> AnalyticField:
-    return AnalyticField(density=field.density, color=UniformColor(np.array([1.0])))
+    return float(_refine_until_stable(field.density, segment, tol, once)[0])
 
 
 def slab_transmittance(slab: ConstantSlab, segment: RaySegment, s) -> np.ndarray:

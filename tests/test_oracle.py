@@ -7,6 +7,7 @@ from rayquad import (
     ColorTrace,
     ConstantSlab,
     GaussianBump,
+    IntegrationResult,
     LinearRamp,
     LogisticStep,
     ModelKind,
@@ -25,9 +26,11 @@ from rayquad import (
     true_mean_termination,
     true_render,
 )
-from rayquad.fields import PiecewiseConstantColor, SampledDensity
+from rayquad.fields import DensityProfile, PiecewiseConstantColor, SampledDensity
 from rayquad.oracle import (
     CumulativeOpacityTable,
+    _adaptive_simpson,
+    _render_pass,
     ramp_transmittance,
     slab_transmittance,
 )
@@ -70,6 +73,73 @@ class TestIntegrateAdaptive:
         with pytest.raises(NoConvergenceError) as err:
             integrate_adaptive(f, 0.0, 1.0, 1e-15, max_depth=4)
         assert err.value.partial.value == pytest.approx(truth, abs=1e-3)
+
+
+class TestSimpsonEngine:
+    def test_batched_depth_limit_flags_only_the_failing_task(self):
+        fs = [lambda s: s * s, lambda s: np.sqrt(abs(s - 0.37)), np.sin, np.exp]
+        a = np.array([0.0, 0.0, 0.0, 1.5])
+        b = np.array([1.0, 1.0, np.pi, 1.5])
+        tol = np.array([1e-12, 1e-15, 1e-6, 1e-10])
+
+        def f(x, task):
+            return [fs[k](xi) for xi, k in zip(x.tolist(), task.tolist())]
+
+        value, error, evals, failed = _adaptive_simpson(f, a, b, tol, max_depth=4)
+        assert failed.tolist() == [False, True, False, False]
+        for k in range(4):
+            if failed[k]:
+                with pytest.raises(NoConvergenceError) as err:
+                    integrate_adaptive(fs[k], a[k], b[k], tol[k], max_depth=4)
+                alone = err.value.partial
+            else:
+                alone = integrate_adaptive(fs[k], a[k], b[k], tol[k], max_depth=4)
+            assert (value[k], error[k], evals[k]) == (
+                alone.value,
+                alone.error_estimate,
+                alone.evaluations,
+            )
+
+
+class _UnresolvedCusp(DensityProfile):
+    """sqrt(|s - 0.7371|) with its cusp unreported, so tabulation never settles."""
+
+    def tau(self, s):
+        return np.sqrt(np.abs(np.asarray(s, dtype=np.float64) - 0.7371))
+
+
+class TestFailurePartials:
+    """An unstable tabulation reports the last pass, not a placeholder."""
+
+    field = AnalyticField(_UnresolvedCusp(), UniformColor(np.array([0.5])))
+    segment = RaySegment(0.0, 2.0)
+
+    def _last_table(self):
+        table = CumulativeOpacityTable(self.field.density, self.segment)
+        for _ in range(8):
+            table = table.refined()
+        return table
+
+    def test_true_render_partial_is_last_pass(self):
+        with pytest.raises(NoConvergenceError) as err:
+            true_render(self.field, self.segment, 1e-10)
+        value, error, evals = _render_pass(
+            self.field, self.segment, self._last_table(), 1e-10
+        )
+        assert err.value.partial == IntegrationResult(float(value[0]), error, evals)
+        assert np.isfinite(err.value.partial.error_estimate)
+        assert err.value.partial.evaluations > 3
+
+    def test_mean_termination_partial_is_last_pass(self):
+        with pytest.raises(NoConvergenceError) as err:
+            true_mean_termination(self.field, self.segment, 1e-10)
+        table = self._last_table()
+        unit = AnalyticField(self.field.density, UniformColor(np.array([1.0])))
+        value, error, evals = _render_pass(
+            unit, self.segment, table, 1e-10, weight=lambda x: x
+        )
+        mean = float(value[0]) + self.segment.far * np.exp(-table.total)
+        assert err.value.partial == IntegrationResult(mean, error, evals)
 
 
 class TestTrueRender:
