@@ -66,6 +66,7 @@ from .oracle import (
     true_interval_probabilities,
     true_mean_termination,
     true_render,
+    true_render_batch,
 )
 from .quadratic import (
     PATHOLOGICAL_PATCH,

@@ -379,20 +379,18 @@ def cmd_render(spec: ExperimentSpec, height: int = 8, width: int = 12) -> bool:
     segment = RaySegment(0.0, 4.0)
     wall_offsets = np.linspace(0.0, 0.12, width, endpoint=False)
 
+    rays = [rig.ray_field(float(a), float(off)) for a in angles for off in wall_offsets]
+    truths = oracle.true_render_batch(rays, segment, 1e-6)[:, 0].reshape(height, width)
+    grid = make_uniform_grid(segment, spec.n_coarse)
     images = {m: np.zeros((height, width)) for m in models}
-    truths = np.zeros((height, width))
     rows = []
-    for r, angle in enumerate(angles):
-        for c, off in enumerate(wall_offsets):
-            ray = rig.ray_field(float(angle), float(off))
-            truths[r, c] = oracle.true_render(ray, segment, 1e-6)[0]
-            grid = make_uniform_grid(segment, spec.n_coarse)
-            tau, colors = sample_field(ray, grid)
-            tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
-            for m in models:
-                value = float(render(interval_pmf(m, grid, tau), colors)[0])
-                images[m][r, c] = value
-                rows.append((m.value, r, c, value, truths[r, c], abs(value - truths[r, c])))
+    for (r, c), ray in zip(np.ndindex(height, width), rays):
+        tau, colors = sample_field(ray, grid)
+        tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
+        for m in models:
+            value = float(render(interval_pmf(m, grid, tau), colors)[0])
+            images[m][r, c] = value
+            rows.append((m.value, r, c, value, truths[r, c], abs(value - truths[r, c])))
 
     for m in models:
         write_pgm(spec.out / f"render_{m.value}.pgm", images[m])

@@ -16,8 +16,9 @@ antiderivative), so the only error is the outer adaptive tolerance.  For
 smooth densities the tabulation is refined by doubling until the result
 stabilizes.  The documented error budget of every oracle value is ten
 times the requested tolerance.  The adaptive rule grows all panel trees
-together, one field call per tree level; each tree and its sums depend
-only on its own task, never on the batch it runs in.
+together, all rays of a call in one engine call per refinement round;
+each tree and its sums depend only on its own task, never on the batch
+it runs in, so a batched ray matches its single-ray run bit for bit.
 
 Field evaluations that land exactly on a panel edge are nudged one ulp
 into the panel, so piecewise integrands are integrated with one-sided
@@ -39,6 +40,7 @@ from .fields import (
 from .rays import RaySegment
 
 _SMIRNOV_COEFF = {0.10: 1.22, 0.05: 1.36, 0.01: 1.63}
+_MAX_DEPTH = 48
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class NoConvergenceError(RuntimeError):
         self.partial = partial
 
 
-def _adaptive_simpson(f, a, b, tol, max_depth: int = 48):
+def _adaptive_simpson(f, a, b, tol, max_depth: int = _MAX_DEPTH):
     """Level-synchronous adaptive Simpson over independent tasks.
 
     Task ``k`` integrates over [a[k], b[k]] to absolute tolerance tol[k].
@@ -124,7 +126,7 @@ def _adaptive_simpson(f, a, b, tol, max_depth: int = 48):
 
 
 def integrate_adaptive(
-    f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48
+    f, a: float, b: float, tol: float = 1e-10, max_depth: int = _MAX_DEPTH
 ) -> IntegrationResult:
     """Adaptive Simpson integration of a scalar function on [a, b].
 
@@ -228,8 +230,8 @@ class CumulativeOpacityTable:
     def cumulative(self, s):
         """Cumulative opacity from the near bound to ``s`` (vectorized)."""
         s = np.asarray(s, dtype=np.float64)
-        idx = np.searchsorted(self.edges, s, side="right") - 1
-        idx = np.clip(idx, 0, self.edges.size - 2)
+        # Interior edges only: points outside the table use its end pieces.
+        idx = self.edges[1:-1].searchsorted(s, side="right")
         t = s - self.edges[idx]
         return self.cumulative_at_edges[idx] + t * (
             self._d0[idx] + t * (self._a2[idx] + t * self._a3[idx])
@@ -250,64 +252,87 @@ def _is_exact_class(density: DensityProfile) -> bool:
     return density.polynomial_degree is not None and density.polynomial_degree <= 1
 
 
-def _render_pass(
-    field: AnalyticField,
-    segment: RaySegment,
-    table: CumulativeOpacityTable,
-    tol: float,
-    weight=None,
-) -> tuple[np.ndarray, float, int]:
-    """Integrate tau * exp(-O) * c (optionally * weight) panel by panel,
-    one engine task per (panel, channel) with panels outer."""
-    channels = field.color.channels
-    color_breaks = field.color.breakpoints().clip(segment.near, segment.far)
-    base = np.unique(np.concatenate([table.base, color_breaks]))
-    lo = np.repeat(base[:-1], channels)
-    hi = np.repeat(base[1:], channels)
-    channel = np.tile(np.arange(channels), base.size - 1)
+def _render_rays(fields, segment: RaySegment, tables, tol: float, weight=None, ids=None) -> list:
+    """Integrate tau * exp(-O) * c (optionally * weight) for many rays in one engine
+    call, one task per (ray, panel, channel).  Returns (value, error, evaluations)
+    per ray; the lowest-index ray failing at the depth limit raises, named by ``ids``."""
+    channels = fields[0].color.channels
+    bases = [
+        np.unique(np.concatenate([t.base, f.color.breakpoints().clip(segment.near, segment.far)]))
+        for f, t in zip(fields, tables)
+    ]
+    lo = np.repeat(np.concatenate([b[:-1] for b in bases]), channels)
+    hi = np.repeat(np.concatenate([b[1:] for b in bases]), channels)
+    n_tasks = [channels * (b.size - 1) for b in bases]
+    ray = np.repeat(np.arange(len(fields)), n_tasks)
+    channel = np.tile(np.arange(channels), lo.size // channels)
     inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
 
     def integrand(x: np.ndarray, task: np.ndarray) -> np.ndarray:
+        # Each ray's field and table see only that ray's points, in order.
         x = np.minimum(np.maximum(x, inner_lo[task]), inner_hi[task])
-        color = field.color_at(x)[np.arange(x.size), channel[task]]
-        y = field.tau(x) * np.exp(-table.cumulative(x)) * color
+        order = np.argsort(ray[task], kind="stable") if len(fields) > 1 else slice(None)
+        xs, ch = x[order], channel[task[order]]
+        tau, cum, color = np.empty((3, x.size))
+        stops = np.cumsum(np.bincount(ray[task])).tolist()
+        for field, table, i, j in zip(fields, tables, [0] + stops, stops):
+            if j > i:
+                tau[i:j], cum[i:j] = field.tau(xs[i:j]), table.cumulative(xs[i:j])
+                color[i:j] = field.color_at(xs[i:j])[np.arange(j - i), ch[i:j]]
+        y = np.empty(x.size)
+        y[order] = tau * np.exp(-cum) * color
         return y if weight is None else y * weight(x)
 
     panel_tol = np.maximum(tol * (hi - lo) / segment.span, 1e-300)
     value, error, evals, failed = _adaptive_simpson(integrand, lo, hi, panel_tol)
-    # Accumulate in task order; np.sum's pairwise order would change last bits.
-    out = np.zeros(channels)
-    for ch, v in zip(channel, value):
-        out[ch] += v
-    err_total, n_evals = float(np.add.accumulate(error)[-1]), int(evals.sum())
-    if failed.any():
-        k = np.argmax(failed)
-        raise NoConvergenceError(
-            f"adaptive Simpson did not converge on [{lo[k]}, {hi[k]}] at depth 48",
-            partial=IntegrationResult(float(out[0]), err_total, n_evals),
-        )
-    return out, err_total, n_evals
+    results = []
+    ends = np.cumsum(n_tasks).tolist()
+    for r, (i, j) in enumerate(zip([0] + ends[:-1], ends)):
+        # Accumulate in task order; np.sum's pairwise order would change last bits.
+        out = np.add.accumulate(value[i:j].reshape(-1, channels))[-1]
+        err_total, n_evals = float(np.add.accumulate(error[i:j])[-1]), int(evals[i:j].sum())
+        if failed[i:j].any():
+            k = i + np.argmax(failed[i:j])
+            raise NoConvergenceError(
+                f"adaptive Simpson did not converge for ray {r if ids is None else ids[r]} on "
+                f"[{lo[k]}, {hi[k]}] at depth {_MAX_DEPTH}",
+                partial=IntegrationResult(float(out[0]), err_total, n_evals),
+            )
+        results.append((out, err_total, n_evals))
+    return results
 
 
-def _refine_until_stable(
-    density: DensityProfile, segment: RaySegment, tol: float, run_pass
-) -> np.ndarray:
-    """Rerun ``run_pass`` on doubled tabulations until values agree to 3 * tol."""
+def _render_pass(field, segment, table, tol, weight=None) -> tuple[np.ndarray, float, int]:
+    """One ray's pass: the single-ray view of ``_render_rays``."""
+    return _render_rays([field], segment, [table], tol, weight)[0]
+
+
+def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass) -> np.ndarray:
+    """Per ray, rerun passes on doubled tabulations until values agree to 3 * tol;
+    ``run_pass(rays, tables)`` is one pass over the rays not yet settled."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    table = CumulativeOpacityTable(density, segment)
-    value, _, _ = run_pass(table)
-    if _is_exact_class(density):
-        return value
-    for _ in range(8):
-        table = table.refined()
-        refined, err, evals = run_pass(table)
-        if np.max(np.abs(refined - value)) <= 3.0 * tol:
-            return refined
-        value = refined
+    tables = [CumulativeOpacityTable(d, segment) for d in densities]
+    values, rays = [None] * len(tables), list(range(len(tables)))
+    for round_ in range(9):
+        for r in rays if round_ else []:
+            tables[r] = tables[r].refined()
+        live = []
+        for r, (value, err, evals) in zip(rays, run_pass(rays, [tables[r] for r in rays])):
+            if round_:
+                settled = np.max(np.abs(value - values[r])) <= 3.0 * tol
+            else:
+                settled = _is_exact_class(densities[r])
+            values[r] = value
+            if not settled:
+                live.append((r, err, evals))
+        rays = [r for r, _, _ in live]
+        if not rays:
+            return np.array(values)
+    r, err, evals = live[0]
     raise NoConvergenceError(
-        "cumulative opacity tabulation did not stabilize",
-        partial=IntegrationResult(float(value[0]), err, evals),
+        f"cumulative opacity tabulation did not stabilize for ray {r}",
+        partial=IntegrationResult(float(values[r][0]), err, evals),
     )
 
 
@@ -320,12 +345,26 @@ def true_render(
     tabulation error of the cumulative opacity, which is driven below tol
     by doubling the tabulation density until the result stabilizes.
     """
-    return _refine_until_stable(
-        field.density, segment, tol, lambda t: _render_pass(field, segment, t, tol)
-    )
+    return true_render_batch([field], segment, tol)[0]
 
 
-def _batched_simpson(fvec, lo: np.ndarray, hi: np.ndarray, rtol: float) -> np.ndarray:
+def true_render_batch(fields, segment: RaySegment, tol: float = 1e-10) -> np.ndarray:
+    """Expected colors of many rays over one segment, shape (R, channels).
+    Row ``r`` equals ``true_render(fields[r], segment, tol)`` bit for bit,
+    including a failing ray's partial; the error message names its index."""
+    fields = list(fields)
+    if not fields:
+        raise ValueError("need at least one ray")
+    if len({f.color.channels for f in fields}) > 1:
+        raise ValueError("all rays of a batch need the same channel count")
+
+    def run_pass(rays, tables):
+        return _render_rays([fields[r] for r in rays], segment, tables, tol, ids=rays)
+
+    return _refine_until_stable([f.density for f in fields], segment, tol, run_pass)
+
+
+def _batched_simpson(fvec, lo: np.ndarray, hi: np.ndarray, rtol: float, scale) -> np.ndarray:
     """Composite Simpson over many panels at once, doubled until converged.
 
     ``fvec`` maps an array of points to integrand values.  Each panel is
@@ -333,12 +372,15 @@ def _batched_simpson(fvec, lo: np.ndarray, hi: np.ndarray, rtol: float) -> np.nd
     estimate drops below ``rtol`` times its integral; converged panels
     drop out of further refinement.  Endpoint evaluations are nudged one
     ulp inward so jumps at panel edges resolve to one-sided limits.
+    Returns ``scale`` times each panel's integral; a failure's partial sums
+    the latest scaled estimates and errors and counts every point evaluated.
     """
     n_panels = lo.size
-    out = np.zeros(n_panels)
+    est, err_abs = np.zeros(n_panels), np.zeros(n_panels)
     active = np.arange(n_panels)
     prev = None
     m = 2
+    evals = 0
     for level in range(14):
         pts = 2 * m + 1
         frac = np.linspace(0.0, 1.0, pts)
@@ -346,6 +388,7 @@ def _batched_simpson(fvec, lo: np.ndarray, hi: np.ndarray, rtol: float) -> np.nd
         x[:, 0] = np.nextafter(lo[active], hi[active])
         x[:, -1] = np.nextafter(hi[active], lo[active])
         fx = fvec(x.ravel()).reshape(x.shape)
+        evals += x.size
         w = np.full(pts, 2.0)
         w[1::2] = 4.0
         w[0] = w[-1] = 1.0
@@ -355,16 +398,16 @@ def _batched_simpson(fvec, lo: np.ndarray, hi: np.ndarray, rtol: float) -> np.nd
             err = (s - prev) / 15.0
             value = s + err
             done = np.abs(err) <= rtol * np.abs(value) + 1e-300
-            out[active[done]] = value[done]
+            est[active], err_abs[active] = value, np.abs(err)
             active = active[~done]
             if active.size == 0:
-                return out
+                return scale * est
             s = s[~done]
         prev = s
         m *= 2
     raise NoConvergenceError(
-        "batched Simpson did not converge",
-        partial=IntegrationResult(float(np.sum(out)), np.inf, 3),
+        f"batched Simpson did not converge on {active.size} of {n_panels} intervals",
+        partial=IntegrationResult(float(np.sum(scale * est)), float(np.sum(scale * err_abs)), evals),
     )
 
 
@@ -391,11 +434,10 @@ def true_interval_probabilities(
     lo, hi = edges[:-1], edges[1:]
 
     def fvec(x: np.ndarray) -> np.ndarray:
-        j = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, lo.size - 1)
+        j = edges[1:-1].searchsorted(x, side="right")
         return field.tau(x) * np.exp(-(table.cumulative(x) - prefix[j]))
 
-    q = _batched_simpson(fvec, lo, hi, rtol)
-    return np.exp(-prefix[:-1]) * q
+    return _batched_simpson(fvec, lo, hi, rtol, scale=np.exp(-prefix[:-1]))
 
 
 def true_mean_termination(
@@ -407,12 +449,12 @@ def true_mean_termination(
     """Expected termination distance; an opaque far plane absorbs the rest."""
     unit = AnalyticField(field.density)
 
-    def once(table):
-        value, err, evals = _render_pass(unit, segment, table, tol, weight=lambda x: x)
-        far_mass = segment.far * np.exp(-table.total) if opaque_far else 0.0
-        return value + far_mass, err, evals
+    def once(rays, tables):
+        (value, err, evals), = _render_rays([unit], segment, tables, tol, weight=lambda x: x)
+        far_mass = segment.far * np.exp(-tables[0].total) if opaque_far else 0.0
+        return [(value + far_mass, err, evals)]
 
-    return float(_refine_until_stable(field.density, segment, tol, once)[0])
+    return float(_refine_until_stable([field.density], segment, tol, once)[0, 0])
 
 
 def slab_transmittance(slab: ConstantSlab, segment: RaySegment, s) -> np.ndarray:

@@ -104,6 +104,11 @@ class TestCommands:
 
 
 class TestDeterminism:
+    def test_render_matches_benchmark_golden(self, tmp_path):
+        golden = Path(__file__).parent.parent / "bench" / "golden" / "paper-suite" / "render.csv"
+        assert run(["render", "--out", tmp_path]) == 0
+        assert (tmp_path / "render.csv").read_bytes() == golden.read_bytes()
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -25,8 +27,16 @@ from rayquad import (
     true_interval_probabilities,
     true_mean_termination,
     true_render,
+    true_render_batch,
 )
-from rayquad.fields import DensityProfile, PiecewiseConstantColor, SampledDensity
+from rayquad.fields import (
+    DensityProfile,
+    GradientColor,
+    GrazingRig,
+    PiecewiseConstantColor,
+    SampledDensity,
+    load_scene,
+)
 from rayquad.oracle import (
     CumulativeOpacityTable,
     _adaptive_simpson,
@@ -36,6 +46,8 @@ from rayquad.oracle import (
 )
 
 from conftest import random_instance
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 class TestIntegrateAdaptive:
@@ -140,6 +152,88 @@ class TestFailurePartials:
         )
         mean = float(value[0]) + self.segment.far * np.exp(-table.total)
         assert err.value.partial == IntegrationResult(mean, error, evals)
+
+
+class _UnreportedJump(DensityProfile):
+    """0.5 before s = 0.7371 and 3.0 after, the jump not reported as a
+    breakpoint; counts the points it is evaluated at."""
+
+    def __init__(self):
+        self.points = 0
+
+    def tau(self, s):
+        self.points += np.size(s)
+        return np.where(np.asarray(s, dtype=np.float64) < 0.7371, 0.5, 3.0)
+
+
+class TestIntervalProbabilityPartial:
+    def test_partial_sums_latest_estimates(self):
+        density, segment = _UnreportedJump(), RaySegment(0.0, 2.0)
+        edges = np.linspace(0.0, 2.0, 5)
+        with pytest.raises(NoConvergenceError) as err:
+            true_interval_probabilities(AnalyticField(density), segment, edges)
+        partial = err.value.partial
+        # Each opacity table evaluates five points per sub-panel; every
+        # other point was spent on the interval integrals.
+        table = CumulativeOpacityTable(_UnreportedJump(), segment, extra_breaks=edges[1:-1])
+        table_points = 5 * table.widths.size
+        while table.tab_error > 1e-12 / 8.0 and table.n_sub < 8192:
+            table = table.refined()
+            table_points += 5 * table.widths.size
+        assert partial.evaluations == density.points - table_points
+        truth = 1.0 - np.exp(-(0.5 * 0.7371 + 3.0 * (2.0 - 0.7371)))
+        assert np.isfinite(partial.error_estimate)
+        assert abs(partial.value - truth) <= partial.error_estimate
+
+
+def _render_command_rays():
+    """The 96 ray fields of the ``render`` command, row by row."""
+    angles = np.linspace(0.12, np.pi / 2, 8)
+    rig = GrazingRig(wall_amplitude=10.0, wall_steepness=40.0, wall_depth=1.0, angles=angles)
+    offsets = np.linspace(0.0, 0.12, 12, endpoint=False)
+    return [rig.ray_field(float(a), float(o)) for a in angles for o in offsets]
+
+
+class TestTrueRenderBatch:
+    segment = RaySegment(0.0, 4.0)
+
+    def test_rows_equal_single_ray_runs_bit_for_bit(self):
+        # Exact densities (slab, ramp) stop after one pass; the rest refine.
+        scenes = [load_scene(path)[0] for path in sorted(SCENES.glob("*.json"))]
+        rays = _render_command_rays()
+        fields = scenes[:2] + rays[:48] + scenes[2:] + rays[48:]
+        batch = true_render_batch(fields, self.segment, 1e-6)
+        assert batch.shape == (100, 1)
+        for row, field in zip(batch, fields):
+            assert row.tolist() == true_render(field, self.segment, 1e-6).tolist()
+
+    def test_channels_accumulate_per_ray(self):
+        color = GradientColor(np.array([0.1, 0.5, 0.9]), np.array([0.9, 0.2, 0.4]), 0.3, 1.5)
+        fields = [
+            AnalyticField(GaussianBump(3.0, 0.6, 0.25), color),
+            AnalyticField(ConstantSlab(2.0, 1.0, 3.0), color),
+        ]
+        batch = true_render_batch(fields, self.segment, 1e-8)
+        for row, field in zip(batch, fields):
+            assert row.tolist() == true_render(field, self.segment, 1e-8).tolist()
+
+    def test_failing_ray_raises_its_single_ray_partial(self):
+        segment = TestFailurePartials.segment
+        cusp = TestFailurePartials.field
+        slab = AnalyticField(ConstantSlab(2.0, 0.5, 1.5))
+        with pytest.raises(NoConvergenceError) as alone:
+            true_render(cusp, segment, 1e-10)
+        with pytest.raises(NoConvergenceError) as err:
+            true_render_batch([slab, _render_command_rays()[5], cusp, slab, cusp], segment, 1e-10)
+        assert err.value.partial == alone.value.partial
+        assert "ray 2" in str(err.value)
+
+    def test_rejects_empty_and_mixed_channel_batches(self):
+        with pytest.raises(ValueError):
+            true_render_batch([], self.segment)
+        rgb = AnalyticField(ConstantSlab(1.0, 1.0, 2.0), UniformColor(np.array([0.2, 0.4, 0.6])))
+        with pytest.raises(ValueError):
+            true_render_batch([_render_command_rays()[0], rgb], self.segment)
 
 
 class TestTrueRender:
