@@ -8,16 +8,17 @@ opacity is genuinely flat.
 import numpy as np
 
 from rayquad import (
+    AnalyticField,
     ColorTrace,
-    FarConvention,
     ModelKind,
     OpacityTrace,
     RaySegment,
     SampleGrid,
-    apply_far_convention,
     interval_pmf,
+    opaque_trace,
     render,
 )
+from rayquad.fields import SampledDensity
 
 # A ray from 0 to 2 with one interior sample at 1: two unit intervals.
 grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
@@ -48,8 +49,9 @@ colors = ColorTrace(np.array([0.9, 0.2]))
 for model, dist in (("constant", a), ("linear", b)):
     print(f"rendered value ({model}, flat profile):", render(dist, colors)[0])
 
-# The opaque-far convention forces all probability mass onto the segment,
-# which is what hierarchical samplers assume.
-opaque = apply_far_convention(tau, FarConvention.OPAQUE_FAR)
+# opaque_trace samples a field under the opaque-far convention, which
+# forces all probability mass onto the segment, as hierarchical samplers
+# assume. Here the field interpolates the same three opacities.
+opaque, _ = opaque_trace(AnalyticField(SampledDensity(grid.points, tau.values)), grid)
 dist = interval_pmf(ModelKind.LINEAR, grid, opaque)
 print("\nopaque far: probabilities sum to", dist.pmf.sum())

@@ -9,16 +9,11 @@ termination depth biasing late under the constant model.
 import numpy as np
 
 from rayquad import (
-    FarConvention,
     ModelKind,
-    apply_far_convention,
     expected_depth,
-    floor_opacity,
     interval_pmf,
-    make_uniform_grid,
     render,
-    sample_field,
-    shifted_grid,
+    shift_sweep,
     true_mean_termination,
 )
 from rayquad import fixtures
@@ -26,20 +21,15 @@ from rayquad import fixtures
 scene = fixtures.shift_scene()
 segment = fixtures.SHIFT_SEGMENT
 n = fixtures.SHIFT_N
-grid0 = make_uniform_grid(segment, n)
 h = segment.span / (n + 1)
+sweep = shift_sweep(scene, segment, n, 32)
 
 print(f"logistic wall on [{segment.near}, {segment.far}], {n} samples, "
       f"sweeping offsets over one spacing h = {h:.4f}")
 
 spreads = {}
 for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
-    values = []
-    for off in np.linspace(0.0, h, 32, endpoint=False):
-        g = shifted_grid(grid0, float(off))
-        tau, colors = sample_field(scene, g)
-        tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
-        values.append(render(interval_pmf(model, g, tau), colors)[0])
+    values = [render(interval_pmf(model, g, tau), colors)[0] for _, g, tau, colors in sweep]
     spreads[model] = max(values) - min(values)
     print(f"  {model.value:8s} rendered-value spread over offsets: {spreads[model]:.3e}")
 
@@ -49,11 +39,6 @@ print(f"spread ratio constant/linear: "
 truth = true_mean_termination(scene, segment, 1e-10)
 print(f"\noracle mean termination depth: {truth:.6f}")
 for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
-    errs = []
-    for off in np.linspace(0.0, h, 32, endpoint=False):
-        g = shifted_grid(grid0, float(off))
-        tau, _ = sample_field(scene, g)
-        tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
-        errs.append(expected_depth(interval_pmf(model, g, tau), g) - truth)
+    errs = [expected_depth(interval_pmf(model, g, tau), g) - truth for _, g, tau, _ in sweep]
     rmse = float(np.sqrt(np.mean(np.square(errs))))
     print(f"  {model.value:8s} depth RMSE vs oracle: {rmse:.6f}")

@@ -17,20 +17,14 @@ from .rays import (
     RaySegment,
     SampleGrid,
     apply_far_convention,
-    check_model_grid,
     floor_opacity,
-    make_stratified_grid,
     make_uniform_grid,
 )
 from .quadrature import (
-    Midpoint,
-    MonteCarlo,
     RayDistribution,
     expected_depth,
     interval_pmf,
     render,
-    transmittance_constant,
-    transmittance_linear,
 )
 from .sampling import (
     ContinuousRayCdf,
@@ -46,13 +40,14 @@ from .fields import (
     GrazingRig,
     LinearRamp,
     LogisticStep,
-    MultiDistanceRig,
     PiecewiseConstantColor,
     SampledDensity,
     TwoToneColor,
     UniformColor,
     load_scene,
+    opaque_trace,
     sample_field,
+    shift_sweep,
     shifted_grid,
 )
 from .oracle import (

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures, oracle
-from .fields import AnalyticField, GrazingRig, load_scene, sample_field, shifted_grid
+from .fields import GrazingRig, load_scene, opaque_trace, sample_field, shift_sweep
 from .gradients import finite_diff_check, grad_render_wrt_tau, grad_sample_wrt_tau
 from .quadratic import (
     PATHOLOGICAL_PATCH,
@@ -26,16 +26,7 @@ from .quadratic import (
     quad_integral_right,
 )
 from .quadrature import expected_depth, interval_pmf, render
-from .rays import (
-    FarConvention,
-    ModelKind,
-    OpacityTrace,
-    RaySegment,
-    SampleGrid,
-    apply_far_convention,
-    floor_opacity,
-    make_uniform_grid,
-)
+from .rays import ModelKind, OpacityTrace, RaySegment, SampleGrid, make_uniform_grid
 from .sampling import ContinuousRayCdf, DiscreteRayCdf
 
 CONVERGENCE_NS = (8, 16, 32, 64, 128, 256)
@@ -103,35 +94,6 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_ppm(path: Path, values: np.ndarray) -> None:
-    """Plain-text portable pixmap of an (H, W, 3) array in [0, 1]."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rgb = np.clip(np.rint(np.asarray(values) * 255), 0, 255).astype(int)
-    lines = ["P3", f"{rgb.shape[1]} {rgb.shape[0]}", "255"]
-    lines += [" ".join(str(v) for v in row.reshape(-1)) for row in rgb]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _shifted_render(
-    model: ModelKind,
-    scene: AnalyticField,
-    segment: RaySegment,
-    n: int,
-    offsets: int,
-    convention: FarConvention,
-) -> list[tuple[float, float]]:
-    grid0 = make_uniform_grid(segment, n)
-    h = segment.span / (n + 1)
-    rows = []
-    for off in np.linspace(0.0, h, offsets, endpoint=False):
-        g = shifted_grid(grid0, float(off))
-        tau, colors = sample_field(scene, g)
-        tau = apply_far_convention(floor_opacity(tau), convention)
-        dist = interval_pmf(model, g, tau)
-        rows.append((float(off), float(render(dist, colors)[0])))
-    return rows
-
-
 def cmd_convergence(spec: ExperimentSpec) -> bool:
     models = _distribution_models(spec)
     scene, segment = spec.load_scene_or(
@@ -174,15 +136,15 @@ def cmd_convergence(spec: ExperimentSpec) -> bool:
 def cmd_shift_sensitivity(spec: ExperimentSpec) -> bool:
     models = _distribution_models(spec)
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
+    sweep = shift_sweep(scene, segment, spec.n_coarse, spec.offsets)
     rows = []
     spreads = {}
     for model in models:
-        sweep = _shifted_render(
-            model, scene, segment, spec.n_coarse, spec.offsets, FarConvention.OPAQUE_FAR
-        )
-        for off, value in sweep:
+        values = []
+        for off, grid, tau, colors in sweep:
+            value = float(render(interval_pmf(model, grid, tau), colors)[0])
+            values.append(value)
             rows.append((model.value, off, value))
-        values = [v for _, v in sweep]
         spreads[model] = max(values) - min(values)
     _write_csv(
         spec.out / "shift_sensitivity.csv", ["model", "offset", "rendered_value"], rows
@@ -385,8 +347,7 @@ def cmd_render(spec: ExperimentSpec, height: int = 8, width: int = 12) -> bool:
     images = {m: np.zeros((height, width)) for m in models}
     rows = []
     for (r, c), ray in zip(np.ndindex(height, width), rays):
-        tau, colors = sample_field(ray, grid)
-        tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
+        tau, colors = opaque_trace(ray, grid)
         for m in models:
             value = float(render(interval_pmf(m, grid, tau), colors)[0])
             images[m][r, c] = value
@@ -411,20 +372,15 @@ def cmd_depth(spec: ExperimentSpec) -> bool:
     models = _distribution_models(spec)
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
     truth = oracle.true_mean_termination(scene, segment, spec.tol, opaque_far=True)
-    grid0 = make_uniform_grid(segment, spec.n_coarse)
-    h = segment.span / (spec.n_coarse + 1)
+    sweep = shift_sweep(scene, segment, spec.n_coarse, spec.offsets)
     rows = []
     rmse = {}
     for model in models:
         errs = []
-        for off in np.linspace(0.0, h, spec.offsets, endpoint=False):
-            g = shifted_grid(grid0, float(off))
-            tau, _ = sample_field(scene, g)
-            tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
-            dist = interval_pmf(model, g, tau)
-            depth = expected_depth(dist, g)
+        for off, grid, tau, _ in sweep:
+            depth = expected_depth(interval_pmf(model, grid, tau), grid)
             errs.append(depth - truth)
-            rows.append((model.value, float(off), depth, truth, abs(depth - truth)))
+            rows.append((model.value, off, depth, truth, abs(depth - truth)))
         rmse[model] = float(np.sqrt(np.mean(np.square(errs))))
     _write_csv(
         spec.out / "depth.csv",

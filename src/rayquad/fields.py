@@ -15,7 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .rays import ColorTrace, OpacityTrace, RaySegment, SampleGrid
+from .rays import (
+    ColorTrace,
+    FarConvention,
+    OpacityTrace,
+    RaySegment,
+    SampleGrid,
+    apply_far_convention,
+    floor_opacity,
+    make_uniform_grid,
+)
 
 
 class DensityProfile:
@@ -319,24 +328,28 @@ class AnalyticField:
 
 
 def sample_field(
-    field: AnalyticField, grid: SampleGrid, color_at: str = "left"
+    field: AnalyticField, grid: SampleGrid
 ) -> tuple[OpacityTrace, ColorTrace]:
     """Evaluate a field on a grid: opacities at points, colors per interval.
 
-    ``color_at`` selects which point owns each interval's color: the left
-    sample (matching the classical quadrature's indexing) or the interval
-    midpoint.
+    Each interval takes the color of its left sample, matching the
+    classical quadrature's indexing.
     """
     pts = grid.points
-    tau = OpacityTrace(field.tau(pts))
-    if color_at == "left":
-        query = pts[:-1]
-    elif color_at == "midpoint":
-        query = 0.5 * (pts[:-1] + pts[1:])
-    else:
-        raise ValueError(f"unknown color convention {color_at!r}")
-    colors = ColorTrace(field.color_at(query))
-    return tau, colors
+    return OpacityTrace(field.tau(pts)), ColorTrace(field.color_at(pts[:-1]))
+
+
+def opaque_trace(
+    field: AnalyticField, grid: SampleGrid
+) -> tuple[OpacityTrace, ColorTrace]:
+    """Renderable traces of ``field`` on ``grid`` under the opaque far plane.
+
+    Samples the field, floors the interior opacities (``floor_opacity``)
+    and applies ``FarConvention.OPAQUE_FAR``, so every distribution built
+    from the trace sums to one and its continuous CDF is invertible.
+    """
+    tau, colors = sample_field(field, grid)
+    return apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR), colors
 
 
 def shifted_grid(grid: SampleGrid, offset: float) -> SampleGrid:
@@ -350,6 +363,23 @@ def shifted_grid(grid: SampleGrid, offset: float) -> SampleGrid:
     if interior[-1] >= grid.segment.far:
         raise ValueError("shifted samples must stay inside the segment")
     return SampleGrid(interior=interior, segment=grid.segment)
+
+
+def shift_sweep(
+    field: AnalyticField, segment: RaySegment, n: int, offsets: int
+) -> list[tuple[float, SampleGrid, OpacityTrace, ColorTrace]]:
+    """``opaque_trace`` of ``field`` on a uniform ``n``-sample grid at shifted offsets.
+
+    The ``offsets`` shifts are equally spaced over one grid spacing,
+    starting at zero.  Returns ``(offset, grid, tau, colors)`` per shift.
+    """
+    grid0 = make_uniform_grid(segment, n)
+    h = segment.span / (n + 1)
+    sweep = []
+    for off in np.linspace(0.0, h, offsets, endpoint=False):
+        grid = shifted_grid(grid0, float(off))
+        sweep.append((float(off), grid, *opaque_trace(field, grid)))
+    return sweep
 
 
 @dataclass(frozen=True)
@@ -393,26 +423,6 @@ class GrazingRig:
                 before=np.array([0.1]), after=np.array([0.9]), boundary=center
             )
         return AnalyticField(density=density, color=color)
-
-
-@dataclass(frozen=True)
-class MultiDistanceRig:
-    """The same field viewed over proportionally rescaled segments."""
-
-    base_segment: RaySegment
-    scales: np.ndarray
-
-    def __post_init__(self):
-        scales = np.atleast_1d(np.asarray(self.scales, dtype=np.float64))
-        scales.setflags(write=False)
-        object.__setattr__(self, "scales", scales)
-        if scales.size == 0:
-            raise ValueError("rig needs at least one scale factor")
-        if np.any(scales <= 0) or np.any(scales > 1):
-            raise ValueError("scale factors must lie in (0, 1]")
-
-    def segment_for(self, scale: float) -> RaySegment:
-        return RaySegment(self.base_segment.near * scale, self.base_segment.far * scale)
 
 
 _DENSITY_KINDS = {

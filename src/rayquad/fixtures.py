@@ -17,17 +17,9 @@ from .fields import (
     GradientColor,
     LogisticStep,
     UniformColor,
-    sample_field,
+    opaque_trace,
 )
-from .rays import (
-    FarConvention,
-    ModelKind,
-    OpacityTrace,
-    RaySegment,
-    SampleGrid,
-    apply_far_convention,
-    floor_opacity,
-)
+from .rays import ModelKind, OpacityTrace, RaySegment, SampleGrid
 
 # Convergence study: an off-center bump, so the field value and slope both
 # differ between the segment ends.  A centered bump makes the left-sample
@@ -68,9 +60,7 @@ SAMPLER_SEGMENT = RaySegment(0.0, 2.0)
 
 def steep_sampler_fixture() -> tuple[SampleGrid, OpacityTrace]:
     grid = SampleGrid(np.array([0.5, 1.0, 1.5]), SAMPLER_SEGMENT)
-    field = AnalyticField(LogisticStep(10.0, 40.0, 1.0))
-    tau, _ = sample_field(field, grid)
-    tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
+    tau, _ = opaque_trace(AnalyticField(LogisticStep(10.0, 40.0, 1.0)), grid)
     return grid, tau
 
 
@@ -85,8 +75,7 @@ def wall_distribution(
     model: ModelKind, grid: SampleGrid
 ) -> tuple[quadrature.RayDistribution, OpacityTrace]:
     """Opaque-far distribution of the shift-scene wall on ``grid``."""
-    tau, _ = sample_field(shift_scene(), grid)
-    tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
+    tau, _ = opaque_trace(shift_scene(), grid)
     return quadrature.interval_pmf(model, grid, tau), tau
 
 

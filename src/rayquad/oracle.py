@@ -201,9 +201,9 @@ class CumulativeOpacityTable:
         mid = edges[:-1] + 0.50 * widths
         q3 = edges[:-1] + 0.75 * widths
 
-        f0 = density.tau(left_in)
-        f1 = density.tau(right_in)
-        fq1, fmid, fq3 = density.tau(q1), density.tau(mid), density.tau(q3)
+        f0, f1, fq1, fmid, fq3 = density.tau(
+            np.concatenate([left_in, right_in, q1, mid, q3])
+        ).reshape(5, -1)
 
         coarse = widths / 6.0 * (f0 + 4.0 * fmid + f1)
         fine = widths / 12.0 * (f0 + 4.0 * fq1 + 2.0 * fmid + 4.0 * fq3 + f1)

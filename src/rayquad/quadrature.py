@@ -82,6 +82,11 @@ def _interval_depths(
     _check_lengths(grid, tau)
     widths = grid.widths
     t = tau.values
+    # Negative opacity gives negative optical depth: probabilities below
+    # zero and transmittance above one.  ``OpacityTrace`` guarantees finite
+    # values, so the minimum decides.
+    if t.min() < 0.0:
+        raise ValueError("opacity must be nonnegative to build a ray distribution")
     if model is ModelKind.CONSTANT:
         depth = t[:-1] * widths
         if t[-1] >= OPAQUE:
@@ -91,16 +96,6 @@ def _interval_depths(
     else:
         raise ValueError(f"no closed-form transmittance for model {model}")
     return depth
-
-
-def transmittance_constant(grid: SampleGrid, tau: OpacityTrace) -> np.ndarray:
-    """Survival probabilities at grid points under left-sample opacity."""
-    return np.exp(log_transmittance(ModelKind.CONSTANT, grid, tau))
-
-
-def transmittance_linear(grid: SampleGrid, tau: OpacityTrace) -> np.ndarray:
-    """Survival probabilities at grid points under endpoint-interpolated opacity."""
-    return np.exp(log_transmittance(ModelKind.LINEAR, grid, tau))
 
 
 def interval_pmf(
@@ -113,6 +108,13 @@ def interval_pmf(
     form ``T_j - T_{j+1}``; disagreement beyond rounding means the inputs
     are inconsistent and raises.
     """
+    return _distribution(model, grid, tau)[0]
+
+
+def _distribution(
+    model: ModelKind, grid: SampleGrid, tau: OpacityTrace
+) -> tuple[RayDistribution, np.ndarray]:
+    """``interval_pmf`` together with the log-transmittance it is built from."""
     if model not in (ModelKind.CONSTANT, ModelKind.LINEAR):
         raise ValueError(f"interval pmf needs constant or linear model, got {model}")
     depth = _interval_depths(model, grid, tau)
@@ -127,9 +129,10 @@ def interval_pmf(
         )
 
     cumulative = np.concatenate(([0.0], np.cumsum(pmf)))
-    return RayDistribution(
+    dist = RayDistribution(
         model=model, transmittance=trans, pmf=pmf, cumulative=cumulative
     )
+    return dist, log_t
 
 
 def render(dist: RayDistribution, colors: ColorTrace) -> np.ndarray:
@@ -141,49 +144,8 @@ def render(dist: RayDistribution, colors: ColorTrace) -> np.ndarray:
     return dist.pmf @ colors.values
 
 
-@dataclass(frozen=True)
-class Midpoint:
-    """Depth estimator that places each interval's mass at its midpoint."""
-
-
-@dataclass(frozen=True)
-class MonteCarlo:
-    """Depth estimator that averages n draws from the ray distribution."""
-
-    n: int
-    seed: int = 0
-
-
-def expected_depth(
-    dist: RayDistribution,
-    grid: SampleGrid,
-    estimator: Midpoint | MonteCarlo = Midpoint(),
-    tau: OpacityTrace | None = None,
-) -> float:
-    """Expected ray termination distance under the given estimator.
-
-    The midpoint estimator is deterministic.  The Monte Carlo estimator
-    draws through the model's own sampler (exact inverse CDF for the
-    linear model, the discrete surrogate for the constant model) and needs
-    the opacity trace in the linear case.
-    """
-    if isinstance(estimator, Midpoint):
-        pts = grid.points
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        return float(dist.pmf @ mids)
-    if isinstance(estimator, MonteCarlo):
-        if estimator.n < 1:
-            raise ValueError("Monte Carlo estimator needs at least one draw")
-        from . import sampling  # deferred: sampling depends on this module
-
-        rng = np.random.default_rng(estimator.seed)
-        u = rng.random(estimator.n)
-        if dist.model is ModelKind.LINEAR:
-            if tau is None:
-                raise ValueError("linear-model Monte Carlo depth needs the opacity trace")
-            cdf = sampling.ContinuousRayCdf(grid, tau)
-            return float(np.mean(cdf.precise_sample(u)))
-        cdf = sampling.DiscreteRayCdf(grid, dist)
-        total = cdf.cumulative[-1]
-        return float(np.mean(cdf.surrogate_sample(u * total)))
-    raise TypeError(f"unknown depth estimator {estimator!r}")
+def expected_depth(dist: RayDistribution, grid: SampleGrid) -> float:
+    """Expected ray termination distance, each interval's mass at its midpoint."""
+    pts = grid.points
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    return float(dist.pmf @ mids)

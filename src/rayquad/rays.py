@@ -155,30 +155,10 @@ def make_uniform_grid(segment: RaySegment, n: int) -> SampleGrid:
     return SampleGrid(interior=pts[1:-1], segment=segment)
 
 
-def make_stratified_grid(segment: RaySegment, n: int, rng_seed: int) -> SampleGrid:
-    """Draw one uniform sample per equal-width stratum; deterministic per seed."""
-    if n < 1:
-        raise ValueError(f"need at least one sample, got n={n}")
-    rng = np.random.default_rng(rng_seed)
-    width = segment.span / n
-    lo = segment.near + width * np.arange(n)
-    samples = lo + width * rng.random(n)
-    # Guard against draws landing exactly on a stratum edge, which would
-    # violate strict ordering against the bounds.
-    samples = np.clip(
-        samples,
-        np.nextafter(lo, np.inf),
-        np.nextafter(lo + width, -np.inf),
-    )
-    return SampleGrid(interior=samples, segment=segment)
-
-
-def floor_opacity(trace: OpacityTrace, eps: float = EPS_OPACITY) -> OpacityTrace:
-    """Clamp interior opacities up to ``eps``; boundary entries pass through."""
-    if eps <= 0:
-        raise ValueError(f"floor must be positive, got {eps}")
+def floor_opacity(trace: OpacityTrace) -> OpacityTrace:
+    """Clamp interior opacities up to ``EPS_OPACITY``; boundary entries pass through."""
     values = np.array(trace.values)
-    values[1:-1] = np.maximum(values[1:-1], eps)
+    values[1:-1] = np.maximum(values[1:-1], EPS_OPACITY)
     return OpacityTrace(values)
 
 
@@ -192,15 +172,3 @@ def apply_far_convention(
     values[0] = 0.0
     values[-1] = OPAQUE
     return OpacityTrace(values)
-
-
-def check_model_grid(model: ModelKind, grid: SampleGrid) -> None:
-    """Reject model/grid pairings the quadrature formulas cannot represent.
-
-    The quadratic model fits one parabola across each pair of adjacent
-    intervals, which requires an odd interior sample count.
-    """
-    if model is ModelKind.QUADRATIC and grid.n % 2 == 0:
-        raise ValueError(
-            f"quadratic model needs an odd interior sample count, got {grid.n}"
-        )

@@ -103,8 +103,7 @@ class ContinuousRayCdf:
             raise ValueError("opacity trace does not match grid size")
         if np.any(self.tau.interior <= 0.0):
             raise ValueError("interior opacities must be floored positive before sampling")
-        dist = quadrature.interval_pmf(ModelKind.LINEAR, self.grid, self.tau)
-        log_t = quadrature.log_transmittance(ModelKind.LINEAR, self.grid, self.tau)
+        dist, log_t = quadrature._distribution(ModelKind.LINEAR, self.grid, self.tau)
         log_t.setflags(write=False)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "log_transmittance", log_t)
@@ -188,21 +187,16 @@ def hierarchical_samples(
     cdf: DiscreteRayCdf | ContinuousRayCdf,
     n_fine: int,
     seed: int,
-    stratified: bool = True,
 ) -> SampleGrid:
     """Merge fine importance samples from ``cdf`` into its coarse grid.
 
     The sampler is chosen by the CDF type: a DiscreteRayCdf draws through
     the surrogate, a ContinuousRayCdf through the exact inverse.  Unit
-    draws are stratified by default; pass ``stratified=False`` for i.i.d.
-    draws when independence matters (e.g. distribution tests).
+    draws are stratified (``stratified_unit_samples``).
     """
     if n_fine < 1:
         raise ValueError("need at least one fine sample")
-    if stratified:
-        u = stratified_unit_samples(n_fine, seed)
-    else:
-        u = np.random.default_rng(seed).random(n_fine)
+    u = stratified_unit_samples(n_fine, seed)
     u = np.minimum(u, cdf.cumulative[-1] * (1.0 - 1e-15))
 
     if isinstance(cdf, ContinuousRayCdf):

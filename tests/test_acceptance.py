@@ -21,7 +21,6 @@ from rayquad import (
     QuadraticPatch,
     RaySegment,
     SampleGrid,
-    apply_far_convention,
     convergence_slope,
     expected_depth,
     finite_diff_check,
@@ -39,7 +38,7 @@ from rayquad import (
     quad_integral_right,
     render,
     sample_field,
-    shifted_grid,
+    shift_sweep,
     true_interval_probabilities,
     true_mean_termination,
     true_render,
@@ -190,17 +189,13 @@ class TestAcceptance:
         start = time.time()
         scene = fixtures.shift_scene()
         segment = fixtures.SHIFT_SEGMENT
-        n = fixtures.SHIFT_N
-        grid0 = make_uniform_grid(segment, n)
-        h = segment.span / (n + 1)
+        sweep = shift_sweep(scene, segment, fixtures.SHIFT_N, 32)
         spreads = {}
         for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
-            values = []
-            for off in np.linspace(0.0, h, 32, endpoint=False):
-                g = shifted_grid(grid0, float(off))
-                tau, colors = sample_field(scene, g)
-                tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
-                values.append(float(render(interval_pmf(model, g, tau), colors)[0]))
+            values = [
+                float(render(interval_pmf(model, g, tau), colors)[0])
+                for _, g, tau, colors in sweep
+            ]
             spreads[model] = max(values) - min(values)
         ratio = spreads[ModelKind.CONSTANT] / spreads[ModelKind.LINEAR]
         elapsed = time.time() - start
@@ -322,18 +317,13 @@ class TestAcceptance:
         scene = fixtures.shift_scene()
         segment = fixtures.SHIFT_SEGMENT
         truth = true_mean_termination(scene, segment, 1e-10, opaque_far=True)
-        n = 32
-        grid0 = make_uniform_grid(segment, n)
-        h = segment.span / (n + 1)
+        sweep = shift_sweep(scene, segment, 32, 32)
         rmse = {}
         for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
-            errs = []
-            for off in np.linspace(0.0, h, 32, endpoint=False):
-                g = shifted_grid(grid0, float(off))
-                tau, _ = sample_field(scene, g)
-                tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
-                dist = interval_pmf(model, g, tau)
-                errs.append(expected_depth(dist, g) - truth)
+            errs = [
+                expected_depth(interval_pmf(model, g, tau), g) - truth
+                for _, g, tau, _ in sweep
+            ]
             rmse[model] = float(np.sqrt(np.mean(np.square(errs))))
         elapsed = time.time() - start
         ok = rmse[ModelKind.LINEAR] <= rmse[ModelKind.CONSTANT]

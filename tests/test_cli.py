@@ -4,11 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rayquad.cli import ExperimentSpec, main, write_pgm, write_ppm
+from rayquad.cli import ExperimentSpec, main, write_pgm
+
+GOLDEN = Path(__file__).parent.parent / "bench" / "golden" / "paper-suite"
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+class NonZeroExit(Exception):
+    """A command's thresholds failed after it wrote its outputs."""
 
 
 class TestSpecValidation:
@@ -104,10 +110,32 @@ class TestCommands:
 
 
 class TestDeterminism:
-    def test_render_matches_benchmark_golden(self, tmp_path):
-        golden = Path(__file__).parent.parent / "bench" / "golden" / "paper-suite" / "render.csv"
-        assert run(["render", "--out", tmp_path]) == 0
-        assert (tmp_path / "render.csv").read_bytes() == golden.read_bytes()
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "convergence",
+            pytest.param(
+                "shift-sensitivity",
+                marks=pytest.mark.xfail(
+                    raises=NonZeroExit,
+                    strict=True,
+                    reason="the default --n-coarse 128 ignores fixtures.SHIFT_N = 32, "
+                    "so the spread ratio misses its floor (ROADMAP item 4)",
+                ),
+            ),
+            "sampler-test",
+            "grad-check",
+            "quadratic-probe",
+            "render",
+            "depth",
+        ],
+    )
+    def test_defaults_match_benchmark_golden(self, tmp_path, command):
+        code = run([command, "--out", tmp_path])
+        for name in json.loads((GOLDEN / "commands.json").read_text())[command]:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        if code != 0:
+            raise NonZeroExit(f"{command} exited {code}")
 
     @pytest.mark.parametrize(
         "args",
@@ -135,9 +163,3 @@ class TestImageWriters:
         lines = path.read_text().splitlines()
         assert lines[:3] == ["P2", "2 2", "255"]
         assert lines[3].split() == ["0", "128"]
-
-    def test_ppm_header(self, tmp_path):
-        path = tmp_path / "img.ppm"
-        write_ppm(path, np.zeros((2, 3, 3)))
-        lines = path.read_text().splitlines()
-        assert lines[:3] == ["P3", "3 2", "255"]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rayquad import (
+    EPS_OPACITY,
+    OPAQUE,
     AnalyticField,
     ConstantSlab,
     GaussianBump,
@@ -11,14 +13,15 @@ from rayquad import (
     GrazingRig,
     LinearRamp,
     LogisticStep,
-    MultiDistanceRig,
     RaySegment,
     SampleGrid,
     TwoToneColor,
     UniformColor,
     load_scene,
     make_uniform_grid,
+    opaque_trace,
     sample_field,
+    shift_sweep,
     shifted_grid,
 )
 from rayquad.fields import PiecewiseConstantColor, SampledDensity
@@ -76,22 +79,39 @@ class TestSampleField:
         tau, _ = sample_field(field, grid)
         assert np.all(np.diff(tau.values) >= 0)
 
-    def test_midpoint_color_convention(self):
+    def test_left_sample_color_convention(self):
         field = AnalyticField(
             ConstantSlab(1.0, 0.0, 2.0),
             GradientColor(np.array([0.0]), np.array([1.0]), 0.0, 2.0),
         )
         grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
-        _, left = sample_field(field, grid, color_at="left")
-        _, mid = sample_field(field, grid, color_at="midpoint")
-        np.testing.assert_allclose(left.values[:, 0], [0.0, 0.5])
-        np.testing.assert_allclose(mid.values[:, 0], [0.25, 0.75])
+        _, colors = sample_field(field, grid)
+        np.testing.assert_allclose(colors.values[:, 0], [0.0, 0.5])
 
-    def test_unknown_convention_rejected(self):
-        field = AnalyticField(ConstantSlab(1.0, 0.0, 2.0))
-        grid = make_uniform_grid(RaySegment(0.0, 2.0), 3)
-        with pytest.raises(ValueError):
-            sample_field(field, grid, color_at="right")
+
+class TestOpaqueTrace:
+    def test_floors_interior_and_closes_far_plane(self):
+        field = AnalyticField(
+            ConstantSlab(2.0, 1.0, 3.0),
+            GradientColor(np.array([0.0]), np.array([1.0]), 0.0, 2.0),
+        )
+        grid = SampleGrid(np.array([0.5, 1.0, 1.5]), RaySegment(0.0, 2.0))
+        tau, colors = opaque_trace(field, grid)
+        np.testing.assert_array_equal(tau.values, [0.0, EPS_OPACITY, 2.0, 2.0, OPAQUE])
+        np.testing.assert_array_equal(colors.values, sample_field(field, grid)[1].values)
+
+    def test_shift_sweep_traces_each_shifted_grid(self):
+        field = AnalyticField(LogisticStep(10.0, 40.0, 1.0))
+        segment = RaySegment(0.0, 2.0)
+        sweep = shift_sweep(field, segment, 7, 4)
+        offsets = np.linspace(0.0, segment.span / 8, 4, endpoint=False)
+        assert [off for off, *_ in sweep] == offsets.tolist()
+        grid0 = make_uniform_grid(segment, 7)
+        for off, grid, tau, colors in sweep:
+            np.testing.assert_array_equal(grid.points, shifted_grid(grid0, off).points)
+            expected_tau, expected_colors = opaque_trace(field, grid)
+            np.testing.assert_array_equal(tau.values, expected_tau.values)
+            np.testing.assert_array_equal(colors.values, expected_colors.values)
 
 
 class TestShiftedGrid:
@@ -148,19 +168,6 @@ class TestGrazingRig:
             GrazingRig(1.0, 1.0, 1.0, angles=np.array([]))
         with pytest.raises(ValueError):
             GrazingRig(1.0, 1.0, 1.0, angles=np.array([0.0]))
-
-
-class TestMultiDistanceRig:
-    def test_segments_scale_proportionally(self):
-        rig = MultiDistanceRig(RaySegment(1.0, 3.0), np.array([0.5, 1.0]))
-        seg = rig.segment_for(0.5)
-        assert seg.near == 0.5 and seg.far == 1.5
-
-    def test_rejects_scales_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            MultiDistanceRig(RaySegment(0.0, 1.0), np.array([1.5]))
-        with pytest.raises(ValueError):
-            MultiDistanceRig(RaySegment(0.0, 1.0), np.array([]))
 
 
 class TestSampledDensity:

@@ -3,6 +3,7 @@ import pytest
 
 from rayquad import (
     PATHOLOGICAL_PATCH,
+    ModelKind,
     OpacityTrace,
     QuadraticPatch,
     RaySegment,
@@ -13,10 +14,9 @@ from rayquad import (
     quad_eval,
     quad_integral_left,
     quad_integral_right,
-    transmittance_constant,
-    transmittance_linear,
     transmittance_quadratic,
 )
+from rayquad.quadrature import log_transmittance
 
 
 def parabola_patch():
@@ -115,8 +115,9 @@ class TestTransmittanceQuadratic:
         grid = make_uniform_grid(RaySegment(0.0, 2.0), 5)
         tau = OpacityTrace(np.full(7, 1.3))
         quad = transmittance_quadratic(grid, tau)
-        np.testing.assert_allclose(quad, transmittance_constant(grid, tau), atol=1e-12)
-        np.testing.assert_allclose(quad, transmittance_linear(grid, tau), atol=1e-12)
+        for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
+            other = np.exp(log_transmittance(model, grid, tau))
+            np.testing.assert_allclose(quad, other, atol=1e-12)
 
     def test_pathological_factor_exceeds_one(self):
         grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 1.01))

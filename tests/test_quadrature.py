@@ -3,25 +3,22 @@ import pytest
 
 from rayquad import (
     ColorTrace,
+    ContinuousRayCdf,
     FarConvention,
     ModelKind,
-    MonteCarlo,
     OpacityTrace,
     RaySegment,
     SampleGrid,
-    apply_far_convention,
     expected_depth,
-    floor_opacity,
     interval_pmf,
     make_uniform_grid,
+    opaque_trace,
     render,
-    sample_field,
-    shifted_grid,
-    transmittance_constant,
-    transmittance_linear,
+    shift_sweep,
     true_mean_termination,
 )
 from rayquad.fields import AnalyticField, GaussianBump, UniformColor
+from rayquad.quadrature import log_transmittance
 from rayquad import fixtures
 
 from conftest import random_instance
@@ -33,11 +30,15 @@ def two_interval_setup():
     return grid, tau
 
 
+def transmittance(model, grid, tau):
+    return np.exp(log_transmittance(model, grid, tau))
+
+
 class TestTransmittanceConstant:
     def test_unit_interval_products(self):
         grid, tau = two_interval_setup()
         np.testing.assert_allclose(
-            transmittance_constant(grid, tau),
+            transmittance(ModelKind.CONSTANT, grid, tau),
             [1.0, 0.3678794411714423, 0.049787068367863944],
             rtol=1e-12,
         )
@@ -45,25 +46,25 @@ class TestTransmittanceConstant:
     def test_vanishing_opacity_keeps_transmittance_one(self):
         grid = make_uniform_grid(RaySegment(0.0, 0.01), 3)
         tau = OpacityTrace(np.full(5, 1e-6))
-        np.testing.assert_allclose(transmittance_constant(grid, tau), 1.0, atol=1e-5)
+        np.testing.assert_allclose(transmittance(ModelKind.CONSTANT, grid, tau), 1.0, atol=1e-5)
 
     def test_single_factor(self):
         grid = SampleGrid(np.array([0.75]), RaySegment(0.0, 2.0))
         tau = OpacityTrace(np.array([1.7, 0.3, 0.0]))
-        trans = transmittance_constant(grid, tau)
+        trans = transmittance(ModelKind.CONSTANT, grid, tau)
         assert trans[1] == pytest.approx(np.exp(-1.7 * 0.75), rel=1e-14)
 
     def test_length_mismatch_rejected(self):
         grid, _ = two_interval_setup()
         with pytest.raises(ValueError):
-            transmittance_constant(grid, OpacityTrace(np.array([1.0, 2.0, 3.0, 4.0])))
+            transmittance(ModelKind.CONSTANT, grid, OpacityTrace(np.array([1.0, 2.0, 3.0, 4.0])))
 
 
 class TestTransmittanceLinear:
     def test_trapezoid_exponent(self):
         grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
         tau = OpacityTrace(np.array([1.0, 3.0, 0.0]))
-        trans = transmittance_linear(grid, tau)
+        trans = transmittance(ModelKind.LINEAR, grid, tau)
         assert trans[1] == pytest.approx(np.exp(-2.0), rel=1e-14)
 
     def test_uniform_tau_matches_constant(self, rng):
@@ -72,8 +73,8 @@ class TestTransmittanceLinear:
             c = float(rng.uniform(0.1, 5.0))
             tau = OpacityTrace(np.full(grid.n + 2, c))
             np.testing.assert_allclose(
-                transmittance_linear(grid, tau),
-                transmittance_constant(grid, tau),
+                transmittance(ModelKind.LINEAR, grid, tau),
+                transmittance(ModelKind.CONSTANT, grid, tau),
                 rtol=0,
                 atol=1e-12,
             )
@@ -81,7 +82,7 @@ class TestTransmittanceLinear:
     def test_zero_endpoints_give_unit_factor(self):
         grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
         tau = OpacityTrace(np.array([0.0, 0.0, 4.0]))
-        trans = transmittance_linear(grid, tau)
+        trans = transmittance(ModelKind.LINEAR, grid, tau)
         assert trans[1] == 1.0
 
 
@@ -155,6 +156,18 @@ class TestIntervalPmf:
         grid, tau = two_interval_setup()
         with pytest.raises(ValueError):
             interval_pmf(ModelKind.QUADRATIC, grid, tau)
+
+    @pytest.mark.parametrize("values", [[-5.0, 1.0, 1.0], [1.0, 1.0, -1e-300]])
+    def test_negative_opacity_rejected(self, values):
+        # The trace itself accepts negatives (floor_opacity clamps them);
+        # a distribution built from one would not be a probability.
+        grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
+        tau = OpacityTrace(np.array(values))
+        for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
+            with pytest.raises(ValueError, match="nonnegative"):
+                interval_pmf(model, grid, tau)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ContinuousRayCdf(grid, tau)
 
 
 class TestRender:
@@ -233,35 +246,19 @@ class TestExpectedDepth:
         field = AnalyticField(GaussianBump(3.0, 0.6, 0.25), UniformColor(np.array([1.0])))
         segment = RaySegment(0.0, 2.0)
         grid = make_uniform_grid(segment, 128)
-        tau, _ = sample_field(field, grid)
-        tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
-        dist = interval_pmf(ModelKind.LINEAR, grid, tau)
+        tau, _ = opaque_trace(field, grid)
         n = 100_000
-        mc = expected_depth(dist, grid, MonteCarlo(n, seed=11), tau=tau)
+        u = np.random.default_rng(11).random(n)
+        mc = float(np.mean(ContinuousRayCdf(grid, tau).precise_sample(u)))
         truth = true_mean_termination(field, segment, 1e-10)
         # spread of the termination distribution bounds the standard error
         se = 0.45 / np.sqrt(n)
         assert abs(mc - truth) < 3 * se + 2e-3  # quadrature bias at N=128 is tiny
 
-    def test_zero_draws_rejected(self):
-        grid, tau = two_interval_setup()
-        dist = interval_pmf(ModelKind.CONSTANT, grid, tau)
-        with pytest.raises(ValueError):
-            expected_depth(dist, grid, MonteCarlo(0, seed=1))
-
 
 def _offset_sweep(model, n, offsets=16):
-    scene = fixtures.shift_scene()
-    segment = fixtures.SHIFT_SEGMENT
-    grid0 = make_uniform_grid(segment, n)
-    h = segment.span / (n + 1)
-    values = []
-    for off in np.linspace(0.0, h, offsets, endpoint=False):
-        g = shifted_grid(grid0, float(off))
-        tau, colors = sample_field(scene, g)
-        tau = apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR)
-        values.append(float(render(interval_pmf(model, g, tau), colors)[0]))
-    return values
+    sweep = shift_sweep(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT, n, offsets)
+    return [float(render(interval_pmf(model, g, tau), colors)[0]) for _, g, tau, colors in sweep]
 
 
 class TestShiftSensitivityOrdering:

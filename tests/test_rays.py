@@ -7,14 +7,11 @@ from rayquad import (
     OPAQUE,
     ColorTrace,
     FarConvention,
-    ModelKind,
     OpacityTrace,
     RaySegment,
     SampleGrid,
     apply_far_convention,
-    check_model_grid,
     floor_opacity,
-    make_stratified_grid,
     make_uniform_grid,
 )
 
@@ -77,34 +74,11 @@ class TestGridValidation:
             assert np.all(np.diff(grid.points) > 0)
 
 
-class TestStratifiedGrid:
-    def test_samples_stay_in_their_strata(self):
-        seg = RaySegment(1.0, 3.0)
-        for seed in range(25):
-            grid = make_stratified_grid(seg, 8, rng_seed=seed)
-            width = seg.span / 8
-            lo = seg.near + width * np.arange(8)
-            assert np.all(grid.interior > lo)
-            assert np.all(grid.interior < lo + width)
-
-    def test_deterministic_per_seed(self):
-        a = make_stratified_grid(RaySegment(0.0, 1.0), 16, rng_seed=7)
-        b = make_stratified_grid(RaySegment(0.0, 1.0), 16, rng_seed=7)
-        np.testing.assert_array_equal(a.interior, b.interior)
-
-    def test_single_stratum_mean_near_half(self):
-        draws = [
-            make_stratified_grid(RaySegment(0.0, 1.0), 1, rng_seed=s).interior[0]
-            for s in range(10_000)
-        ]
-        assert abs(np.mean(draws) - 0.5) < 0.02
-
-
 class TestFloorOpacity:
     def test_floors_interior_only(self):
         trace = OpacityTrace(np.array([0.0, 0.0, 5.0, 0.0]))
-        out = floor_opacity(trace, 1e-6)
-        np.testing.assert_allclose(out.interior, [1e-6, 5.0])
+        out = floor_opacity(trace)
+        np.testing.assert_array_equal(out.interior, [EPS_OPACITY, 5.0])
         assert out.values[0] == 0.0 and out.values[-1] == 0.0
 
     def test_identity_when_already_floored(self):
@@ -114,10 +88,6 @@ class TestFloorOpacity:
     def test_negative_interior_clamped(self):
         out = floor_opacity(OpacityTrace(np.array([0.0, -3.0, 1.0, 0.0])))
         assert out.interior[0] == EPS_OPACITY
-
-    def test_rejects_nonpositive_floor(self):
-        with pytest.raises(ValueError):
-            floor_opacity(OpacityTrace(np.array([0.0, 1.0, 0.0])), 0.0)
 
     @given(
         st.lists(
@@ -144,22 +114,6 @@ class TestFarConvention:
         trace = OpacityTrace(np.array([2.0, 3.0, 4.0, 5.0]))
         out = apply_far_convention(trace, FarConvention.OPEN_FAR)
         np.testing.assert_array_equal(out.values, trace.values)
-
-
-class TestModelGridCompatibility:
-    def test_quadratic_rejects_even_interior_count(self):
-        grid = make_uniform_grid(RaySegment(0.0, 1.0), 4)
-        with pytest.raises(ValueError):
-            check_model_grid(ModelKind.QUADRATIC, grid)
-
-    def test_quadratic_accepts_odd(self):
-        grid = make_uniform_grid(RaySegment(0.0, 1.0), 5)
-        check_model_grid(ModelKind.QUADRATIC, grid)
-
-    def test_other_models_unconstrained(self):
-        grid = make_uniform_grid(RaySegment(0.0, 1.0), 4)
-        check_model_grid(ModelKind.CONSTANT, grid)
-        check_model_grid(ModelKind.LINEAR, grid)
 
 
 class TestColorTrace:
