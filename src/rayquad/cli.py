@@ -371,7 +371,7 @@ def cmd_render(spec: ExperimentSpec, height: int = 8, width: int = 12) -> bool:
 def cmd_depth(spec: ExperimentSpec) -> bool:
     models = _distribution_models(spec)
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
-    truth = oracle.true_mean_termination(scene, segment, spec.tol, opaque_far=True)
+    truth = oracle.true_mean_termination(scene, segment, spec.tol)
     sweep = shift_sweep(scene, segment, spec.n_coarse, spec.offsets)
     rows = []
     rmse = {}

@@ -318,14 +318,6 @@ class AnalyticField:
     def color_at(self, s) -> np.ndarray:
         return self.color.color(s)
 
-    def breakpoints(self, segment: RaySegment) -> np.ndarray:
-        """Sorted interior discontinuities/kinks of either profile."""
-        pts = np.concatenate(
-            [self.density.breakpoints(), self.color.breakpoints()]
-        )
-        pts = pts[(pts > segment.near) & (pts < segment.far)]
-        return np.unique(pts)
-
 
 def sample_field(
     field: AnalyticField, grid: SampleGrid

@@ -15,10 +15,12 @@ integrates cubics exactly and the Hermite piece reproduces the quadratic
 antiderivative), so the only error is the outer adaptive tolerance.  For
 smooth densities the tabulation is refined by doubling until the result
 stabilizes.  The documented error budget of every oracle value is ten
-times the requested tolerance.  The adaptive rule grows all panel trees
-together, all rays of a call in one engine call per refinement round;
-each tree and its sums depend only on its own task, never on the batch
-it runs in, so a batched ray matches its single-ray run bit for bit.
+times the requested tolerance.  One adaptive engine serves the render,
+the mean termination distance and the interval probabilities.  It grows
+all panel trees together, all rays of a call in one engine call per
+refinement round; each tree and its sums depend only on its own task,
+never on the batch it runs in, so a batched ray matches its single-ray
+run bit for bit.
 
 Field evaluations that land exactly on a panel edge are nudged one ulp
 into the panel, so piecewise integrands are integrated with one-sided
@@ -159,6 +161,10 @@ def integrate_adaptive(
     return result
 
 
+def _is_exact_class(density: DensityProfile) -> bool:
+    return density.polynomial_degree is not None and density.polynomial_degree <= 1
+
+
 class CumulativeOpacityTable:
     """Dense tabulation of the cumulative opacity with Hermite interpolation.
 
@@ -184,7 +190,7 @@ class CumulativeOpacityTable:
 
         # Piecewise constant/linear densities are tabulated exactly with a
         # single Simpson panel per base panel.
-        if density.polynomial_degree is not None and density.polynomial_degree <= 1:
+        if _is_exact_class(density):
             n_sub = 1
         edges = np.concatenate(
             [
@@ -248,10 +254,6 @@ class CumulativeOpacityTable:
         )
 
 
-def _is_exact_class(density: DensityProfile) -> bool:
-    return density.polynomial_degree is not None and density.polynomial_degree <= 1
-
-
 def _render_rays(fields, segment: RaySegment, tables, tol: float, weight=None, ids=None) -> list:
     """Integrate tau * exp(-O) * c (optionally * weight) for many rays in one engine
     call, one task per (ray, panel, channel).  Returns (value, error, evaluations)
@@ -300,11 +302,6 @@ def _render_rays(fields, segment: RaySegment, tables, tol: float, weight=None, i
             )
         results.append((out, err_total, n_evals))
     return results
-
-
-def _render_pass(field, segment, table, tol, weight=None) -> tuple[np.ndarray, float, int]:
-    """One ray's pass: the single-ray view of ``_render_rays``."""
-    return _render_rays([field], segment, [table], tol, weight)[0]
 
 
 def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass) -> np.ndarray:
@@ -364,53 +361,6 @@ def true_render_batch(fields, segment: RaySegment, tol: float = 1e-10) -> np.nda
     return _refine_until_stable([f.density for f in fields], segment, tol, run_pass)
 
 
-def _batched_simpson(fvec, lo: np.ndarray, hi: np.ndarray, rtol: float, scale) -> np.ndarray:
-    """Composite Simpson over many panels at once, doubled until converged.
-
-    ``fvec`` maps an array of points to integrand values.  Each panel is
-    re-evaluated on a twice-finer uniform grid until the Richardson error
-    estimate drops below ``rtol`` times its integral; converged panels
-    drop out of further refinement.  Endpoint evaluations are nudged one
-    ulp inward so jumps at panel edges resolve to one-sided limits.
-    Returns ``scale`` times each panel's integral; a failure's partial sums
-    the latest scaled estimates and errors and counts every point evaluated.
-    """
-    n_panels = lo.size
-    est, err_abs = np.zeros(n_panels), np.zeros(n_panels)
-    active = np.arange(n_panels)
-    prev = None
-    m = 2
-    evals = 0
-    for level in range(14):
-        pts = 2 * m + 1
-        frac = np.linspace(0.0, 1.0, pts)
-        x = lo[active, None] + (hi[active] - lo[active])[:, None] * frac
-        x[:, 0] = np.nextafter(lo[active], hi[active])
-        x[:, -1] = np.nextafter(hi[active], lo[active])
-        fx = fvec(x.ravel()).reshape(x.shape)
-        evals += x.size
-        w = np.full(pts, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        h = (hi[active] - lo[active]) / (2 * m)
-        s = (fx @ w) * h / 3.0
-        if prev is not None:
-            err = (s - prev) / 15.0
-            value = s + err
-            done = np.abs(err) <= rtol * np.abs(value) + 1e-300
-            est[active], err_abs[active] = value, np.abs(err)
-            active = active[~done]
-            if active.size == 0:
-                return scale * est
-            s = s[~done]
-        prev = s
-        m *= 2
-    raise NoConvergenceError(
-        f"batched Simpson did not converge on {active.size} of {n_panels} intervals",
-        partial=IntegrationResult(float(np.sum(scale * est)), float(np.sum(scale * err_abs)), evals),
-    )
-
-
 def true_interval_probabilities(
     field: AnalyticField,
     segment: RaySegment,
@@ -419,40 +369,66 @@ def true_interval_probabilities(
 ) -> np.ndarray:
     """Termination probability of each interval, accurate in relative terms.
 
-    Each interval integral is rescaled by the transmittance at its left
-    edge before integrating, so narrow or deeply occluded intervals keep
-    ``rtol`` relative accuracy instead of inheriting an absolute floor.
+    Interval ``k`` is [edges[k], edges[k+1]]; ``edges`` must increase
+    strictly within [near, far], else ValueError.  Each interval integral
+    is rescaled by the transmittance at its left edge and is one engine
+    task with tolerance ``rtol`` times its tabulated mass 1 - exp(-dO), so
+    narrow or deeply occluded intervals keep ``rtol`` relative accuracy
+    instead of inheriting an absolute floor.  The one-ulp nudge off each
+    edge bounds that accuracy at about ulp * |tau'| / tau.  Raises
+    NoConvergenceError if a panel hits the depth limit, or if a density
+    outside the piecewise-linear class is still tabulated above rtol / 8
+    at 8192 sub-panels; the partial's error adds each interval's gap to
+    its tabulated mass and the tabulation error to the engine's estimates.
     """
     edges = np.asarray(edges, dtype=np.float64)
-    table = CumulativeOpacityTable(
-        field.density, segment, extra_breaks=edges[1:-1]
-    )
-    if not _is_exact_class(field.density):
-        while table.tab_error > rtol / 8.0 and table.n_sub < 8192:
-            table = table.refined()
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError("edges must be a one-dimensional array of at least two points")
+    if not (np.all(np.diff(edges) > 0) and segment.near <= edges[0] and edges[-1] <= segment.far):
+        raise ValueError(f"edges must increase strictly within [{segment.near}, {segment.far}]")
+    table = CumulativeOpacityTable(field.density, segment, extra_breaks=edges[1:-1])
+    exact = _is_exact_class(field.density)
+    while not exact and table.tab_error > rtol / 8.0 and table.n_sub < 8192:
+        table = table.refined()
     prefix = table.cumulative(edges)
     lo, hi = edges[:-1], edges[1:]
+    inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
+    mass = -np.expm1(-np.diff(prefix))
 
-    def fvec(x: np.ndarray) -> np.ndarray:
-        j = edges[1:-1].searchsorted(x, side="right")
-        return field.tau(x) * np.exp(-(table.cumulative(x) - prefix[j]))
+    def integrand(x: np.ndarray, task: np.ndarray) -> np.ndarray:
+        x = np.minimum(np.maximum(x, inner_lo[task]), inner_hi[task])
+        return field.tau(x) * np.exp(-(table.cumulative(x) - prefix[task]))
 
-    return _batched_simpson(fvec, lo, hi, rtol, scale=np.exp(-prefix[:-1]))
+    value, error, evals, failed = _adaptive_simpson(
+        integrand, lo, hi, np.maximum(rtol * mass, 1e-300)
+    )
+    scale = np.exp(-prefix[:-1])
+    untabulated = not exact and table.tab_error > rtol / 8.0
+    if failed.any() or untabulated:
+        raise NoConvergenceError(
+            f"opacity tabulation error {table.tab_error:.3g} above rtol / 8 at 8192 sub-panels"
+            if untabulated
+            else f"adaptive Simpson did not converge on {failed.sum()} of {lo.size} intervals",
+            partial=IntegrationResult(
+                float(np.sum(scale * value)),
+                float(np.sum(scale * (error + np.abs(value - mass))) + table.tab_error),
+                int(evals.sum()),
+            ),
+        )
+    return scale * value
 
 
 def true_mean_termination(
     field: AnalyticField,
     segment: RaySegment,
     tol: float = 1e-10,
-    opaque_far: bool = True,
 ) -> float:
     """Expected termination distance; an opaque far plane absorbs the rest."""
     unit = AnalyticField(field.density)
 
     def once(rays, tables):
         (value, err, evals), = _render_rays([unit], segment, tables, tol, weight=lambda x: x)
-        far_mass = segment.far * np.exp(-tables[0].total) if opaque_far else 0.0
-        return [(value + far_mass, err, evals)]
+        return [(value + segment.far * np.exp(-tables[0].total), err, evals)]
 
     return float(_refine_until_stable([field.density], segment, tol, once)[0, 0])
 

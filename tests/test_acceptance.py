@@ -316,7 +316,7 @@ class TestAcceptance:
         start = time.time()
         scene = fixtures.shift_scene()
         segment = fixtures.SHIFT_SEGMENT
-        truth = true_mean_termination(scene, segment, 1e-10, opaque_far=True)
+        truth = true_mean_termination(scene, segment, 1e-10)
         sweep = shift_sweep(scene, segment, 32, 32)
         rmse = {}
         for model in (ModelKind.CONSTANT, ModelKind.LINEAR):

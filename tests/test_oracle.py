@@ -40,7 +40,7 @@ from rayquad.fields import (
 from rayquad.oracle import (
     CumulativeOpacityTable,
     _adaptive_simpson,
-    _render_pass,
+    _render_rays,
     ramp_transmittance,
     slab_transmittance,
 )
@@ -135,9 +135,9 @@ class TestFailurePartials:
     def test_true_render_partial_is_last_pass(self):
         with pytest.raises(NoConvergenceError) as err:
             true_render(self.field, self.segment, 1e-10)
-        value, error, evals = _render_pass(
-            self.field, self.segment, self._last_table(), 1e-10
-        )
+        value, error, evals = _render_rays(
+            [self.field], self.segment, [self._last_table()], 1e-10
+        )[0]
         assert err.value.partial == IntegrationResult(float(value[0]), error, evals)
         assert np.isfinite(err.value.partial.error_estimate)
         assert err.value.partial.evaluations > 3
@@ -147,9 +147,9 @@ class TestFailurePartials:
             true_mean_termination(self.field, self.segment, 1e-10)
         table = self._last_table()
         unit = AnalyticField(self.field.density, UniformColor(np.array([1.0])))
-        value, error, evals = _render_pass(
-            unit, self.segment, table, 1e-10, weight=lambda x: x
-        )
+        value, error, evals = _render_rays(
+            [unit], self.segment, [table], 1e-10, weight=lambda x: x
+        )[0]
         mean = float(value[0]) + self.segment.far * np.exp(-table.total)
         assert err.value.partial == IntegrationResult(mean, error, evals)
 
@@ -184,6 +184,44 @@ class TestIntervalProbabilityPartial:
         truth = 1.0 - np.exp(-(0.5 * 0.7371 + 3.0 * (2.0 - 0.7371)))
         assert np.isfinite(partial.error_estimate)
         assert abs(partial.value - truth) <= partial.error_estimate
+
+
+class TestIntervalProbabilities:
+    segment = RaySegment(0.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[-1.0, 1.0, 2.0], [0.0, 1.0, 3.0], [0.0, 1.5, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0],
+         [1.0], [[0.0, 1.0], [1.0, 2.0]]],
+        ids=["below-near", "beyond-far", "unsorted", "repeated", "one-edge", "two-dim"],
+    )
+    def test_bad_edges_rejected(self, edges):
+        field = AnalyticField(LinearRamp(1.0, 3.0, 0.0, 2.0))
+        with pytest.raises(ValueError):
+            true_interval_probabilities(field, self.segment, edges)
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_smooth_density_matches_softplus_closed_form(self, n):
+        # O(s) = (a / k) * (softplus(k (s - c)) - softplus(-k c)) for the logistic step.
+        density = LogisticStep(10.0, 8.0, 1.0)
+        edges = np.linspace(0.0, 2.0, n + 1)
+        depth = 10.0 / 8.0 * (np.logaddexp(0.0, 8.0 * (edges - 1.0)) - np.logaddexp(0.0, -8.0))
+        truth = np.exp(-depth[:-1]) * -np.expm1(-np.diff(depth))
+        probs = true_interval_probabilities(AnalyticField(density), self.segment, edges)
+        assert np.max(np.abs(probs - truth) / truth) <= 1e-11
+
+    def test_depth_limit_raises(self):
+        # Claims the exact class, so the tabulation is trusted and the
+        # unreported singularity reaches the engine's depth limit.
+        class Spike(DensityProfile):
+            polynomial_degree = 1
+
+            def tau(self, s):
+                return np.abs(np.asarray(s, dtype=np.float64) - 0.7371) ** -0.5
+
+        with pytest.raises(NoConvergenceError, match="1 of 4 intervals") as err:
+            true_interval_probabilities(AnalyticField(Spike()), self.segment, np.linspace(0.0, 2.0, 5))
+        assert np.isfinite(err.value.partial.error_estimate)
 
 
 def _render_command_rays():
@@ -321,12 +359,6 @@ class TestMeanTermination:
         field = AnalyticField(ConstantSlab(1e-9, 0.5, 1.0))
         mean = true_mean_termination(field, RaySegment(0.0, 4.0), 1e-10)
         assert mean == pytest.approx(4.0, abs=1e-6)
-
-    def test_open_far_drops_far_plane_mass(self):
-        field = AnalyticField(ConstantSlab(1.0, 0.0, 4.0))
-        with_far = true_mean_termination(field, RaySegment(0.0, 4.0), 1e-10, opaque_far=True)
-        without = true_mean_termination(field, RaySegment(0.0, 4.0), 1e-10, opaque_far=False)
-        assert with_far > without
 
 
 class TestKsStatistic:

@@ -31,7 +31,7 @@ from rayquad.fields import (
     UniformColor,
     load_scene,
 )
-from rayquad.oracle import CumulativeOpacityTable, _render_pass
+from rayquad.oracle import CumulativeOpacityTable, _render_rays
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -82,7 +82,7 @@ def test_true_render_pinned(name, tol):
     field, segment = _case(name)
     assert true_render(field, segment, tol).tolist() == value
     table = CumulativeOpacityTable(field.density, segment)
-    out, err_total, n_evals = _render_pass(field, segment, table, tol)
+    out, err_total, n_evals = _render_rays([field], segment, [table], tol)[0]
     assert (out.tolist(), err_total, n_evals) == (first, err, evals)
 
 
@@ -93,7 +93,7 @@ def test_true_mean_termination_pinned(tol):
     assert true_mean_termination(scene, segment, tol) == value
     unit = AnalyticField(scene.density, UniformColor(np.array([1.0])))
     table = CumulativeOpacityTable(scene.density, segment)
-    out, err_total, n_evals = _render_pass(unit, segment, table, tol, weight=lambda x: x)
+    out, err_total, n_evals = _render_rays([unit], segment, [table], tol, weight=lambda x: x)[0]
     assert (out.tolist(), err_total, n_evals) == (first, err, evals)
 
 
