@@ -42,6 +42,16 @@ sg = grad_sample_wrt_tau(cdf, u)
 print(f"\nsample gradient at draw u={u:.4f} (bin {sg.bin}):")
 print(f"  d sample / d tau_left  = {sg.d_tau_left:+.6f}")
 print(f"  d sample / d tau_right = {sg.d_tau_right:+.6f}")
+print(f"  d sample / d tau (every opacity) = {np.round(sg.d_tau, 6)}")
+print("  the sample moves with every opacity before its bin, through the")
+print("  transmittance it must spend first; opacities past the bin do not enter")
+report = finite_diff_check(
+    lambda x: ContinuousRayCdf(grid, OpacityTrace(x)).precise_sample(u),
+    np.array(tau.values),
+    sg.d_tau,
+    h=1e-5,
+)
+print(f"  max relative error vs central differences: {report.max_rel_err:.2e}")
 
 # Perturb opacity in a way that preserves every cumulative bin mass: the
 # surrogate cannot tell the difference, the exact inverse can.

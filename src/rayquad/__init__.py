@@ -30,7 +30,6 @@ from .sampling import (
     ContinuousRayCdf,
     DiscreteRayCdf,
     hierarchical_samples,
-    stratified_unit_samples,
 )
 from .fields import (
     AnalyticField,
@@ -48,7 +47,6 @@ from .fields import (
     opaque_trace,
     sample_field,
     shift_sweep,
-    shifted_grid,
 )
 from .oracle import (
     CumulativeOpacityTable,

@@ -34,7 +34,6 @@ CONVERGENCE_NS = (8, 16, 32, 64, 128, 256)
 
 @dataclass
 class ExperimentSpec:
-    command: str
     scene: Path | None = None
     models: tuple[ModelKind, ...] = (ModelKind.CONSTANT, ModelKind.LINEAR)
     n_coarse: int = 128
@@ -55,17 +54,6 @@ class ExperimentSpec:
         if self.scene is None:
             return default_field, default_segment
         return load_scene(self.scene)
-
-
-def _distribution_models(spec: ExperimentSpec) -> tuple[ModelKind, ...]:
-    """Models with a closed-form ray distribution; quadratic is skipped."""
-    models = tuple(m for m in spec.models if m is not ModelKind.QUADRATIC)
-    if len(models) != len(spec.models):
-        print(
-            "note: the quadratic model has no closed-form ray distribution; "
-            "skipped here (see the quadratic-probe command)"
-        )
-    return models
 
 
 def _fmt(x) -> str:
@@ -95,7 +83,6 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
 
 
 def cmd_convergence(spec: ExperimentSpec) -> bool:
-    models = _distribution_models(spec)
     scene, segment = spec.load_scene_or(
         fixtures.convergence_scene(), fixtures.CONVERGENCE_SEGMENT
     )
@@ -103,7 +90,7 @@ def cmd_convergence(spec: ExperimentSpec) -> bool:
     rows = []
     slopes = {}
     exact = {}
-    for model in models:
+    for model in spec.models:
         errors = []
         for n in CONVERGENCE_NS:
             grid = make_uniform_grid(segment, n)
@@ -134,12 +121,11 @@ def cmd_convergence(spec: ExperimentSpec) -> bool:
 
 
 def cmd_shift_sensitivity(spec: ExperimentSpec) -> bool:
-    models = _distribution_models(spec)
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
     sweep = shift_sweep(scene, segment, spec.n_coarse, spec.offsets)
     rows = []
     spreads = {}
-    for model in models:
+    for model in spec.models:
         values = []
         for off, grid, tau, colors in sweep:
             value = float(render(interval_pmf(model, grid, tau), colors)[0])
@@ -242,19 +228,14 @@ def cmd_grad_check(spec: ExperimentSpec) -> bool:
         u = float(rng.uniform(0.05, min(0.95, cdf.cumulative[-1] * 0.98)))
         sg = grad_sample_wrt_tau(cdf, u)
         k = sg.bin
-        h_fd = 1e-5
-        num = []
-        for idx in (k, k + 1):
-            shifted = np.array(tauv)
-            shifted[idx] = tauv[idx] + h_fd
-            hi = ContinuousRayCdf(grid, OpacityTrace(shifted)).precise_sample(u)
-            shifted[idx] = tauv[idx] - h_fd
-            lo = ContinuousRayCdf(grid, OpacityTrace(shifted)).precise_sample(u)
-            num.append((hi - lo) / (2 * h_fd))
-        rel = max(
-            abs(a - b) / max(abs(a), abs(b), 1e-12)
-            for a, b in zip((sg.d_tau_left, sg.d_tau_right), num)
-        )
+
+        def sample(y, k=k):
+            x = tauv.copy()
+            x[k : k + 2] = y
+            return ContinuousRayCdf(grid, OpacityTrace(x)).precise_sample(u)
+
+        report = finite_diff_check(sample, tauv[k : k + 2], sg.d_tau[k : k + 2], h=1e-5)
+        rel = report.max_rel_err
         worst["sample_linear"] = max(worst["sample_linear"], rel)
         rows.append(("sample_linear", i, rel))
 
@@ -333,7 +314,6 @@ def cmd_quadratic_probe(spec: ExperimentSpec) -> bool:
 
 
 def cmd_render(spec: ExperimentSpec, height: int = 8, width: int = 12) -> bool:
-    models = _distribution_models(spec)
     angles = np.linspace(0.12, np.pi / 2, height)
     rig = GrazingRig(
         wall_amplitude=10.0, wall_steepness=40.0, wall_depth=1.0, angles=angles
@@ -344,16 +324,16 @@ def cmd_render(spec: ExperimentSpec, height: int = 8, width: int = 12) -> bool:
     rays = [rig.ray_field(float(a), float(off)) for a in angles for off in wall_offsets]
     truths = oracle.true_render_batch(rays, segment, 1e-6)[:, 0].reshape(height, width)
     grid = make_uniform_grid(segment, spec.n_coarse)
-    images = {m: np.zeros((height, width)) for m in models}
+    images = {m: np.zeros((height, width)) for m in spec.models}
     rows = []
     for (r, c), ray in zip(np.ndindex(height, width), rays):
         tau, colors = opaque_trace(ray, grid)
-        for m in models:
+        for m in spec.models:
             value = float(render(interval_pmf(m, grid, tau), colors)[0])
             images[m][r, c] = value
             rows.append((m.value, r, c, value, truths[r, c], abs(value - truths[r, c])))
 
-    for m in models:
+    for m in spec.models:
         write_pgm(spec.out / f"render_{m.value}.pgm", images[m])
         write_pgm(spec.out / f"render_diff_{m.value}.pgm", np.abs(images[m] - truths))
     _write_csv(
@@ -361,7 +341,7 @@ def cmd_render(spec: ExperimentSpec, height: int = 8, width: int = 12) -> bool:
         ["model", "row", "col", "rendered_value", "oracle_value", "abs_diff"],
         rows,
     )
-    for m in models:
+    for m in spec.models:
         print(
             f"render: {m.value} mean abs diff {np.mean(np.abs(images[m] - truths)):.6g}"
         )
@@ -369,13 +349,12 @@ def cmd_render(spec: ExperimentSpec, height: int = 8, width: int = 12) -> bool:
 
 
 def cmd_depth(spec: ExperimentSpec) -> bool:
-    models = _distribution_models(spec)
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
     truth = oracle.true_mean_termination(scene, segment, spec.tol)
     sweep = shift_sweep(scene, segment, spec.n_coarse, spec.offsets)
     rows = []
     rmse = {}
-    for model in models:
+    for model in spec.models:
         errs = []
         for off, grid, tau, _ in sweep:
             depth = expected_depth(interval_pmf(model, grid, tau), grid)
@@ -431,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--models",
         type=_parse_models,
         default=(ModelKind.CONSTANT, ModelKind.LINEAR),
-        help="comma list: constant,linear[,quadratic]",
+        help="comma list: constant,linear",
     )
     parser.add_argument("--n-coarse", type=int, default=128)
     parser.add_argument("--offsets", type=int, default=32)
@@ -444,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     spec = ExperimentSpec(
-        command=args.command,
         scene=args.scene,
         models=args.models,
         n_coarse=args.n_coarse,

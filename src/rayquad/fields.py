@@ -344,7 +344,7 @@ def opaque_trace(
     return apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR), colors
 
 
-def shifted_grid(grid: SampleGrid, offset: float) -> SampleGrid:
+def _shifted_grid(grid: SampleGrid, offset: float) -> SampleGrid:
     """Translate every interior sample by ``offset`` (used by shift sweeps)."""
     if offset == 0.0:
         return grid
@@ -369,7 +369,7 @@ def shift_sweep(
     h = segment.span / (n + 1)
     sweep = []
     for off in np.linspace(0.0, h, offsets, endpoint=False):
-        grid = shifted_grid(grid0, float(off))
+        grid = _shifted_grid(grid0, float(off))
         sweep.append((float(off), grid, *opaque_trace(field, grid)))
     return sweep
 
@@ -388,7 +388,6 @@ class GrazingRig:
     wall_steepness: float
     wall_depth: float
     angles: np.ndarray
-    color: ColorProfile | None = None
 
     def __post_init__(self):
         angles = np.atleast_1d(np.asarray(self.angles, dtype=np.float64))
@@ -408,12 +407,7 @@ class GrazingRig:
             steepness=self.wall_steepness * sin,
             center=center,
         )
-        if self.color is not None:
-            color = self.color
-        else:
-            color = TwoToneColor(
-                before=np.array([0.1]), after=np.array([0.9]), boundary=center
-            )
+        color = TwoToneColor(before=np.array([0.1]), after=np.array([0.9]), boundary=center)
         return AnalyticField(density=density, color=color)
 
 

@@ -7,8 +7,9 @@ The rendered scalar is rewritten by summation by parts as
 so every partial with respect to an opacity value reduces to suffix sums
 of (color difference) * T weighted by the sensitivity of log T, which is
 just interval widths.  Derivatives of the exact inverse-CDF sample
-differentiate the stable quadratic root directly.  A central-difference
-checker keeps the derivations honest.
+differentiate the sampler's own stable quadratic root, through the bin
+opacities and through the log transmittance at the bin start.  A
+central-difference checker keeps the derivations honest.
 """
 
 from __future__ import annotations
@@ -96,53 +97,65 @@ def grad_render_wrt_tau(
 
 @dataclass(frozen=True)
 class SampleGradient:
-    """Partials of one inverse-CDF sample w.r.t. its bin's opacities."""
+    """Partials of one inverse-CDF sample w.r.t. every opacity value.
+
+    ``d_tau`` has one entry per grid point (length n + 2).  The sample
+    depends on the opacities of its bin ``bin`` through the in-bin root,
+    and on every opacity up to ``tau[bin]`` through the log transmittance
+    at the bin start; entries past ``bin + 1`` are zero.
+    """
 
     bin: int
-    d_tau_left: float
-    d_tau_right: float
+    d_tau: np.ndarray
+
+    @property
+    def d_tau_left(self) -> float:
+        return float(self.d_tau[self.bin])
+
+    @property
+    def d_tau_right(self) -> float:
+        return float(self.d_tau[self.bin + 1])
 
 
-def grad_sample_wrt_tau(
-    cdf: ContinuousRayCdf, u: float, full_chain: bool = True
-) -> SampleGradient:
+def grad_sample_wrt_tau(cdf: ContinuousRayCdf, u: float) -> SampleGradient:
     """Differentiate the exact inverse-CDF sample at draw ``u``.
 
-    ``full_chain`` includes the dependence of the log mass on the bin's
-    left opacity through the transmittance prefix; with it disabled the
-    prefix is treated as frozen (the stop-gradient variant).  The draw
+    The bin's two opacities shape the quadratic root; the log mass
+    ``q = ln T_k - ln(1 - u)`` adds ``dt/dq * d ln T_k / d tau_j``, where
+    ``d ln T_k / d tau_j`` is ``-(w_{j-1} + w_j) / 2`` for ``0 < j < k``,
+    ``-w_0 / 2`` for ``j = 0`` and ``-w_{k-1} / 2`` for ``j = k``.  The draw
     must fall strictly inside a bin: at a bin edge the derivative is only
-    one-sided and this raises instead of picking a side.
+    one-sided, and a draw that ``precise_sample`` clamps to the far bound
+    has no root to differentiate; both raise.
     """
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError("draw must lie strictly inside (0, 1)")
+    k, delta, q, root, denom, clamped = (v[0] for v in cdf._invert(np.array([u])))
+    if clamped:
+        raise ValueError(f"draw {u} is clamped to the far bound; no gradient exists")
     c = cdf.cumulative
-    k = int(np.searchsorted(c[1:], u, side="right"))
-    k = min(k, cdf.grid.n)
     if u == c[k] or u == c[k + 1]:
         raise ValueError(f"draw {u} sits on a bin edge; derivative is one-sided")
-
-    tau = cdf.tau.values
-    widths = cdf.grid.widths
-    tau_l, tau_r = float(tau[k]), float(tau[k + 1])
-    delta = float(widths[k])
-    a = tau_r - tau_l
-    q = float(cdf.log_transmittance[k]) - float(np.log1p(-u))
-    root = np.sqrt(max(tau_l * tau_l + 2.0 * a * q / delta, 0.0))
-    denom = tau_l + root
     if root == 0.0 or denom == 0.0:
         raise ArithmeticError("degenerate bin: opacity not floored positive")
 
+    tau = cdf.tau.values
+    tau_l = tau[k]
+    a = tau[k + 1] - tau_l
     dt_da = -2.0 * q * q / (delta * root * denom * denom)
     dt_dq = 2.0 / denom - 2.0 * q * a / (delta * root * denom * denom)
     dt_dtau_direct = -2.0 * q * (1.0 + tau_l / root) / (denom * denom)
 
-    d_left = dt_dtau_direct - dt_da
-    if full_chain and k >= 1:
-        # log T_k carries -width_{k-1}/2 per unit of tau_k.
-        d_left += dt_dq * (-0.5 * float(widths[k - 1]))
-    return SampleGradient(bin=k, d_tau_left=float(d_left), d_tau_right=float(dt_da))
+    widths = cdf.grid.widths
+    d_log_t = np.zeros(cdf.grid.n + 2)
+    d_log_t[:k] -= 0.5 * widths[:k]
+    d_log_t[1 : k + 1] -= 0.5 * widths[:k]
+    d_tau = dt_dq * d_log_t
+    d_tau[k] += dt_dtau_direct - dt_da
+    d_tau[k + 1] += dt_da
+    d_tau.setflags(write=False)
+    return SampleGradient(bin=int(k), d_tau=d_tau)
 
 
 def finite_diff_check(f, x: np.ndarray, analytic: np.ndarray, h: float = 1e-6) -> GradReport:

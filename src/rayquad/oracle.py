@@ -41,7 +41,6 @@ from .fields import (
 )
 from .rays import RaySegment
 
-_SMIRNOV_COEFF = {0.10: 1.22, 0.05: 1.36, 0.01: 1.63}
 _MAX_DEPTH = 48
 
 
@@ -468,15 +467,11 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     return float(max(d_plus, d_minus))
 
 
-def ks_critical(n: int, alpha: float = 0.05) -> float:
-    """Asymptotic KS critical value; the 5% level is 1.36 / sqrt(n)."""
+def ks_critical(n: int) -> float:
+    """Asymptotic KS critical value at the 5% level, 1.36 / sqrt(n)."""
     if n < 8:
         raise ValueError("asymptotic critical values need n >= 8")
-    try:
-        coeff = _SMIRNOV_COEFF[alpha]
-    except KeyError:
-        raise ValueError(f"unsupported significance level {alpha}") from None
-    return coeff / np.sqrt(n)
+    return 1.36 / np.sqrt(n)
 
 
 def convergence_slope(errors) -> float:

@@ -26,7 +26,6 @@ class ModelKind(enum.Enum):
 
     CONSTANT = "constant"
     LINEAR = "linear"
-    QUADRATIC = "quadratic"
 
 
 class FarConvention(enum.Enum):

@@ -112,9 +112,31 @@ class ContinuousRayCdf:
     def cumulative(self) -> np.ndarray:
         return self.dist.cumulative
 
-    def _locate(self, u: np.ndarray) -> np.ndarray:
+    def _invert(self, u: np.ndarray):
+        """Shared inverse kernel: ``(k, delta, q, root, denom, clamped)`` per draw.
+
+        ``k`` is the located bin and ``delta`` its width; ``q = ln T_k -
+        ln(1 - u)`` is the log mass left to spend in it; ``root`` and
+        ``denom`` make up the stable root ``t = 2 q / denom``.  Draws at or
+        above ``1 - EPS_UNIT`` or the total mass are flagged in ``clamped``
+        and inverted as ``u = 0``.  ``precise_sample`` and
+        ``gradients.grad_sample_wrt_tau`` both invert through here.
+        """
+        clamped = (u >= 1.0 - EPS_UNIT) | (u >= self.cumulative[-1])
+        u = np.where(clamped, 0.0, u)
         k = np.searchsorted(self.cumulative[1:], u, side="right")
-        return np.minimum(k, self.grid.n)
+        k = np.minimum(k, self.grid.n)
+        q = self.log_transmittance[k] - np.log1p(-u)
+        if not np.all(np.isfinite(q)):
+            raise ArithmeticError("non-finite log mass while inverting the CDF")
+        tau = self.tau.values
+        tau_k = tau[k]
+        delta = self.grid.widths[k]
+        disc = tau_k * tau_k + 2.0 * (tau[k + 1] - tau_k) * q / delta
+        # The discriminant lies between tau_k^2 and tau_{k+1}^2; rounding can
+        # push it a hair negative when q sits at the bin boundary.
+        root = np.sqrt(np.maximum(disc, 0.0))
+        return k, delta, q, root, tau_k + root, clamped
 
     def cdf_eval(self, t):
         """Probability of terminating before distance ``t``."""
@@ -148,22 +170,7 @@ class ContinuousRayCdf:
         u = np.atleast_1d(u)
         if np.any(u < 0.0) or np.any(u > 1.0):
             raise ValueError("draws must lie in [0, 1)")
-        total = self.cumulative[-1]
-        clamped = (u >= 1.0 - EPS_UNIT) | (u >= total)
-        u = np.where(clamped, 0.0, u)
-
-        k = self._locate(u)
-        q = self.log_transmittance[k] - np.log1p(-u)
-        if not np.all(np.isfinite(q)):
-            raise ArithmeticError("non-finite log mass while inverting the CDF")
-        tau = self.tau.values
-        delta = self.grid.widths[k]
-        a = tau[k + 1] - tau[k]
-        disc = tau[k] * tau[k] + 2.0 * a * q / delta
-        # The discriminant lies between tau_k^2 and tau_{k+1}^2; rounding can
-        # push it a hair negative when q sits at the bin boundary.
-        root = np.sqrt(np.maximum(disc, 0.0))
-        denom = tau[k] + root
+        k, delta, q, _, denom, clamped = self._invert(u)
         t = np.where(denom > 0.0, 2.0 * q / np.where(denom > 0.0, denom, 1.0), 0.0)
         t = np.clip(t, 0.0, delta)
 
@@ -175,7 +182,7 @@ class ContinuousRayCdf:
         return (s, clamped) if return_clamped else s
 
 
-def stratified_unit_samples(n: int, seed: int) -> np.ndarray:
+def _stratified_unit_samples(n: int, seed: int) -> np.ndarray:
     """One uniform draw per equal-width stratum of [0, 1); deterministic."""
     if n < 1:
         raise ValueError("need at least one stratum")
@@ -192,11 +199,11 @@ def hierarchical_samples(
 
     The sampler is chosen by the CDF type: a DiscreteRayCdf draws through
     the surrogate, a ContinuousRayCdf through the exact inverse.  Unit
-    draws are stratified (``stratified_unit_samples``).
+    draws are stratified (``_stratified_unit_samples``).
     """
     if n_fine < 1:
         raise ValueError("need at least one fine sample")
-    u = stratified_unit_samples(n_fine, seed)
+    u = _stratified_unit_samples(n_fine, seed)
     u = np.minimum(u, cdf.cumulative[-1] * (1.0 - 1e-15))
 
     if isinstance(cdf, ContinuousRayCdf):

@@ -236,18 +236,13 @@ class TestAcceptance:
             cdf = ContinuousRayCdf(grid, tau)
             u = float(rng.uniform(0.1, 0.9)) * float(cdf.cumulative[-1])
             sg = grad_sample_wrt_tau(cdf, u)
-            h_fd = 1e-5
-            for idx, analytic_val in ((sg.bin, sg.d_tau_left), (sg.bin + 1, sg.d_tau_right)):
-                values = np.array(tauv)
-                values[idx] += h_fd
-                hi = ContinuousRayCdf(grid, OpacityTrace(values)).precise_sample(u)
-                values[idx] -= 2 * h_fd
-                lo = ContinuousRayCdf(grid, OpacityTrace(values)).precise_sample(u)
-                numeric = (hi - lo) / (2 * h_fd)
-                worst_sample = max(
-                    worst_sample,
-                    abs(analytic_val - numeric) / max(abs(analytic_val), abs(numeric), 1e-12),
-                )
+            rep = finite_diff_check(
+                lambda x: ContinuousRayCdf(grid, OpacityTrace(x)).precise_sample(u),
+                tauv,
+                sg.d_tau,
+                h=1e-5,
+            )
+            worst_sample = max(worst_sample, rep.max_rel_err)
 
         grid, base, perturbed = fixtures.surrogate_invariance_instance()
         dist_a = interval_pmf(ModelKind.LINEAR, grid, base)

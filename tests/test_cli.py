@@ -20,13 +20,20 @@ class NonZeroExit(Exception):
 class TestSpecValidation:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            ExperimentSpec(command="depth", n_coarse=0)
+            ExperimentSpec(n_coarse=0)
         with pytest.raises(ValueError):
-            ExperimentSpec(command="depth", tol=0.0)
+            ExperimentSpec(tol=0.0)
 
     def test_rejects_missing_scene(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            ExperimentSpec(command="depth", scene=tmp_path / "nope.json")
+            ExperimentSpec(scene=tmp_path / "nope.json")
+
+    def test_quadratic_model_rejected_at_parse(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["depth", "--models", "quadratic", "--out", tmp_path])
+        assert exc.value.code == 2
+        assert "unknown model 'quadratic'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestCommands:
@@ -97,7 +104,7 @@ class TestCommands:
     def test_render_emits_images(self, tmp_path):
         from rayquad.cli import cmd_render
 
-        spec = ExperimentSpec(command="render", n_coarse=48, out=tmp_path)
+        spec = ExperimentSpec(n_coarse=48, out=tmp_path)
         assert cmd_render(spec, height=3, width=4)
         for name in ("render_constant.pgm", "render_linear.pgm", "render_diff_linear.pgm"):
             text = (tmp_path / name).read_text().splitlines()

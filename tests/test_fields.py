@@ -22,9 +22,8 @@ from rayquad import (
     opaque_trace,
     sample_field,
     shift_sweep,
-    shifted_grid,
 )
-from rayquad.fields import PiecewiseConstantColor, SampledDensity
+from rayquad.fields import PiecewiseConstantColor, SampledDensity, _shifted_grid
 
 
 class TestDensityProfiles:
@@ -108,7 +107,7 @@ class TestOpaqueTrace:
         assert [off for off, *_ in sweep] == offsets.tolist()
         grid0 = make_uniform_grid(segment, 7)
         for off, grid, tau, colors in sweep:
-            np.testing.assert_array_equal(grid.points, shifted_grid(grid0, off).points)
+            np.testing.assert_array_equal(grid.points, _shifted_grid(grid0, off).points)
             expected_tau, expected_colors = opaque_trace(field, grid)
             np.testing.assert_array_equal(tau.values, expected_tau.values)
             np.testing.assert_array_equal(colors.values, expected_colors.values)
@@ -117,12 +116,12 @@ class TestOpaqueTrace:
 class TestShiftedGrid:
     def test_zero_offset_is_identity(self):
         grid = make_uniform_grid(RaySegment(0.0, 2.0), 7)
-        assert shifted_grid(grid, 0.0) is grid
+        assert _shifted_grid(grid, 0.0) is grid
 
     def test_half_gap_gives_midpoints(self):
         grid = make_uniform_grid(RaySegment(0.0, 2.0), 3)
         h = 0.5
-        out = shifted_grid(grid, h / 2)
+        out = _shifted_grid(grid, h / 2)
         np.testing.assert_allclose(out.interior, grid.interior + 0.25)
 
     def test_sweep_produces_distinct_valid_grids(self):
@@ -130,7 +129,7 @@ class TestShiftedGrid:
         h = 2.0 / 32
         seen = set()
         for off in np.linspace(0.0, h, 32, endpoint=False):
-            g = shifted_grid(grid, float(off))
+            g = _shifted_grid(grid, float(off))
             assert np.all(np.diff(g.points) > 0)
             seen.add(round(float(g.interior[0]), 15))
         assert len(seen) == 32
@@ -138,9 +137,9 @@ class TestShiftedGrid:
     def test_rejects_out_of_range_offsets(self):
         grid = make_uniform_grid(RaySegment(0.0, 2.0), 3)
         with pytest.raises(ValueError):
-            shifted_grid(grid, 0.5)  # equal to the gap
+            _shifted_grid(grid, 0.5)  # equal to the gap
         with pytest.raises(ValueError):
-            shifted_grid(grid, -0.1)
+            _shifted_grid(grid, -0.1)
 
 
 class TestGrazingRig:

@@ -100,18 +100,42 @@ class TestSampleGradient:
             cdf = ContinuousRayCdf(grid, tau)
             u = float(rng.uniform(0.1, 0.9)) * float(cdf.cumulative[-1])
             sg = grad_sample_wrt_tau(cdf, u)
-            h = 1e-5
-            for idx, analytic in ((sg.bin, sg.d_tau_left), (sg.bin + 1, sg.d_tau_right)):
-                values = np.array(tau.values)
-                values[idx] += h
-                hi = ContinuousRayCdf(grid, OpacityTrace(values)).precise_sample(u)
-                values[idx] -= 2 * h
-                lo = ContinuousRayCdf(grid, OpacityTrace(values)).precise_sample(u)
-                numeric = (hi - lo) / (2 * h)
-                worst = max(
-                    worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
-                )
+            report = finite_diff_check(
+                lambda x: ContinuousRayCdf(grid, OpacityTrace(x)).precise_sample(u),
+                np.array(tau.values),
+                sg.d_tau,
+                h=1e-5,
+            )
+            worst = max(worst, report.max_rel_err)
         assert worst < 1e-5
+
+    def test_dense_gradient_structure(self):
+        # widths of 0.25 are exact, so the prefix weights are exact halves
+        grid = make_uniform_grid(RaySegment(0.0, 2.0), 7)
+        tau = OpacityTrace(np.linspace(0.4, 1.2, 9))
+        cdf = ContinuousRayCdf(grid, tau)
+        sg = grad_sample_wrt_tau(cdf, 0.6 * float(cdf.cumulative[-1]))
+        k = sg.bin
+        assert 2 <= k <= grid.n - 1
+        assert sg.d_tau.shape == (grid.n + 2,)
+        np.testing.assert_array_equal(sg.d_tau[1:k], 2.0 * sg.d_tau[0])
+        assert sg.d_tau[0] < 0.0
+        np.testing.assert_array_equal(sg.d_tau[k + 2 :], 0.0)
+        assert sg.d_tau_left == sg.d_tau[k] and sg.d_tau_right == sg.d_tau[k + 1]
+
+    def test_clamped_draw_rejected(self):
+        grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
+        # total mass 1 - exp(-0.2) = 0.181: precise_sample clamps u = 0.5
+        cdf = ContinuousRayCdf(grid, OpacityTrace(np.full(3, 0.1)))
+        assert cdf.precise_sample(0.5) == 2.0
+        with pytest.raises(ValueError, match="clamped"):
+            grad_sample_wrt_tau(cdf, 0.5)
+        # a nearly opaque ray: the draw is below the total mass but above 1 - EPS_UNIT
+        opaque = ContinuousRayCdf(grid, OpacityTrace(np.full(3, 40.0)))
+        u = 1.0 - 1e-13
+        assert u < opaque.cumulative[-1] and opaque.precise_sample(u) == 2.0
+        with pytest.raises(ValueError, match="clamped"):
+            grad_sample_wrt_tau(opaque, u)
 
     def test_flat_bin_limit_holding_mass_fixed(self):
         grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
@@ -119,7 +143,7 @@ class TestSampleGradient:
         cdf = ContinuousRayCdf(grid, OpacityTrace(np.full(3, tau_value)))
         u = 0.55
         q = -np.log1p(-u)
-        sg = grad_sample_wrt_tau(cdf, u, full_chain=False)
+        sg = grad_sample_wrt_tau(cdf, u)
         # moving both endpoint opacities together reproduces d(q/tau)/dtau
         assert sg.d_tau_left + sg.d_tau_right == pytest.approx(
             -q / tau_value**2, rel=1e-12
@@ -142,17 +166,6 @@ class TestSampleGradient:
         cdf = ContinuousRayCdf(grid, OpacityTrace(np.array([1.0, 3.0, 5.0])))
         with pytest.raises(ValueError):
             grad_sample_wrt_tau(cdf, float(cdf.cumulative[1]))
-
-    def test_full_chain_differs_from_frozen_prefix(self):
-        grid = make_uniform_grid(RaySegment(0.0, 2.0), 3)
-        tau = OpacityTrace(np.array([0.5, 1.0, 2.0, 1.5, 0.8]))
-        cdf = ContinuousRayCdf(grid, tau)
-        u = 0.8 * float(cdf.cumulative[-1])
-        full = grad_sample_wrt_tau(cdf, u, full_chain=True)
-        frozen = grad_sample_wrt_tau(cdf, u, full_chain=False)
-        assert full.bin == frozen.bin and full.bin >= 1
-        assert full.d_tau_left != frozen.d_tau_left
-        assert full.d_tau_right == frozen.d_tau_right
 
 
 class TestFiniteDiffCheck:

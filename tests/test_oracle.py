@@ -390,8 +390,6 @@ class TestKsStatistic:
         assert ks_critical(100_000) == pytest.approx(1.36 / np.sqrt(100_000))
         with pytest.raises(ValueError):
             ks_critical(4)
-        with pytest.raises(ValueError):
-            ks_critical(100, alpha=0.2)
 
 
 class TestConvergenceSlope:

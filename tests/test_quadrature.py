@@ -155,7 +155,7 @@ class TestIntervalPmf:
     def test_quadratic_model_rejected(self):
         grid, tau = two_interval_setup()
         with pytest.raises(ValueError):
-            interval_pmf(ModelKind.QUADRATIC, grid, tau)
+            interval_pmf("quadratic", grid, tau)
 
     @pytest.mark.parametrize("values", [[-5.0, 1.0, 1.0], [1.0, 1.0, -1e-300]])
     def test_negative_opacity_rejected(self, values):

@@ -14,10 +14,10 @@ from rayquad import (
     ks_critical,
     ks_statistic,
     make_uniform_grid,
-    stratified_unit_samples,
 )
 from rayquad import fixtures
 from rayquad.quadrature import RayDistribution
+from rayquad.sampling import _stratified_unit_samples
 
 from conftest import random_instance
 
@@ -267,5 +267,5 @@ class TestHierarchicalSampling:
             hierarchical_samples(DiscreteRayCdf(grid, dist), 0, seed=2)
 
     def test_stratified_unit_samples_cover_strata(self):
-        u = stratified_unit_samples(64, seed=8)
+        u = _stratified_unit_samples(64, seed=8)
         assert np.all((u >= np.arange(64) / 64) & (u < (np.arange(64) + 1) / 64))
