@@ -26,7 +26,7 @@ from .quadratic import (
     quad_integral_right,
 )
 from .quadrature import expected_depth, interval_pmf, render
-from .rays import ModelKind, OpacityTrace, RaySegment, SampleGrid, make_uniform_grid
+from .rays import ModelKind, OpacityTrace, RaySegment, make_uniform_grid
 from .sampling import ContinuousRayCdf, DiscreteRayCdf
 
 CONVERGENCE_NS = (8, 16, 32, 64, 128, 256)
@@ -201,14 +201,7 @@ def cmd_grad_check(spec: ExperimentSpec) -> bool:
     worst = {"render_constant": 0.0, "render_linear": 0.0, "sample_linear": 0.0}
 
     for i in range(20):
-        n = int(rng.integers(1, 13))
-        segment = RaySegment(0.0, float(rng.uniform(0.5, 1.5)))
-        interior = np.sort(rng.uniform(segment.near + 1e-3, segment.far - 1e-3, n))
-        while np.any(np.diff(interior) <= 0):
-            interior = np.sort(rng.uniform(segment.near + 1e-3, segment.far - 1e-3, n))
-        grid = SampleGrid(interior, segment)
-        tauv = rng.uniform(0.05, 4.0, n + 2)
-        colors = rng.uniform(0.1, 0.9, n + 1)
+        grid, tauv, colors = fixtures.gradient_instance(rng)
 
         for model, key in (
             (ModelKind.CONSTANT, "render_constant"),
@@ -400,37 +393,31 @@ def _parse_models(text: str) -> tuple[ModelKind, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Experiment parser; every option's default is ``ExperimentSpec``'s."""
+    defaults = ExperimentSpec()
     parser = argparse.ArgumentParser(
         prog="rayquad",
         description="Volume-rendering quadrature experiments (CSV + PGM output).",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--scene", type=Path, default=None, help="scene JSON file")
+    parser.add_argument("--scene", type=Path, default=defaults.scene, help="scene JSON file")
     parser.add_argument(
         "--models",
         type=_parse_models,
-        default=(ModelKind.CONSTANT, ModelKind.LINEAR),
+        default=defaults.models,
         help="comma list: constant,linear",
     )
-    parser.add_argument("--n-coarse", type=int, default=128)
-    parser.add_argument("--offsets", type=int, default=32)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--tol", type=float, default=1e-10)
+    parser.add_argument("--n-coarse", type=int, default=defaults.n_coarse)
+    parser.add_argument("--offsets", type=int, default=defaults.offsets)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--out", type=Path, default=defaults.out)
+    parser.add_argument("--tol", type=float, default=defaults.tol)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    spec = ExperimentSpec(
-        scene=args.scene,
-        models=args.models,
-        n_coarse=args.n_coarse,
-        offsets=args.offsets,
-        seed=args.seed,
-        out=args.out,
-        tol=args.tol,
-    )
+    spec = ExperimentSpec(**{k: v for k, v in vars(args).items() if k != "command"})
     try:
         passed = COMMANDS[args.command](spec)
     except oracle.NoConvergenceError as exc:

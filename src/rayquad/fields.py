@@ -348,7 +348,7 @@ def _shifted_grid(grid: SampleGrid, offset: float) -> SampleGrid:
     """Translate every interior sample by ``offset`` (used by shift sweeps)."""
     if offset == 0.0:
         return grid
-    gaps = np.diff(grid.points)
+    gaps = grid.widths
     if not 0.0 <= offset < gaps.min():
         raise ValueError(f"offset {offset} outside [0, min gap {gaps.min()})")
     interior = grid.interior + offset

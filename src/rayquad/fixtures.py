@@ -79,6 +79,23 @@ def wall_distribution(
     return quadrature.interval_pmf(model, grid, tau), tau
 
 
+def gradient_instance(rng) -> tuple[SampleGrid, np.ndarray, np.ndarray]:
+    """A random small grid with opacity values and one color per interval.
+
+    ``grad-check`` and the gradient acceptance criterion both draw their
+    instances here; the order of the ``rng`` calls is part of what their
+    recorded results depend on.
+    """
+    n = int(rng.integers(1, 13))
+    segment = RaySegment(0.0, float(rng.uniform(0.5, 1.5)))
+    interior = np.sort(rng.uniform(segment.near + 1e-3, segment.far - 1e-3, n))
+    while np.any(np.diff(interior) <= 0):
+        interior = np.sort(rng.uniform(segment.near + 1e-3, segment.far - 1e-3, n))
+    tau_values = rng.uniform(0.05, 4.0, n + 2)
+    colors = rng.uniform(0.1, 0.9, n + 1)
+    return SampleGrid(interior, segment), tau_values, colors
+
+
 def surrogate_invariance_instance() -> tuple[SampleGrid, OpacityTrace, OpacityTrace]:
     """A trace pair with identical linear-model cumulative values.
 

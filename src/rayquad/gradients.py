@@ -58,16 +58,15 @@ def grad_render_wrt_tau(
     """Exact partials of the rendered scalar w.r.t. every opacity value.
 
     Returns one partial per grid point (length n + 2).  Under the constant
-    model the far-bound opacity never enters, so its partial is zero.
+    model the far-bound opacity never enters, so its partial is zero.  The
+    transmittance comes from ``interval_pmf``, which validates the model
+    and the trace.
     """
     c = _interval_colors(colors)
     if c.size != grid.n + 1:
         raise ValueError(f"{c.size} colors for {grid.n + 1} intervals")
-    if tau.values.size != grid.n + 2:
-        raise ValueError("opacity trace does not match grid size")
 
-    log_t = quadrature.log_transmittance(model, grid, tau)
-    trans = np.exp(log_t)
+    trans = quadrature.interval_pmf(model, grid, tau).transmittance
     widths = grid.widths
     n_pts = grid.n + 2
 
@@ -85,13 +84,11 @@ def grad_render_wrt_tau(
     if model is ModelKind.CONSTANT:
         # tau_m scales interval m, entering every T_k with k > m.
         grad[:-1] = -widths * suffix[1:-1]
-    elif model is ModelKind.LINEAR:
-        # tau_m enters interval m-1 (weight width/2) for T_k with k >= m,
-        # and interval m (weight width/2) for T_k with k > m.
+    else:
+        # Linear: tau_m enters interval m-1 (weight width/2) for T_k with
+        # k >= m, and interval m (weight width/2) for T_k with k > m.
         grad[1:] -= 0.5 * widths * suffix[1:-1]
         grad[:-1] -= 0.5 * widths * suffix[1:-1]
-    else:
-        raise ValueError(f"no closed-form gradient for model {model}")
     return grad
 
 

@@ -12,6 +12,10 @@ Both models yield the interval probability ``P_j = T_j - T_{j+1}``, the
 chance that a ray terminates inside interval j.  Transmittance is
 accumulated in log space and exponentiated once per grid point, which
 avoids underflow compounding in long products across opaque regions.
+
+``interval_pmf`` is the one builder of a ray's distribution: the exact
+sampler inverts through its log-transmittance and the render gradient
+reads its transmittance, so all of them see the same bits.
 """
 
 from __future__ import annotations
@@ -31,108 +35,92 @@ _CROSSCHECK_ATOL = 1e-12
 class RayDistribution:
     """Termination distribution of one ray over the grid intervals.
 
-    transmittance[k] is the survival probability at grid point k, pmf[j]
-    the probability of terminating in interval j, and cumulative[k] the
-    prefix sum of the pmf.  ``cumulative[k] + transmittance[k] == 1`` holds
-    to rounding because the pmf telescopes.
+    log_transmittance[k] is the log-survival at grid point k (entry 0 is
+    zero) and transmittance[k] its exponential; pmf[j] is the probability
+    of terminating in interval j, and cumulative[k] the prefix sum of the
+    pmf.  ``cumulative[k] + transmittance[k] == 1`` holds to rounding
+    because the pmf telescopes.
     """
 
     model: ModelKind
+    log_transmittance: np.ndarray
     transmittance: np.ndarray
     pmf: np.ndarray
     cumulative: np.ndarray
 
     def __post_init__(self):
-        for name in ("transmittance", "pmf", "cumulative"):
+        for name in ("log_transmittance", "transmittance", "pmf", "cumulative"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.pmf.size + 1 != self.transmittance.size:
             raise ValueError("pmf must have one entry per interval")
-        if self.cumulative.size != self.transmittance.size:
-            raise ValueError("cumulative must align with transmittance")
-
-
-def _check_lengths(grid: SampleGrid, tau: OpacityTrace) -> None:
-    if tau.values.size != grid.n + 2:
-        raise ValueError(
-            f"opacity trace has {tau.values.size} values for a grid with "
-            f"{grid.n + 2} points"
-        )
-
-
-def log_transmittance(
-    model: ModelKind, grid: SampleGrid, tau: OpacityTrace
-) -> np.ndarray:
-    """Cumulative log-survival at every grid point; entry 0 is zero.
-
-    The far-bound opacity sentinel (the opaque-far convention) enters the
-    linear model through the final trapezoid.  The constant model never
-    reads the far-bound value, so the sentinel instead gives the final
-    interval unbounded optical depth, the classical way of absorbing all
-    remaining probability mass at the far plane.
-    """
-    depth = _interval_depths(model, grid, tau)
-    return np.concatenate(([0.0], -np.cumsum(depth)))
-
-
-def _interval_depths(
-    model: ModelKind, grid: SampleGrid, tau: OpacityTrace
-) -> np.ndarray:
-    _check_lengths(grid, tau)
-    widths = grid.widths
-    t = tau.values
-    # Negative opacity gives negative optical depth: probabilities below
-    # zero and transmittance above one.  ``OpacityTrace`` guarantees finite
-    # values, so the minimum decides.
-    if t.min() < 0.0:
-        raise ValueError("opacity must be nonnegative to build a ray distribution")
-    if model is ModelKind.CONSTANT:
-        depth = t[:-1] * widths
-        if t[-1] >= OPAQUE:
-            depth[-1] = t[-2] * OPAQUE
-    elif model is ModelKind.LINEAR:
-        depth = 0.5 * (t[:-1] + t[1:]) * widths
-    else:
-        raise ValueError(f"no closed-form transmittance for model {model}")
-    return depth
+        for name in ("log_transmittance", "cumulative"):
+            if getattr(self, name).size != self.transmittance.size:
+                raise ValueError(f"{name} must align with transmittance")
 
 
 def interval_pmf(
     model: ModelKind, grid: SampleGrid, tau: OpacityTrace
 ) -> RayDistribution:
-    """Interval termination probabilities plus transmittance and prefix sums.
+    """Log-transmittance, transmittance, interval pmf and prefix sums of one ray.
+
+    Every consumer of a distribution builds it here.  The far-bound
+    opacity sentinel (the opaque-far convention) enters the linear model
+    through the final trapezoid.  The constant model never reads the
+    far-bound value, so the sentinel instead gives the final interval
+    unbounded optical depth, the classical way of absorbing all remaining
+    probability mass at the far plane.
 
     P_j is evaluated by the direct per-interval formula
     ``T_j * (1 - exp(-depth_j))`` and cross-checked against the telescoped
     form ``T_j - T_{j+1}``; disagreement beyond rounding means the inputs
     are inconsistent and raises.
     """
-    return _distribution(model, grid, tau)[0]
-
-
-def _distribution(
-    model: ModelKind, grid: SampleGrid, tau: OpacityTrace
-) -> tuple[RayDistribution, np.ndarray]:
-    """``interval_pmf`` together with the log-transmittance it is built from."""
     if model not in (ModelKind.CONSTANT, ModelKind.LINEAR):
         raise ValueError(f"interval pmf needs constant or linear model, got {model}")
-    depth = _interval_depths(model, grid, tau)
-    log_t = np.concatenate(([0.0], -np.cumsum(depth)))
+    t = tau.values
+    if t.size != grid.n + 2:
+        raise ValueError(
+            f"opacity trace has {t.size} values for a grid with {grid.n + 2} points"
+        )
+    # Negative opacity gives negative optical depth: probabilities below
+    # zero and transmittance above one.  ``OpacityTrace`` guarantees finite
+    # values, so the minimum decides.
+    if t.min() < 0.0:
+        raise ValueError("opacity must be nonnegative to build a ray distribution")
+    if model is ModelKind.CONSTANT:
+        depth = t[:-1] * grid.widths
+        if t[-1] >= OPAQUE:
+            depth[-1] = t[-2] * OPAQUE
+    else:
+        depth = 0.5 * (t[:-1] + t[1:]) * grid.widths
+    # Prefix sums are written into place: on long rays a fresh temporary
+    # costs more than the arithmetic.
+    log_t = np.zeros(depth.size + 1)
+    np.cumsum(depth, out=log_t[1:])
+    np.negative(log_t[1:], out=log_t[1:])
     trans = np.exp(log_t)
     pmf = trans[:-1] * -np.expm1(-depth)
 
-    telescoped = trans[:-1] - trans[1:]
-    if not np.allclose(pmf, telescoped, rtol=0.0, atol=_CROSSCHECK_ATOL):
+    # max |T_j - T_{j+1} - P_j| <= atol is np.allclose with rtol=0: a NaN
+    # fails it, and neither side can be infinite.
+    gap = trans[:-1] - trans[1:]
+    gap -= pmf
+    if not np.max(np.abs(gap, out=gap)) <= _CROSSCHECK_ATOL:
         raise ArithmeticError(
             "interval probabilities disagree with transmittance differences"
         )
 
-    cumulative = np.concatenate(([0.0], np.cumsum(pmf)))
-    dist = RayDistribution(
-        model=model, transmittance=trans, pmf=pmf, cumulative=cumulative
+    cumulative = np.zeros(pmf.size + 1)
+    np.cumsum(pmf, out=cumulative[1:])
+    return RayDistribution(
+        model=model,
+        log_transmittance=log_t,
+        transmittance=trans,
+        pmf=pmf,
+        cumulative=cumulative,
     )
-    return dist, log_t
 
 
 def render(dist: RayDistribution, colors: ColorTrace) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Grids carry the boundary convention that the first grid point is the near
 bound and the last is the far bound, so a grid with ``n`` interior samples
-has ``n + 2`` points and ``n + 1`` intervals.  All values are float64 and
-all containers are immutable after construction.
+has ``n + 2`` points and ``n + 1`` intervals.  A grid builds its points and
+widths once; ``interior`` is a view of the points.  All values are float64
+and all containers are immutable after construction.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ class FarConvention(enum.Enum):
 
     OPAQUE_FAR zeroes the near-bound opacity and assigns ``OPAQUE`` at the
     far bound, which normalizes the interval probabilities to sum to one.
-    OPEN_FAR keeps the sampled boundary values, leaving the raw integral
-    over the segment; convergence studies need this mode.
+    A trace that skips ``apply_far_convention`` keeps its sampled boundary
+    values, the raw integral over the segment that convergence studies use.
     """
 
     OPAQUE_FAR = "opaque_far"
-    OPEN_FAR = "open_far"
 
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
@@ -72,20 +72,26 @@ class SampleGrid:
     """Strictly increasing sample distances on a ray segment.
 
     ``interior`` holds the n free samples; the segment bounds are implicit
-    grid points, so ``points`` has length n + 2.
+    grid points, so ``points`` has length n + 2.  The points and widths are
+    built once, read-only, and ``interior`` is the view ``points[1:-1]``.
     """
 
     interior: np.ndarray
     segment: RaySegment
 
     def __post_init__(self):
-        interior = _frozen(np.atleast_1d(self.interior))
-        object.__setattr__(self, "interior", interior)
+        interior = np.atleast_1d(np.asarray(self.interior, dtype=np.float64))
         if interior.ndim != 1 or interior.size < 1:
             raise ValueError("grid needs at least one interior sample")
-        pts = self.points
-        if not np.all(np.diff(pts) > 0):
+        pts = np.concatenate(([self.segment.near], interior, [self.segment.far]))
+        widths = np.diff(pts)
+        if not np.all(widths > 0):
             raise ValueError("grid points must be strictly increasing between near and far")
+        pts.setflags(write=False)
+        widths.setflags(write=False)
+        object.__setattr__(self, "_points", pts)
+        object.__setattr__(self, "_widths", widths)
+        object.__setattr__(self, "interior", pts[1:-1])
 
     @property
     def n(self) -> int:
@@ -95,14 +101,12 @@ class SampleGrid:
     @property
     def points(self) -> np.ndarray:
         """All grid points including the near and far bounds."""
-        return np.concatenate(
-            ([self.segment.near], self.interior, [self.segment.far])
-        )
+        return self._points
 
     @property
     def widths(self) -> np.ndarray:
         """Interval widths, length n + 1."""
-        return np.diff(self.points)
+        return self._widths
 
 
 @dataclass(frozen=True)
@@ -164,9 +168,7 @@ def floor_opacity(trace: OpacityTrace) -> OpacityTrace:
 def apply_far_convention(
     trace: OpacityTrace, convention: FarConvention
 ) -> OpacityTrace:
-    """Override the boundary opacities according to the far-plane convention."""
-    if convention is FarConvention.OPEN_FAR:
-        return trace
+    """Zero the near-bound opacity and set the far bound to ``OPAQUE`` (``OPAQUE_FAR``)."""
     values = np.array(trace.values)
     values[0] = 0.0
     values[-1] = OPAQUE

@@ -53,10 +53,6 @@ class DiscreteRayCdf:
             raise ValueError("distribution does not match grid size")
 
     @property
-    def edges(self) -> np.ndarray:
-        return self.grid.points
-
-    @property
     def cumulative(self) -> np.ndarray:
         return self.dist.cumulative
 
@@ -77,7 +73,7 @@ class DiscreteRayCdf:
             raise ValueError("draw exceeds the total probability mass of the ray")
         k = np.searchsorted(c[1:], u, side="right")
         k = np.minimum(k, self.grid.n)
-        pts = self.edges
+        pts = self.grid.points
         span = c[k + 1] - c[k]
         frac = np.where(span > 0.0, (u - c[k]) / np.where(span > 0.0, span, 1.0), 0.0)
         s = pts[k] + frac * (pts[k + 1] - pts[k])
@@ -89,24 +85,20 @@ class DiscreteRayCdf:
 class ContinuousRayCdf:
     """Continuous, strictly increasing CDF under the linear opacity model.
 
-    Holds the precomputed distribution and log-transmittance so repeated
-    evaluation and sampling touch no exponentials of sums.
+    Holds the precomputed linear-model distribution, whose log-transmittance
+    the inverse reads, so repeated evaluation and sampling touch no
+    exponentials of sums.
     """
 
     grid: SampleGrid
     tau: OpacityTrace
     dist: quadrature.RayDistribution = field(init=False)
-    log_transmittance: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.tau.values.size != self.grid.n + 2:
-            raise ValueError("opacity trace does not match grid size")
         if np.any(self.tau.interior <= 0.0):
             raise ValueError("interior opacities must be floored positive before sampling")
-        dist, log_t = quadrature._distribution(ModelKind.LINEAR, self.grid, self.tau)
-        log_t.setflags(write=False)
+        dist = quadrature.interval_pmf(ModelKind.LINEAR, self.grid, self.tau)
         object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "log_transmittance", log_t)
 
     @property
     def cumulative(self) -> np.ndarray:
@@ -126,7 +118,7 @@ class ContinuousRayCdf:
         u = np.where(clamped, 0.0, u)
         k = np.searchsorted(self.cumulative[1:], u, side="right")
         k = np.minimum(k, self.grid.n)
-        q = self.log_transmittance[k] - np.log1p(-u)
+        q = self.dist.log_transmittance[k] - np.log1p(-u)
         if not np.all(np.isfinite(q)):
             raise ArithmeticError("non-finite log mass while inverting the CDF")
         tau = self.tau.values

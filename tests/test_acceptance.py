@@ -19,8 +19,6 @@ from rayquad import (
     OpacityTrace,
     PATHOLOGICAL_PATCH,
     QuadraticPatch,
-    RaySegment,
-    SampleGrid,
     convergence_slope,
     expected_depth,
     finite_diff_check,
@@ -98,7 +96,7 @@ class TestAcceptance:
         worst = 0.0
         for i in range(1000):
             convention = (
-                FarConvention.OPAQUE_FAR if i % 2 == 0 else FarConvention.OPEN_FAR
+                FarConvention.OPAQUE_FAR if i % 2 == 0 else None
             )
             grid, tau = random_instance(rng, n_max=64, convention=convention)
             for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
@@ -214,14 +212,7 @@ class TestAcceptance:
         worst_render = 0.0
         worst_sample = 0.0
         for _ in range(100):
-            n = int(rng.integers(1, 13))
-            segment = RaySegment(0.0, float(rng.uniform(0.5, 1.5)))
-            interior = np.sort(rng.uniform(segment.near + 1e-3, segment.far - 1e-3, n))
-            while np.any(np.diff(interior) <= 0):
-                interior = np.sort(rng.uniform(segment.near + 1e-3, segment.far - 1e-3, n))
-            grid = SampleGrid(interior, segment)
-            tauv = rng.uniform(0.05, 4.0, n + 2)
-            colors = rng.uniform(0.1, 0.9, n + 1)
+            grid, tauv, colors = fixtures.gradient_instance(rng)
             tau = OpacityTrace(tauv)
 
             for model in (ModelKind.CONSTANT, ModelKind.LINEAR):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rayquad.cli import ExperimentSpec, main, write_pgm
+from rayquad.cli import ExperimentSpec, build_parser, main, write_pgm
 
 GOLDEN = Path(__file__).parent.parent / "bench" / "golden" / "paper-suite"
 
@@ -23,6 +23,11 @@ class TestSpecValidation:
             ExperimentSpec(n_coarse=0)
         with pytest.raises(ValueError):
             ExperimentSpec(tol=0.0)
+
+    def test_parser_defaults_are_spec_defaults(self):
+        args = build_parser().parse_args(["depth"])
+        spec = ExperimentSpec(**{k: v for k, v in vars(args).items() if k != "command"})
+        assert spec == ExperimentSpec()
 
     def test_rejects_missing_scene(self, tmp_path):
         with pytest.raises(FileNotFoundError):

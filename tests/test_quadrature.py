@@ -17,8 +17,8 @@ from rayquad import (
     shift_sweep,
     true_mean_termination,
 )
+from rayquad import quadrature
 from rayquad.fields import AnalyticField, GaussianBump, UniformColor
-from rayquad.quadrature import log_transmittance
 from rayquad import fixtures
 
 from conftest import random_instance
@@ -31,7 +31,7 @@ def two_interval_setup():
 
 
 def transmittance(model, grid, tau):
-    return np.exp(log_transmittance(model, grid, tau))
+    return interval_pmf(model, grid, tau).transmittance
 
 
 class TestTransmittanceConstant:
@@ -110,7 +110,7 @@ class TestIntervalPmf:
     def test_telescoping_identity(self, rng):
         for _ in range(100):
             convention = (
-                FarConvention.OPAQUE_FAR if rng.random() < 0.5 else FarConvention.OPEN_FAR
+                FarConvention.OPAQUE_FAR if rng.random() < 0.5 else None
             )
             grid, tau = random_instance(rng, convention=convention)
             for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
@@ -170,6 +170,48 @@ class TestIntervalPmf:
             ContinuousRayCdf(grid, tau)
 
 
+class TestOneBuilder:
+    def test_transmittance_is_exp_of_log_transmittance(self, rng):
+        for _ in range(50):
+            grid, tau = random_instance(rng)
+            for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
+                dist = interval_pmf(model, grid, tau)
+                assert dist.log_transmittance[0] == 0.0
+                np.testing.assert_array_equal(
+                    np.exp(dist.log_transmittance), dist.transmittance
+                )
+
+    def test_continuous_cdf_holds_the_linear_distribution(self, rng):
+        for _ in range(20):
+            grid, tau = random_instance(rng, convention=FarConvention.OPAQUE_FAR)
+            built = ContinuousRayCdf(grid, tau).dist
+            direct = interval_pmf(ModelKind.LINEAR, grid, tau)
+            assert built.model is direct.model
+            for name in ("log_transmittance", "transmittance", "pmf", "cumulative"):
+                np.testing.assert_array_equal(getattr(built, name), getattr(direct, name))
+
+    @pytest.mark.parametrize("gap, raises", [(np.nan, True), (2e-12, True), (5e-13, False)])
+    def test_crosscheck_tolerance(self, monkeypatch, gap, raises):
+        # Shift the direct P_0 = T_0 * -expm1(-depth_0), with T_0 = 1, by
+        # ``gap`` while the telescoped form stays put.
+        grid = make_uniform_grid(RaySegment(0.0, 2.0), 3)
+        tau = OpacityTrace(np.full(5, 0.5))
+        expm1 = np.expm1
+
+        def shifted(x):
+            out = expm1(x)
+            out[0] = np.nan if np.isnan(gap) else out[0] - gap
+            return out
+
+        monkeypatch.setattr(quadrature.np, "expm1", shifted)
+        if raises:
+            with pytest.raises(ArithmeticError, match="disagree"):
+                interval_pmf(ModelKind.LINEAR, grid, tau)
+        else:
+            dist = interval_pmf(ModelKind.LINEAR, grid, tau)
+            assert dist.pmf[0] - (dist.transmittance[0] - dist.transmittance[1]) > 0.0
+
+
 class TestRender:
     def test_dot_product(self):
         grid, tau = two_interval_setup()
@@ -219,6 +261,7 @@ class TestExpectedDepth:
 
         concentrated = RayDistribution(
             model=ModelKind.CONSTANT,
+            log_transmittance=dist.log_transmittance,
             transmittance=dist.transmittance,
             pmf=forced,
             cumulative=np.concatenate(([0.0], np.cumsum(forced))),
@@ -234,6 +277,7 @@ class TestExpectedDepth:
         sym = 0.5 * (dist.pmf + dist.pmf[::-1])
         sym_dist = RayDistribution(
             model=ModelKind.CONSTANT,
+            log_transmittance=dist.log_transmittance,
             transmittance=dist.transmittance,
             pmf=sym,
             cumulative=np.concatenate(([0.0], np.cumsum(sym))),

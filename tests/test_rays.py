@@ -49,6 +49,25 @@ class TestUniformGrid:
         assert grid.n == 3 and grid.widths.size == 4
 
 
+class TestGridArrays:
+    def test_points_built_once_and_read_only(self):
+        grid = SampleGrid([0.5, 1.0, 1.75], RaySegment(0.25, 2.0))
+        assert grid.points is grid.points
+        np.testing.assert_array_equal(grid.points, [0.25, 0.5, 1.0, 1.75, 2.0])
+        np.testing.assert_array_equal(grid.interior, grid.points[1:-1])
+        np.testing.assert_array_equal(grid.widths, np.diff(grid.points))
+        for arr in (grid.points, grid.interior, grid.widths):
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_interior_copied_from_caller(self):
+        interior = np.array([1.0, 2.0])
+        grid = SampleGrid(interior, RaySegment(0.0, 3.0))
+        interior[0] = 1.5
+        assert grid.interior[0] == 1.0
+
+
 class TestGridValidation:
     def test_rejects_non_increasing(self):
         seg = RaySegment(0.0, 2.0)
@@ -109,11 +128,6 @@ class TestFarConvention:
         assert out.values[0] == 0.0
         assert out.values[-1] == OPAQUE
         np.testing.assert_array_equal(out.values[1:-1], [3.0, 4.0])
-
-    def test_open_far_is_identity(self):
-        trace = OpacityTrace(np.array([2.0, 3.0, 4.0, 5.0]))
-        out = apply_far_convention(trace, FarConvention.OPEN_FAR)
-        np.testing.assert_array_equal(out.values, trace.values)
 
 
 class TestColorTrace:

@@ -28,6 +28,7 @@ def rect_distribution():
     pmf = np.array([0.5, 0.5])
     dist = RayDistribution(
         model=ModelKind.CONSTANT,
+        log_transmittance=np.array([0.0, np.log(0.5), -np.inf]),
         transmittance=np.array([1.0, 0.5, 0.0]),
         pmf=pmf,
         cumulative=np.array([0.0, 0.5, 1.0]),
@@ -44,6 +45,7 @@ class TestSurrogateSampler:
         grid = SampleGrid(np.array([1.0, 1.5]), RaySegment(0.0, 2.0))
         dist = RayDistribution(
             model=ModelKind.CONSTANT,
+            log_transmittance=np.array([0.0, 0.0, np.log(0.5), -np.inf]),
             transmittance=np.array([1.0, 1.0, 0.5, 0.0]),
             pmf=np.array([0.0, 0.5, 0.5]),
             cumulative=np.array([0.0, 0.0, 0.5, 1.0]),
