@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures, oracle
-from .fields import GrazingRig, load_scene, opaque_trace, sample_field, shift_sweep
+from .fields import GrazingRig, _opaque_traces, load_scene, sample_field, shift_sweep
 from .gradients import finite_diff_check, grad_render_wrt_tau, grad_sample_wrt_tau
 from .quadratic import (
     PATHOLOGICAL_PATCH,
@@ -319,8 +319,7 @@ def cmd_render(spec: ExperimentSpec, height: int = 8, width: int = 12) -> bool:
     grid = make_uniform_grid(segment, spec.n_coarse)
     images = {m: np.zeros((height, width)) for m in spec.models}
     rows = []
-    for (r, c), ray in zip(np.ndindex(height, width), rays):
-        tau, colors = opaque_trace(ray, grid)
+    for (r, c), (tau, colors) in zip(np.ndindex(height, width), _opaque_traces(rays, grid)):
         for m in spec.models:
             value = float(render(interval_pmf(m, grid, tau), colors)[0])
             images[m][r, c] = value

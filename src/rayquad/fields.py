@@ -4,12 +4,27 @@ Each field pairs a density profile with a color profile, both plain
 functions of distance along the ray.  Profiles report their breakpoints
 (jumps or kinks) so numerical integration can split panels there, and
 their local polynomial degree when the density is piecewise polynomial,
-which lets the integration oracle tabulate it exactly.
+which lets the integration oracle tabulate it exactly.  Every parameter
+is finite and every color channel lies in [0, 1]; constructors reject
+anything else.
+
+The scalar-parameter profiles (``ConstantSlab``, ``LinearRamp``,
+``GaussianBump``, ``LogisticStep``, ``UniformColor``, ``GradientColor``
+and ``TwoToneColor``) evaluate elementwise in every parameter.  So many
+profiles of one such class are evaluated as one: ``_stack`` stacks their
+parameters one row per profile, and ``_gather`` picks a row for each
+point into one instance whose ``tau``/``color`` gives, bit for bit, what
+each point's own profile gives; ``_by_ray`` makes one such call per
+class.  ``SampledDensity`` and ``PiecewiseConstantColor`` look points up
+in their own knot arrays, which differ in length from profile to
+profile, so they do not gather and each is called on its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +40,15 @@ from .rays import (
     floor_opacity,
     make_uniform_grid,
 )
+
+
+def _finite(*values: float) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _unit_channels(*colors: np.ndarray) -> bool:
+    """Every channel of every 1-D color in [0, 1]; NaN fails the comparison."""
+    return all(0.0 <= c <= 1.0 for v in colors for c in v.tolist())
 
 
 class DensityProfile:
@@ -51,6 +75,8 @@ class ConstantSlab(DensityProfile):
     polynomial_degree = 0
 
     def __post_init__(self):
+        if not _finite(self.tau0, self.start, self.end):
+            raise ValueError("slab parameters must be finite")
         if self.tau0 < 0:
             raise ValueError("slab opacity must be nonnegative")
         if not self.start < self.end:
@@ -78,6 +104,8 @@ class LinearRamp(DensityProfile):
     polynomial_degree = 1
 
     def __post_init__(self):
+        if not _finite(self.tau_start, self.tau_end, self.start, self.end):
+            raise ValueError("ramp parameters must be finite")
         if self.tau_start < 0 or self.tau_end < 0:
             raise ValueError("ramp opacities must be nonnegative")
         if not self.start < self.end:
@@ -101,6 +129,8 @@ class GaussianBump(DensityProfile):
     width: float
 
     def __post_init__(self):
+        if not _finite(self.amplitude, self.center, self.width):
+            raise ValueError("bump parameters must be finite")
         if self.width <= 0:
             raise ValueError("bump width must be positive")
         if self.amplitude < 0:
@@ -124,6 +154,8 @@ class LogisticStep(DensityProfile):
     center: float
 
     def __post_init__(self):
+        if not _finite(self.amplitude, self.steepness, self.center):
+            raise ValueError("step parameters must be finite")
         if self.steepness <= 0:
             raise ValueError("step steepness must be positive")
         if self.amplitude < 0:
@@ -160,6 +192,8 @@ class SampledDensity(DensityProfile):
         object.__setattr__(self, "values", values)
         if knots.size != values.size or knots.size < 2:
             raise ValueError("need matching knots and values (>= 2)")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            raise ValueError("knots and opacities must be finite")
         if not np.all(np.diff(knots) > 0):
             raise ValueError("knots must be strictly increasing")
         if self.degree not in (0, 1):
@@ -204,7 +238,7 @@ class UniformColor(ColorProfile):
         value = np.atleast_1d(np.asarray(self.value, dtype=np.float64))
         value.setflags(write=False)
         object.__setattr__(self, "value", value)
-        if np.any(value < 0) or np.any(value > 1):
+        if not _unit_channels(value):
             raise ValueError("color channels must lie in [0, 1]")
 
     @property
@@ -213,7 +247,7 @@ class UniformColor(ColorProfile):
 
     def color(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        return np.broadcast_to(self.value, (s.size, self.value.size)).copy()
+        return np.broadcast_to(self.value, (s.size, self.value.shape[-1])).copy()
 
 
 @dataclass(frozen=True)
@@ -232,6 +266,10 @@ class GradientColor(ColorProfile):
             object.__setattr__(self, name, v)
         if self.start_value.size != self.end_value.size:
             raise ValueError("gradient endpoints need matching channel counts")
+        if not _unit_channels(self.start_value, self.end_value):
+            raise ValueError("color channels must lie in [0, 1]")
+        if not _finite(self.start, self.end):
+            raise ValueError("gradient bounds must be finite")
         if not self.start < self.end:
             raise ValueError("gradient needs start < end")
 
@@ -260,6 +298,10 @@ class TwoToneColor(ColorProfile):
             object.__setattr__(self, name, v)
         if self.before.size != self.after.size:
             raise ValueError("two-tone colors need matching channel counts")
+        if not _unit_channels(self.before, self.after):
+            raise ValueError("color channels must lie in [0, 1]")
+        if not math.isfinite(self.boundary):
+            raise ValueError("two-tone boundary must be finite")
 
     @property
     def channels(self) -> int:
@@ -290,6 +332,10 @@ class PiecewiseConstantColor(ColorProfile):
         object.__setattr__(self, "values", values)
         if values.shape[0] != knots.size - 1:
             raise ValueError("need one color per knot interval")
+        if not (np.all(np.isfinite(knots)) and np.all(np.diff(knots) > 0)):
+            raise ValueError("color knots must be finite and strictly increasing")
+        if not _unit_channels(values.ravel()):
+            raise ValueError("color channels must lie in [0, 1]")
 
     @property
     def channels(self) -> int:
@@ -303,6 +349,75 @@ class PiecewiseConstantColor(ColorProfile):
 
     def breakpoints(self) -> np.ndarray:
         return np.array(self.knots)
+
+
+# Profiles whose tau/color act elementwise in every parameter.
+_GATHERABLE = frozenset(
+    {ConstantSlab, LinearRamp, GaussianBump, LogisticStep, UniformColor, GradientColor, TwoToneColor}
+)
+
+
+def _stack(profiles) -> dict[str, np.ndarray]:
+    """Each parameter of same-class gatherable profiles, one row per profile."""
+    return {
+        f.name: np.array([getattr(p, f.name) for p in profiles], dtype=np.float64)
+        for f in dataclasses.fields(type(profiles[0]))
+    }
+
+
+def _gather(cls, stacked: dict[str, np.ndarray], rows: np.ndarray):
+    """One ``cls`` instance whose point ``i`` sees the profile in row ``rows[i]``.
+
+    Built without its constructor: every row was validated when its
+    profile was made.
+    """
+    profile = object.__new__(cls)
+    for name, values in stacked.items():
+        object.__setattr__(profile, name, values[rows])
+    return profile
+
+
+def _by_ray(profiles, method: str):
+    """``f(x, ray)``: ``profiles[ray[i]].<method>`` at ``x[i]`` for every point.
+
+    Profiles of one class in ``_GATHERABLE`` form one group, called
+    once as the instance gathered by each point's ray; any other profile
+    is a group of one.  Each point's value is the one its own profile
+    gives, bit for bit.  A single profile is called as itself.
+    """
+    if len(profiles) == 1:
+        call = getattr(profiles[0], method)
+        return lambda x, ray: call(x)
+    groups: dict = {}
+    for r, p in enumerate(profiles):
+        groups.setdefault(type(p) if type(p) in _GATHERABLE else r, []).append(r)
+    group_of, row = np.empty((2, len(profiles)), dtype=np.intp)
+    calls = []
+    for g, (key, members) in enumerate(groups.items()):
+        group_of[members], row[members] = g, np.arange(len(members))
+        if isinstance(key, type):
+            stacked = _stack([profiles[r] for r in members])
+            calls.append(lambda x, rows, cls=key, p=stacked: getattr(_gather(cls, p, rows), method)(x))
+        else:
+            calls.append(lambda x, rows, fn=getattr(profiles[key], method): fn(x))
+
+    def evaluate(x: np.ndarray, ray: np.ndarray) -> np.ndarray:
+        if len(calls) == 1:
+            return calls[0](x, row[ray])
+        g = group_of[ray]
+        order = np.argsort(g, kind="stable")
+        stops = np.cumsum(np.bincount(g, minlength=len(calls))).tolist()
+        out = None
+        for call, i, j in zip(calls, [0] + stops, stops):
+            if j > i:
+                at = order[i:j]
+                values = call(x[at], row[ray[at]])
+                if out is None:
+                    out = np.empty((x.size,) + values.shape[1:])
+                out[at] = values
+        return out
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -340,8 +455,31 @@ def opaque_trace(
     and applies ``FarConvention.OPAQUE_FAR``, so every distribution built
     from the trace sums to one and its continuous CDF is invertible.
     """
-    tau, colors = sample_field(field, grid)
-    return apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR), colors
+    return _opaque_traces([field], grid)[0]
+
+
+def _opaque_traces(fields, grid: SampleGrid) -> list[tuple[OpacityTrace, ColorTrace]]:
+    """``opaque_trace`` of every field on one grid.  One field is sampled by
+    ``sample_field``; many make one ``tau`` and one ``color`` call per group
+    of same-class profiles (``_by_ray``), with the same values."""
+    if len(fields) == 1:
+        samples = [sample_field(fields[0], grid)]
+    else:
+        pts, rays = grid.points, np.arange(len(fields))
+        tau = _by_ray([f.density for f in fields], "tau")(
+            np.tile(pts, rays.size), np.repeat(rays, pts.size)
+        )
+        colors = _by_ray([f.color for f in fields], "color")(
+            np.tile(pts[:-1], rays.size), np.repeat(rays, pts.size - 1)
+        )
+        samples = [
+            (OpacityTrace(t), ColorTrace(c))
+            for t, c in zip(tau.reshape(rays.size, -1), colors.reshape(rays.size, pts.size - 1, -1))
+        ]
+    return [
+        (apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR), colors)
+        for tau, colors in samples
+    ]
 
 
 def _shifted_grid(grid: SampleGrid, offset: float) -> SampleGrid:

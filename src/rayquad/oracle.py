@@ -22,6 +22,15 @@ refinement round; each tree and its sums depend only on its own task,
 never on the batch it runs in, so a batched ray matches its single-ray
 run bit for bit.
 
+A batch makes one ``tau`` and one ``color`` call per engine level for
+each group of same-class profiles (``fields._by_ray``), not one per
+ray, and looks up every point's cumulative opacity in one search over
+all rays' flattened tables.  Each refinement round builds the tables of
+all unsettled rays in one tabulation (``_tabulate``, of which a single
+``CumulativeOpacityTable`` is the one-ray case).  Every value is
+elementwise in its own ray's parameters, and every sum runs over one
+ray in the order of a single-ray run.
+
 Field evaluations that land exactly on a panel edge are nudged one ulp
 into the panel, so piecewise integrands are integrated with one-sided
 limits and jump discontinuities cost no accuracy.
@@ -30,6 +39,7 @@ limits and jump discontinuities cost no accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,6 +48,7 @@ from .fields import (
     ConstantSlab,
     DensityProfile,
     LinearRamp,
+    _by_ray,
 )
 from .rays import RaySegment
 
@@ -164,6 +175,21 @@ def _is_exact_class(density: DensityProfile) -> bool:
     return density.polynomial_degree is not None and density.polynomial_degree <= 1
 
 
+def _hermite(s, idx, left, cumulative, d0, a2, a3) -> np.ndarray:
+    """Hermite piece ``idx`` at ``s``: O0 + d0 t + a2 t^2 + a3 t^3, t = s - left edge."""
+    t = s - left[idx]
+    return cumulative[idx] + t * (d0[idx] + t * (a2[idx] + t * a3[idx]))
+
+
+def _base(density: DensityProfile, segment: RaySegment, extra_breaks=None) -> np.ndarray:
+    """Base panel edges: the segment split at the density's breakpoints."""
+    breaks = density.breakpoints()
+    if extra_breaks is not None:
+        breaks = np.concatenate([breaks, np.asarray(extra_breaks, dtype=np.float64)])
+    breaks = breaks[(breaks > segment.near) & (breaks < segment.far)]
+    return np.unique(np.concatenate(([segment.near], breaks, [segment.far])))
+
+
 class CumulativeOpacityTable:
     """Dense tabulation of the cumulative opacity with Hermite interpolation.
 
@@ -171,7 +197,8 @@ class CumulativeOpacityTable:
     into ``n_sub`` sub-panels.  Per sub-panel the opacity integral comes
     from a refined Simpson pair with Richardson correction; the cumulative
     values and the one-sided endpoint opacities then define one cubic
-    Hermite piece per sub-panel.
+    Hermite piece per sub-panel.  A table is the one-ray case of
+    ``_tabulate``, which builds the tables of many rays at once.
     """
 
     def __init__(
@@ -181,76 +208,145 @@ class CumulativeOpacityTable:
         extra_breaks: np.ndarray | None = None,
         n_sub: int = 64,
     ):
-        breaks = density.breakpoints()
-        if extra_breaks is not None:
-            breaks = np.concatenate([breaks, np.asarray(extra_breaks, dtype=np.float64)])
-        breaks = breaks[(breaks > segment.near) & (breaks < segment.far)]
-        base = np.unique(np.concatenate(([segment.near], breaks, [segment.far])))
+        _tabulate([self._plan(density, segment, _base(density, segment, extra_breaks), n_sub)])
 
+    def _plan(self, density, segment, base, n_sub) -> "CumulativeOpacityTable":
+        self.density, self.segment, self.base = density, segment, base
         # Piecewise constant/linear densities are tabulated exactly with a
         # single Simpson panel per base panel.
-        if _is_exact_class(density):
-            n_sub = 1
-        edges = np.concatenate(
-            [
-                np.linspace(base[i], base[i + 1], n_sub + 1)[: -1 if i < base.size - 2 else None]
-                for i in range(base.size - 1)
-            ]
-        )
-        widths = np.diff(edges)
-
-        # One-sided endpoint opacities: one ulp inside each sub-panel.
-        left_in = np.nextafter(edges[:-1], np.inf)
-        right_in = np.nextafter(edges[1:], -np.inf)
-        q1 = edges[:-1] + 0.25 * widths
-        mid = edges[:-1] + 0.50 * widths
-        q3 = edges[:-1] + 0.75 * widths
-
-        f0, f1, fq1, fmid, fq3 = density.tau(
-            np.concatenate([left_in, right_in, q1, mid, q3])
-        ).reshape(5, -1)
-
-        coarse = widths / 6.0 * (f0 + 4.0 * fmid + f1)
-        fine = widths / 12.0 * (f0 + 4.0 * fq1 + 2.0 * fmid + 4.0 * fq3 + f1)
-        err = (fine - coarse) / 15.0
-        panel = fine + err
-
-        self.density = density
-        self.segment = segment
-        self.base = base
-        self.edges = edges
-        self.widths = widths
-        self.cumulative_at_edges = np.concatenate(([0.0], np.cumsum(panel)))
-        self.tab_error = float(np.sum(np.abs(err)))
-        self.n_sub = n_sub
-
-        # Hermite coefficients h(t) = O0 + d0 t + a2 t^2 + a3 t^3 on [0, w].
-        d0, d1 = f0, f1
-        dO = np.diff(self.cumulative_at_edges)
-        w = widths
-        self._a2 = (3.0 * dO / w - 2.0 * d0 - d1) / w
-        self._a3 = (d0 + d1 - 2.0 * dO / w) / (w * w)
-        self._d0 = d0
+        self.n_sub = 1 if _is_exact_class(density) else n_sub
+        return self
 
     def cumulative(self, s):
         """Cumulative opacity from the near bound to ``s`` (vectorized)."""
         s = np.asarray(s, dtype=np.float64)
         # Interior edges only: points outside the table use its end pieces.
         idx = self.edges[1:-1].searchsorted(s, side="right")
-        t = s - self.edges[idx]
-        return self.cumulative_at_edges[idx] + t * (
-            self._d0[idx] + t * (self._a2[idx] + t * self._a3[idx])
-        )
+        return _hermite(s, idx, self.edges, self.cumulative_at_edges, self._d0, self._a2, self._a3)
 
     @property
     def total(self) -> float:
         return float(self.cumulative_at_edges[-1])
 
     def refined(self) -> "CumulativeOpacityTable":
-        extra = self.base[1:-1]
-        return CumulativeOpacityTable(
-            self.density, self.segment, extra_breaks=extra, n_sub=self.n_sub * 2
+        return _refined([self])[0]
+
+
+def _tables(densities, segment: RaySegment, n_sub: int = 64) -> list:
+    """``CumulativeOpacityTable(d, segment, n_sub=n_sub)`` for every density, in one build."""
+    blank = [object.__new__(CumulativeOpacityTable) for _ in densities]
+    return _tabulate([b._plan(d, segment, _base(d, segment), n_sub) for b, d in zip(blank, densities)])
+
+
+def _refined(tables) -> list:
+    """``t.refined()`` for every table, in one build: the same base panels
+    with twice the sub-panels."""
+    blank = [object.__new__(CumulativeOpacityTable) for _ in tables]
+    return _tabulate(
+        [b._plan(t.density, t.segment, t.base, 2 * t.n_sub) for b, t in zip(blank, tables)]
+    )
+
+
+def _tabulate(tables: list) -> list:
+    """Build each planned table (density, segment, base, n_sub) in one pass.
+
+    One linspace per distinct sub-panel count and one ``tau`` call per
+    group of density profiles cover every table; each table's cumulative
+    sum and error sum stay its own, so every table matches its one-ray
+    build bit for bit.
+    """
+    counts = [t.n_sub for t in tables]
+    stops = list(accumulate(k * (t.base.size - 1) for k, t in zip(counts, tables)))
+    starts = [0] + stops[:-1]
+    # Left edge of every sub-panel, in table then base panel order.
+    left = np.empty(stops[-1])
+    for k in set(counts):
+        members = [r for r, c in enumerate(counts) if c == k]
+        lo = np.concatenate([tables[r].base[:-1] for r in members])
+        hi = np.concatenate([tables[r].base[1:] for r in members])
+        at = slice(None)
+        if len(members) < len(tables):
+            at = np.concatenate([np.arange(starts[r], stops[r]) for r in members])
+        left[at] = np.linspace(lo, hi, k + 1)[:-1].T.ravel()
+    # A sub-panel ends where the next starts (linspace starts each base
+    # panel exactly at its left base edge); each table's last ends at far.
+    right = np.empty_like(left)
+    right[:-1] = left[1:]
+    for t, j in zip(tables, stops):
+        right[j - 1] = t.base[-1]
+    widths = right - left
+
+    # One-sided endpoint opacities: one ulp inside each sub-panel.
+    left_in = np.nextafter(left, np.inf)
+    right_in = np.nextafter(right, -np.inf)
+    q1 = left + 0.25 * widths
+    mid = left + 0.50 * widths
+    q3 = left + 0.75 * widths
+    ray = np.repeat(np.arange(len(tables)), [j - i for i, j in zip(starts, stops)])
+    tau = _by_ray([t.density for t in tables], "tau")
+    f0, f1, fq1, fmid, fq3 = tau(
+        np.concatenate([left_in, right_in, q1, mid, q3]), np.tile(ray, 5)
+    ).reshape(5, -1)
+
+    coarse = widths / 6.0 * (f0 + 4.0 * fmid + f1)
+    fine = widths / 12.0 * (f0 + 4.0 * fq1 + 2.0 * fmid + 4.0 * fq3 + f1)
+    err = (fine - coarse) / 15.0
+    panel = fine + err
+    abs_err = np.abs(err)
+
+    dO = np.empty_like(panel)
+    for t, i, j in zip(tables, starts, stops):
+        t.edges = np.concatenate((left[i:j], t.base[-1:]))
+        t.cumulative_at_edges = cum = np.empty(j - i + 1)
+        cum[0] = 0.0
+        np.cumsum(panel[i:j], out=cum[1:])
+        np.subtract(cum[1:], cum[:-1], out=dO[i:j])
+        t.tab_error = float(abs_err[i:j].sum())
+    # Hermite coefficients h(t) = O0 + d0 t + a2 t^2 + a3 t^3 on [0, w].
+    d0, d1 = f0, f1
+    w = widths
+    a2 = (3.0 * dO / w - 2.0 * d0 - d1) / w
+    a3 = (d0 + d1 - 2.0 * dO / w) / (w * w)
+    for t, i, j in zip(tables, starts, stops):
+        t.widths, t._d0, t._a2, t._a3 = widths[i:j], d0[i:j], a2[i:j], a3[i:j]
+    return tables
+
+
+def _ray_keys(ray: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``(ray, s)`` pairs as complex numbers, which numpy orders lexicographically."""
+    keys = np.empty(s.size, dtype=np.complex128)
+    keys.real, keys.imag = ray, s
+    return keys
+
+
+def _flat_cumulative(tables):
+    """``O(x, ray)``: cumulative opacity of each point on its own ray's table.
+
+    The tables are flattened once; each point's piece is found by one
+    search over every ray's interior edges, with the index each table's
+    own ``cumulative`` finds, and the Hermite cubic runs once for all.
+    """
+    if len(tables) == 1:
+        cumulative = tables[0].cumulative
+        return lambda x, ray: cumulative(x)
+    interior = [t.edges[1:-1] for t in tables]
+    keys = _ray_keys(
+        np.repeat(np.arange(len(tables)), [e.size for e in interior]), np.concatenate(interior)
+    )
+    left, cum, d0, a2, a3 = (
+        np.concatenate(parts)
+        for parts in zip(
+            *((t.edges[:-1], t.cumulative_at_edges[:-1], t._d0, t._a2, t._a3) for t in tables)
         )
+    )
+
+    def cumulative(x: np.ndarray, ray: np.ndarray) -> np.ndarray:
+        # Ray r has one more piece than interior edges, so its pieces start
+        # r places after its edges do.
+        idx = keys.searchsorted(_ray_keys(ray, x), side="right") + ray
+        return _hermite(x, idx, left, cum, d0, a2, a3)
+
+    return cumulative
 
 
 def _render_rays(fields, segment: RaySegment, tables, tol: float, weight=None, ids=None) -> list:
@@ -268,20 +364,15 @@ def _render_rays(fields, segment: RaySegment, tables, tol: float, weight=None, i
     ray = np.repeat(np.arange(len(fields)), n_tasks)
     channel = np.tile(np.arange(channels), lo.size // channels)
     inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
+    tau = _by_ray([f.density for f in fields], "tau")
+    color = _by_ray([f.color for f in fields], "color")
+    cumulative = _flat_cumulative(tables)
 
     def integrand(x: np.ndarray, task: np.ndarray) -> np.ndarray:
-        # Each ray's field and table see only that ray's points, in order.
         x = np.minimum(np.maximum(x, inner_lo[task]), inner_hi[task])
-        order = np.argsort(ray[task], kind="stable") if len(fields) > 1 else slice(None)
-        xs, ch = x[order], channel[task[order]]
-        tau, cum, color = np.empty((3, x.size))
-        stops = np.cumsum(np.bincount(ray[task])).tolist()
-        for field, table, i, j in zip(fields, tables, [0] + stops, stops):
-            if j > i:
-                tau[i:j], cum[i:j] = field.tau(xs[i:j]), table.cumulative(xs[i:j])
-                color[i:j] = field.color_at(xs[i:j])[np.arange(j - i), ch[i:j]]
-        y = np.empty(x.size)
-        y[order] = tau * np.exp(-cum) * color
+        r = ray[task]
+        c = color(x, r)[np.arange(x.size), channel[task]]
+        y = tau(x, r) * np.exp(-cumulative(x, r)) * c
         return y if weight is None else y * weight(x)
 
     panel_tol = np.maximum(tol * (hi - lo) / segment.span, 1e-300)
@@ -305,27 +396,28 @@ def _render_rays(fields, segment: RaySegment, tables, tol: float, weight=None, i
 
 def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass) -> np.ndarray:
     """Per ray, rerun passes on doubled tabulations until values agree to 3 * tol;
-    ``run_pass(rays, tables)`` is one pass over the rays not yet settled."""
+    ``run_pass(rays, tables)`` is one pass over the rays not yet settled.  The
+    tables of every unsettled ray are built together, once per round."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    tables = [CumulativeOpacityTable(d, segment) for d in densities]
+    tables = _tables(densities, segment)
     values, rays = [None] * len(tables), list(range(len(tables)))
     for round_ in range(9):
-        for r in rays if round_ else []:
-            tables[r] = tables[r].refined()
+        if round_:
+            tables = _refined(tables)
         live = []
-        for r, (value, err, evals) in zip(rays, run_pass(rays, [tables[r] for r in rays])):
+        for r, table, (value, err, evals) in zip(rays, tables, run_pass(rays, tables)):
             if round_:
                 settled = np.max(np.abs(value - values[r])) <= 3.0 * tol
             else:
                 settled = _is_exact_class(densities[r])
             values[r] = value
             if not settled:
-                live.append((r, err, evals))
-        rays = [r for r, _, _ in live]
+                live.append((r, table, err, evals))
+        rays, tables = [r for r, *_ in live], [t for _, t, *_ in live]
         if not rays:
             return np.array(values)
-    r, err, evals = live[0]
+    r, _, err, evals = live[0]
     raise NoConvergenceError(
         f"cumulative opacity tabulation did not stabilize for ray {r}",
         partial=IntegrationResult(float(values[r][0]), err, evals),

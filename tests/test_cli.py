@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rayquad.cli import ExperimentSpec, build_parser, main, write_pgm
+from rayquad.fields import LogisticStep, TwoToneColor
 
 GOLDEN = Path(__file__).parent.parent / "bench" / "golden" / "paper-suite"
 
@@ -165,6 +167,23 @@ class TestDeterminism:
         for csv_a in sorted(out_a.glob("*.csv")):
             csv_b = out_b / csv_a.name
             assert csv_a.read_bytes() == csv_b.read_bytes()
+
+
+class TestRenderFieldCalls:
+    def test_one_field_call_per_level_and_group(self, tmp_path, monkeypatch):
+        # The 96 rays share one profile class each, so the oracle makes one
+        # call per engine level and per table build, and the traces one in
+        # all; one call per ray made 3024 tau and 2753 color calls.
+        calls = Counter()
+        for cls, name in ((LogisticStep, "tau"), (TwoToneColor, "color")):
+            def counted(self, s, _method=getattr(cls, name), _key=f"{cls.__name__}.{name}"):
+                calls[_key] += 1
+                return _method(self, s)
+
+            monkeypatch.setattr(cls, name, counted)
+        assert run(["render", "--out", tmp_path]) == 0
+        assert 0 < calls["LogisticStep.tau"] <= 60
+        assert 0 < calls["TwoToneColor.color"] <= 60
 
 
 class TestImageWriters:

@@ -23,7 +23,17 @@ from rayquad import (
     sample_field,
     shift_sweep,
 )
-from rayquad.fields import PiecewiseConstantColor, SampledDensity, _shifted_grid
+from rayquad.fields import (
+    _GATHERABLE,
+    DensityProfile,
+    PiecewiseConstantColor,
+    SampledDensity,
+    _by_ray,
+    _gather,
+    _opaque_traces,
+    _shifted_grid,
+    _stack,
+)
 
 
 class TestDensityProfiles:
@@ -245,3 +255,133 @@ class TestColorProfiles:
     def test_uniform_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             UniformColor(np.array([1.5]))
+
+
+class TestParameterValidation:
+    """Every parameter is finite and every color channel lies in [0, 1]."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: LogisticStep(np.nan, 1.0, 1.0), id="step-nan-amplitude"),
+            pytest.param(lambda: ConstantSlab(np.nan, 0.0, 1.0), id="slab-nan-opacity"),
+            pytest.param(lambda: GaussianBump(1.0, np.nan, 1.0), id="bump-nan-center"),
+            pytest.param(lambda: LinearRamp(1.0, 2.0, 0.0, np.inf), id="ramp-infinite-end"),
+            pytest.param(lambda: TwoToneColor([2.0], [0.5], 1.0), id="two-tone-channel-above-one"),
+            pytest.param(lambda: GradientColor([0.1], [3.0], 0.0, 1.0), id="gradient-channel-above-one"),
+            pytest.param(lambda: TwoToneColor([0.1], [0.5], np.nan), id="two-tone-nan-boundary"),
+            pytest.param(
+                lambda: PiecewiseConstantColor([0.0, 1.0, 2.0], [[0.5], [7.0]]),
+                id="piecewise-channel-above-one",
+            ),
+            pytest.param(
+                lambda: PiecewiseConstantColor([0.0, 2.0, 1.0], [[0.5], [0.7]]),
+                id="piecewise-unsorted-knots",
+            ),
+            pytest.param(lambda: UniformColor(np.array([np.nan])), id="uniform-nan-channel"),
+            pytest.param(
+                lambda: SampledDensity([0.0, 1.0], [1.0, np.nan]), id="sampled-nan-opacity"
+            ),
+        ],
+    )
+    def test_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+
+GATHERABLE = (
+    ConstantSlab,
+    LinearRamp,
+    GaussianBump,
+    LogisticStep,
+    UniformColor,
+    GradientColor,
+    TwoToneColor,
+)
+
+
+def _draw(cls, rng):
+    """One ``cls`` profile with random valid parameters."""
+    u = lambda lo, hi: float(rng.uniform(lo, hi))
+    start = u(0.0, 2.0)
+    end = start + u(0.1, 2.0)
+    rgb = lambda: rng.uniform(0.0, 1.0, 3)
+    return {
+        ConstantSlab: lambda: ConstantSlab(u(0.0, 5.0), start, end),
+        LinearRamp: lambda: LinearRamp(u(0.0, 5.0), u(0.0, 5.0), start, end),
+        GaussianBump: lambda: GaussianBump(u(0.0, 5.0), u(0.0, 4.0), u(0.05, 1.0)),
+        LogisticStep: lambda: LogisticStep(u(0.0, 10.0), u(1.0, 50.0), u(0.0, 4.0)),
+        UniformColor: lambda: UniformColor(rgb()),
+        GradientColor: lambda: GradientColor(rgb(), rgb(), start, end),
+        TwoToneColor: lambda: TwoToneColor(rgb(), rgb(), u(0.0, 4.0)),
+    }[cls]()
+
+
+def _method(profile) -> str:
+    return "tau" if isinstance(profile, DensityProfile) else "color"
+
+
+class TestGatheredEvaluation:
+    """A gathered instance gives each point its own profile's value, bit for bit."""
+
+    def test_gatherable_classes(self):
+        assert _GATHERABLE == set(GATHERABLE)
+
+    @pytest.mark.parametrize("cls", GATHERABLE, ids=lambda c: c.__name__)
+    def test_gathered_equals_each_profile(self, cls, rng):
+        profiles = [_draw(cls, rng) for _ in range(6)]
+        xs, rows = [], []
+        for k, p in enumerate(profiles):
+            # Every scalar parameter, breakpoints and boundaries among them,
+            # exactly and one ulp to either side, plus points around them.
+            own = np.array([v for v in vars(p).values() if isinstance(v, float)])
+            pts = np.concatenate(
+                [own, np.nextafter(own, -np.inf), np.nextafter(own, np.inf), rng.uniform(-1, 5, 20)]
+            )
+            xs.append(pts)
+            rows.append(np.full(pts.size, k))
+        order = rng.permutation(sum(x.size for x in xs))
+        x, rows = np.concatenate(xs)[order], np.concatenate(rows)[order]
+        method = _method(profiles[0])
+        got = getattr(_gather(cls, _stack(profiles), rows), method)(x)
+        for k, p in enumerate(profiles):
+            want = getattr(p, method)(x[rows == k])
+            assert got[rows == k].shape == want.shape
+            assert np.array_equal(got[rows == k], want)
+
+    def test_groups_mixed_with_knot_classes(self, rng):
+        knots = np.linspace(0.0, 4.0, 6)
+        densities = [
+            _draw(LogisticStep, rng),
+            SampledDensity(knots, rng.uniform(0, 3, 6), degree=0),
+            _draw(ConstantSlab, rng),
+            _draw(LogisticStep, rng),
+            SampledDensity(knots, rng.uniform(0, 3, 6), degree=1),
+            _draw(GaussianBump, rng),
+        ]
+        colors = [
+            _draw(GradientColor, rng),
+            PiecewiseConstantColor(knots, rng.uniform(0, 1, (5, 3))),
+            _draw(TwoToneColor, rng),
+            _draw(GradientColor, rng),
+            _draw(UniformColor, rng),
+        ]
+        for profiles in (densities, colors):
+            x = np.concatenate([knots, rng.uniform(-1, 5, 200)])
+            ray = rng.integers(0, len(profiles), x.size)
+            got = _by_ray(profiles, _method(profiles[0]))(x, ray)
+            for r, p in enumerate(profiles):
+                assert np.array_equal(got[ray == r], getattr(p, _method(p))(x[ray == r]))
+
+    def test_batched_traces_equal_opaque_trace(self, rng):
+        knots = np.linspace(0.0, 4.0, 6)
+        fields = [
+            AnalyticField(_draw(LogisticStep, rng), _draw(TwoToneColor, rng)),
+            AnalyticField(SampledDensity(knots, rng.uniform(0, 3, 6)), _draw(UniformColor, rng)),
+            AnalyticField(_draw(LogisticStep, rng), PiecewiseConstantColor(knots, rng.uniform(0, 1, (5, 3)))),
+        ]
+        grid = make_uniform_grid(RaySegment(0.0, 4.0), 37)
+        for (tau, colors), field in zip(_opaque_traces(fields, grid), fields):
+            alone_tau, alone_colors = opaque_trace(field, grid)
+            assert np.array_equal(tau.values, alone_tau.values)
+            assert np.array_equal(colors.values, alone_colors.values)

@@ -35,12 +35,15 @@ from rayquad.fields import (
     GrazingRig,
     PiecewiseConstantColor,
     SampledDensity,
+    TwoToneColor,
     load_scene,
 )
 from rayquad.oracle import (
     CumulativeOpacityTable,
     _adaptive_simpson,
+    _refined,
     _render_rays,
+    _tables,
     ramp_transmittance,
     slab_transmittance,
 )
@@ -245,6 +248,41 @@ class TestTrueRenderBatch:
         for row, field in zip(batch, fields):
             assert row.tolist() == true_render(field, self.segment, 1e-6).tolist()
 
+    def test_mixed_profile_classes_equal_single_ray_runs(self):
+        # Knot-class profiles are groups of one next to the gathered classes.
+        knots = np.linspace(0.0, 4.0, 7)
+        step0 = SampledDensity(knots, [0.2, 1.5, 0.0, 3.0, 0.7, 2.0, 1.0], degree=0)
+        ramp1 = SampledDensity(knots, [0.1, 0.9, 2.5, 0.4, 0.0, 1.2, 3.0], degree=1)
+        gray = PiecewiseConstantColor(knots, [[0.1], [0.9], [0.4], [0.6], [0.2], [0.8]])
+        rays = _render_command_rays()
+        one_channel = [
+            AnalyticField(step0, gray),
+            AnalyticField(ramp1),
+            rays[3],
+            AnalyticField(GaussianBump(3.0, 0.6, 0.25), gray),
+            AnalyticField(ramp1, TwoToneColor(np.array([0.2]), np.array([0.8]), 1.3)),
+            rays[40],
+            AnalyticField(step0, gray),
+        ]
+        rgb = lambda *v: np.array(v)
+        three_channel = [
+            AnalyticField(
+                GaussianBump(3.0, 0.6, 0.25), GradientColor(rgb(0.1, 0.5, 0.9), rgb(0.9, 0.2, 0.4), 0.3, 1.5)
+            ),
+            AnalyticField(ramp1, GradientColor(rgb(0.3, 0.3, 0.0), rgb(1.0, 0.1, 0.7), 0.5, 3.5)),
+            AnalyticField(
+                LogisticStep(10.0, 40.0, 1.1), GradientColor(rgb(0.0, 1.0, 0.5), rgb(0.6, 0.4, 0.2), 0.8, 2.0)
+            ),
+            AnalyticField(
+                ConstantSlab(2.0, 1.0, 3.0), PiecewiseConstantColor(knots, np.linspace(0.0, 1.0, 18).reshape(6, 3))
+            ),
+            AnalyticField(step0, UniformColor(rgb(0.2, 0.4, 0.6))),
+        ]
+        for fields in (one_channel, three_channel):
+            batch = true_render_batch(fields, self.segment, 1e-8)
+            for row, field in zip(batch, fields):
+                assert row.tolist() == true_render(field, self.segment, 1e-8).tolist()
+
     def test_channels_accumulate_per_ray(self):
         color = GradientColor(np.array([0.1, 0.5, 0.9]), np.array([0.9, 0.2, 0.4]), 0.3, 1.5)
         fields = [
@@ -272,6 +310,34 @@ class TestTrueRenderBatch:
         rgb = AnalyticField(ConstantSlab(1.0, 1.0, 2.0), UniformColor(np.array([0.2, 0.4, 0.6])))
         with pytest.raises(ValueError):
             true_render_batch([_render_command_rays()[0], rgb], self.segment)
+
+
+class TestBatchedTabulation:
+    """One build for many rays equals each ray's own table bit for bit."""
+
+    segment = RaySegment(0.0, 4.0)
+
+    @staticmethod
+    def _assert_same(batched, alone):
+        assert batched.n_sub == alone.n_sub
+        for name in ("base", "edges", "widths", "cumulative_at_edges", "_d0", "_a2", "_a3"):
+            a, b = getattr(batched, name), getattr(alone, name)
+            assert a.shape == b.shape and np.array_equal(a, b), name
+        assert batched.tab_error == alone.tab_error
+
+    @pytest.mark.parametrize("n_sub", [64, 128, 256])
+    def test_equals_per_ray_tables(self, n_sub):
+        # Exact densities (slab, ramp) get one sub-panel per base panel, so
+        # the batch mixes sub-panel counts.
+        densities = [f.density for f in _render_command_rays()] + [
+            load_scene(path)[0].density for path in sorted(SCENES.glob("*.json"))
+        ]
+        batched = _tables(densities, self.segment, n_sub)
+        for table, density in zip(batched, densities):
+            self._assert_same(table, CumulativeOpacityTable(density, self.segment, n_sub=n_sub))
+        for table, density in zip(_refined(batched), densities):
+            alone = CumulativeOpacityTable(density, self.segment, n_sub=n_sub).refined()
+            self._assert_same(table, alone)
 
 
 class TestTrueRender:

@@ -70,3 +70,22 @@ def test_grid_arrays_are_class_properties(name):
 def test_traced_methods_exist(cls, name):
     assert inspect.isfunction(inspect.getattr_static(cls, name))
 
+
+
+def test_opacity_table_surface():
+    # The oracle pins and the tracer build, refine and read tables through these.
+    table_cls = rayquad.CumulativeOpacityTable
+    params = inspect.signature(table_cls).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        ("density", inspect.Parameter.empty),
+        ("segment", inspect.Parameter.empty),
+        ("extra_breaks", None),
+        ("n_sub", 64),
+    ]
+    for name in ("__init__", "cumulative", "refined"):
+        assert inspect.isfunction(inspect.getattr_static(table_cls, name))
+    assert isinstance(inspect.getattr_static(table_cls, "total"), property)
+    table = table_cls(rayquad.LogisticStep(10.0, 40.0, 1.0), rayquad.RaySegment(0.0, 4.0))
+    assert isinstance(table.tab_error, float)
+    assert isinstance(table.total, float)
+    assert isinstance(table.refined(), table_cls)
