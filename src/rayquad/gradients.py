@@ -60,7 +60,8 @@ def grad_render_wrt_tau(
     Returns one partial per grid point (length n + 2).  Under the constant
     model the far-bound opacity never enters, so its partial is zero.  The
     transmittance comes from ``interval_pmf``, which validates the model
-    and the trace.
+    and the trace, and returns the distribution already kept on ``tau`` for
+    this model and grid rather than building it again.
     """
     c = _interval_colors(colors)
     if c.size != grid.n + 1:

@@ -15,7 +15,12 @@ avoids underflow compounding in long products across opaque regions.
 
 ``interval_pmf`` is the one builder of a ray's distribution: the exact
 sampler inverts through its log-transmittance and the render gradient
-reads its transmittance, so all of them see the same bits.
+reads its transmittance, so all of them see the same bits.  Each
+distribution is built once per trace: ``interval_pmf`` stores it on the
+``OpacityTrace``, keyed on the model and the grid's identity, and hands
+the same object to every later call with that trace, model and grid.  The
+memo is private to the trace and dies with it.  It is sound because
+traces and grids are immutable after construction.
 """
 
 from __future__ import annotations
@@ -76,9 +81,19 @@ def interval_pmf(
     ``T_j * (1 - exp(-depth_j))`` and cross-checked against the telescoped
     form ``T_j - T_{j+1}``; disagreement beyond rounding means the inputs
     are inconsistent and raises.
+
+    A repeat call with the same trace, model and grid object returns the
+    distribution built the first time; only a build that passed every
+    check is kept.
     """
     if model not in (ModelKind.CONSTANT, ModelKind.LINEAR):
         raise ValueError(f"interval pmf needs constant or linear model, got {model}")
+    # Grids are unhashable, so the key is the grid's id; the entry holds
+    # the grid itself, which keeps that id from being reused while it lives.
+    key = (model, id(grid))
+    hit = tau._dists.get(key)
+    if hit is not None and hit[0] is grid:
+        return hit[1]
     t = tau.values
     if t.size != grid.n + 2:
         raise ValueError(
@@ -114,13 +129,15 @@ def interval_pmf(
 
     cumulative = np.zeros(pmf.size + 1)
     np.cumsum(pmf, out=cumulative[1:])
-    return RayDistribution(
+    dist = RayDistribution(
         model=model,
         log_transmittance=log_t,
         transmittance=trans,
         pmf=pmf,
         cumulative=cumulative,
     )
+    tau._dists[key] = (grid, dist)
+    return dist
 
 
 def render(dist: RayDistribution, colors: ColorTrace) -> np.ndarray:

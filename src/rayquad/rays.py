@@ -10,7 +10,7 @@ and all containers are immutable after construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class SampleGrid:
             raise ValueError("grid needs at least one interior sample")
         pts = np.concatenate(([self.segment.near], interior, [self.segment.far]))
         widths = np.diff(pts)
-        if not np.all(widths > 0):
+        if not (widths > 0).all():
             raise ValueError("grid points must be strictly increasing between near and far")
         pts.setflags(write=False)
         widths.setflags(write=False)
@@ -111,16 +111,22 @@ class SampleGrid:
 
 @dataclass(frozen=True)
 class OpacityTrace:
-    """Opacity (1/distance) at every grid point, length n + 2."""
+    """Opacity (1/distance) at every grid point, length n + 2.
+
+    ``quadrature.interval_pmf`` keeps the distributions it builds from this
+    trace in a private per-instance memo, keyed on the model and the
+    grid's identity; it lives and dies with the trace.
+    """
 
     values: np.ndarray
+    _dists: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         values = _frozen(np.atleast_1d(self.values))
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size < 3:
             raise ValueError("opacity trace needs one value per grid point (>= 3)")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("opacity values must be finite")
 
     @property
@@ -142,7 +148,7 @@ class ColorTrace:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] < 2:
             raise ValueError("need one color per interval (>= 2 intervals)")
-        if np.any(values < 0) or np.any(values > 1):
+        if (values < 0).any() or (values > 1).any():
             raise ValueError("color channels must lie in [0, 1]")
 
     @property

@@ -65,11 +65,11 @@ class DiscreteRayCdf:
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
-        if np.any(u < 0.0) or np.any(u >= 1.0):
+        if (u < 0.0).any() or (u >= 1.0).any():
             raise ValueError("surrogate draws must lie in [0, 1)")
         c = self.cumulative
         total = c[-1]
-        if np.any(u > total):
+        if (u > total).any():
             raise ValueError("draw exceeds the total probability mass of the ray")
         k = np.searchsorted(c[1:], u, side="right")
         k = np.minimum(k, self.grid.n)
@@ -87,7 +87,9 @@ class ContinuousRayCdf:
 
     Holds the precomputed linear-model distribution, whose log-transmittance
     the inverse reads, so repeated evaluation and sampling touch no
-    exponentials of sums.
+    exponentials of sums.  ``dist`` is the object ``interval_pmf`` keeps on
+    the trace for this grid, so a caller that already built the linear
+    distribution of ``(grid, tau)`` shares it instead of a rebuild.
     """
 
     grid: SampleGrid
@@ -95,7 +97,7 @@ class ContinuousRayCdf:
     dist: quadrature.RayDistribution = field(init=False)
 
     def __post_init__(self):
-        if np.any(self.tau.interior <= 0.0):
+        if (self.tau.interior <= 0.0).any():
             raise ValueError("interior opacities must be floored positive before sampling")
         dist = quadrature.interval_pmf(ModelKind.LINEAR, self.grid, self.tau)
         object.__setattr__(self, "dist", dist)
@@ -119,7 +121,7 @@ class ContinuousRayCdf:
         k = np.searchsorted(self.cumulative[1:], u, side="right")
         k = np.minimum(k, self.grid.n)
         q = self.dist.log_transmittance[k] - np.log1p(-u)
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ArithmeticError("non-finite log mass while inverting the CDF")
         tau = self.tau.values
         tau_k = tau[k]
@@ -136,7 +138,7 @@ class ContinuousRayCdf:
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         seg = self.grid.segment
-        if np.any(t < seg.near) or np.any(t > seg.far):
+        if (t < seg.near).any() or (t > seg.far).any():
             raise ValueError("evaluation point outside the ray segment")
         pts = self.grid.points
         k = np.searchsorted(pts, t, side="right") - 1
@@ -160,7 +162,7 @@ class ContinuousRayCdf:
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
-        if np.any(u < 0.0) or np.any(u > 1.0):
+        if (u < 0.0).any() or (u > 1.0).any():
             raise ValueError("draws must lie in [0, 1)")
         k, delta, q, _, denom, clamped = self._invert(u)
         t = np.where(denom > 0.0, 2.0 * q / np.where(denom > 0.0, denom, 1.0), 0.0)

@@ -4,12 +4,19 @@ import pytest
 from rayquad import (
     ColorTrace,
     ContinuousRayCdf,
+    DiscreteRayCdf,
     FarConvention,
+    GrazingRig,
     ModelKind,
     OpacityTrace,
     RaySegment,
     SampleGrid,
+    apply_far_convention,
     expected_depth,
+    floor_opacity,
+    grad_render_wrt_tau,
+    grad_sample_wrt_tau,
+    hierarchical_samples,
     interval_pmf,
     make_uniform_grid,
     opaque_trace,
@@ -32,6 +39,19 @@ def two_interval_setup():
 
 def transmittance(model, grid, tau):
     return interval_pmf(model, grid, tau).transmittance
+
+
+def count_builds(monkeypatch) -> list:
+    """Every ``RayDistribution`` that ``interval_pmf`` builds from now on."""
+    builds = []
+    build = quadrature.RayDistribution
+
+    def counted(**fields):
+        builds.append(build(**fields))
+        return builds[-1]
+
+    monkeypatch.setattr(quadrature, "RayDistribution", counted)
+    return builds
 
 
 class TestTransmittanceConstant:
@@ -163,11 +183,13 @@ class TestIntervalPmf:
         # a distribution built from one would not be a probability.
         grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
         tau = OpacityTrace(np.array(values))
-        for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
+        # Twice over: a failed build must not be kept for the repeat call.
+        for _ in range(2):
+            for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    interval_pmf(model, grid, tau)
             with pytest.raises(ValueError, match="nonnegative"):
-                interval_pmf(model, grid, tau)
-        with pytest.raises(ValueError, match="nonnegative"):
-            ContinuousRayCdf(grid, tau)
+                ContinuousRayCdf(grid, tau)
 
 
 class TestOneBuilder:
@@ -190,6 +212,52 @@ class TestOneBuilder:
             for name in ("log_transmittance", "transmittance", "pmf", "cumulative"):
                 np.testing.assert_array_equal(getattr(built, name), getattr(direct, name))
 
+    def test_trace_keeps_one_distribution_per_model_and_grid(self, rng):
+        grid, tau = random_instance(rng, convention=FarConvention.OPAQUE_FAR)
+        linear = interval_pmf(ModelKind.LINEAR, grid, tau)
+        constant = interval_pmf(ModelKind.CONSTANT, grid, tau)
+        assert constant is not linear
+        assert ContinuousRayCdf(grid, tau).dist is linear
+        assert interval_pmf(ModelKind.LINEAR, grid, tau) is linear
+        assert interval_pmf(ModelKind.CONSTANT, grid, tau) is constant
+
+    def test_equal_grid_builds_its_own_distribution(self, rng, monkeypatch):
+        grid, tau = random_instance(rng)
+        twin = SampleGrid(grid.interior, grid.segment)
+        builds = count_builds(monkeypatch)
+        first = interval_pmf(ModelKind.LINEAR, grid, tau)
+        second = interval_pmf(ModelKind.LINEAR, twin, tau)
+        assert len(builds) == 2 and second is not first
+        np.testing.assert_array_equal(second.pmf, first.pmf)
+        assert interval_pmf(ModelKind.LINEAR, grid, tau) is first
+        assert interval_pmf(ModelKind.LINEAR, twin, tau) is second
+        assert len(builds) == 2
+
+    def test_two_pass_op_builds_four_distributions(self, monkeypatch):
+        # The paper's two-pass render of one ray, as the benchmark's ray
+        # workloads run it: each model's coarse pass renders a distribution
+        # that its sampler and its render gradient read again.
+        field = GrazingRig(10.0, 40.0, 1.0, np.array([0.7])).ray_field(0.7, 0.05)
+        grid = make_uniform_grid(RaySegment(0.0, 4.0), 128)
+        tau, colors = opaque_trace(field, grid)
+        builds = count_builds(monkeypatch)
+        for model in (ModelKind.LINEAR, ModelKind.CONSTANT):
+            dist = interval_pmf(model, grid, tau)
+            render(dist, colors)
+            expected_depth(dist, grid)
+            if model is ModelKind.LINEAR:
+                cdf = ContinuousRayCdf(grid, tau)
+                grad_sample_wrt_tau(cdf, 0.4 * cdf.cumulative[-1])
+            else:
+                cdf = DiscreteRayCdf(grid, dist)
+            fine = hierarchical_samples(cdf, 64, seed=11)
+            fine_tau, fine_colors = opaque_trace(field, fine)
+            fine_dist = interval_pmf(model, fine, fine_tau)
+            render(fine_dist, fine_colors)
+            expected_depth(fine_dist, fine)
+            grad_render_wrt_tau(model, grid, tau, colors)
+        assert len(builds) == 4
+
     @pytest.mark.parametrize("gap, raises", [(np.nan, True), (2e-12, True), (5e-13, False)])
     def test_crosscheck_tolerance(self, monkeypatch, gap, raises):
         # Shift the direct P_0 = T_0 * -expm1(-depth_0), with T_0 = 1, by
@@ -205,11 +273,39 @@ class TestOneBuilder:
 
         monkeypatch.setattr(quadrature.np, "expm1", shifted)
         if raises:
-            with pytest.raises(ArithmeticError, match="disagree"):
-                interval_pmf(ModelKind.LINEAR, grid, tau)
+            # The failed build is not kept, so the repeat call fails too.
+            for _ in range(2):
+                with pytest.raises(ArithmeticError, match="disagree"):
+                    interval_pmf(ModelKind.LINEAR, grid, tau)
         else:
             dist = interval_pmf(ModelKind.LINEAR, grid, tau)
             assert dist.pmf[0] - (dist.transmittance[0] - dist.transmittance[1]) > 0.0
+
+
+class TestExtremeInputs:
+    @pytest.mark.parametrize("model", [ModelKind.CONSTANT, ModelKind.LINEAR])
+    def test_million_samples_telescope(self, rng, model):
+        grid = make_uniform_grid(RaySegment(0.0, 4.0), 10**6)
+        raw = OpacityTrace(10.0 ** rng.uniform(-6.0, 1.0, grid.n + 2))
+        tau = apply_far_convention(floor_opacity(raw), FarConvention.OPAQUE_FAR)
+        dist = interval_pmf(model, grid, tau)
+        assert abs(dist.pmf.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(dist.cumulative + dist.transmittance - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("exponent_lo", [8.0, -6.0])
+    def test_opacity_up_to_1e8(self, rng, exponent_lo):
+        # Every opacity 1e8, or log-uniform from 1e-6 up to 1e8.
+        grid = make_uniform_grid(RaySegment(0.0, 2.0), 16)
+        raw = OpacityTrace(10.0 ** rng.uniform(exponent_lo, 8.0, grid.n + 2))
+        tau = apply_far_convention(floor_opacity(raw), FarConvention.OPAQUE_FAR)
+        for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
+            assert interval_pmf(model, grid, tau).pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        cdf = ContinuousRayCdf(grid, tau)
+        s = cdf.precise_sample(np.linspace(0.01, 0.99, 99))
+        assert np.isfinite(s).all()
+        assert (s >= 0.0).all() and (s <= 2.0).all()
+        for u in (0.05, 0.5, 0.95):
+            assert np.isfinite(grad_sample_wrt_tau(cdf, u).d_tau).all()
 
 
 class TestRender:

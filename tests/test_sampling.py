@@ -163,9 +163,13 @@ class TestPreciseSampler:
             assert np.all(s <= pts[k + 1] + 1e-12)
 
     def test_near_unit_draw_clamps_to_far_with_flag(self):
-        cdf = linear_cdf_simple()
-        value, clamped = cdf.precise_sample(1.0 - 1e-13, return_clamped=True)
-        assert clamped and value == cdf.grid.segment.far
+        # The opaque far plane gives the steep ray unit mass, so only the
+        # ``1 - EPS_UNIT`` bound clamps its draw below 1.
+        steep = ContinuousRayCdf(*fixtures.steep_sampler_fixture())
+        for cdf in (linear_cdf_simple(), steep):
+            for u in (1.0 - 1e-13, 1.0):
+                value, clamped = cdf.precise_sample(u, return_clamped=True)
+                assert clamped and value == cdf.grid.segment.far
 
     def test_rejects_invalid_draws(self):
         cdf = linear_cdf_simple()
