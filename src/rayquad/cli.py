@@ -31,6 +31,9 @@ from .sampling import ContinuousRayCdf, DiscreteRayCdf
 
 CONVERGENCE_NS = (8, 16, 32, 64, 128, 256)
 
+# ``render`` image shape: one row per grazing angle, one column per wall offset.
+_RENDER_HEIGHT, _RENDER_WIDTH = 8, 12
+
 
 @dataclass
 class ExperimentSpec:
@@ -45,8 +48,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if min(self.n_coarse, self.offsets) < 1:
             raise ValueError("sample and offset counts must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.scene is not None and not Path(self.scene).exists():
             raise FileNotFoundError(f"scene file {self.scene} does not exist")
 
@@ -306,7 +309,8 @@ def cmd_quadratic_probe(spec: ExperimentSpec) -> bool:
     return ok
 
 
-def cmd_render(spec: ExperimentSpec, height: int = 8, width: int = 12) -> bool:
+def cmd_render(spec: ExperimentSpec) -> bool:
+    height, width = _RENDER_HEIGHT, _RENDER_WIDTH
     angles = np.linspace(0.12, np.pi / 2, height)
     rig = GrazingRig(
         wall_amplitude=10.0, wall_steepness=40.0, wall_depth=1.0, angles=angles

@@ -6,7 +6,9 @@ functions of distance along the ray.  Profiles report their breakpoints
 their local polynomial degree when the density is piecewise polynomial,
 which lets the integration oracle tabulate it exactly.  Every parameter
 is finite and every color channel lies in [0, 1]; constructors reject
-anything else.
+anything else.  Array parameters enter through ``rays._frozen``, which
+stores a read-only float64 copy, so a profile never shares or freezes
+the caller's array.
 
 The scalar-parameter profiles (``ConstantSlab``, ``LinearRamp``,
 ``GaussianBump``, ``LogisticStep``, ``UniformColor``, ``GradientColor``
@@ -36,6 +38,7 @@ from .rays import (
     OpacityTrace,
     RaySegment,
     SampleGrid,
+    _frozen,
     apply_far_convention,
     floor_opacity,
     make_uniform_grid,
@@ -184,16 +187,9 @@ class SampledDensity(DensityProfile):
     degree: int = 1
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        knots.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
+        knots, values = _frozen(self, "knots"), _frozen(self, "values")
         if knots.size != values.size or knots.size < 2:
             raise ValueError("need matching knots and values (>= 2)")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
-            raise ValueError("knots and opacities must be finite")
         if not np.all(np.diff(knots) > 0):
             raise ValueError("knots must be strictly increasing")
         if self.degree not in (0, 1):
@@ -235,10 +231,7 @@ class UniformColor(ColorProfile):
     value: np.ndarray
 
     def __post_init__(self):
-        value = np.atleast_1d(np.asarray(self.value, dtype=np.float64))
-        value.setflags(write=False)
-        object.__setattr__(self, "value", value)
-        if not _unit_channels(value):
+        if not _unit_channels(_frozen(self, "value")):
             raise ValueError("color channels must lie in [0, 1]")
 
     @property
@@ -260,13 +253,10 @@ class GradientColor(ColorProfile):
     end: float
 
     def __post_init__(self):
-        for name in ("start_value", "end_value"):
-            v = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64))
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        if self.start_value.size != self.end_value.size:
+        start_value, end_value = _frozen(self, "start_value"), _frozen(self, "end_value")
+        if start_value.size != end_value.size:
             raise ValueError("gradient endpoints need matching channel counts")
-        if not _unit_channels(self.start_value, self.end_value):
+        if not _unit_channels(start_value, end_value):
             raise ValueError("color channels must lie in [0, 1]")
         if not _finite(self.start, self.end):
             raise ValueError("gradient bounds must be finite")
@@ -292,13 +282,10 @@ class TwoToneColor(ColorProfile):
     boundary: float
 
     def __post_init__(self):
-        for name in ("before", "after"):
-            v = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64))
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        if self.before.size != self.after.size:
+        before, after = _frozen(self, "before"), _frozen(self, "after")
+        if before.size != after.size:
             raise ValueError("two-tone colors need matching channel counts")
-        if not _unit_channels(self.before, self.after):
+        if not _unit_channels(before, after):
             raise ValueError("color channels must lie in [0, 1]")
         if not math.isfinite(self.boundary):
             raise ValueError("two-tone boundary must be finite")
@@ -324,16 +311,11 @@ class PiecewiseConstantColor(ColorProfile):
     values: np.ndarray
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=np.float64)
-        values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
-        knots.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
+        knots, values = _frozen(self, "knots"), _frozen(self, "values", ndmin=2)
         if values.shape[0] != knots.size - 1:
             raise ValueError("need one color per knot interval")
-        if not (np.all(np.isfinite(knots)) and np.all(np.diff(knots) > 0)):
-            raise ValueError("color knots must be finite and strictly increasing")
+        if not np.all(np.diff(knots) > 0):
+            raise ValueError("color knots must be strictly increasing")
         if not _unit_channels(values.ravel()):
             raise ValueError("color channels must lie in [0, 1]")
 
@@ -368,8 +350,8 @@ def _stack(profiles) -> dict[str, np.ndarray]:
 def _gather(cls, stacked: dict[str, np.ndarray], rows: np.ndarray):
     """One ``cls`` instance whose point ``i`` sees the profile in row ``rows[i]``.
 
-    Built without its constructor: every row was validated when its
-    profile was made.
+    Built without its constructor, so its arrays skip ``rays._frozen``:
+    every row was validated when its profile was made.
     """
     profile = object.__new__(cls)
     for name, values in stacked.items():
@@ -528,16 +510,19 @@ class GrazingRig:
     angles: np.ndarray
 
     def __post_init__(self):
-        angles = np.atleast_1d(np.asarray(self.angles, dtype=np.float64))
-        angles.setflags(write=False)
-        object.__setattr__(self, "angles", angles)
+        angles = _frozen(self, "angles")
         if angles.size == 0:
             raise ValueError("grazing rig needs at least one angle")
         if np.any(angles <= 0) or np.any(angles > np.pi / 2):
             raise ValueError("angles must lie in (0, pi/2]")
 
     def ray_field(self, angle: float, offset: float = 0.0) -> AnalyticField:
-        """Field seen along a ray entering at ``offset`` perpendicular depth."""
+        """Field seen along a ray entering at ``offset`` perpendicular depth.
+
+        ``angle`` must lie in (0, pi/2], as the rig's ``angles`` do.
+        """
+        if not 0.0 < angle <= np.pi / 2:
+            raise ValueError(f"angle {angle} outside (0, pi/2]")
         sin = float(np.sin(angle))
         center = (self.wall_depth - offset) / sin
         density = LogisticStep(
@@ -545,7 +530,7 @@ class GrazingRig:
             steepness=self.wall_steepness * sin,
             center=center,
         )
-        color = TwoToneColor(before=np.array([0.1]), after=np.array([0.9]), boundary=center)
+        color = TwoToneColor(before=[0.1], after=[0.9], boundary=center)
         return AnalyticField(density=density, color=color)
 
 
@@ -557,18 +542,9 @@ _DENSITY_KINDS = {
 }
 
 _COLOR_KINDS = {
-    "uniform": lambda p: UniformColor(np.asarray(p["value"], dtype=np.float64)),
-    "gradient": lambda p: GradientColor(
-        np.asarray(p["start_value"], dtype=np.float64),
-        np.asarray(p["end_value"], dtype=np.float64),
-        p["start"],
-        p["end"],
-    ),
-    "two_tone": lambda p: TwoToneColor(
-        np.asarray(p["before"], dtype=np.float64),
-        np.asarray(p["after"], dtype=np.float64),
-        p["boundary"],
-    ),
+    "uniform": lambda p: UniformColor(p["value"]),
+    "gradient": lambda p: GradientColor(p["start_value"], p["end_value"], p["start"], p["end"]),
+    "two_tone": lambda p: TwoToneColor(p["before"], p["after"], p["boundary"]),
 }
 
 

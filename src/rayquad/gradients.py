@@ -152,14 +152,15 @@ def grad_sample_wrt_tau(cdf: ContinuousRayCdf, u: float) -> SampleGradient:
     d_tau = dt_dq * d_log_t
     d_tau[k] += dt_dtau_direct - dt_da
     d_tau[k + 1] += dt_da
+    # Built here, so it is frozen in place rather than copied in.
     d_tau.setflags(write=False)
     return SampleGradient(bin=int(k), d_tau=d_tau)
 
 
 def finite_diff_check(f, x: np.ndarray, analytic: np.ndarray, h: float = 1e-6) -> GradReport:
     """Central-difference check of supplied partials of a scalar function."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError("step size must be positive and finite")
     x = np.asarray(x, dtype=np.float64)
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != x.shape:

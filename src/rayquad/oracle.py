@@ -148,8 +148,8 @@ def integrate_adaptive(
     NoConvergenceError with the partial result attached if any panel is
     still failing at ``max_depth``.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tolerance must be positive and finite")
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integration bounds must be finite")
     if a > b:
@@ -398,8 +398,8 @@ def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass) -
     """Per ray, rerun passes on doubled tabulations until values agree to 3 * tol;
     ``run_pass(rays, tables)`` is one pass over the rays not yet settled.  The
     tables of every unsettled ray are built together, once per round."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tolerance must be positive and finite")
     tables = _tables(densities, segment)
     values, rays = [None] * len(tables), list(range(len(tables)))
     for round_ in range(9):
@@ -472,6 +472,8 @@ def true_interval_probabilities(
     at 8192 sub-panels; the partial's error adds each interval's gap to
     its tabulated mass and the tabulation error to the engine's estimates.
     """
+    if not 0.0 < rtol < np.inf:
+        raise ValueError("relative tolerance must be positive and finite")
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("edges must be a one-dimensional array of at least two points")
@@ -538,7 +540,7 @@ def ramp_transmittance(ramp: LinearRamp, segment: RaySegment, s) -> np.ndarray:
     the cumulative opacity is the exact trapezoid.
     """
     s = np.asarray(s, dtype=np.float64)
-    if segment.near < ramp.start or np.any(s > ramp.end):
+    if not (segment.near >= ramp.start and (s <= ramp.end).all()):
         raise ValueError("closed form requires the query range inside the ramp")
     depth = 0.5 * (ramp.tau(segment.near) + ramp.tau(s)) * (s - segment.near)
     return np.exp(-depth)
@@ -549,7 +551,7 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or samples.size < 1:
         raise ValueError("need a one-dimensional sample array")
-    if np.any(np.diff(samples) < 0):
+    if not (np.diff(samples) >= 0).all():
         raise ValueError("samples must be sorted ascending")
     n = samples.size
     f = np.asarray(cdf(samples), dtype=np.float64)
@@ -571,7 +573,7 @@ def convergence_slope(errors) -> float:
     pairs = np.asarray(errors, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 4:
         raise ValueError("need at least four (N, error) pairs")
-    if np.any(pairs <= 0):
+    if not (pairs > 0).all():
         raise ValueError("sample counts and errors must be positive")
     slope, _ = np.polyfit(np.log(pairs[:, 0]), np.log(pairs[:, 1]), 1)
     return float(slope)

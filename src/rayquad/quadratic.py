@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import OpacityTrace, SampleGrid
+from .rays import OpacityTrace, SampleGrid, _frozen
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,7 @@ class QuadraticPatch:
     taus: np.ndarray
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=np.float64)
-        taus = np.asarray(self.taus, dtype=np.float64)
-        knots.setflags(write=False)
-        taus.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "taus", taus)
+        knots, taus = _frozen(self, "knots"), _frozen(self, "taus")
         if knots.shape != (3,) or taus.shape != (3,):
             raise ValueError("a patch needs exactly three knots and three opacities")
         if not (knots[0] < knots[1] < knots[2]):
@@ -77,7 +72,7 @@ def quad_eval(patch: QuadraticPatch, s):
     """Evaluate the Lagrange parabola through the patch knots at ``s``."""
     s = np.asarray(s, dtype=np.float64)
     k0, k1, k2 = patch.knots
-    if np.any(s < k0) or np.any(s > k2):
+    if not ((s >= k0) & (s <= k2)).all():
         raise ValueError("evaluation point outside the patch")
     t0, t1, t2 = patch.taus
     a, b, g = patch.alpha, patch.beta, patch.gamma

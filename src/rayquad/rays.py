@@ -5,6 +5,11 @@ bound and the last is the far bound, so a grid with ``n`` interior samples
 has ``n + 2`` points and ``n + 1`` intervals.  A grid builds its points and
 widths once; ``interior`` is a view of the points.  All values are float64
 and all containers are immutable after construction.
+
+``_frozen`` is the one intake of a caller's array into an immutable value:
+it copies the array, so the caller's own is never shared or frozen, rejects
+any non-finite entry, and stores the copy read-only.  Each class then checks
+its own shape, sign, order and range.
 """
 
 from __future__ import annotations
@@ -41,9 +46,17 @@ class FarConvention(enum.Enum):
     OPAQUE_FAR = "opaque_far"
 
 
-def _frozen(values, dtype=np.float64) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen(owner, name: str, ndmin: int = 1) -> np.ndarray:
+    """Store array field ``name`` of the frozen dataclass ``owner`` as a
+    read-only float64 copy with at least ``ndmin`` axes; return the copy.
+
+    Raises ValueError naming the field if any entry is NaN or infinite.
+    """
+    out = np.array(getattr(owner, name), dtype=np.float64, ndmin=ndmin)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{type(owner).__name__}.{name} must be finite")
     out.setflags(write=False)
+    object.__setattr__(owner, name, out)
     return out
 
 
@@ -80,6 +93,8 @@ class SampleGrid:
     segment: RaySegment
 
     def __post_init__(self):
+        # Not through ``_frozen``: the points and widths are built fresh
+        # here, and a NaN fails the strictly-increasing check.
         interior = np.atleast_1d(np.asarray(self.interior, dtype=np.float64))
         if interior.ndim != 1 or interior.size < 1:
             raise ValueError("grid needs at least one interior sample")
@@ -122,12 +137,9 @@ class OpacityTrace:
     _dists: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        values = _frozen(np.atleast_1d(self.values))
-        object.__setattr__(self, "values", values)
+        values = _frozen(self, "values")
         if values.ndim != 1 or values.size < 3:
             raise ValueError("opacity trace needs one value per grid point (>= 3)")
-        if not np.isfinite(values).all():
-            raise ValueError("opacity values must be finite")
 
     @property
     def interior(self) -> np.ndarray:
@@ -141,11 +153,10 @@ class ColorTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
+        values = _frozen(self, "values")
         if values.ndim == 1:
-            values = values[:, None]
-        values = _frozen(values)
-        object.__setattr__(self, "values", values)
+            values = values.reshape(-1, 1)
+            object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] < 2:
             raise ValueError("need one color per interval (>= 2 intervals)")
         if (values < 0).any() or (values > 1).any():
@@ -175,6 +186,8 @@ def apply_far_convention(
     trace: OpacityTrace, convention: FarConvention
 ) -> OpacityTrace:
     """Zero the near-bound opacity and set the far bound to ``OPAQUE`` (``OPAQUE_FAR``)."""
+    if convention is not FarConvention.OPAQUE_FAR:
+        raise ValueError(f"unknown far convention {convention!r}")
     values = np.array(trace.values)
     values[0] = 0.0
     values[-1] = OPAQUE

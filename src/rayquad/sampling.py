@@ -65,7 +65,7 @@ class DiscreteRayCdf:
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
-        if (u < 0.0).any() or (u >= 1.0).any():
+        if not ((u >= 0.0) & (u < 1.0)).all():
             raise ValueError("surrogate draws must lie in [0, 1)")
         c = self.cumulative
         total = c[-1]
@@ -138,7 +138,7 @@ class ContinuousRayCdf:
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         seg = self.grid.segment
-        if (t < seg.near).any() or (t > seg.far).any():
+        if not ((t >= seg.near) & (t <= seg.far)).all():
             raise ValueError("evaluation point outside the ray segment")
         pts = self.grid.points
         k = np.searchsorted(pts, t, side="right") - 1
@@ -152,28 +152,24 @@ class ContinuousRayCdf:
         f = np.clip(f, 0.0, 1.0)
         return float(f[0]) if scalar else f
 
-    def precise_sample(self, u, return_clamped: bool = False):
-        """Exact inverse of the CDF at ``u``.
+    def precise_sample(self, u):
+        """Exact inverse of the CDF at ``u`` in [0, 1].
 
         Draws at or above ``1 - EPS_UNIT`` (or beyond the total mass of an
-        unnormalized ray) are clamped to the far bound; pass
-        ``return_clamped=True`` to receive the mask of clamped entries.
+        unnormalized ray) are clamped to the far bound.
         """
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
-        if (u < 0.0).any() or (u > 1.0).any():
-            raise ValueError("draws must lie in [0, 1)")
+        if not ((u >= 0.0) & (u <= 1.0)).all():
+            raise ValueError("draws must lie in [0, 1]")
         k, delta, q, _, denom, clamped = self._invert(u)
         t = np.where(denom > 0.0, 2.0 * q / np.where(denom > 0.0, denom, 1.0), 0.0)
         t = np.clip(t, 0.0, delta)
 
         s = self.grid.points[k] + t
         s = np.where(clamped, self.grid.segment.far, s)
-        if scalar:
-            s_out = float(s[0])
-            return (s_out, bool(clamped[0])) if return_clamped else s_out
-        return (s, clamped) if return_clamped else s
+        return float(s[0]) if scalar else s
 
 
 def _stratified_unit_samples(n: int, seed: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from rayquad import (
     SampleGrid,
     apply_far_convention,
     floor_opacity,
+    oracle,
 )
 
 
@@ -30,3 +31,18 @@ def random_instance(rng, n_max=64, tau_lo=1e-6, tau_hi=10.0, convention=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def engine_guard(monkeypatch):
+    """Make the oracle's adaptive engine raise if it is reached at all.
+
+    Tests of bad tolerances use it: under a NaN tolerance no panel is ever
+    accepted, so a check that let one through would double every panel to
+    the depth limit and exhaust memory instead of failing.
+    """
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the adaptive engine was reached")
+
+    monkeypatch.setattr(oracle, "_adaptive_simpson", refuse)

@@ -26,6 +26,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_tolerance_outside_positive_reals(self, tol, tmp_path, engine_guard):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            ExperimentSpec(tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            run(["convergence", "--tol", tol, "--out", tmp_path])
+
     def test_parser_defaults_are_spec_defaults(self):
         args = build_parser().parse_args(["depth"])
         spec = ExperimentSpec(**{k: v for k, v in vars(args).items() if k != "command"})
@@ -112,15 +119,15 @@ class TestCommands:
         from rayquad.cli import cmd_render
 
         spec = ExperimentSpec(n_coarse=48, out=tmp_path)
-        assert cmd_render(spec, height=3, width=4)
+        assert cmd_render(spec)
         for name in ("render_constant.pgm", "render_linear.pgm", "render_diff_linear.pgm"):
             text = (tmp_path / name).read_text().splitlines()
             assert text[0] == "P2"
-            assert text[1] == "4 3"
+            assert text[1] == "12 8"
             assert text[2] == "255"
         lines = (tmp_path / "render.csv").read_text().splitlines()
         assert lines[0] == "model,row,col,rendered_value,oracle_value,abs_diff"
-        assert len(lines) == 1 + 2 * 12
+        assert len(lines) == 1 + 2 * 96
 
 
 class TestDeterminism:

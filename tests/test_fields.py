@@ -178,6 +178,12 @@ class TestGrazingRig:
         with pytest.raises(ValueError):
             GrazingRig(1.0, 1.0, 1.0, angles=np.array([0.0]))
 
+    @pytest.mark.parametrize("angle", [np.pi, 3.0, 0.0, -0.1, np.nan])
+    def test_ray_field_rejects_angles_outside_the_rig_range(self, angle):
+        rig = GrazingRig(10.0, 40.0, 1.0, angles=np.array([0.5]))
+        with pytest.raises(ValueError, match="outside"):
+            rig.ray_field(angle)
+
 
 class TestSampledDensity:
     def test_linear_interpolation(self):

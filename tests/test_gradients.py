@@ -197,6 +197,11 @@ class TestFiniteDiffCheck:
                 lambda x: float("nan"), np.array([1.0]), np.array([0.0]), h=1e-6
             )
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_step_outside_positive_reals(self, h, engine_guard):
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            finite_diff_check(lambda x: float(x[0]), np.array([1.0]), np.array([1.0]), h=h)
+
     def test_report_invariants(self):
         with pytest.raises(ValueError):
             GradReport(np.zeros(2), np.zeros(3), 0.0)

@@ -52,6 +52,9 @@ from conftest import random_instance
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
+# A tolerance must lie in (0, inf); NaN must fail like the others.
+BAD_TOLERANCES = [np.nan, np.inf, 0.0, -1.0]
+
 
 class TestIntegrateAdaptive:
     def test_polynomial_exact(self):
@@ -88,6 +91,40 @@ class TestIntegrateAdaptive:
         with pytest.raises(NoConvergenceError) as err:
             integrate_adaptive(f, 0.0, 1.0, 1e-15, max_depth=4)
         assert err.value.partial.value == pytest.approx(truth, abs=1e-3)
+
+
+STEP_RAY = AnalyticField(LogisticStep(10.0, 40.0, 1.0))
+STEP_SEGMENT = RaySegment(0.0, 2.0)
+
+
+@pytest.mark.usefixtures("engine_guard")
+class TestToleranceBounds:
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda tol: integrate_adaptive(lambda s: s, 0.0, 1.0, tol), id="integrate"),
+            pytest.param(lambda tol: true_render(STEP_RAY, STEP_SEGMENT, tol), id="render"),
+            pytest.param(
+                lambda tol: true_render_batch([STEP_RAY] * 2, STEP_SEGMENT, tol), id="render-batch"
+            ),
+            pytest.param(
+                lambda tol: true_mean_termination(STEP_RAY, STEP_SEGMENT, tol), id="mean-termination"
+            ),
+            pytest.param(
+                lambda tol: true_interval_probabilities(STEP_RAY, STEP_SEGMENT, [0.0, 1.0, 2.0], tol),
+                id="interval-probabilities",
+            ),
+        ],
+    )
+    def test_rejected_before_the_engine_runs(self, call, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            call(tol)
+
+    def test_guard_stops_a_valid_call(self):
+        # The guard is what keeps a regressed check from running the engine.
+        with pytest.raises(AssertionError, match="engine was reached"):
+            true_render(STEP_RAY, STEP_SEGMENT, 1e-6)
 
 
 class TestSimpsonEngine:
@@ -406,6 +443,12 @@ class TestClosedFormTransmittances:
             np.exp(-table.cumulative(s)), ramp_transmittance(ramp, segment, s), atol=1e-13
         )
 
+    def test_ramp_rejects_queries_outside_the_ramp(self):
+        ramp = LinearRamp(1.0, 3.0, 0.0, 1.0)
+        for s in (1.5, np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="inside the ramp"):
+                ramp_transmittance(ramp, RaySegment(0.0, 1.0), s)
+
     def test_smooth_fields_integrate_to_tight_tolerance(self):
         for density in (GaussianBump(3.0, 0.6, 0.25), LogisticStep(10.0, 40.0, 1.0)):
             segment = RaySegment(0.0, 2.0)
@@ -451,6 +494,8 @@ class TestKsStatistic:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             ks_statistic(np.array([0.3, 0.1]), lambda v: v)
+        with pytest.raises(ValueError, match="sorted"):
+            ks_statistic(np.array([0.1, np.nan]), lambda v: v)
 
     def test_critical_value_formula(self):
         assert ks_critical(100_000) == pytest.approx(1.36 / np.sqrt(100_000))
@@ -471,3 +516,5 @@ class TestConvergenceSlope:
             convergence_slope(np.c_[n, 1.0 / n])  # too few points
         with pytest.raises(ValueError):
             convergence_slope(np.array([[8.0, 0.0], [16.0, 1.0], [32.0, 1.0], [64.0, 1.0]]))
+        with pytest.raises(ValueError, match="positive"):
+            convergence_slope(np.array([[8.0, 1.0], [16.0, np.nan], [32.0, 1.0], [64.0, 1.0]]))

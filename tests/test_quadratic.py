@@ -55,6 +55,8 @@ class TestQuadEval:
             quad_eval(patch, -0.1)
         with pytest.raises(ValueError):
             quad_eval(patch, 2.1)
+        with pytest.raises(ValueError, match="outside the patch"):
+            quad_eval(PATHOLOGICAL_PATCH, np.nan)
 
 
 class TestSubintervalIntegrals:

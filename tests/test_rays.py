@@ -129,6 +129,12 @@ class TestFarConvention:
         assert out.values[-1] == OPAQUE
         np.testing.assert_array_equal(out.values[1:-1], [3.0, 4.0])
 
+    @pytest.mark.parametrize("convention", ["bogus", None, "opaque_far"])
+    def test_rejects_anything_but_opaque_far(self, convention):
+        trace = OpacityTrace(np.array([0.5, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="far convention"):
+            apply_far_convention(trace, convention)
+
 
 class TestColorTrace:
     def test_rejects_out_of_range_channels(self):

@@ -63,6 +63,8 @@ class TestSurrogateSampler:
             cdf.surrogate_sample(-0.1)
         with pytest.raises(ValueError):
             cdf.surrogate_sample(1.0)
+        with pytest.raises(ValueError, match="lie in"):
+            cdf.surrogate_sample(np.nan)
 
     def test_monotone_in_draw(self, rng):
         grid, tau = random_instance(rng, convention=FarConvention.OPAQUE_FAR)
@@ -109,6 +111,8 @@ class TestCdfEval:
             cdf.cdf_eval(-0.01)
         with pytest.raises(ValueError):
             cdf.cdf_eval(2.01)
+        with pytest.raises(ValueError, match="outside the ray segment"):
+            cdf.cdf_eval(np.nan)
 
 
 class TestPreciseSampler:
@@ -162,14 +166,16 @@ class TestPreciseSampler:
             assert np.all(s >= pts[k] - 1e-12)
             assert np.all(s <= pts[k + 1] + 1e-12)
 
-    def test_near_unit_draw_clamps_to_far_with_flag(self):
+    def test_near_unit_draw_clamps_to_far(self):
         # The opaque far plane gives the steep ray unit mass, so only the
         # ``1 - EPS_UNIT`` bound clamps its draw below 1.
         steep = ContinuousRayCdf(*fixtures.steep_sampler_fixture())
         for cdf in (linear_cdf_simple(), steep):
             for u in (1.0 - 1e-13, 1.0):
-                value, clamped = cdf.precise_sample(u, return_clamped=True)
-                assert clamped and value == cdf.grid.segment.far
+                assert cdf.precise_sample(u) == cdf.grid.segment.far
+            np.testing.assert_array_equal(
+                cdf.precise_sample(np.array([1.0 - 1e-13, 1.0])), cdf.grid.segment.far
+            )
 
     def test_rejects_invalid_draws(self):
         cdf = linear_cdf_simple()
@@ -177,6 +183,10 @@ class TestPreciseSampler:
             cdf.precise_sample(-0.2)
         with pytest.raises(ValueError):
             cdf.precise_sample(1.2)
+        # NaN fails at the boundary, not inside the inverse; 1.0 is valid.
+        for u in (np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                cdf.precise_sample(u)
 
     def test_requires_floored_opacity(self):
         grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
