@@ -71,14 +71,6 @@ def single_bin_fixture() -> tuple[SampleGrid, OpacityTrace]:
     return grid, tau
 
 
-def wall_distribution(
-    model: ModelKind, grid: SampleGrid
-) -> tuple[quadrature.RayDistribution, OpacityTrace]:
-    """Opaque-far distribution of the shift-scene wall on ``grid``."""
-    tau, _ = opaque_trace(shift_scene(), grid)
-    return quadrature.interval_pmf(model, grid, tau), tau
-
-
 def gradient_instance(rng) -> tuple[SampleGrid, np.ndarray, np.ndarray]:
     """A random small grid with opacity values and one color per interval.
 

@@ -46,7 +46,10 @@ def _interval_colors(colors) -> np.ndarray:
         if colors.channels != 1:
             raise ValueError("select a single color channel for gradients")
         return colors.values[:, 0]
-    return np.asarray(colors, dtype=np.float64)
+    c = np.asarray(colors, dtype=np.float64)
+    if not np.isfinite(c).all():
+        raise ValueError("colors must be finite")
+    return c
 
 
 def grad_render_wrt_tau(
@@ -58,7 +61,9 @@ def grad_render_wrt_tau(
     """Exact partials of the rendered scalar w.r.t. every opacity value.
 
     Returns one partial per grid point (length n + 2).  Under the constant
-    model the far-bound opacity never enters, so its partial is zero.  The
+    model the far-bound opacity never enters, so its partial is zero.
+    Array ``colors`` may be any finite weights, such as interval midpoints
+    for a depth gradient; a NaN or infinite one raises ValueError.  The
     transmittance comes from ``interval_pmf``, which validates the model
     and the trace, and returns the distribution already kept on ``tau`` for
     this model and grid rather than building it again.

@@ -25,11 +25,12 @@ run bit for bit.
 A batch makes one ``tau`` and one ``color`` call per engine level for
 each group of same-class profiles (``fields._by_ray``), not one per
 ray, and looks up every point's cumulative opacity in one search over
-all rays' flattened tables.  Each refinement round builds the tables of
-all unsettled rays in one tabulation (``_tabulate``, of which a single
-``CumulativeOpacityTable`` is the one-ray case).  Every value is
-elementwise in its own ray's parameters, and every sum runs over one
-ray in the order of a single-ray run.
+all rays' flattened tables.  ``_base``, the one panel builder, splits
+the segment at field breakpoints for tables and render tasks alike;
+``_tabulate``, the one table builder, makes every table, all unsettled
+rays of a refinement round in one call.  Every value is elementwise in
+its own ray's parameters, and every sum runs over one ray in the order
+of a single-ray run.
 
 Field evaluations that land exactly on a panel edge are nudged one ulp
 into the panel, so piecewise integrands are integrated with one-sided
@@ -43,13 +44,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .fields import (
-    AnalyticField,
-    ConstantSlab,
-    DensityProfile,
-    LinearRamp,
-    _by_ray,
-)
+from .fields import AnalyticField, DensityProfile, _by_ray
 from .rays import RaySegment
 
 _MAX_DEPTH = 48
@@ -182,7 +177,7 @@ def _hermite(s, idx, left, cumulative, d0, a2, a3) -> np.ndarray:
 
 
 def _base(density: DensityProfile, segment: RaySegment, extra_breaks=None) -> np.ndarray:
-    """Base panel edges: the segment split at the density's breakpoints."""
+    """The one panel builder: the segment split at the density's and the extra breakpoints."""
     breaks = density.breakpoints()
     if extra_breaks is not None:
         breaks = np.concatenate([breaks, np.asarray(extra_breaks, dtype=np.float64)])
@@ -193,12 +188,13 @@ def _base(density: DensityProfile, segment: RaySegment, extra_breaks=None) -> np
 class CumulativeOpacityTable:
     """Dense tabulation of the cumulative opacity with Hermite interpolation.
 
-    The segment is split at the density's breakpoints and each base panel
-    into ``n_sub`` sub-panels.  Per sub-panel the opacity integral comes
-    from a refined Simpson pair with Richardson correction; the cumulative
-    values and the one-sided endpoint opacities then define one cubic
-    Hermite piece per sub-panel.  A table is the one-ray case of
-    ``_tabulate``, which builds the tables of many rays at once.
+    The segment is split at the density's breakpoints (``_base``, the one
+    panel builder) and each base panel into ``n_sub`` sub-panels.  Per
+    sub-panel the opacity integral comes from a refined Simpson pair with
+    Richardson correction; the cumulative values and the one-sided
+    endpoint opacities then define one cubic Hermite piece per sub-panel.
+    ``_tabulate``, the one table builder, makes every table; this
+    constructor is its one-ray case.
     """
 
     def __init__(
@@ -208,14 +204,8 @@ class CumulativeOpacityTable:
         extra_breaks: np.ndarray | None = None,
         n_sub: int = 64,
     ):
-        _tabulate([self._plan(density, segment, _base(density, segment, extra_breaks), n_sub)])
-
-    def _plan(self, density, segment, base, n_sub) -> "CumulativeOpacityTable":
-        self.density, self.segment, self.base = density, segment, base
-        # Piecewise constant/linear densities are tabulated exactly with a
-        # single Simpson panel per base panel.
-        self.n_sub = 1 if _is_exact_class(density) else n_sub
-        return self
+        base = _base(density, segment, extra_breaks)
+        vars(self).update(vars(_tabulate([density], segment, [base], [n_sub])[0]))
 
     def cumulative(self, s):
         """Cumulative opacity from the near bound to ``s`` (vectorized)."""
@@ -232,48 +222,48 @@ class CumulativeOpacityTable:
         return _refined([self])[0]
 
 
-def _tables(densities, segment: RaySegment, n_sub: int = 64) -> list:
-    """``CumulativeOpacityTable(d, segment, n_sub=n_sub)`` for every density, in one build."""
-    blank = [object.__new__(CumulativeOpacityTable) for _ in densities]
-    return _tabulate([b._plan(d, segment, _base(d, segment), n_sub) for b, d in zip(blank, densities)])
+def _tables(densities, segment: RaySegment) -> list:
+    """``CumulativeOpacityTable(d, segment)`` for every density, in one build."""
+    bases = [_base(d, segment) for d in densities]
+    return _tabulate(densities, segment, bases, [64] * len(bases))
 
 
 def _refined(tables) -> list:
     """``t.refined()`` for every table, in one build: the same base panels
     with twice the sub-panels."""
-    blank = [object.__new__(CumulativeOpacityTable) for _ in tables]
-    return _tabulate(
-        [b._plan(t.density, t.segment, t.base, 2 * t.n_sub) for b, t in zip(blank, tables)]
-    )
+    densities, bases = [t.density for t in tables], [t.base for t in tables]
+    return _tabulate(densities, tables[0].segment, bases, [2 * t.n_sub for t in tables])
 
 
-def _tabulate(tables: list) -> list:
-    """Build each planned table (density, segment, base, n_sub) in one pass.
+def _tabulate(densities, segment: RaySegment, bases, counts) -> list:
+    """The one table builder: the ``CumulativeOpacityTable`` of each density
+    over its base panels, ``counts`` sub-panels per base panel, in one pass.
 
-    One linspace per distinct sub-panel count and one ``tau`` call per
-    group of density profiles cover every table; each table's cumulative
-    sum and error sum stay its own, so every table matches its one-ray
-    build bit for bit.
+    Piecewise constant/linear densities are tabulated exactly with one
+    sub-panel per base panel.  One linspace per distinct sub-panel count
+    and one ``tau`` call per group of density profiles cover every table;
+    each table's cumulative sum and error sum stay its own, so every table
+    matches its one-ray build bit for bit.
     """
-    counts = [t.n_sub for t in tables]
-    stops = list(accumulate(k * (t.base.size - 1) for k, t in zip(counts, tables)))
+    counts = [1 if _is_exact_class(d) else k for d, k in zip(densities, counts)]
+    stops = list(accumulate(k * (b.size - 1) for k, b in zip(counts, bases)))
     starts = [0] + stops[:-1]
     # Left edge of every sub-panel, in table then base panel order.
     left = np.empty(stops[-1])
     for k in set(counts):
         members = [r for r, c in enumerate(counts) if c == k]
-        lo = np.concatenate([tables[r].base[:-1] for r in members])
-        hi = np.concatenate([tables[r].base[1:] for r in members])
+        lo = np.concatenate([bases[r][:-1] for r in members])
+        hi = np.concatenate([bases[r][1:] for r in members])
         at = slice(None)
-        if len(members) < len(tables):
+        if len(members) < len(bases):
             at = np.concatenate([np.arange(starts[r], stops[r]) for r in members])
         left[at] = np.linspace(lo, hi, k + 1)[:-1].T.ravel()
     # A sub-panel ends where the next starts (linspace starts each base
     # panel exactly at its left base edge); each table's last ends at far.
     right = np.empty_like(left)
     right[:-1] = left[1:]
-    for t, j in zip(tables, stops):
-        right[j - 1] = t.base[-1]
+    for b, j in zip(bases, stops):
+        right[j - 1] = b[-1]
     widths = right - left
 
     # One-sided endpoint opacities: one ulp inside each sub-panel.
@@ -282,8 +272,8 @@ def _tabulate(tables: list) -> list:
     q1 = left + 0.25 * widths
     mid = left + 0.50 * widths
     q3 = left + 0.75 * widths
-    ray = np.repeat(np.arange(len(tables)), [j - i for i, j in zip(starts, stops)])
-    tau = _by_ray([t.density for t in tables], "tau")
+    ray = np.repeat(np.arange(len(bases)), [j - i for i, j in zip(starts, stops)])
+    tau = _by_ray(densities, "tau")
     f0, f1, fq1, fmid, fq3 = tau(
         np.concatenate([left_in, right_in, q1, mid, q3]), np.tile(ray, 5)
     ).reshape(5, -1)
@@ -293,10 +283,11 @@ def _tabulate(tables: list) -> list:
     err = (fine - coarse) / 15.0
     panel = fine + err
     abs_err = np.abs(err)
-
     dO = np.empty_like(panel)
-    for t, i, j in zip(tables, starts, stops):
-        t.edges = np.concatenate((left[i:j], t.base[-1:]))
+    tables = [object.__new__(CumulativeOpacityTable) for _ in bases]
+    for t, d, b, k, i, j in zip(tables, densities, bases, counts, starts, stops):
+        t.density, t.segment, t.base, t.n_sub = d, segment, b, k
+        t.edges = np.concatenate((left[i:j], b[-1:]))
         t.cumulative_at_edges = cum = np.empty(j - i + 1)
         cum[0] = 0.0
         np.cumsum(panel[i:j], out=cum[1:])
@@ -326,9 +317,6 @@ def _flat_cumulative(tables):
     search over every ray's interior edges, with the index each table's
     own ``cumulative`` finds, and the Hermite cubic runs once for all.
     """
-    if len(tables) == 1:
-        cumulative = tables[0].cumulative
-        return lambda x, ray: cumulative(x)
     interior = [t.edges[1:-1] for t in tables]
     keys = _ray_keys(
         np.repeat(np.arange(len(tables)), [e.size for e in interior]), np.concatenate(interior)
@@ -354,10 +342,7 @@ def _render_rays(fields, segment: RaySegment, tables, tol: float, weight=None, i
     call, one task per (ray, panel, channel).  Returns (value, error, evaluations)
     per ray; the lowest-index ray failing at the depth limit raises, named by ``ids``."""
     channels = fields[0].color.channels
-    bases = [
-        np.unique(np.concatenate([t.base, f.color.breakpoints().clip(segment.near, segment.far)]))
-        for f, t in zip(fields, tables)
-    ]
+    bases = [_base(f.density, segment, f.color.breakpoints()) for f in fields]
     lo = np.repeat(np.concatenate([b[:-1] for b in bases]), channels)
     hi = np.repeat(np.concatenate([b[1:] for b in bases]), channels)
     n_tasks = [channels * (b.size - 1) for b in bases]
@@ -526,26 +511,6 @@ def true_mean_termination(
     return float(_refine_until_stable([field.density], segment, tol, once)[0, 0])
 
 
-def slab_transmittance(slab: ConstantSlab, segment: RaySegment, s) -> np.ndarray:
-    """Closed-form transmittance for a constant slab: exp(-tau0 * overlap)."""
-    s = np.asarray(s, dtype=np.float64)
-    overlap = np.clip(np.minimum(s, slab.end) - max(segment.near, slab.start), 0.0, None)
-    return np.exp(-slab.tau0 * overlap)
-
-
-def ramp_transmittance(ramp: LinearRamp, segment: RaySegment, s) -> np.ndarray:
-    """Closed-form transmittance for a linear ramp spanning the segment.
-
-    Valid when [near, s] lies inside the ramp's [start, end] range, where
-    the cumulative opacity is the exact trapezoid.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if not (segment.near >= ramp.start and (s <= ramp.end).all()):
-        raise ValueError("closed form requires the query range inside the ramp")
-    depth = 0.5 * (ramp.tau(segment.near) + ramp.tau(s)) * (s - segment.near)
-    return np.exp(-depth)
-
-
 def ks_statistic(samples: np.ndarray, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic of sorted samples against cdf."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -553,8 +518,12 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
         raise ValueError("need a one-dimensional sample array")
     if not (np.diff(samples) >= 0).all():
         raise ValueError("samples must be sorted ascending")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
     n = samples.size
     f = np.asarray(cdf(samples), dtype=np.float64)
+    if not np.isfinite(f).all():
+        raise ValueError("CDF values must be finite")
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1) / n)
@@ -573,7 +542,7 @@ def convergence_slope(errors) -> float:
     pairs = np.asarray(errors, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 4:
         raise ValueError("need at least four (N, error) pairs")
-    if not (pairs > 0).all():
-        raise ValueError("sample counts and errors must be positive")
+    if not ((pairs > 0) & np.isfinite(pairs)).all():
+        raise ValueError("sample counts and errors must be positive and finite")
     slope, _ = np.polyfit(np.log(pairs[:, 0]), np.log(pairs[:, 1]), 1)
     return float(slope)

@@ -91,6 +91,20 @@ class TestRenderGradient:
         with pytest.raises(ValueError):
             grad_render_wrt_tau(ModelKind.LINEAR, grid, tau, colors[:-1])
 
+    def test_array_colors_must_be_finite(self, rng):
+        grid, tau, colors = moderate_instance(rng)
+        for bad in (np.nan, np.inf):
+            colors[-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                grad_render_wrt_tau(ModelKind.LINEAR, grid, tau, colors)
+
+    def test_array_colors_may_be_any_finite_weights(self, rng):
+        # Interval midpoints as weights give the gradient of the expected depth.
+        grid, tau, _ = moderate_instance(rng)
+        midpoints = 0.5 * (grid.points[:-1] + grid.points[1:]) + 5.0
+        grad = grad_render_wrt_tau(ModelKind.LINEAR, grid, tau, midpoints)
+        assert np.isfinite(grad).all()
+
 
 class TestSampleGradient:
     def test_matches_central_differences(self, rng):

@@ -44,8 +44,6 @@ from rayquad.oracle import (
     _refined,
     _render_rays,
     _tables,
-    ramp_transmittance,
-    slab_transmittance,
 )
 
 from conftest import random_instance
@@ -369,7 +367,10 @@ class TestBatchedTabulation:
         densities = [f.density for f in _render_command_rays()] + [
             load_scene(path)[0].density for path in sorted(SCENES.glob("*.json"))
         ]
-        batched = _tables(densities, self.segment, n_sub)
+        # 128 and 256 sub-panels are reached by refining the 64-panel build.
+        batched = _tables(densities, self.segment)
+        for _ in range(int(np.log2(n_sub // 64))):
+            batched = _refined(batched)
         for table, density in zip(batched, densities):
             self._assert_same(table, CumulativeOpacityTable(density, self.segment, n_sub=n_sub))
         for table, density in zip(_refined(batched), densities):
@@ -422,6 +423,26 @@ class TestTrueRender:
         oracle = true_interval_probabilities(field, grid.segment, grid.points, rtol=1e-12)
         rel = np.abs(dist.pmf - oracle) / np.maximum(np.abs(oracle), 1e-300)
         assert rel.max() < 1e-9
+
+
+def slab_transmittance(slab, segment, s):
+    """Closed-form transmittance for a constant slab: exp(-tau0 * overlap)."""
+    s = np.asarray(s, dtype=np.float64)
+    overlap = np.clip(np.minimum(s, slab.end) - max(segment.near, slab.start), 0.0, None)
+    return np.exp(-slab.tau0 * overlap)
+
+
+def ramp_transmittance(ramp, segment, s):
+    """Closed-form transmittance for a linear ramp spanning the segment.
+
+    Valid when [near, s] lies inside the ramp's [start, end] range, where
+    the cumulative opacity is the exact trapezoid.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if not (segment.near >= ramp.start and (s <= ramp.end).all()):
+        raise ValueError("closed form requires the query range inside the ramp")
+    depth = 0.5 * (ramp.tau(segment.near) + ramp.tau(s)) * (s - segment.near)
+    return np.exp(-depth)
 
 
 class TestClosedFormTransmittances:
@@ -497,6 +518,16 @@ class TestKsStatistic:
         with pytest.raises(ValueError, match="sorted"):
             ks_statistic(np.array([0.1, np.nan]), lambda v: v)
 
+    def test_rejects_non_finite_samples(self):
+        # One sample gives the sort check no pair to compare.
+        for samples in ([np.nan], [np.inf], [0.2, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                ks_statistic(np.array(samples), lambda v: v)
+
+    def test_rejects_non_finite_cdf_values(self):
+        with pytest.raises(ValueError, match="finite"):
+            ks_statistic(np.array([0.2, 0.4]), lambda v: np.full_like(v, np.nan))
+
     def test_critical_value_formula(self):
         assert ks_critical(100_000) == pytest.approx(1.36 / np.sqrt(100_000))
         with pytest.raises(ValueError):
@@ -518,3 +549,8 @@ class TestConvergenceSlope:
             convergence_slope(np.array([[8.0, 0.0], [16.0, 1.0], [32.0, 1.0], [64.0, 1.0]]))
         with pytest.raises(ValueError, match="positive"):
             convergence_slope(np.array([[8.0, 1.0], [16.0, np.nan], [32.0, 1.0], [64.0, 1.0]]))
+        # An infinite error passes a positivity check; a NaN count must fail too.
+        infinite_error = [[8, 1], [16, np.inf], [32, 1], [64, 1]]
+        for pairs in (infinite_error, [[8, 1], [np.nan, 1], [32, 1], [64, 1]]):
+            with pytest.raises(ValueError, match="finite"):
+                convergence_slope(pairs)

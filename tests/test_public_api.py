@@ -6,12 +6,18 @@ classes.  The names are listed here rather than read from the benchmark,
 so a deletion or rename fails this test instead of a benchmark run.
 """
 
+import ast
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
 import rayquad
 import rayquad.cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = ROOT / "src" / "rayquad"
 
 # Names the ray and suite workloads call on ``rayquad``.
 WORKLOAD_NAMES = (
@@ -89,3 +95,38 @@ def test_opacity_table_surface():
     assert isinstance(table.tab_error, float)
     assert isinstance(table.total, float)
     assert isinstance(table.refined(), table_cls)
+
+
+def _module_level_definitions(tree):
+    """Public functions, classes and constants a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def _public_definitions():
+    for path in sorted(SOURCES.glob("*.py")):
+        for name in _module_level_definitions(ast.parse(path.read_text())):
+            yield pytest.param(path, name, id=f"{path.stem}.{name}")
+
+
+@pytest.mark.parametrize("module, name", _public_definitions())
+def test_public_name_is_used_outside_tests(module, name):
+    # A public name that only tests reach belongs in the tests.  Its own
+    # module counts by the code that reads it; every other library module,
+    # the benchmark, the demos and the docs count by any mention.
+    loads = (n for n in ast.walk(ast.parse(module.read_text())) if isinstance(n, ast.Name))
+    if any(n.id == name and isinstance(n.ctx, ast.Load) for n in loads):
+        return
+    texts = [p.read_text() for p in sorted(SOURCES.glob("*.py")) if p != module]
+    for pattern in ("bench/*.py", "demos/*.py", "README.md", "docs/**/*"):
+        texts += [p.read_text() for p in sorted(ROOT.glob(pattern)) if p.is_file()]
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    assert any(word.search(text) for text in texts), f"{module.stem}.{name} is used only by tests"

@@ -16,10 +16,17 @@ from rayquad import (
     make_uniform_grid,
 )
 from rayquad import fixtures
+from rayquad.fields import opaque_trace
 from rayquad.quadrature import RayDistribution
 from rayquad.sampling import _stratified_unit_samples
 
 from conftest import random_instance
+
+
+def wall_distribution(model, grid):
+    """Opaque-far distribution of the shift-scene wall on ``grid``."""
+    tau, _ = opaque_trace(fixtures.shift_scene(), grid)
+    return interval_pmf(model, grid, tau), tau
 
 
 def rect_distribution():
@@ -247,7 +254,7 @@ class TestDistributionalCorrectness:
 class TestHierarchicalSampling:
     def test_default_budget_bounds_merged_size(self):
         grid = make_uniform_grid(fixtures.SHIFT_SEGMENT, 128)
-        _, tau = fixtures.wall_distribution(ModelKind.LINEAR, grid)
+        _, tau = wall_distribution(ModelKind.LINEAR, grid)
         cdf = ContinuousRayCdf(grid, tau)
         merged = hierarchical_samples(cdf, 64, seed=3)
         assert merged.n <= 192
@@ -255,7 +262,7 @@ class TestHierarchicalSampling:
 
     def test_deterministic_per_seed(self):
         grid = make_uniform_grid(fixtures.SHIFT_SEGMENT, 32)
-        _, tau = fixtures.wall_distribution(ModelKind.LINEAR, grid)
+        _, tau = wall_distribution(ModelKind.LINEAR, grid)
         cdf = ContinuousRayCdf(grid, tau)
         a = hierarchical_samples(cdf, 16, seed=5)
         b = hierarchical_samples(cdf, 16, seed=5)
@@ -272,13 +279,13 @@ class TestHierarchicalSampling:
 
     def test_surrogate_mode_uses_discrete_cdf(self):
         grid = make_uniform_grid(fixtures.SHIFT_SEGMENT, 32)
-        dist, _ = fixtures.wall_distribution(ModelKind.CONSTANT, grid)
+        dist, _ = wall_distribution(ModelKind.CONSTANT, grid)
         merged = hierarchical_samples(DiscreteRayCdf(grid, dist), 16, seed=2)
         assert merged.n <= 48
 
     def test_rejects_zero_fine_samples(self):
         grid = make_uniform_grid(fixtures.SHIFT_SEGMENT, 8)
-        dist, _ = fixtures.wall_distribution(ModelKind.CONSTANT, grid)
+        dist, _ = wall_distribution(ModelKind.CONSTANT, grid)
         with pytest.raises(ValueError):
             hierarchical_samples(DiscreteRayCdf(grid, dist), 0, seed=2)
 
