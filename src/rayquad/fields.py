@@ -38,6 +38,7 @@ from .rays import (
     OpacityTrace,
     RaySegment,
     SampleGrid,
+    _Adopted,
     _frozen,
     apply_far_convention,
     floor_opacity,
@@ -166,11 +167,19 @@ class LogisticStep(DensityProfile):
 
     def tau(self, s):
         s = np.asarray(s, dtype=np.float64)
-        # exp of the negated |argument| only, so large z cannot overflow
-        z = self.steepness * (s - self.center)
-        e = np.exp(-np.abs(z))
-        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return self.amplitude * sig
+        # exp of the negated |argument| only, so large z cannot overflow.  Step
+        # for step as amplitude * where(z >= 0, 1 / (1 + e), e / (1 + e)).
+        z = np.subtract(s, self.center, out=np.empty(np.broadcast(s, self.center).shape))
+        z *= self.steepness
+        e = np.abs(z, out=np.empty_like(z))
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        rising = z >= 0
+        denom = np.add(e, 1.0, out=z)
+        np.divide(e, denom, out=e)
+        np.divide(1.0, denom, out=e, where=rising)
+        e *= self.amplitude
+        return e if e.ndim else e[()]
 
 
 @dataclass(frozen=True)
@@ -473,10 +482,11 @@ def _shifted_grid(grid: SampleGrid, offset: float) -> SampleGrid:
     gaps = grid.widths
     if not 0.0 <= offset < gaps.min():
         raise ValueError(f"offset {offset} outside [0, min gap {gaps.min()})")
-    interior = grid.interior + offset
-    if interior[-1] >= grid.segment.far:
+    pts = np.empty(grid.points.size)
+    np.add(grid.interior, offset, out=pts[1:-1])
+    if pts[-2] >= grid.segment.far:
         raise ValueError("shifted samples must stay inside the segment")
-    return SampleGrid(interior=interior, segment=grid.segment)
+    return SampleGrid(interior=_Adopted(pts), segment=grid.segment)
 
 
 def shift_sweep(

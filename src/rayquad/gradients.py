@@ -79,22 +79,26 @@ def grad_render_wrt_tau(
     # u[k] = d y / d T_k for k = 1..n+1 (k = 0 has T_0 fixed at 1).
     u = np.empty(n_pts)
     u[0] = 0.0
-    u[1:-1] = (c[1:] - c[:-1]) * trans[1:-1]
+    np.subtract(c[1:], c[:-1], out=u[1:-1])
+    u[1:-1] *= trans[1:-1]
     u[-1] = -c[-1] * trans[-1]
 
     # suffix[m] = sum_{k >= m} u[k]; suffix[n_pts] = 0.
     suffix = np.zeros(n_pts + 1)
-    suffix[:-1] = np.cumsum(u[::-1])[::-1]
+    np.cumsum(u[::-1], out=suffix[-2::-1])
 
     grad = np.zeros(n_pts)
     if model is ModelKind.CONSTANT:
         # tau_m scales interval m, entering every T_k with k > m.
-        grad[:-1] = -widths * suffix[1:-1]
+        np.negative(widths, out=grad[:-1])
+        grad[:-1] *= suffix[1:-1]
     else:
         # Linear: tau_m enters interval m-1 (weight width/2) for T_k with
         # k >= m, and interval m (weight width/2) for T_k with k > m.
-        grad[1:] -= 0.5 * widths * suffix[1:-1]
-        grad[:-1] -= 0.5 * widths * suffix[1:-1]
+        step = np.multiply(0.5, widths, out=u[:-1])
+        step *= suffix[1:-1]
+        grad[1:] -= step
+        grad[:-1] -= step
     return grad
 
 
@@ -152,9 +156,10 @@ def grad_sample_wrt_tau(cdf: ContinuousRayCdf, u: float) -> SampleGradient:
 
     widths = cdf.grid.widths
     d_log_t = np.zeros(cdf.grid.n + 2)
-    d_log_t[:k] -= 0.5 * widths[:k]
-    d_log_t[1 : k + 1] -= 0.5 * widths[:k]
-    d_tau = dt_dq * d_log_t
+    half = 0.5 * widths[:k]
+    d_log_t[:k] -= half
+    d_log_t[1 : k + 1] -= half
+    d_tau = np.multiply(dt_dq, d_log_t, out=d_log_t)
     d_tau[k] += dt_dtau_direct - dt_da
     d_tau[k + 1] += dt_da
     # Built here, so it is frozen in place rather than copied in.

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import OPAQUE, ColorTrace, ModelKind, OpacityTrace, SampleGrid
+from .rays import OPAQUE, ColorTrace, ModelKind, OpacityTrace, SampleGrid, _Adopted, _frozen
 
 # Tolerance for the internal cross-check between the direct P_j formula and
 # the transmittance difference T_j - T_{j+1}; both are exact rearrangements.
@@ -54,13 +54,10 @@ class RayDistribution:
     cumulative: np.ndarray
 
     def __post_init__(self):
-        # Adopted, not copied through ``rays._frozen``: ``interval_pmf`` has
-        # just built these arrays.  On 65,536-sample rays, copying all four
-        # in each of a two-pass render's four builds would move about 8 MB.
+        # A caller's arrays are copied; ``interval_pmf`` adopts its own, as copying
+        # them in a 65,536-sample two-pass render's four builds moves about 8 MB.
         for name in ("log_transmittance", "transmittance", "pmf", "cumulative"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            _frozen(self, name)
         if self.pmf.size + 1 != self.transmittance.size:
             raise ValueError("pmf must have one entry per interval")
         for name in ("log_transmittance", "cumulative"):
@@ -107,37 +104,41 @@ def interval_pmf(
     # values, so the minimum decides.
     if t.min() < 0.0:
         raise ValueError("opacity must be nonnegative to build a ray distribution")
+    # Steps write into arrays already made, in the formulas' order, so the
+    # bits are theirs: on long rays a temporary costs more than arithmetic.
     if model is ModelKind.CONSTANT:
         depth = t[:-1] * grid.widths
         if t[-1] >= OPAQUE:
             depth[-1] = t[-2] * OPAQUE
     else:
-        depth = 0.5 * (t[:-1] + t[1:]) * grid.widths
-    # Prefix sums are written into place: on long rays a fresh temporary
-    # costs more than the arithmetic.
+        # depth = 0.5 * (t[:-1] + t[1:]) * grid.widths
+        depth = t[:-1] + t[1:]
+        depth *= 0.5
+        depth *= grid.widths
     log_t = np.zeros(depth.size + 1)
     np.cumsum(depth, out=log_t[1:])
     np.negative(log_t[1:], out=log_t[1:])
     trans = np.exp(log_t)
-    pmf = trans[:-1] * -np.expm1(-depth)
+    # pmf = trans[:-1] * -np.expm1(-depth), in the depth array.
+    pmf = np.negative(depth, out=depth)
+    np.expm1(pmf, out=pmf)
+    np.negative(pmf, out=pmf)
+    pmf *= trans[:-1]
 
     # max |T_j - T_{j+1} - P_j| <= atol is np.allclose with rtol=0: a NaN
-    # fails it, and neither side can be infinite.
-    gap = trans[:-1] - trans[1:]
+    # fails it, and neither side can be infinite.  The gap borrows ``cumulative``.
+    cumulative = np.zeros(pmf.size + 1)
+    gap = np.subtract(trans[:-1], trans[1:], out=cumulative[1:])
     gap -= pmf
-    if not np.max(np.abs(gap, out=gap)) <= _CROSSCHECK_ATOL:
+    if not np.abs(gap, out=gap).max() <= _CROSSCHECK_ATOL:
         raise ArithmeticError(
             "interval probabilities disagree with transmittance differences"
         )
 
-    cumulative = np.zeros(pmf.size + 1)
     np.cumsum(pmf, out=cumulative[1:])
     dist = RayDistribution(
-        model=model,
-        log_transmittance=log_t,
-        transmittance=trans,
-        pmf=pmf,
-        cumulative=cumulative,
+        model=model, log_transmittance=_Adopted(log_t), transmittance=_Adopted(trans),
+        pmf=_Adopted(pmf), cumulative=_Adopted(cumulative),
     )
     tau._dists[key] = (grid, dist)
     return dist
@@ -155,5 +156,6 @@ def render(dist: RayDistribution, colors: ColorTrace) -> np.ndarray:
 def expected_depth(dist: RayDistribution, grid: SampleGrid) -> float:
     """Expected ray termination distance, each interval's mass at its midpoint."""
     pts = grid.points
-    mids = 0.5 * (pts[:-1] + pts[1:])
+    mids = pts[:-1] + pts[1:]
+    mids *= 0.5
     return float(dist.pmf @ mids)

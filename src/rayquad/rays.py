@@ -8,14 +8,17 @@ and all containers are immutable after construction.
 
 ``_frozen`` is the one intake of a caller's array into an immutable value:
 it copies the array, so the caller's own is never shared or frozen, rejects
-any non-finite entry, and stores the copy read-only.  Each class then checks
-its own shape, sign, order and range.
+any non-finite entry, and stores the copy read-only.  An array the library
+has just built is passed as ``_Adopted(array)`` and frozen in place after
+the same checks; a profile's output is copied, as the profile may keep it.
+Each class checks its own shape, sign, order and range on either path.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,14 +49,22 @@ class FarConvention(enum.Enum):
     OPAQUE_FAR = "opaque_far"
 
 
+class _Adopted(NamedTuple):
+    """A float64 array the library has just built and gives up."""
+
+    array: np.ndarray
+
+
 def _frozen(owner, name: str, ndmin: int = 1) -> np.ndarray:
-    """Store array field ``name`` of the frozen dataclass ``owner`` as a
-    read-only float64 copy with at least ``ndmin`` axes; return the copy.
+    """Store array field ``name`` of the frozen dataclass ``owner`` read-only: a
+    float64 copy with at least ``ndmin`` axes, or an ``_Adopted`` array as is.
 
     Raises ValueError naming the field if any entry is NaN or infinite.
     """
-    out = np.array(getattr(owner, name), dtype=np.float64, ndmin=ndmin)
-    if not np.isfinite(out).all():
+    out = getattr(owner, name)
+    out = out.array if isinstance(out, _Adopted) else np.array(out, dtype=np.float64, ndmin=ndmin)
+    # count_nonzero: half the cost of ``.all()`` on a short ray.
+    if np.count_nonzero(np.isfinite(out)) != out.size:
         raise ValueError(f"{type(owner).__name__}.{name} must be finite")
     out.setflags(write=False)
     object.__setattr__(owner, name, out)
@@ -93,13 +104,18 @@ class SampleGrid:
     segment: RaySegment
 
     def __post_init__(self):
-        # Not through ``_frozen``: the points and widths are built fresh
-        # here, and a NaN fails the strictly-increasing check.
-        interior = np.atleast_1d(np.asarray(self.interior, dtype=np.float64))
-        if interior.ndim != 1 or interior.size < 1:
+        # Not through ``_frozen``: a caller's interior is copied into fresh points,
+        # library code passes whole ``_Adopted`` points (bounds set here), and a
+        # NaN fails the strictly-increasing check.
+        if isinstance(self.interior, _Adopted):
+            pts = self.interior.array
+        else:
+            interior = np.atleast_1d(np.asarray(self.interior, dtype=np.float64))
+            pts = np.concatenate(([0.0], interior, [0.0])) if interior.ndim == 1 else interior
+        if pts.ndim != 1 or pts.size < 3:
             raise ValueError("grid needs at least one interior sample")
-        pts = np.concatenate(([self.segment.near], interior, [self.segment.far]))
-        widths = np.diff(pts)
+        pts[0], pts[-1] = self.segment.near, self.segment.far
+        widths = pts[1:] - pts[:-1]
         if not (widths > 0).all():
             raise ValueError("grid points must be strictly increasing between near and far")
         pts.setflags(write=False)
@@ -172,14 +188,14 @@ def make_uniform_grid(segment: RaySegment, n: int) -> SampleGrid:
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     pts = np.linspace(segment.near, segment.far, n + 2)
-    return SampleGrid(interior=pts[1:-1], segment=segment)
+    return SampleGrid(interior=_Adopted(pts), segment=segment)
 
 
 def floor_opacity(trace: OpacityTrace) -> OpacityTrace:
     """Clamp interior opacities up to ``EPS_OPACITY``; boundary entries pass through."""
-    values = np.array(trace.values)
-    values[1:-1] = np.maximum(values[1:-1], EPS_OPACITY)
-    return OpacityTrace(values)
+    values = trace.values.copy()
+    np.maximum(values[1:-1], EPS_OPACITY, out=values[1:-1])
+    return OpacityTrace(_Adopted(values))
 
 
 def apply_far_convention(
@@ -188,7 +204,7 @@ def apply_far_convention(
     """Zero the near-bound opacity and set the far bound to ``OPAQUE`` (``OPAQUE_FAR``)."""
     if convention is not FarConvention.OPAQUE_FAR:
         raise ValueError(f"unknown far convention {convention!r}")
-    values = np.array(trace.values)
+    values = trace.values.copy()
     values[0] = 0.0
     values[-1] = OPAQUE
-    return OpacityTrace(values)
+    return OpacityTrace(_Adopted(values))

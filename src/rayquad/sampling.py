@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .rays import ModelKind, OpacityTrace, SampleGrid
+from .rays import ModelKind, OpacityTrace, SampleGrid, _Adopted
 
 # Draws above 1 - EPS_UNIT carry no invertible information and are clamped
 # to the far bound.
@@ -208,9 +208,15 @@ def hierarchical_samples(
     hi = np.nextafter(seg.far, -np.inf)
     fine = np.clip(fine, lo, hi)
 
-    merged = np.sort(np.concatenate([cdf.grid.interior, fine]))
-    keep = np.concatenate(([True], np.diff(merged) > MERGE_TOL))
-    # Also drop fine samples that collide with the segment bounds.
-    merged = merged[keep]
-    merged = merged[(merged - seg.near > MERGE_TOL) & (seg.far - merged > MERGE_TOL)]
-    return SampleGrid(interior=merged, segment=seg)
+    # Merged between the segment bounds, so one mask makes the point array.
+    merged = np.concatenate(([seg.near], cdf.grid.interior, fine, [seg.far]))
+    samples = merged[1:-1]
+    samples.sort()
+    # Drop samples within MERGE_TOL of the one before or of a bound.
+    gap = samples - merged[:-2]
+    keep = np.ones(merged.size, dtype=bool)
+    np.greater(gap, MERGE_TOL, out=keep[1:-1])
+    keep[1:-1] &= np.subtract(samples, seg.near, out=gap) > MERGE_TOL
+    keep[1:-1] &= np.subtract(seg.far, samples, out=gap) > MERGE_TOL
+    del gap  # freed before the grid builds its widths
+    return SampleGrid(interior=_Adopted(merged[keep]), segment=seg)

@@ -1,0 +1,266 @@
+"""Long rays: every kernel that works in place gives, bit for bit, what
+its plain formula gives, and builds no more full-length arrays than it
+keeps.
+
+The references below are the formulas written out as expressions, one
+fresh array per step.  The allocation guards measure the peak of traced
+memory during one call at N = 65,536 interior samples, in units of one
+(N + 2)-entry float64 array.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rayquad import (
+    OPAQUE,
+    ContinuousRayCdf,
+    DiscreteRayCdf,
+    FarConvention,
+    GrazingRig,
+    ModelKind,
+    OpacityTrace,
+    RayDistribution,
+    RaySegment,
+    SampleGrid,
+    apply_far_convention,
+    expected_depth,
+    floor_opacity,
+    grad_render_wrt_tau,
+    grad_sample_wrt_tau,
+    hierarchical_samples,
+    interval_pmf,
+    make_uniform_grid,
+    sample_field,
+)
+from rayquad.fields import LogisticStep, _by_ray, _shifted_grid
+from rayquad.rays import EPS_OPACITY
+from rayquad.sampling import MERGE_TOL, _stratified_unit_samples
+
+N = 65_536
+UNIT = (N + 2) * 8
+MODELS = [ModelKind.CONSTANT, ModelKind.LINEAR]
+
+
+@pytest.fixture(scope="module")
+def ray():
+    """One grazing-wall ray of the long-ray benchmark on a 65,536-sample grid."""
+    rig = GrazingRig(
+        wall_amplitude=10.0, wall_steepness=40.0, wall_depth=1.0, angles=np.array([0.7])
+    )
+    field = rig.ray_field(0.7, 0.05)
+    grid = make_uniform_grid(RaySegment(0.0, 4.0), N)
+    raw, colors = sample_field(field, grid)
+    tau = apply_far_convention(floor_opacity(raw), FarConvention.OPAQUE_FAR)
+    return field, grid, raw, tau, colors
+
+
+def plain_tau(step, s):
+    s = np.asarray(s, dtype=np.float64)
+    z = step.steepness * (s - step.center)
+    e = np.exp(-np.abs(z))
+    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return step.amplitude * sig
+
+
+def plain_interval_pmf(model, grid, t):
+    if model is ModelKind.CONSTANT:
+        depth = t[:-1] * grid.widths
+        if t[-1] >= OPAQUE:
+            depth[-1] = t[-2] * OPAQUE
+    else:
+        depth = 0.5 * (t[:-1] + t[1:]) * grid.widths
+    log_t = np.concatenate(([0.0], -np.cumsum(depth)))
+    trans = np.exp(log_t)
+    pmf = trans[:-1] * -np.expm1(-depth)
+    return log_t, trans, pmf, np.concatenate(([0.0], np.cumsum(pmf)))
+
+
+def plain_merge(cdf, n_fine, seed):
+    u = np.minimum(_stratified_unit_samples(n_fine, seed), cdf.cumulative[-1] * (1.0 - 1e-15))
+    if isinstance(cdf, ContinuousRayCdf):
+        fine = cdf.precise_sample(u)
+    else:
+        fine = cdf.surrogate_sample(u)
+    seg = cdf.grid.segment
+    fine = np.clip(fine, np.nextafter(seg.near, np.inf), np.nextafter(seg.far, -np.inf))
+    merged = np.sort(np.concatenate([cdf.grid.interior, fine]))
+    merged = merged[np.concatenate(([True], np.diff(merged) > MERGE_TOL))]
+    merged = merged[(merged - seg.near > MERGE_TOL) & (seg.far - merged > MERGE_TOL)]
+    return np.concatenate(([seg.near], merged, [seg.far]))
+
+
+def plain_grad_render(model, grid, trans, c):
+    widths, n_pts = grid.widths, grid.n + 2
+    u = np.empty(n_pts)
+    u[0] = 0.0
+    u[1:-1] = (c[1:] - c[:-1]) * trans[1:-1]
+    u[-1] = -c[-1] * trans[-1]
+    suffix = np.zeros(n_pts + 1)
+    suffix[:-1] = np.cumsum(u[::-1])[::-1]
+    grad = np.zeros(n_pts)
+    if model is ModelKind.CONSTANT:
+        grad[:-1] = -widths * suffix[1:-1]
+    else:
+        grad[1:] -= 0.5 * widths * suffix[1:-1]
+        grad[:-1] -= 0.5 * widths * suffix[1:-1]
+    return grad
+
+
+def peak_units(call) -> float:
+    """Peak traced memory of ``call()`` in (N + 2)-float arrays; one call
+    first, so lazy imports and first-use set-up are not counted."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / UNIT
+    finally:
+        tracemalloc.stop()
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_interval_pmf(self, ray, model):
+        _, grid, _, tau, _ = ray
+        dist = interval_pmf(model, grid, OpacityTrace(tau.values))
+        want = plain_interval_pmf(model, grid, tau.values)
+        got = (dist.log_transmittance, dist.transmittance, dist.pmf, dist.cumulative)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        mids = 0.5 * (grid.points[:-1] + grid.points[1:])
+        assert expected_depth(dist, grid) == float(dist.pmf @ mids)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_gradients(self, ray, model):
+        _, grid, _, tau, colors = ray
+        trans = interval_pmf(model, grid, tau).transmittance
+        got = grad_render_wrt_tau(model, grid, tau, colors)
+        assert np.array_equal(got, plain_grad_render(model, grid, trans, colors.values[:, 0]))
+        assert np.array_equal(
+            grad_render_wrt_tau(model, grid, tau, grid.points[1:]),
+            plain_grad_render(model, grid, trans, grid.points[1:]),
+        )
+
+    def test_sample_gradient(self, ray):
+        _, grid, _, tau, _ = ray
+        cdf = ContinuousRayCdf(grid, tau)
+        u = 0.5 * cdf.cumulative[-1]
+        k, delta, q, root, denom, _ = (v[0] for v in cdf._invert(np.array([u])))
+        t = tau.values
+        a = t[k + 1] - t[k]
+        dt_da = -2.0 * q * q / (delta * root * denom * denom)
+        dt_dq = 2.0 / denom - 2.0 * q * a / (delta * root * denom * denom)
+        dt_dtau_direct = -2.0 * q * (1.0 + t[k] / root) / (denom * denom)
+        d_log_t = np.zeros(grid.n + 2)
+        d_log_t[:k] -= 0.5 * grid.widths[:k]
+        d_log_t[1 : k + 1] -= 0.5 * grid.widths[:k]
+        want = dt_dq * d_log_t
+        want[k] += dt_dtau_direct - dt_da
+        want[k + 1] += dt_da
+        got = grad_sample_wrt_tau(cdf, u)
+        assert got.bin == k
+        assert np.array_equal(got.d_tau, want)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_hierarchical_samples(self, ray, model):
+        _, grid, _, tau, _ = ray
+        if model is ModelKind.LINEAR:
+            cdf = ContinuousRayCdf(grid, tau)
+        else:
+            cdf = DiscreteRayCdf(grid, interval_pmf(model, grid, tau))
+        fine = hierarchical_samples(cdf, 1024, 7)
+        assert np.array_equal(fine.points, plain_merge(cdf, 1024, 7))
+
+    @pytest.mark.parametrize(
+        "interior, pmf",
+        [([5e-13, 0.5], [0.997, 1e-3, 1e-3]), ([0.5, 1.0 - 5e-13], [1e-3, 1e-3, 0.997])],
+        ids=["near", "far"],
+    )
+    def test_merge_drops_collisions(self, interior, pmf):
+        # Nearly all the mass in a bin narrower than MERGE_TOL at one bound:
+        # the fine samples collide with each other, the bin's grid point
+        # and that bound.
+        grid = SampleGrid(np.array(interior), RaySegment(0.0, 1.0))
+        cumulative = np.concatenate(([0.0], np.cumsum(pmf)))
+        trans = 1.0 - cumulative
+        dist = RayDistribution(ModelKind.CONSTANT, np.log(trans), trans, np.array(pmf), cumulative)
+        cdf = DiscreteRayCdf(grid, dist)
+        fine = hierarchical_samples(cdf, 64, 3)
+        assert fine.n < grid.n + 64
+        assert np.array_equal(fine.points, plain_merge(cdf, 64, 3))
+
+    def test_grids_and_conventions(self, ray):
+        _, grid, raw, _, _ = ray
+        seg = grid.segment
+        assert np.array_equal(grid.points, np.linspace(seg.near, seg.far, N + 2))
+        offset = 0.3 * grid.widths.min()
+        shifted = _shifted_grid(grid, offset)
+        assert np.array_equal(shifted.interior, grid.interior + offset)
+        assert (shifted.points[0], shifted.points[-1]) == (seg.near, seg.far)
+
+        floored = np.array(raw.values)
+        floored[1:-1] = np.maximum(floored[1:-1], EPS_OPACITY)
+        assert np.array_equal(floor_opacity(raw).values, floored)
+        far = np.array(raw.values)
+        far[0], far[-1] = 0.0, OPAQUE
+        assert np.array_equal(apply_far_convention(raw, FarConvention.OPAQUE_FAR).values, far)
+
+    def test_logistic_step_on_the_ray(self, ray):
+        field, grid, _, _, _ = ray
+        assert np.array_equal(field.density.tau(grid.points), plain_tau(field.density, grid.points))
+
+    def test_gathered_logistic_steps(self):
+        # Mixed-sign arguments, z = 0 at each center, and |z| up to 1e4,
+        # where exp(-|z|) underflows.
+        rng = np.random.default_rng(5)
+        centers = [-1.0, 0.0, 2.0, 4.5]
+        steps = [
+            LogisticStep(amplitude=a, steepness=k, center=c)
+            for a, k, c in zip([0.0, 1.0, 10.0, 3.5], [0.5, 40.0, 1e3, 7.0], centers)
+        ]
+        x = np.concatenate((centers, rng.uniform(-8.0, 8.0, 4096)))
+        which = np.concatenate((np.arange(len(steps)), rng.integers(0, len(steps), 4096)))
+        got = _by_ray(steps, "tau")(x, which)
+        want = np.empty_like(x)
+        for r, step in enumerate(steps):
+            want[which == r] = plain_tau(step, x[which == r])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("s", [0.3, np.float64(-2.0), np.array(1.7), [0.2, 0.9]])
+    def test_logistic_step_keeps_its_return_type(self, s):
+        step = LogisticStep(amplitude=2.0, steepness=3.0, center=0.5)
+        got, want = step.tau(s), plain_tau(step, s)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+
+
+class TestAllocationGuard:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_interval_pmf(self, ray, model):
+        # The four arrays it keeps, plus the finite checks' masks.
+        _, grid, _, tau, _ = ray
+        fresh = iter([OpacityTrace(tau.values) for _ in range(2)])
+        assert peak_units(lambda: interval_pmf(model, grid, next(fresh))) <= 5.0
+
+    def test_conventions(self, ray):
+        _, _, raw, _, _ = ray
+        assert peak_units(lambda: floor_opacity(raw)) <= 1.2
+        assert peak_units(lambda: apply_far_convention(raw, FarConvention.OPAQUE_FAR)) <= 1.2
+
+    def test_field_sampling(self, ray):
+        field, grid, _, _, _ = ray
+        assert peak_units(lambda: field.density.tau(grid.points)) <= 3.2
+        assert peak_units(lambda: sample_field(field, grid)) <= 3.2
+
+    def test_uniform_grid(self, ray):
+        _, grid, _, _, _ = ray
+        assert peak_units(lambda: make_uniform_grid(grid.segment, N)) <= 2.2
+
+    def test_sample_gradient(self, ray):
+        # The result, plus the half-widths of the bins before the draw's,
+        # which on this ray's median draw are about 0.38 N entries.
+        _, grid, _, tau, _ = ray
+        cdf = ContinuousRayCdf(grid, tau)
+        assert peak_units(lambda: grad_sample_wrt_tau(cdf, 0.5 * cdf.cumulative[-1])) <= 1.5

@@ -266,8 +266,8 @@ class TestOneBuilder:
         tau = OpacityTrace(np.full(5, 0.5))
         expm1 = np.expm1
 
-        def shifted(x):
-            out = expm1(x)
+        def shifted(x, out=None):
+            out = expm1(x, out=out)
             out[0] = np.nan if np.isnan(gap) else out[0] - gap
             return out
 

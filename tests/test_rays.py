@@ -7,6 +7,7 @@ from rayquad import (
     OPAQUE,
     ColorTrace,
     FarConvention,
+    ModelKind,
     OpacityTrace,
     RaySegment,
     SampleGrid,
@@ -14,6 +15,8 @@ from rayquad import (
     floor_opacity,
     make_uniform_grid,
 )
+from rayquad.quadrature import RayDistribution
+from rayquad.rays import _Adopted
 
 
 class TestRaySegment:
@@ -66,6 +69,45 @@ class TestGridArrays:
         grid = SampleGrid(interior, RaySegment(0.0, 3.0))
         interior[0] = 1.5
         assert grid.interior[0] == 1.0
+
+
+SEGMENT = RaySegment(0.0, 2.0)
+
+
+def adopted_dist(*arrays):
+    return RayDistribution(ModelKind.LINEAR, *(_Adopted(np.array(a)) for a in arrays))
+
+
+class TestAdoptPath:
+    """A library-built array is stored frozen in place, not copied, and
+    meets the same checks as a caller's array."""
+
+    def test_stored_in_place_and_frozen(self):
+        values = np.array([0.5, 1.0, 2.0])
+        points = np.array([9.0, 0.5, 1.5, 9.0])
+        trace = OpacityTrace(_Adopted(values))
+        grid = SampleGrid(_Adopted(points), SEGMENT)
+        assert trace.values is values and grid.points is points
+        np.testing.assert_array_equal(points, [0.0, 0.5, 1.5, 2.0])
+        for arr in (values, points):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: OpacityTrace(_Adopted(np.array([0.5, np.nan, 2.0]))),
+            lambda: OpacityTrace(_Adopted(np.array([0.5, 1.0]))),
+            lambda: SampleGrid(_Adopted(np.array([0.0, 1.5, 0.5, 0.0])), SEGMENT),
+            lambda: SampleGrid(_Adopted(np.array([0.0, np.nan, 0.0])), SEGMENT),
+            lambda: SampleGrid(_Adopted(np.zeros(2)), SEGMENT),
+            lambda: adopted_dist([0.0, -1.0], [1.0, 0.4], [0.6, 0.1], [0.0, 0.6]),
+            lambda: adopted_dist([0.0, -np.inf], [1.0, 0.0], [1.0], [0.0, 1.0]),
+        ],
+        ids=["trace-nan", "trace-short", "grid-order", "grid-nan", "grid-empty", "dist-shape", "dist-inf"],
+    )
+    def test_checks_still_run(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestGridValidation:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rayquad import (
+    OPAQUE,
     ContinuousRayCdf,
     DiscreteRayCdf,
     FarConvention,
@@ -30,12 +31,17 @@ def wall_distribution(model, grid):
 
 
 def rect_distribution():
-    """Two equal-mass bins over [0, 1] and [1, 2]."""
+    """Two equal-mass bins over [0, 1] and [1, 2].
+
+    The far bound is opaque: its transmittance is zero and its finite
+    log-transmittance is of the size ``interval_pmf`` gives under the
+    opaque-far convention, since stored arrays must be finite.
+    """
     grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
     pmf = np.array([0.5, 0.5])
     dist = RayDistribution(
         model=ModelKind.CONSTANT,
-        log_transmittance=np.array([0.0, np.log(0.5), -np.inf]),
+        log_transmittance=np.array([0.0, np.log(0.5), np.log(0.5) - OPAQUE]),
         transmittance=np.array([1.0, 0.5, 0.0]),
         pmf=pmf,
         cumulative=np.array([0.0, 0.5, 1.0]),
@@ -52,7 +58,7 @@ class TestSurrogateSampler:
         grid = SampleGrid(np.array([1.0, 1.5]), RaySegment(0.0, 2.0))
         dist = RayDistribution(
             model=ModelKind.CONSTANT,
-            log_transmittance=np.array([0.0, 0.0, np.log(0.5), -np.inf]),
+            log_transmittance=np.array([0.0, 0.0, np.log(0.5), np.log(0.5) - OPAQUE]),
             transmittance=np.array([1.0, 1.0, 0.5, 0.0]),
             pmf=np.array([0.0, 0.5, 0.5]),
             cumulative=np.array([0.0, 0.0, 0.5, 1.0]),
