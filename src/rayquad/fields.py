@@ -16,10 +16,12 @@ and ``TwoToneColor``) evaluate elementwise in every parameter.  So many
 profiles of one such class are evaluated as one: ``_stack`` stacks their
 parameters one row per profile, and ``_gather`` picks a row for each
 point into one instance whose ``tau``/``color`` gives, bit for bit, what
-each point's own profile gives; ``_by_ray`` makes one such call per
-class.  ``SampledDensity`` and ``PiecewiseConstantColor`` look points up
-in their own knot arrays, which differ in length from profile to
-profile, so they do not gather and each is called on its own.
+each point's own profile gives; ``_by_ray`` makes that one call for
+profiles of one class and rejects a mixed list.  ``SampledDensity`` and
+``PiecewiseConstantColor`` look points up in their own knot arrays,
+which differ in length from profile to profile, so they do not gather
+and each is called on its own.  Only ``oracle.true_render_batch`` takes
+rays of mixed classes; it splits them into same-class batches first.
 """
 
 from __future__ import annotations
@@ -371,45 +373,20 @@ def _gather(cls, stacked: dict[str, np.ndarray], rows: np.ndarray):
 def _by_ray(profiles, method: str):
     """``f(x, ray)``: ``profiles[ray[i]].<method>`` at ``x[i]`` for every point.
 
-    Profiles of one class in ``_GATHERABLE`` form one group, called
-    once as the instance gathered by each point's ray; any other profile
-    is a group of one.  Each point's value is the one its own profile
-    gives, bit for bit.  A single profile is called as itself.
+    Many profiles share one class in ``_GATHERABLE`` and are called once,
+    as the instance gathered by each point's ray, so each point's value is
+    the one its own profile gives, bit for bit; a mixed list raises
+    ValueError.  A single profile of any class is called as itself.
     """
     if len(profiles) == 1:
         # Skips stacking and gathering: build plus call 16-18 us, not 32-41 us (2-core Xeon).
         call = getattr(profiles[0], method)
         return lambda x, ray: call(x)
-    groups: dict = {}
-    for r, p in enumerate(profiles):
-        groups.setdefault(type(p) if type(p) in _GATHERABLE else r, []).append(r)
-    group_of, row = np.empty((2, len(profiles)), dtype=np.intp)
-    calls = []
-    for g, (key, members) in enumerate(groups.items()):
-        group_of[members], row[members] = g, np.arange(len(members))
-        if isinstance(key, type):
-            stacked = _stack([profiles[r] for r in members])
-            calls.append(lambda x, rows, cls=key, p=stacked: getattr(_gather(cls, p, rows), method)(x))
-        else:
-            calls.append(lambda x, rows, fn=getattr(profiles[key], method): fn(x))
-
-    def evaluate(x: np.ndarray, ray: np.ndarray) -> np.ndarray:
-        if len(calls) == 1:
-            return calls[0](x, row[ray])
-        g = group_of[ray]
-        order = np.argsort(g, kind="stable")
-        stops = np.cumsum(np.bincount(g, minlength=len(calls))).tolist()
-        out = None
-        for call, i, j in zip(calls, [0] + stops, stops):
-            if j > i:
-                at = order[i:j]
-                values = call(x[at], row[ray[at]])
-                if out is None:
-                    out = np.empty((x.size,) + values.shape[1:])
-                out[at] = values
-        return out
-
-    return evaluate
+    cls = type(profiles[0])
+    if cls not in _GATHERABLE or any(type(p) is not cls for p in profiles):
+        raise ValueError("profiles evaluated together need one class in _GATHERABLE")
+    stacked = _stack(profiles)
+    return lambda x, ray: getattr(_gather(cls, stacked, ray), method)(x)
 
 
 @dataclass(frozen=True)
@@ -452,8 +429,8 @@ def opaque_trace(
 
 def _opaque_traces(fields, grid: SampleGrid) -> list[tuple[OpacityTrace, ColorTrace]]:
     """``opaque_trace`` of every field on one grid.  One field is sampled by
-    ``sample_field``; many make one ``tau`` and one ``color`` call per group
-    of same-class profiles (``_by_ray``), with the same values."""
+    ``sample_field``; many need one density and one color class, both in
+    ``_GATHERABLE``, and make one ``tau`` and one ``color`` call (``_by_ray``)."""
     if len(fields) == 1:
         # opaque_trace at N=128: 60-80 us this way, 88-104 us through _by_ray (2-core Xeon).
         samples = [sample_field(fields[0], grid)]
@@ -560,26 +537,22 @@ _COLOR_KINDS = {
 }
 
 
+def _profile(spec: dict, kinds: dict, what: str):
+    """The profile ``kinds[spec["kind"]]`` builds from the other keys of ``spec``."""
+    params = dict(spec)
+    kind = params.pop("kind")
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    return kinds[kind](params)
+
+
 def load_scene(path: str | Path) -> tuple[AnalyticField, RaySegment]:
     """Read a scene file: JSON with ``field``, ``segment``, optional ``color``.
 
     See docs/scene-format.md for the schema.
     """
     spec = json.loads(Path(path).read_text())
-    fspec = dict(spec["field"])
-    kind = fspec.pop("kind")
-    if kind not in _DENSITY_KINDS:
-        raise ValueError(f"unknown field kind {kind!r}")
-    density = _DENSITY_KINDS[kind](fspec)
-
-    if "color" in spec:
-        cspec = dict(spec["color"])
-        ckind = cspec.pop("kind")
-        if ckind not in _COLOR_KINDS:
-            raise ValueError(f"unknown color kind {ckind!r}")
-        color = _COLOR_KINDS[ckind](cspec)
-    else:
-        color = UniformColor(np.array([1.0]))
-
+    density = _profile(spec["field"], _DENSITY_KINDS, "field")
+    color = _profile(spec.get("color", {"kind": "uniform", "value": [1.0]}), _COLOR_KINDS, "color")
     segment = RaySegment(spec["segment"]["near"], spec["segment"]["far"])
     return AnalyticField(density=density, color=color), segment

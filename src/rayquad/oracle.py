@@ -17,20 +17,22 @@ smooth densities the tabulation is refined by doubling until the result
 stabilizes.  The documented error budget of every oracle value is ten
 times the requested tolerance.  One adaptive engine serves the render,
 the mean termination distance and the interval probabilities.  It grows
-all panel trees together, all rays of a call in one engine call per
+all panel trees together, all rays of a batch in one engine call per
 refinement round; each tree and its sums depend only on its own task,
 never on the batch it runs in, so a batched ray matches its single-ray
 run bit for bit.
 
-A batch makes one ``tau`` and one ``color`` call per engine level for
-each group of same-class profiles (``fields._by_ray``), not one per
+Only ``true_render_batch`` takes rays of mixed profile classes.  It
+splits them into batches of one density class and one color class, and
+below it every batch holds one class pair.  A batch makes one ``tau``
+and one ``color`` call per engine level (``fields._by_ray``), not one per
 ray, and looks up every point's cumulative opacity in one search over
 all rays' flattened tables.  ``_base``, the one panel builder, splits
 the segment at field breakpoints for tables and render tasks alike;
 ``_tabulate``, the one table builder, makes every table, all unsettled
-rays of a refinement round in one call.  Every value is elementwise in
-its own ray's parameters, and every sum runs over one ray in the order
-of a single-ray run.
+rays of a refinement round in one call with one sub-panel count.  Every
+value is elementwise in its own ray's parameters, and every sum runs
+over one ray in the order of a single-ray run.
 
 Field evaluations that land exactly on a panel edge are nudged one ulp
 into the panel, so piecewise integrands are integrated with one-sided
@@ -44,7 +46,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .fields import AnalyticField, DensityProfile, _by_ray
+from .fields import _GATHERABLE, AnalyticField, DensityProfile, _by_ray
 from .rays import RaySegment
 
 _MAX_DEPTH = 48
@@ -189,23 +191,18 @@ class CumulativeOpacityTable:
     """Dense tabulation of the cumulative opacity with Hermite interpolation.
 
     The segment is split at the density's breakpoints (``_base``, the one
-    panel builder) and each base panel into ``n_sub`` sub-panels.  Per
-    sub-panel the opacity integral comes from a refined Simpson pair with
-    Richardson correction; the cumulative values and the one-sided
-    endpoint opacities then define one cubic Hermite piece per sub-panel.
-    ``_tabulate``, the one table builder, makes every table; this
-    constructor is its one-ray case.
+    panel builder) and each base panel into 64 sub-panels, twice as many
+    per ``refined()``.  Per sub-panel the opacity integral comes from a
+    refined Simpson pair with Richardson correction; the cumulative values
+    and the one-sided endpoint opacities then define one cubic Hermite
+    piece per sub-panel.  ``_tabulate``, the one table builder, makes every
+    table; this constructor is its one-ray case.
     """
 
     def __init__(
-        self,
-        density: DensityProfile,
-        segment: RaySegment,
-        extra_breaks: np.ndarray | None = None,
-        n_sub: int = 64,
+        self, density: DensityProfile, segment: RaySegment, extra_breaks: np.ndarray | None = None
     ):
-        base = _base(density, segment, extra_breaks)
-        vars(self).update(vars(_tabulate([density], segment, [base], [n_sub])[0]))
+        vars(self).update(vars(_tables([density], segment, extra_breaks)[0]))
 
     def cumulative(self, s):
         """Cumulative opacity from the near bound to ``s`` (vectorized)."""
@@ -222,42 +219,37 @@ class CumulativeOpacityTable:
         return _refined([self])[0]
 
 
-def _tables(densities, segment: RaySegment) -> list:
-    """``CumulativeOpacityTable(d, segment)`` for every density, in one build."""
-    bases = [_base(d, segment) for d in densities]
-    return _tabulate(densities, segment, bases, [64] * len(bases))
+def _tables(densities, segment: RaySegment, extra_breaks=None) -> list:
+    """``CumulativeOpacityTable(d, segment, extra_breaks)`` for every density
+    of one class, in one build."""
+    bases = [_base(d, segment, extra_breaks) for d in densities]
+    return _tabulate(densities, segment, bases, 64)
 
 
 def _refined(tables) -> list:
-    """``t.refined()`` for every table, in one build: the same base panels
-    with twice the sub-panels."""
+    """``t.refined()`` for every table of one class, in one build: the same
+    base panels with twice the sub-panels."""
     densities, bases = [t.density for t in tables], [t.base for t in tables]
-    return _tabulate(densities, tables[0].segment, bases, [2 * t.n_sub for t in tables])
+    return _tabulate(densities, tables[0].segment, bases, 2 * tables[0].n_sub)
 
 
-def _tabulate(densities, segment: RaySegment, bases, counts) -> list:
+def _tabulate(densities, segment: RaySegment, bases, n_sub: int) -> list:
     """The one table builder: the ``CumulativeOpacityTable`` of each density
-    over its base panels, ``counts`` sub-panels per base panel, in one pass.
+    over its base panels, ``n_sub`` sub-panels per base panel, in one pass.
 
-    Piecewise constant/linear densities are tabulated exactly with one
-    sub-panel per base panel.  One linspace per distinct sub-panel count
-    and one ``tau`` call per group of density profiles cover every table;
-    each table's cumulative sum and error sum stay its own, so every table
+    The densities share one class (``fields._by_ray``).  Piecewise
+    constant/linear densities are tabulated exactly with one sub-panel per
+    base panel.  One linspace and one ``tau`` call cover every table; each
+    table's cumulative sum and error sum stay its own, so every table
     matches its one-ray build bit for bit.
     """
-    counts = [1 if _is_exact_class(d) else k for d, k in zip(densities, counts)]
-    stops = list(accumulate(k * (b.size - 1) for k, b in zip(counts, bases)))
+    n_sub = 1 if _is_exact_class(densities[0]) else n_sub
+    stops = list(accumulate(n_sub * (b.size - 1) for b in bases))
     starts = [0] + stops[:-1]
     # Left edge of every sub-panel, in table then base panel order.
-    left = np.empty(stops[-1])
-    for k in set(counts):
-        members = [r for r, c in enumerate(counts) if c == k]
-        lo = np.concatenate([bases[r][:-1] for r in members])
-        hi = np.concatenate([bases[r][1:] for r in members])
-        at = slice(None)
-        if len(members) < len(bases):
-            at = np.concatenate([np.arange(starts[r], stops[r]) for r in members])
-        left[at] = np.linspace(lo, hi, k + 1)[:-1].T.ravel()
+    lo = np.concatenate([b[:-1] for b in bases])
+    hi = np.concatenate([b[1:] for b in bases])
+    left = np.linspace(lo, hi, n_sub + 1)[:-1].T.ravel()
     # A sub-panel ends where the next starts (linspace starts each base
     # panel exactly at its left base edge); each table's last ends at far.
     right = np.empty_like(left)
@@ -285,8 +277,8 @@ def _tabulate(densities, segment: RaySegment, bases, counts) -> list:
     abs_err = np.abs(err)
     dO = np.empty_like(panel)
     tables = [object.__new__(CumulativeOpacityTable) for _ in bases]
-    for t, d, b, k, i, j in zip(tables, densities, bases, counts, starts, stops):
-        t.density, t.segment, t.base, t.n_sub = d, segment, b, k
+    for t, d, b, i, j in zip(tables, densities, bases, starts, stops):
+        t.density, t.segment, t.base, t.n_sub = d, segment, b, n_sub
         t.edges = np.concatenate((left[i:j], b[-1:]))
         t.cumulative_at_edges = cum = np.empty(j - i + 1)
         cum[0] = 0.0
@@ -379,29 +371,27 @@ def _render_rays(fields, segment: RaySegment, tables, tol: float, weight=None, i
     return results
 
 
-def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass) -> np.ndarray:
+def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, ids) -> np.ndarray:
     """Per ray, rerun passes on doubled tabulations until values agree to 3 * tol;
-    ``run_pass(rays, tables)`` is one pass over the rays not yet settled.  The
-    tables of every unsettled ray are built together, once per round."""
+    ``run_pass(rays, tables)`` is one pass over the rays not yet settled, named
+    by their ``ids``.  The densities share one class; the tables of every
+    unsettled ray are built together, once per round."""
     if not 0.0 < tol < np.inf:
         raise ValueError("tolerance must be positive and finite")
     tables = _tables(densities, segment)
-    values, rays = [None] * len(tables), list(range(len(tables)))
+    values, rays, exact = {}, list(ids), _is_exact_class(densities[0])
     for round_ in range(9):
         if round_:
             tables = _refined(tables)
         live = []
         for r, table, (value, err, evals) in zip(rays, tables, run_pass(rays, tables)):
-            if round_:
-                settled = np.max(np.abs(value - values[r])) <= 3.0 * tol
-            else:
-                settled = _is_exact_class(densities[r])
+            settled = np.max(np.abs(value - values[r])) <= 3.0 * tol if round_ else exact
             values[r] = value
             if not settled:
                 live.append((r, table, err, evals))
         rays, tables = [r for r, *_ in live], [t for _, t, *_ in live]
         if not rays:
-            return np.array(values)
+            return np.array([values[r] for r in ids])
     r, _, err, evals = live[0]
     raise NoConvergenceError(
         f"cumulative opacity tabulation did not stabilize for ray {r}",
@@ -423,18 +413,32 @@ def true_render(
 
 def true_render_batch(fields, segment: RaySegment, tol: float = 1e-10) -> np.ndarray:
     """Expected colors of many rays over one segment, shape (R, channels).
-    Row ``r`` equals ``true_render(fields[r], segment, tol)`` bit for bit,
-    including a failing ray's partial; the error message names its index."""
+    Row ``r`` equals ``true_render(fields[r], segment, tol)`` bit for bit.
+
+    Rays of one (density class, color class) pair, both classes in
+    ``fields._GATHERABLE``, run as one engine batch; every other ray runs
+    alone.  Batches run in the order of their first ray, and the first
+    failure raises with that ray's single-ray partial and its index in
+    ``fields`` in the message.
+    """
     fields = list(fields)
     if not fields:
         raise ValueError("need at least one ray")
     if len({f.color.channels for f in fields}) > 1:
         raise ValueError("all rays of a batch need the same channel count")
+    batches: dict = {}
+    for r, f in enumerate(fields):
+        pair = (type(f.density), type(f.color))
+        batches.setdefault(pair if _GATHERABLE.issuperset(pair) else r, []).append(r)
 
     def run_pass(rays, tables):
         return _render_rays([fields[r] for r in rays], segment, tables, tol, ids=rays)
 
-    return _refine_until_stable([f.density for f in fields], segment, tol, run_pass)
+    out = np.empty((len(fields), fields[0].color.channels))
+    for ids in batches.values():
+        densities = [fields[r].density for r in ids]
+        out[ids] = _refine_until_stable(densities, segment, tol, run_pass, ids)
+    return out
 
 
 def true_interval_probabilities(
@@ -508,7 +512,7 @@ def true_mean_termination(
         (value, err, evals), = _render_rays([unit], segment, tables, tol, weight=lambda x: x)
         return [(value + segment.far * np.exp(-tables[0].total), err, evals)]
 
-    return float(_refine_until_stable([field.density], segment, tol, once)[0, 0])
+    return float(_refine_until_stable([field.density], segment, tol, once, [0])[0, 0])
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:

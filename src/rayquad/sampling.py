@@ -203,12 +203,9 @@ def hierarchical_samples(
     else:
         raise TypeError(f"unknown cdf type {type(cdf).__name__}")
 
+    # Merged between the segment bounds, so one mask makes the point array;
+    # no draw lies below near, and the bound test drops one at or past far.
     seg = cdf.grid.segment
-    lo = np.nextafter(seg.near, np.inf)
-    hi = np.nextafter(seg.far, -np.inf)
-    fine = np.clip(fine, lo, hi)
-
-    # Merged between the segment bounds, so one mask makes the point array.
     merged = np.concatenate(([seg.near], cdf.grid.interior, fine, [seg.far]))
     samples = merged[1:-1]
     samples.sort()

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rayquad import oracle
 from rayquad.cli import ExperimentSpec, build_parser, main, write_pgm
 from rayquad.fields import LogisticStep, TwoToneColor
 
@@ -141,7 +142,7 @@ class TestDeterminism:
                     raises=NonZeroExit,
                     strict=True,
                     reason="the default --n-coarse 128 ignores fixtures.SHIFT_N = 32, "
-                    "so the spread ratio misses its floor (ROADMAP item 4)",
+                    "so the spread ratio misses its floor (ROADMAP item 1)",
                 ),
             ),
             "sampler-test",
@@ -191,6 +192,19 @@ class TestRenderFieldCalls:
         assert run(["render", "--out", tmp_path]) == 0
         assert 0 < calls["LogisticStep.tau"] <= 60
         assert 0 < calls["TwoToneColor.color"] <= 60
+
+    def test_rays_run_as_one_engine_batch(self, tmp_path, monkeypatch):
+        # The 96 rays share one class pair, so the oracle does not split them.
+        batches = []
+        refine = oracle._refine_until_stable
+
+        def counted(densities, *args, **kwargs):
+            batches.append(len(densities))
+            return refine(densities, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_refine_until_stable", counted)
+        assert run(["render", "--out", tmp_path]) == 0
+        assert batches == [96]
 
 
 class TestImageWriters:

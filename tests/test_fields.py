@@ -233,7 +233,11 @@ class TestSceneFiles:
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"field": {"kind": "cube"}, "segment": {"near": 0, "far": 1}}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown field kind 'cube'"):
+            load_scene(path)
+        slab = {"kind": "constant_slab", "tau": 1.0, "start": 0.2, "end": 0.8}
+        path.write_text(json.dumps({"field": slab, "segment": {"near": 0, "far": 1}, "color": {"kind": "plaid"}}))
+        with pytest.raises(ValueError, match="unknown color kind 'plaid'"):
             load_scene(path)
 
     def test_default_color_is_unit_uniform(self, tmp_path):
@@ -355,39 +359,22 @@ class TestGatheredEvaluation:
             assert got[rows == k].shape == want.shape
             assert np.array_equal(got[rows == k], want)
 
-    def test_groups_mixed_with_knot_classes(self, rng):
+    def test_rejects_mixed_classes(self, rng):
         knots = np.linspace(0.0, 4.0, 6)
-        densities = [
-            _draw(LogisticStep, rng),
-            SampledDensity(knots, rng.uniform(0, 3, 6), degree=0),
-            _draw(ConstantSlab, rng),
-            _draw(LogisticStep, rng),
-            SampledDensity(knots, rng.uniform(0, 3, 6), degree=1),
-            _draw(GaussianBump, rng),
-        ]
-        colors = [
-            _draw(GradientColor, rng),
-            PiecewiseConstantColor(knots, rng.uniform(0, 1, (5, 3))),
-            _draw(TwoToneColor, rng),
-            _draw(GradientColor, rng),
-            _draw(UniformColor, rng),
-        ]
-        for profiles in (densities, colors):
-            x = np.concatenate([knots, rng.uniform(-1, 5, 200)])
-            ray = rng.integers(0, len(profiles), x.size)
-            got = _by_ray(profiles, _method(profiles[0]))(x, ray)
-            for r, p in enumerate(profiles):
-                assert np.array_equal(got[ray == r], getattr(p, _method(p))(x[ray == r]))
+        steps = [_draw(LogisticStep, rng), _draw(LogisticStep, rng)]
+        for profiles in (
+            steps + [_draw(GaussianBump, rng)],
+            [_draw(GradientColor, rng), _draw(TwoToneColor, rng)],
+            [SampledDensity(knots, rng.uniform(0, 3, 6)), SampledDensity(knots, rng.uniform(0, 3, 6))],
+        ):
+            with pytest.raises(ValueError, match="one class"):
+                _by_ray(profiles, _method(profiles[0]))
 
     def test_batched_traces_equal_opaque_trace(self, rng):
-        knots = np.linspace(0.0, 4.0, 6)
-        fields = [
-            AnalyticField(_draw(LogisticStep, rng), _draw(TwoToneColor, rng)),
-            AnalyticField(SampledDensity(knots, rng.uniform(0, 3, 6)), _draw(UniformColor, rng)),
-            AnalyticField(_draw(LogisticStep, rng), PiecewiseConstantColor(knots, rng.uniform(0, 1, (5, 3)))),
-        ]
         grid = make_uniform_grid(RaySegment(0.0, 4.0), 37)
-        for (tau, colors), field in zip(_opaque_traces(fields, grid), fields):
-            alone_tau, alone_colors = opaque_trace(field, grid)
-            assert np.array_equal(tau.values, alone_tau.values)
-            assert np.array_equal(colors.values, alone_colors.values)
+        for density, color in ((LogisticStep, TwoToneColor), (GaussianBump, GradientColor)):
+            fields = [AnalyticField(_draw(density, rng), _draw(color, rng)) for _ in range(3)]
+            for (tau, colors), field in zip(_opaque_traces(fields, grid), fields):
+                alone_tau, alone_colors = opaque_trace(field, grid)
+                assert np.array_equal(tau.values, alone_tau.values)
+                assert np.array_equal(colors.values, alone_colors.values)

@@ -191,6 +191,25 @@ class TestBitIdentity:
         assert fine.n < grid.n + 64
         assert np.array_equal(fine.points, plain_merge(cdf, 64, 3))
 
+    @pytest.mark.parametrize("near", [0.0, 1.0])
+    def test_merge_drops_draws_at_the_bounds(self, near):
+        # Draws at near, at far and one ulp past far; plain_merge clips
+        # them inside the segment first, the merge does not.
+        seg = RaySegment(near, near + 1.0)
+        grid = make_uniform_grid(seg, 7)
+        draws = np.array(
+            [seg.near, seg.far, np.nextafter(seg.far, np.inf), near + 3e-12, near + 0.3, seg.far - 3e-12]
+        )
+
+        class FixedDraws(DiscreteRayCdf):
+            def surrogate_sample(self, u):
+                return draws.copy()
+
+        cdf = FixedDraws(grid, interval_pmf(ModelKind.CONSTANT, grid, OpacityTrace(np.ones(9))))
+        fine = hierarchical_samples(cdf, draws.size, 0)
+        assert np.array_equal(fine.points, plain_merge(cdf, draws.size, 0))
+        assert fine.n == grid.n + 3
+
     def test_grids_and_conventions(self, ray):
         _, grid, raw, _, _ = ray
         seg = grid.segment

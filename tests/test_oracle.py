@@ -339,6 +339,18 @@ class TestTrueRenderBatch:
         assert err.value.partial == alone.value.partial
         assert "ray 2" in str(err.value)
 
+    def test_batch_of_the_first_ray_fails_first(self):
+        # Rays 0 and 2 are one batch, which runs before ray 1's; both
+        # failing rays exhaust their tabulation rounds.
+        segment = TestFailurePartials.segment
+        steep = AnalyticField(LogisticStep(3.0, 1e15, 0.7371))
+        fields = [AnalyticField(LogisticStep(3.0, 40.0, 0.7371)), TestFailurePartials.field, steep]
+        with pytest.raises(NoConvergenceError) as alone:
+            true_render(steep, segment, 1e-10)
+        with pytest.raises(NoConvergenceError, match="for ray 2$") as err:
+            true_render_batch(fields, segment, 1e-10)
+        assert err.value.partial == alone.value.partial
+
     def test_rejects_empty_and_mixed_channel_batches(self):
         with pytest.raises(ValueError):
             true_render_batch([], self.segment)
@@ -362,20 +374,25 @@ class TestBatchedTabulation:
 
     @pytest.mark.parametrize("n_sub", [64, 128, 256])
     def test_equals_per_ray_tables(self, n_sub):
-        # Exact densities (slab, ramp) get one sub-panel per base panel, so
-        # the batch mixes sub-panel counts.
+        # One build per class.  Exact densities (slab, ramp) get one
+        # sub-panel per base panel.
         densities = [f.density for f in _render_command_rays()] + [
             load_scene(path)[0].density for path in sorted(SCENES.glob("*.json"))
         ]
-        # 128 and 256 sub-panels are reached by refining the 64-panel build.
-        batched = _tables(densities, self.segment)
-        for _ in range(int(np.log2(n_sub // 64))):
-            batched = _refined(batched)
-        for table, density in zip(batched, densities):
-            self._assert_same(table, CumulativeOpacityTable(density, self.segment, n_sub=n_sub))
-        for table, density in zip(_refined(batched), densities):
-            alone = CumulativeOpacityTable(density, self.segment, n_sub=n_sub).refined()
-            self._assert_same(table, alone)
+        densities += [ConstantSlab(1.0, 0.5, 2.5), LinearRamp(0.5, 2.0, 1.0, 3.0), GaussianBump(1.0, 2.0, 0.5)]
+        by_class = {}
+        for density in densities:
+            by_class.setdefault(type(density), []).append(density)
+        for group in by_class.values():
+            # 128 and 256 sub-panels are reached by refining the 64-panel build.
+            batched = _tables(group, self.segment)
+            alone = [CumulativeOpacityTable(density, self.segment) for density in group]
+            for _ in range(int(np.log2(n_sub // 64))):
+                batched, alone = _refined(batched), [table.refined() for table in alone]
+            for table, single in zip(batched, alone):
+                self._assert_same(table, single)
+            for table, single in zip(_refined(batched), alone):
+                self._assert_same(table, single.refined())
 
 
 class TestTrueRender:
@@ -474,7 +491,7 @@ class TestClosedFormTransmittances:
         for density in (GaussianBump(3.0, 0.6, 0.25), LogisticStep(10.0, 40.0, 1.0)):
             segment = RaySegment(0.0, 2.0)
             direct = integrate_adaptive(lambda s: float(density.tau(s)), 0.0, 2.0, 1e-12)
-            table = CumulativeOpacityTable(density, segment, n_sub=512)
+            table = CumulativeOpacityTable(density, segment).refined().refined().refined()
             assert table.cumulative(2.0) == pytest.approx(direct.value, abs=1e-10)
 
 
