@@ -10,6 +10,8 @@ anything else.  Array parameters enter through ``rays._frozen``, which
 stores a read-only float64 copy, so a profile never shares or freezes
 the caller's array.
 
+``opaque_trace`` is the one path from a field to a renderable trace.
+
 The scalar-parameter profiles (``ConstantSlab``, ``LinearRamp``,
 ``GaussianBump``, ``LogisticStep``, ``UniformColor``, ``GradientColor``
 and ``TwoToneColor``) evaluate elementwise in every parameter.  So many
@@ -20,8 +22,9 @@ each point's own profile gives; ``_by_ray`` makes that one call for
 profiles of one class and rejects a mixed list.  ``SampledDensity`` and
 ``PiecewiseConstantColor`` look points up in their own knot arrays,
 which differ in length from profile to profile, so they do not gather
-and each is called on its own.  Only ``oracle.true_render_batch`` takes
-rays of mixed classes; it splits them into same-class batches first.
+and each is called on its own.  Gathered calls serve the oracle engine;
+only ``oracle.true_render_batch`` takes rays of mixed classes, and it
+splits them into same-class batches first.
 """
 
 from __future__ import annotations
@@ -424,32 +427,8 @@ def opaque_trace(
     and applies ``FarConvention.OPAQUE_FAR``, so every distribution built
     from the trace sums to one and its continuous CDF is invertible.
     """
-    return _opaque_traces([field], grid)[0]
-
-
-def _opaque_traces(fields, grid: SampleGrid) -> list[tuple[OpacityTrace, ColorTrace]]:
-    """``opaque_trace`` of every field on one grid.  One field is sampled by
-    ``sample_field``; many need one density and one color class, both in
-    ``_GATHERABLE``, and make one ``tau`` and one ``color`` call (``_by_ray``)."""
-    if len(fields) == 1:
-        # opaque_trace at N=128: 60-80 us this way, 88-104 us through _by_ray (2-core Xeon).
-        samples = [sample_field(fields[0], grid)]
-    else:
-        pts, rays = grid.points, np.arange(len(fields))
-        tau = _by_ray([f.density for f in fields], "tau")(
-            np.tile(pts, rays.size), np.repeat(rays, pts.size)
-        )
-        colors = _by_ray([f.color for f in fields], "color")(
-            np.tile(pts[:-1], rays.size), np.repeat(rays, pts.size - 1)
-        )
-        samples = [
-            (OpacityTrace(t), ColorTrace(c))
-            for t, c in zip(tau.reshape(rays.size, -1), colors.reshape(rays.size, pts.size - 1, -1))
-        ]
-    return [
-        (apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR), colors)
-        for tau, colors in samples
-    ]
+    tau, colors = sample_field(field, grid)
+    return apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR), colors
 
 
 def _shifted_grid(grid: SampleGrid, offset: float) -> SampleGrid:

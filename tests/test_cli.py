@@ -1,3 +1,4 @@
+import csv
 import json
 from collections import Counter
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from rayquad import oracle
 from rayquad.cli import ExperimentSpec, build_parser, main, write_pgm
 from rayquad.fields import LogisticStep, TwoToneColor
+from rayquad.rays import ModelKind
 
 GOLDEN = Path(__file__).parent.parent / "bench" / "golden" / "paper-suite"
 
@@ -43,11 +45,11 @@ class TestSpecValidation:
         with pytest.raises(FileNotFoundError):
             ExperimentSpec(scene=tmp_path / "nope.json")
 
-    def test_quadratic_model_rejected_at_parse(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["depth", "--models", "quadratic", "--out", tmp_path])
-        assert exc.value.code == 2
-        assert "unknown model 'quadratic'" in capsys.readouterr().err
+    def test_rejects_negative_seed(self, tmp_path):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            ExperimentSpec(seed=-1)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            run(["convergence", "--seed", -1, "--out", tmp_path])
         assert not any(tmp_path.iterdir())
 
 
@@ -63,14 +65,13 @@ class TestCommands:
     def test_convergence_model_exact_scene_skips_slope_band(self, tmp_path):
         # a piecewise-linear field is integrated exactly by the linear
         # model at any sample count; slopes are noise there and the
-        # exactness escape applies instead
+        # exactness escape applies instead, while the constant model
+        # still has to converge inside its band
         scene = Path(__file__).parent.parent / "scenes" / "linear_ramp.json"
-        code = run(
-            ["convergence", "--scene", scene, "--models", "linear", "--out", tmp_path]
-        )
-        assert code == 0
+        assert run(["convergence", "--scene", scene, "--out", tmp_path]) == 0
         rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
-        errors = [float(r.split(",")[2]) for r in rows]
+        errors = [float(r.split(",")[2]) for r in rows if r.startswith("linear,")]
+        assert len(errors) == 6
         assert max(errors) < 1e-9
 
     def test_shift_sensitivity_threshold(self, tmp_path):
@@ -90,6 +91,27 @@ class TestCommands:
         path = tmp_path / "unresolved.json"
         path.write_text(json.dumps(scene))
         assert run(["shift-sensitivity", "--scene", path, "--n-coarse", 32, "--out", tmp_path]) == 1
+
+    def test_shift_sensitivity_without_any_spread_fails(self, tmp_path, capsys):
+        # One offset gives both models a zero spread: the ratio is nan,
+        # which misses the threshold instead of dividing by zero.
+        assert run(["shift-sensitivity", "--offsets", 1, "--out", tmp_path]) == 1
+        out, err = capsys.readouterr()
+        assert "spread ratio constant/linear nan" in out
+        assert "threshold violated" in err
+        assert "Traceback" not in err
+
+    def test_shift_sensitivity_stable_linear_render_passes(self, tmp_path, monkeypatch, capsys):
+        # A linear render that no shift moves has spread exactly zero; with
+        # a moving constant render the ratio is inf, which passes.
+        from rayquad import cli
+
+        def render(dist, colors, _render=cli.render):
+            return np.array([0.5]) if dist.model is ModelKind.LINEAR else _render(dist, colors)
+
+        monkeypatch.setattr(cli, "render", render)
+        assert run(["shift-sensitivity", "--n-coarse", 32, "--offsets", 8, "--out", tmp_path]) == 0
+        assert "spread ratio constant/linear inf" in capsys.readouterr().out
 
     def test_sampler_test(self, tmp_path):
         assert run(["sampler-test", "--out", tmp_path]) == 0
@@ -129,6 +151,16 @@ class TestCommands:
         lines = (tmp_path / "render.csv").read_text().splitlines()
         assert lines[0] == "model,row,col,rendered_value,oracle_value,abs_diff"
         assert len(lines) == 1 + 2 * 96
+        # Each image is write_pgm of its CSV column, pixels in row-major order.
+        rows = list(csv.DictReader(lines))
+        for model in ("constant", "linear"):
+            mine = [r for r in rows if r["model"] == model]
+            assert [(int(r["row"]), int(r["col"])) for r in mine] == list(np.ndindex(8, 12))
+            for name, column in (("render", "rendered_value"), ("render_diff", "abs_diff")):
+                image = f"{name}_{model}.pgm"
+                values = np.array([float(r[column]) for r in mine]).reshape(8, 12)
+                write_pgm(tmp_path / "csv" / image, values)
+                assert (tmp_path / image).read_bytes() == (tmp_path / "csv" / image).read_bytes()
 
 
 class TestDeterminism:
@@ -166,32 +198,54 @@ class TestDeterminism:
             ["sampler-test"],
             ["grad-check"],
             ["depth", "--n-coarse", 16, "--offsets", 4],
+            ["render"],
         ],
     )
     def test_reruns_are_byte_identical(self, tmp_path, args):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run(args + ["--out", out_a]) == 0
         assert run(args + ["--out", out_b]) == 0
-        for csv_a in sorted(out_a.glob("*.csv")):
-            csv_b = out_b / csv_a.name
-            assert csv_a.read_bytes() == csv_b.read_bytes()
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == sorted(p.name for p in out_b.iterdir())
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 class TestRenderFieldCalls:
-    def test_one_field_call_per_level_and_group(self, tmp_path, monkeypatch):
-        # The 96 rays share one profile class each, so the oracle makes one
-        # call per engine level and per table build, and the traces one in
-        # all; one call per ray made 3024 tau and 2753 color calls.
-        calls = Counter()
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Profile calls of one ``render``, keyed by (inside the oracle, method)."""
+        calls, inside = Counter(), [False]
         for cls, name in ((LogisticStep, "tau"), (TwoToneColor, "color")):
-            def counted(self, s, _method=getattr(cls, name), _key=f"{cls.__name__}.{name}"):
-                calls[_key] += 1
+            def counted(self, s, _method=getattr(cls, name), _name=name):
+                calls[inside[0], _name] += 1
                 return _method(self, s)
 
             monkeypatch.setattr(cls, name, counted)
+        batch = oracle.true_render_batch
+
+        def in_oracle(*args, **kwargs):
+            inside[0] = True
+            try:
+                return batch(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(oracle, "true_render_batch", in_oracle)
+        return calls
+
+    def test_one_field_call_per_level_and_group(self, tmp_path, calls):
+        # The 96 rays share one profile class each, so the oracle makes one
+        # call per engine level and per table build; one call per ray made
+        # 3024 tau and 2753 color calls.
         assert run(["render", "--out", tmp_path]) == 0
-        assert 0 < calls["LogisticStep.tau"] <= 60
-        assert 0 < calls["TwoToneColor.color"] <= 60
+        assert 0 < calls[True, "tau"] <= 59
+        assert 0 < calls[True, "color"] <= 59
+
+    def test_one_trace_call_per_ray(self, tmp_path, calls):
+        assert run(["render", "--out", tmp_path]) == 0
+        assert calls[False, "tau"] == 96
+        assert calls[False, "color"] == 96
 
     def test_rays_run_as_one_engine_batch(self, tmp_path, monkeypatch):
         # The 96 rays share one class pair, so the oracle does not split them.

@@ -30,7 +30,6 @@ from rayquad.fields import (
     SampledDensity,
     _by_ray,
     _gather,
-    _opaque_traces,
     _shifted_grid,
     _stack,
 )
@@ -369,12 +368,3 @@ class TestGatheredEvaluation:
         ):
             with pytest.raises(ValueError, match="one class"):
                 _by_ray(profiles, _method(profiles[0]))
-
-    def test_batched_traces_equal_opaque_trace(self, rng):
-        grid = make_uniform_grid(RaySegment(0.0, 4.0), 37)
-        for density, color in ((LogisticStep, TwoToneColor), (GaussianBump, GradientColor)):
-            fields = [AnalyticField(_draw(density, rng), _draw(color, rng)) for _ in range(3)]
-            for (tau, colors), field in zip(_opaque_traces(fields, grid), fields):
-                alone_tau, alone_colors = opaque_trace(field, grid)
-                assert np.array_equal(tau.values, alone_tau.values)
-                assert np.array_equal(colors.values, alone_colors.values)
