@@ -29,8 +29,8 @@ colors = np.array([0.1, 0.3, 0.8, 0.5])
 for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
     analytic = grad_render_wrt_tau(model, grid, tau, colors)
 
-    def f(x, model=model):
-        return float(interval_pmf(model, grid, OpacityTrace(x)).pmf @ colors)
+    def f(X, model=model):
+        return [float(interval_pmf(model, grid, OpacityTrace(x)).pmf @ colors) for x in X]
 
     report = finite_diff_check(f, np.array(tau.values), analytic, h=1e-4)
     print(f"{model.value} render gradient: {np.round(analytic, 6)}")
@@ -46,7 +46,7 @@ print(f"  d sample / d tau (every opacity) = {np.round(sg.d_tau, 6)}")
 print("  the sample moves with every opacity before its bin, through the")
 print("  transmittance it must spend first; opacities past the bin do not enter")
 report = finite_diff_check(
-    lambda x: ContinuousRayCdf(grid, OpacityTrace(x)).precise_sample(u),
+    lambda X: [ContinuousRayCdf(grid, OpacityTrace(x)).precise_sample(u) for x in X],
     np.array(tau.values),
     sg.d_tau,
     h=1e-5,

@@ -25,7 +25,7 @@ from .quadratic import (
     quad_integral_left,
     quad_integral_right,
 )
-from .quadrature import expected_depth, interval_pmf, render
+from .quadrature import _distributions, interval_pmf, render
 from .rays import ModelKind, OpacityTrace, RaySegment, make_uniform_grid
 from .sampling import ContinuousRayCdf, DiscreteRayCdf
 
@@ -61,6 +61,13 @@ class ExperimentSpec:
         if self.scene is None:
             return default_field, default_segment
         return load_scene(self.scene)
+
+
+def _weighted_sums(model: ModelKind, widths, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each ray's pmf-weighted sum of ``v[..., 0]`` in one kernel call: a dot product per
+    row, the bits of ``render`` and ``expected_depth`` (a 2-D ``pmf @ v``, BLAS gemv, is not)."""
+    pmf = _distributions(model, widths, t)[2]
+    return np.matmul(pmf[:, None, :], v)[:, 0, 0]
 
 
 def _fmt(x) -> str:
@@ -125,24 +132,32 @@ def cmd_convergence(spec: ExperimentSpec) -> bool:
     return ok
 
 
+def _stacked_sweep(scene, segment, spec: ExperimentSpec):
+    """``shift_sweep`` as offsets, grids, and widths, opacities and colors one row per offset."""
+    offsets, grids, taus, colors = zip(*shift_sweep(scene, segment, spec.n_coarse, spec.offsets))
+    stacked = [np.stack([trace.values for trace in traces]) for traces in (taus, colors)]
+    return offsets, grids, np.stack([grid.widths for grid in grids]), *stacked
+
+
 def cmd_shift_sensitivity(spec: ExperimentSpec) -> bool:
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
-    sweep = shift_sweep(scene, segment, spec.n_coarse, spec.offsets)
+    offsets, _, widths, t, colors = _stacked_sweep(scene, segment, spec)
     rows = []
     spreads = {}
     for model in _MODELS:
-        values = []
-        for off, grid, tau, colors in sweep:
-            value = float(render(interval_pmf(model, grid, tau), colors)[0])
-            values.append(value)
-            rows.append((model.value, off, value))
-        spreads[model] = max(values) - min(values)
+        values = _weighted_sums(model, widths, t, colors)
+        rows += [(model.value, off, value) for off, value in zip(offsets, values)]
+        spread = values.max() - values.min()
+        # A spread at the rounding level of the rendered values is no shift at all.
+        spreads[model] = spread if spread >= 1e-12 * np.abs(values).max() else 0.0
     _write_csv(
         spec.out / "shift_sensitivity.csv", ["model", "offset", "rendered_value"], rows
     )
     for m, s in spreads.items():
         print(f"shift-sensitivity: {m.value} spread {s:.6g}")
     constant, linear = spreads[ModelKind.CONSTANT], spreads[ModelKind.LINEAR]
+    if not (constant or linear):
+        print("shift-sensitivity: both models are shift-stable (no spread above rounding)")
     # A shift-stable linear render divides by zero: inf passes, nan (no spread at all) fails.
     ratio = constant / linear if linear else (np.inf if constant else np.nan)
     print(f"shift-sensitivity: spread ratio constant/linear {ratio:.3f}")
@@ -214,8 +229,7 @@ def cmd_grad_check(spec: ExperimentSpec) -> bool:
             analytic = grad_render_wrt_tau(model, grid, OpacityTrace(tauv), colors)
 
             def f(x, model=model):
-                dist = interval_pmf(model, grid, OpacityTrace(x))
-                return float(dist.pmf @ colors)
+                return _weighted_sums(model, grid.widths, x, colors[:, None])
 
             report = finite_diff_check(f, tauv, analytic, h=1e-4)
             worst[key] = max(worst[key], report.max_rel_err)
@@ -227,9 +241,9 @@ def cmd_grad_check(spec: ExperimentSpec) -> bool:
         k = sg.bin
 
         def sample(y, k=k):
-            x = tauv.copy()
-            x[k : k + 2] = y
-            return ContinuousRayCdf(grid, OpacityTrace(x)).precise_sample(u)
+            x = np.repeat(tauv[None], len(y), axis=0)
+            x[:, k : k + 2] = y
+            return [ContinuousRayCdf(grid, OpacityTrace(row)).precise_sample(u) for row in x]
 
         report = finite_diff_check(sample, tauv[k : k + 2], sg.d_tau[k : k + 2], h=1e-5)
         rel = report.max_rel_err
@@ -322,14 +336,14 @@ def cmd_render(spec: ExperimentSpec) -> bool:
     rays = [rig.ray_field(float(a), float(off)) for a in angles for off in wall_offsets]
     truths = oracle.true_render_batch(rays, segment, 1e-6)[:, 0].reshape(height, width)
     grid = make_uniform_grid(segment, spec.n_coarse)
-    images = {m: np.zeros((height, width)) for m in _MODELS}
-    rows = []
-    for (r, c), ray in zip(np.ndindex(height, width), rays):
-        tau, colors = opaque_trace(ray, grid)
-        for m in _MODELS:
-            value = float(render(interval_pmf(m, grid, tau), colors)[0])
-            images[m][r, c] = value
-            rows.append((m.value, r, c, value, truths[r, c], abs(value - truths[r, c])))
+    taus, colors = zip(*(opaque_trace(ray, grid) for ray in rays))
+    t, colors = (np.stack([trace.values for trace in traces]) for traces in (taus, colors))
+    images = {m: _weighted_sums(m, grid.widths, t, colors).reshape(height, width) for m in _MODELS}
+    rows = [
+        (m.value, r, c, images[m][r, c], truths[r, c], abs(images[m][r, c] - truths[r, c]))
+        for r, c in np.ndindex(height, width)
+        for m in _MODELS
+    ]
 
     _write_csv(
         spec.out / "render.csv",
@@ -347,16 +361,14 @@ def cmd_render(spec: ExperimentSpec) -> bool:
 def cmd_depth(spec: ExperimentSpec) -> bool:
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
     truth = oracle.true_mean_termination(scene, segment, spec.tol)
-    sweep = shift_sweep(scene, segment, spec.n_coarse, spec.offsets)
+    offsets, grids, widths, t, _ = _stacked_sweep(scene, segment, spec)
+    mids = 0.5 * np.stack([grid.points[:-1] + grid.points[1:] for grid in grids])
     rows = []
     rmse = {}
     for model in _MODELS:
-        errs = []
-        for off, grid, tau, _ in sweep:
-            depth = expected_depth(interval_pmf(model, grid, tau), grid)
-            errs.append(depth - truth)
-            rows.append((model.value, off, depth, truth, abs(depth - truth)))
-        rmse[model] = float(np.sqrt(np.mean(np.square(errs))))
+        depths = _weighted_sums(model, widths, t, mids[..., None])
+        rows += [(model.value, off, d, truth, abs(d - truth)) for off, d in zip(offsets, depths)]
+        rmse[model] = float(np.sqrt(np.mean(np.square(depths - truth))))
     _write_csv(
         spec.out / "depth.csv",
         ["model", "offset", "expected_depth", "oracle_mean", "abs_err"],

@@ -168,23 +168,24 @@ def grad_sample_wrt_tau(cdf: ContinuousRayCdf, u: float) -> SampleGradient:
 
 
 def finite_diff_check(f, x: np.ndarray, analytic: np.ndarray, h: float = 1e-6) -> GradReport:
-    """Central-difference check of supplied partials of a scalar function."""
+    """Central-difference check of supplied partials of a scalar function ``f``,
+    called once on the ``(2m, m)`` rows ``x + h e_i``, then ``x - h e_i``: one value per row."""
     if not 0.0 < h < np.inf:
         raise ValueError("step size must be positive and finite")
     x = np.asarray(x, dtype=np.float64)
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != x.shape:
         raise ValueError("one analytic partial per parameter required")
+    if not np.isfinite(x).all():  # the rows reach ``f`` unchecked
+        raise ValueError("check point must be finite")
 
-    numeric = np.empty_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        hi = float(f(x + step))
-        lo = float(f(x - step))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError("function is not finite near the check point")
-        numeric[i] = (hi - lo) / (2.0 * h)
+    steps = h * np.eye(x.size)
+    values = np.asarray(f(np.concatenate([x + steps, x - steps])), dtype=np.float64)
+    if values.shape != (2 * x.size,):
+        raise ValueError("f must return one value per row")
+    if not np.isfinite(values).all():
+        raise ValueError("function is not finite near the check point")
+    numeric = (values[: x.size] - values[x.size :]) / (2.0 * h)
 
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_ERR_FLOOR)
     max_rel_err = float(np.max(np.abs(analytic - numeric) / scale))

@@ -13,7 +13,9 @@ chance that a ray terminates inside interval j.  Transmittance is
 accumulated in log space and exponentiated once per grid point, which
 avoids underflow compounding in long products across opaque regions.
 
-``interval_pmf`` is the one builder of a ray's distribution: the exact
+``_distributions`` is the one builder of ray distributions, for one ray
+or a stack of rays of one grid size; a stacked row is bit-identical to
+its one-ray build.  ``interval_pmf`` is its one-ray view: the exact
 sampler inverts through its log-transmittance and the render gradient
 reads its transmittance, so all of them see the same bits.  Each
 distribution is built once per trace: ``interval_pmf`` stores it on the
@@ -65,77 +67,82 @@ class RayDistribution:
                 raise ValueError(f"{name} must align with transmittance")
 
 
-def interval_pmf(
-    model: ModelKind, grid: SampleGrid, tau: OpacityTrace
-) -> RayDistribution:
-    """Log-transmittance, transmittance, interval pmf and prefix sums of one ray.
+def _distributions(model: ModelKind, widths: np.ndarray, t: np.ndarray):
+    """Log-transmittance, transmittance, pmf and prefix sums along the last axis.
 
-    Every consumer of a distribution builds it here.  The far-bound
-    opacity sentinel (the opaque-far convention) enters the linear model
-    through the final trapezoid.  The constant model never reads the
-    far-bound value, so the sentinel instead gives the final interval
-    unbounded optical depth, the classical way of absorbing all remaining
-    probability mass at the far plane.
+    ``t`` is one ray's opacities ``(N+2,)`` or a stack ``(R, N+2)``, and
+    ``widths`` one shared ``(N+1,)`` row or one row per ray; a stacked row
+    gets the bits of its one-ray build, and each check holds once per batch.
+    The far-bound opacity sentinel (the opaque-far convention) enters the
+    linear model through the final trapezoid.  The constant model never
+    reads the far-bound value, so the sentinel instead gives that row's
+    final interval unbounded optical depth, the classical way of absorbing
+    all remaining probability mass at the far plane.
 
-    P_j is evaluated by the direct per-interval formula
-    ``T_j * (1 - exp(-depth_j))`` and cross-checked against the telescoped
-    form ``T_j - T_{j+1}``; disagreement beyond rounding means the inputs
-    are inconsistent and raises.
-
-    A repeat call with the same trace, model and grid object returns the
-    distribution built the first time; only a build that passed every
-    check is kept.
+    P_j is the direct ``T_j * (1 - exp(-depth_j))``, cross-checked against
+    the telescoped ``T_j - T_{j+1}``; a disagreement beyond rounding raises.
     """
     if model not in (ModelKind.CONSTANT, ModelKind.LINEAR):
         raise ValueError(f"interval pmf needs constant or linear model, got {model}")
-    # Grids are unhashable, so the key is the grid's id; the entry holds
-    # the grid itself, which keeps that id from being reused while it lives.
-    key = (model, id(grid))
-    hit = tau._dists.get(key)
-    if hit is not None and hit[0] is grid:
-        return hit[1]
-    t = tau.values
-    if t.size != grid.n + 2:
+    if t.shape[-1] != widths.shape[-1] + 1:
         raise ValueError(
-            f"opacity trace has {t.size} values for a grid with {grid.n + 2} points"
+            f"opacity trace has {t.shape[-1]} values for a grid with {widths.shape[-1] + 1} points"
         )
     # Negative opacity gives negative optical depth: probabilities below
-    # zero and transmittance above one.  ``OpacityTrace`` guarantees finite
-    # values, so the minimum decides.
+    # zero and transmittance above one.  Callers pass finite values, so the
+    # minimum decides.
     if t.min() < 0.0:
         raise ValueError("opacity must be nonnegative to build a ray distribution")
     # Steps write into arrays already made, in the formulas' order, so the
     # bits are theirs: on long rays a temporary costs more than arithmetic.
     if model is ModelKind.CONSTANT:
-        depth = t[:-1] * grid.widths
-        if t[-1] >= OPAQUE:
-            depth[-1] = t[-2] * OPAQUE
+        depth = t[..., :-1] * widths
+        np.putmask(depth[..., -1:], t[..., -1:] >= OPAQUE, t[..., -2:-1] * OPAQUE)
     else:
-        # depth = 0.5 * (t[:-1] + t[1:]) * grid.widths
-        depth = t[:-1] + t[1:]
+        # depth = 0.5 * (t[..., :-1] + t[..., 1:]) * widths
+        depth = t[..., :-1] + t[..., 1:]
         depth *= 0.5
-        depth *= grid.widths
-    log_t = np.zeros(depth.size + 1)
-    np.cumsum(depth, out=log_t[1:])
-    np.negative(log_t[1:], out=log_t[1:])
+        depth *= widths
+    log_t = np.zeros(t.shape)
+    np.cumsum(depth, axis=-1, out=log_t[..., 1:])
+    np.negative(log_t[..., 1:], out=log_t[..., 1:])
     trans = np.exp(log_t)
-    # pmf = trans[:-1] * -np.expm1(-depth), in the depth array.
+    # pmf = trans[..., :-1] * -np.expm1(-depth), in the depth array.
     pmf = np.negative(depth, out=depth)
     np.expm1(pmf, out=pmf)
     np.negative(pmf, out=pmf)
-    pmf *= trans[:-1]
+    pmf *= trans[..., :-1]
 
     # max |T_j - T_{j+1} - P_j| <= atol is np.allclose with rtol=0: a NaN
     # fails it, and neither side can be infinite.  The gap borrows ``cumulative``.
-    cumulative = np.zeros(pmf.size + 1)
-    gap = np.subtract(trans[:-1], trans[1:], out=cumulative[1:])
+    cumulative = np.zeros(t.shape)
+    gap = np.subtract(trans[..., :-1], trans[..., 1:], out=cumulative[..., 1:])
     gap -= pmf
     if not np.abs(gap, out=gap).max() <= _CROSSCHECK_ATOL:
         raise ArithmeticError(
             "interval probabilities disagree with transmittance differences"
         )
 
-    np.cumsum(pmf, out=cumulative[1:])
+    np.cumsum(pmf, axis=-1, out=cumulative[..., 1:])
+    return log_t, trans, pmf, cumulative
+
+
+def interval_pmf(
+    model: ModelKind, grid: SampleGrid, tau: OpacityTrace
+) -> RayDistribution:
+    """Log-transmittance, transmittance, interval pmf and prefix sums of one ray.
+
+    The one-ray view of ``_distributions``, with the memo: a repeat call
+    with the same trace, model and grid object returns the distribution
+    built the first time; only a build that passed every check is kept.
+    """
+    # Grids are unhashable, so the key is the grid's id; the entry holds
+    # the grid itself, which keeps that id from being reused while it lives.
+    key = (model, id(grid))
+    hit = tau._dists.get(key)
+    if hit is not None and hit[0] is grid:
+        return hit[1]
+    log_t, trans, pmf, cumulative = _distributions(model, grid.widths, tau.values)
     dist = RayDistribution(
         model=model, log_transmittance=_Adopted(log_t), transmittance=_Adopted(trans),
         pmf=_Adopted(pmf), cumulative=_Adopted(cumulative),

@@ -218,8 +218,9 @@ class TestAcceptance:
             for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
                 analytic = grad_render_wrt_tau(model, grid, tau, colors)
 
-                def f(x, model=model):
-                    return float(interval_pmf(model, grid, OpacityTrace(x)).pmf @ colors)
+                def f(X, model=model):
+                    dists = [interval_pmf(model, grid, OpacityTrace(x)) for x in X]
+                    return [float(dist.pmf @ colors) for dist in dists]
 
                 rep = finite_diff_check(f, tauv, analytic, h=1e-4)
                 worst_render = max(worst_render, rep.max_rel_err)
@@ -228,7 +229,7 @@ class TestAcceptance:
             u = float(rng.uniform(0.1, 0.9)) * float(cdf.cumulative[-1])
             sg = grad_sample_wrt_tau(cdf, u)
             rep = finite_diff_check(
-                lambda x: ContinuousRayCdf(grid, OpacityTrace(x)).precise_sample(u),
+                lambda X: [ContinuousRayCdf(grid, OpacityTrace(x)).precise_sample(u) for x in X],
                 tauv,
                 sg.d_tau,
                 h=1e-5,

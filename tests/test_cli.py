@@ -103,15 +103,30 @@ class TestCommands:
 
     def test_shift_sensitivity_stable_linear_render_passes(self, tmp_path, monkeypatch, capsys):
         # A linear render that no shift moves has spread exactly zero; with
-        # a moving constant render the ratio is inf, which passes.
+        # a moving constant render the ratio is inf, which passes.  A zero
+        # linear pmf renders 0.0 at every offset.
         from rayquad import cli
 
-        def render(dist, colors, _render=cli.render):
-            return np.array([0.5]) if dist.model is ModelKind.LINEAR else _render(dist, colors)
+        def distributions(model, widths, t, _kernel=cli._distributions):
+            log_t, trans, pmf, cumulative = _kernel(model, widths, t)
+            if model is ModelKind.LINEAR:
+                pmf = np.zeros_like(pmf)
+            return log_t, trans, pmf, cumulative
 
-        monkeypatch.setattr(cli, "render", render)
+        monkeypatch.setattr(cli, "_distributions", distributions)
         assert run(["shift-sensitivity", "--n-coarse", 32, "--offsets", 8, "--out", tmp_path]) == 0
         assert "spread ratio constant/linear inf" in capsys.readouterr().out
+
+    def test_shift_sensitivity_rounding_spread_is_no_spread(self, tmp_path, capsys):
+        # On the smooth bump at N=32 both spreads are 4.4e-16, rounding of
+        # the rendered values; both count as zero, so the ratio is nan and
+        # the command says both models are shift-stable.
+        scene = Path(__file__).parent.parent / "scenes" / "gaussian_bump.json"
+        assert run(["shift-sensitivity", "--scene", scene, "--n-coarse", 32, "--out", tmp_path]) == 1
+        out = capsys.readouterr().out
+        assert "constant spread 0\n" in out and "linear spread 0\n" in out
+        assert "both models are shift-stable" in out
+        assert "spread ratio constant/linear nan" in out
 
     def test_sampler_test(self, tmp_path):
         assert run(["sampler-test", "--out", tmp_path]) == 0
@@ -259,6 +274,33 @@ class TestRenderFieldCalls:
         monkeypatch.setattr(oracle, "_refine_until_stable", counted)
         assert run(["render", "--out", tmp_path]) == 0
         assert batches == [96]
+
+
+class TestBatchedCommands:
+    """Multi-ray commands build every ray of a model in one kernel call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from rayquad import cli, quadrature
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for module in (cli, quadrature):
+            monkeypatch.setattr(module, "interval_pmf", counting("interval_pmf", module.interval_pmf))
+        monkeypatch.setattr(cli, "_distributions", counting("kernel", cli._distributions))
+        return calls
+
+    @pytest.mark.parametrize("command", ["render", "depth", "shift-sensitivity"])
+    def test_one_kernel_call_per_model(self, tmp_path, calls, command):
+        run([command, "--n-coarse", 16, "--offsets", 4, "--out", tmp_path])
+        assert calls == {"kernel": 2}
 
 
 class TestImageWriters:

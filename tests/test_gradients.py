@@ -27,9 +27,8 @@ from conftest import random_instance
 
 
 def scalar_render(model, grid, colors):
-    def f(tau_values):
-        dist = interval_pmf(model, grid, OpacityTrace(tau_values))
-        return float(dist.pmf @ colors)
+    def f(rows):
+        return [float(interval_pmf(model, grid, OpacityTrace(x)).pmf @ colors) for x in rows]
 
     return f
 
@@ -115,7 +114,7 @@ class TestSampleGradient:
             u = float(rng.uniform(0.1, 0.9)) * float(cdf.cumulative[-1])
             sg = grad_sample_wrt_tau(cdf, u)
             report = finite_diff_check(
-                lambda x: ContinuousRayCdf(grid, OpacityTrace(x)).precise_sample(u),
+                lambda X: [ContinuousRayCdf(grid, OpacityTrace(x)).precise_sample(u) for x in X],
                 np.array(tau.values),
                 sg.d_tau,
                 h=1e-5,
@@ -184,13 +183,15 @@ class TestSampleGradient:
 
 class TestFiniteDiffCheck:
     def test_polynomial(self):
-        report = finite_diff_check(lambda x: float(x[0] ** 2), np.array([3.0]), np.array([6.0]), h=1e-5)
+        report = finite_diff_check(
+            lambda X: [float(x[0] ** 2) for x in X], np.array([3.0]), np.array([6.0]), h=1e-5
+        )
         assert report.numeric[0] == pytest.approx(6.0, abs=1e-9)
         assert report.max_rel_err < 1e-9
 
     def test_linear_function_is_exact(self):
         report = finite_diff_check(
-            lambda x: float(2.0 * x[0] - 3.0 * x[1]),
+            lambda X: [float(2.0 * x[0] - 3.0 * x[1]) for x in X],
             np.array([1.0, 2.0]),
             np.array([2.0, -3.0]),
             h=1e-3,
@@ -199,22 +200,48 @@ class TestFiniteDiffCheck:
 
     def test_detects_corrupted_partials(self):
         report = finite_diff_check(
-            lambda x: float(x[0] ** 2), np.array([3.0]), np.array([6.5]), h=1e-5
+            lambda X: [float(x[0] ** 2) for x in X], np.array([3.0]), np.array([6.5]), h=1e-5
         )
         assert report.max_rel_err > 1e-2
 
     def test_rejects_bad_step_and_nonfinite(self):
         with pytest.raises(ValueError):
-            finite_diff_check(lambda x: 0.0, np.array([1.0]), np.array([0.0]), h=0.0)
+            finite_diff_check(lambda X: [0.0 for x in X], np.array([1.0]), np.array([0.0]), h=0.0)
         with pytest.raises(ValueError):
             finite_diff_check(
-                lambda x: float("nan"), np.array([1.0]), np.array([0.0]), h=1e-6
+                lambda X: [float("nan") for x in X], np.array([1.0]), np.array([0.0]), h=1e-6
             )
 
     @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_step_outside_positive_reals(self, h, engine_guard):
         with pytest.raises(ValueError, match="step size must be positive and finite"):
-            finite_diff_check(lambda x: float(x[0]), np.array([1.0]), np.array([1.0]), h=h)
+            finite_diff_check(
+                lambda X: [float(x[0]) for x in X], np.array([1.0]), np.array([1.0]), h=h
+            )
+
+    def test_calls_f_once_on_the_stacked_rows(self):
+        x, h = np.array([0.5, -1.25, 3.0]), 1e-3
+        seen = []
+
+        def f(rows):
+            seen.append(rows.copy())
+            return rows.sum(axis=1)
+
+        finite_diff_check(f, x, np.ones(3), h=h)
+        assert len(seen) == 1 and seen[0].shape == (6, 3)
+        off_diagonal = ~np.eye(3, dtype=bool)
+        for rows, sign in ((seen[0][:3], 1.0), (seen[0][3:], -1.0)):
+            np.testing.assert_array_equal(np.diag(rows), x + sign * h)
+            np.testing.assert_array_equal(rows[off_diagonal], np.tile(x, (3, 1))[off_diagonal])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_check_point(self, bad):
+        with pytest.raises(ValueError, match="check point must be finite"):
+            finite_diff_check(lambda X: X.sum(axis=1), np.array([1.0, bad]), np.zeros(2))
+
+    def test_rejects_one_value_for_the_whole_stack(self):
+        with pytest.raises(ValueError, match="one value per row"):
+            finite_diff_check(lambda X: float(X.sum()), np.array([1.0, 2.0]), np.ones(2))
 
     def test_report_invariants(self):
         with pytest.raises(ValueError):

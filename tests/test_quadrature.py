@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rayquad import (
+    OPAQUE,
     ColorTrace,
     ContinuousRayCdf,
     DiscreteRayCdf,
@@ -280,6 +281,50 @@ class TestOneBuilder:
         else:
             dist = interval_pmf(ModelKind.LINEAR, grid, tau)
             assert dist.pmf[0] - (dist.transmittance[0] - dist.transmittance[1]) > 0.0
+
+
+def random_grid(rng, n):
+    pts = np.cumsum(rng.uniform(0.01, 0.1, n + 1))
+    return SampleGrid(pts[:-1], RaySegment(0.0, float(pts[-1])))
+
+
+class TestBatchedKernel:
+    """``_distributions`` on a stack of rays gives each row the bits of its one-ray build."""
+
+    @staticmethod
+    def stack(rng, r, n):
+        t = 10.0 ** rng.uniform(-6, 1, (r, n + 2))
+        # A mix of rows with and without the far sentinel: the first row
+        # has it, and the last one of two or more does not.
+        opaque = rng.random(r) < 0.5
+        opaque[-1] = False
+        opaque[0] = True
+        t[opaque, -1] = OPAQUE
+        return t
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-widths", "row-widths"])
+    @pytest.mark.parametrize("model", [ModelKind.CONSTANT, ModelKind.LINEAR])
+    def test_rows_equal_one_ray_builds(self, rng, model, shared):
+        for _ in range(12):
+            r, n = int(rng.integers(1, 9)), int(rng.integers(1, 300))
+            grids = [random_grid(rng, n)] * r if shared else [random_grid(rng, n) for _ in range(r)]
+            widths = grids[0].widths if shared else np.stack([g.widths for g in grids])
+            t = self.stack(rng, r, n)
+            batch = quadrature._distributions(model, widths, t)
+            for i, grid in enumerate(grids):
+                dist = interval_pmf(model, grid, OpacityTrace(t[i]))
+                one = (dist.log_transmittance, dist.transmittance, dist.pmf, dist.cumulative)
+                for got, want in zip(batch, one):
+                    assert np.array_equal(got[i], want)
+
+    @pytest.mark.parametrize("model", [ModelKind.CONSTANT, ModelKind.LINEAR])
+    def test_negative_entry_in_one_row_fails_the_batch(self, rng, model):
+        grid = random_grid(rng, 20)
+        for row in range(5):
+            t = self.stack(rng, 5, 20)
+            t[row, int(rng.integers(0, 22))] = -1e-300
+            with pytest.raises(ValueError, match="nonnegative"):
+                quadrature._distributions(model, grid.widths, t)
 
 
 class TestExtremeInputs:
