@@ -45,6 +45,7 @@ from .rays import (
     SampleGrid,
     _Adopted,
     _frozen,
+    _interval,
     apply_far_convention,
     floor_opacity,
     make_uniform_grid,
@@ -219,9 +220,7 @@ class SampledDensity(DensityProfile):
         s = np.asarray(s, dtype=np.float64)
         if self.degree == 1:
             return np.interp(s, self.knots, self.values)
-        idx = np.searchsorted(self.knots, s, side="right") - 1
-        idx = np.clip(idx, 0, self.knots.size - 2)
-        return self.values[idx]
+        return self.values[_interval(self.knots, s)]
 
     def breakpoints(self) -> np.ndarray:
         return np.array(self.knots)
@@ -339,9 +338,7 @@ class PiecewiseConstantColor(ColorProfile):
 
     def color(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        idx = np.searchsorted(self.knots, s, side="right") - 1
-        idx = np.clip(idx, 0, self.knots.size - 2)
-        return self.values[idx]
+        return self.values[_interval(self.knots, s)]
 
     def breakpoints(self) -> np.ndarray:
         return np.array(self.knots)
@@ -503,35 +500,47 @@ class GrazingRig:
 
 
 _DENSITY_KINDS = {
-    "constant_slab": lambda p: ConstantSlab(p["tau"], p["start"], p["end"]),
-    "linear_ramp": lambda p: LinearRamp(p["tau_start"], p["tau_end"], p["start"], p["end"]),
-    "gaussian_bump": lambda p: GaussianBump(p["amplitude"], p["center"], p["width"]),
-    "logistic_step": lambda p: LogisticStep(p["amplitude"], p["steepness"], p["center"]),
+    "constant_slab": ConstantSlab,
+    "linear_ramp": LinearRamp,
+    "gaussian_bump": GaussianBump,
+    "logistic_step": LogisticStep,
 }
-
-_COLOR_KINDS = {
-    "uniform": lambda p: UniformColor(p["value"]),
-    "gradient": lambda p: GradientColor(p["start_value"], p["end_value"], p["start"], p["end"]),
-    "two_tone": lambda p: TwoToneColor(p["before"], p["after"], p["boundary"]),
-}
+_COLOR_KINDS = {"uniform": UniformColor, "gradient": GradientColor, "two_tone": TwoToneColor}
+_SCENE_KEYS = {(ConstantSlab, "tau0"): "tau"}  # scene keys unlike the parameter's name
 
 
-def _profile(spec: dict, kinds: dict, what: str):
-    """The profile ``kinds[spec["kind"]]`` builds from the other keys of ``spec``."""
-    params = dict(spec)
-    kind = params.pop("kind")
-    if kind not in kinds:
+def _checked(spec, keys, what: str) -> dict:
+    """``spec`` if it is an object with exactly ``keys``, else ValueError naming the key."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be an object")
+    for key in [*spec, *keys]:
+        if (key in spec) != (key in keys):
+            raise ValueError(f"{what}: {'unknown' if key in spec else 'missing'} key {key!r}")
+    return spec
+
+
+def _profile(spec, kinds: dict, what: str):
+    """The profile of class ``kinds[spec["kind"]]``, called with the other keys of ``spec``."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
         raise ValueError(f"unknown {what} kind {kind!r}")
-    return kinds[kind](params)
+    cls = kinds[kind]
+    keys = [_SCENE_KEYS.get((cls, f.name), f.name) for f in dataclasses.fields(cls)]
+    _checked(spec, ["kind", *keys], f"scene {what}")
+    return cls(*(spec[key] for key in keys))
 
 
 def load_scene(path: str | Path) -> tuple[AnalyticField, RaySegment]:
     """Read a scene file: JSON with ``field``, ``segment``, optional ``color``.
 
-    See docs/scene-format.md for the schema.
+    Every object must have exactly its schema's keys; an unknown or missing
+    key raises ValueError.  See docs/scene-format.md for the schema.
     """
     spec = json.loads(Path(path).read_text())
+    if isinstance(spec, dict):
+        spec.setdefault("color", {"kind": "uniform", "value": [1.0]})
+    _checked(spec, ("field", "segment", "color"), "scene")
     density = _profile(spec["field"], _DENSITY_KINDS, "field")
-    color = _profile(spec.get("color", {"kind": "uniform", "value": [1.0]}), _COLOR_KINDS, "color")
-    segment = RaySegment(spec["segment"]["near"], spec["segment"]["far"])
+    color = _profile(spec["color"], _COLOR_KINDS, "color")
+    segment = RaySegment(**_checked(spec["segment"], ("near", "far"), "scene segment"))
     return AnalyticField(density=density, color=color), segment

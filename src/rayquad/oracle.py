@@ -26,11 +26,12 @@ Only ``true_render_batch`` takes rays of mixed profile classes.  It
 splits them into batches of one density class and one color class, and
 below it every batch holds one class pair.  A batch makes one ``tau``
 and one ``color`` call per engine level (``fields._by_ray``), not one per
-ray, and looks up every point's cumulative opacity in one search over
-all rays' flattened tables.  ``_base``, the one panel builder, splits
-the segment at field breakpoints for tables and render tasks alike;
-``_tabulate``, the one table builder, makes every table, all unsettled
-rays of a refinement round in one call with one sub-panel count.  Every
+ray, and looks up every point's cumulative opacity with one float search
+over the union of its tables' edges (``_flat_cumulative``).  ``_base``,
+the one panel builder, splits the segment at field breakpoints for
+tables and render tasks alike; ``_tabulate``, the one table builder,
+makes every table, all unsettled rays of a refinement round in one call
+with one sub-panel count.  Every
 value is elementwise in its own ray's parameters, and every sum runs
 over one ray in the order of a single-ray run.
 
@@ -47,7 +48,7 @@ from itertools import accumulate
 import numpy as np
 
 from .fields import _GATHERABLE, AnalyticField, DensityProfile, _by_ray
-from .rays import RaySegment
+from .rays import RaySegment, _interval
 
 _MAX_DEPTH = 48
 
@@ -73,13 +74,13 @@ class NoConvergenceError(RuntimeError):
         self.partial = partial
 
 
-def _adaptive_simpson(f, a, b, tol, max_depth: int = _MAX_DEPTH):
+def _adaptive_simpson(f, a, b, tol):
     """Level-synchronous adaptive Simpson over independent tasks.
 
     Task ``k`` integrates over [a[k], b[k]] to absolute tolerance tol[k].
     ``f(x, task)`` evaluates the points of every live panel, one call per
     tree level.  Returns per-task value, error estimate, evaluation count
-    and whether a panel still failed at ``max_depth``.
+    and whether a panel still failed at depth ``_MAX_DEPTH``.
     """
 
     def call(points: list[np.ndarray], task: np.ndarray) -> np.ndarray:
@@ -98,7 +99,7 @@ def _adaptive_simpson(f, a, b, tol, max_depth: int = _MAX_DEPTH):
     # whose error estimate is pure float noise can never be accepted.
     floor = np.maximum(1e-300, 0.25 * np.finfo(float).eps * np.abs(whole))
     levels = []
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm, frm = call([lm, rm], task)
@@ -108,7 +109,7 @@ def _adaptive_simpson(f, a, b, tol, max_depth: int = _MAX_DEPTH):
         ordered = (a < lm) & (lm < m) & (m < rm) & (rm < b)
         split = ~((np.abs(err) <= tol) | (a == b) | ~ordered)
         levels.append((left + right + err, np.abs(err), split, task))
-        if depth == max_depth or not split.any():
+        if depth == _MAX_DEPTH or not split.any():
             break
         # Left children, then right children, in split-node order; a
         # child's midpoint is its parent's quarter point, bit for bit.
@@ -134,16 +135,14 @@ def _adaptive_simpson(f, a, b, tol, max_depth: int = _MAX_DEPTH):
     return value, error, evals, failed
 
 
-def integrate_adaptive(
-    f, a: float, b: float, tol: float = 1e-10, max_depth: int = _MAX_DEPTH
-) -> IntegrationResult:
+def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> IntegrationResult:
     """Adaptive Simpson integration of a scalar function on [a, b].
 
     Panels are split until the Richardson error estimate of each panel
     drops below its share of ``tol``; the extrapolated correction is
     folded into the result.  ``f`` is called once per point.  Raises
     NoConvergenceError with the partial result attached if any panel is
-    still failing at ``max_depth``.
+    still failing at depth ``_MAX_DEPTH``.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -157,12 +156,11 @@ def integrate_adaptive(
         np.array([a], float),
         np.array([b], float),
         np.array([tol]),
-        max_depth,
     )
     result = IntegrationResult(float(value[0]), float(error[0]), int(evals[0]))
     if failed[0]:
         raise NoConvergenceError(
-            f"adaptive Simpson did not converge on [{a}, {b}] at depth {max_depth}",
+            f"adaptive Simpson did not converge on [{a}, {b}] at depth {_MAX_DEPTH}",
             partial=result,
         )
     return result
@@ -205,11 +203,8 @@ class CumulativeOpacityTable:
         vars(self).update(vars(_tables([density], segment, extra_breaks)[0]))
 
     def cumulative(self, s):
-        """Cumulative opacity from the near bound to ``s`` (vectorized)."""
-        s = np.asarray(s, dtype=np.float64)
-        # Interior edges only: points outside the table use its end pieces.
-        idx = self.edges[1:-1].searchsorted(s, side="right")
-        return _hermite(s, idx, self.edges, self.cumulative_at_edges, self._d0, self._a2, self._a3)
+        """Cumulative opacity from the near bound to ``s``, via ``_flat_cumulative``."""
+        return _flat_cumulative([self])(np.asarray(s, dtype=np.float64), 0)
 
     @property
     def total(self) -> float:
@@ -295,36 +290,25 @@ def _tabulate(densities, segment: RaySegment, bases, n_sub: int) -> list:
     return tables
 
 
-def _ray_keys(ray: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``(ray, s)`` pairs as complex numbers, which numpy orders lexicographically."""
-    keys = np.empty(s.size, dtype=np.complex128)
-    keys.real, keys.imag = ray, s
-    return keys
-
-
 def _flat_cumulative(tables):
     """``O(x, ray)``: cumulative opacity of each point on its own ray's table.
 
-    The tables are flattened once; each point's piece is found by one
-    search over every ray's interior edges, with the index each table's
-    own ``cumulative`` finds, and the Hermite cubic runs once for all.
+    The tables share one segment and are flattened once.  A point's piece is
+    ``piece[ray, _interval(union, x)]``: one search over the union of all
+    tables' edges, then the map ``piece[r, j] = start_r + _interval(edges_r,
+    union[j])``, exact because every table's edges are in the union and span
+    the segment.  The map holds R x |union| indices: tables of one class
+    share their edges (breakpoint-free ``GaussianBump``, ``LogisticStep``) or
+    have at most 4 each (``ConstantSlab``, ``LinearRamp``).
     """
-    interior = [t.edges[1:-1] for t in tables]
-    keys = _ray_keys(
-        np.repeat(np.arange(len(tables)), [e.size for e in interior]), np.concatenate(interior)
-    )
-    left, cum, d0, a2, a3 = (
-        np.concatenate(parts)
-        for parts in zip(
-            *((t.edges[:-1], t.cumulative_at_edges[:-1], t._d0, t._a2, t._a3) for t in tables)
-        )
-    )
+    union = np.unique(np.concatenate([t.edges for t in tables]))
+    starts = np.cumsum([0] + [t.edges.size - 1 for t in tables[:-1]])
+    piece = np.array([_interval(t.edges, union) for t in tables]) + starts[:, None]
+    parts = [(t.edges[:-1], t.cumulative_at_edges[:-1], t._d0, t._a2, t._a3) for t in tables]
+    left, cum, d0, a2, a3 = map(np.concatenate, zip(*parts))
 
-    def cumulative(x: np.ndarray, ray: np.ndarray) -> np.ndarray:
-        # Ray r has one more piece than interior edges, so its pieces start
-        # r places after its edges do.
-        idx = keys.searchsorted(_ray_keys(ray, x), side="right") + ray
-        return _hermite(x, idx, left, cum, d0, a2, a3)
+    def cumulative(x: np.ndarray, ray) -> np.ndarray:
+        return _hermite(x, piece[ray, _interval(union, x)], left, cum, d0, a2, a3)
 
     return cumulative
 
@@ -472,14 +456,15 @@ def true_interval_probabilities(
     exact = _is_exact_class(field.density)
     while not exact and table.tab_error > rtol / 8.0 and table.n_sub < 8192:
         table = table.refined()
-    prefix = table.cumulative(edges)
+    cumulative = _flat_cumulative([table])
+    prefix = cumulative(edges, 0)
     lo, hi = edges[:-1], edges[1:]
     inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
     mass = -np.expm1(-np.diff(prefix))
 
     def integrand(x: np.ndarray, task: np.ndarray) -> np.ndarray:
         x = np.minimum(np.maximum(x, inner_lo[task]), inner_hi[task])
-        return field.tau(x) * np.exp(-(table.cumulative(x) - prefix[task]))
+        return field.tau(x) * np.exp(-(cumulative(x, 0) - prefix[task]))
 
     value, error, evals, failed = _adaptive_simpson(
         integrand, lo, hi, np.maximum(rtol * mass, 1e-300)

@@ -12,6 +12,8 @@ any non-finite entry, and stores the copy read-only.  An array the library
 has just built is passed as ``_Adopted(array)`` and frozen in place after
 the same checks; a profile's output is copied, as the profile may keep it.
 Each class checks its own shape, sign, order and range on either path.
+``_interval`` is the one rule for which interval of sorted edges holds a
+point: samplers, profiles and the oracle's tables all locate through it.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ def _frozen(owner, name: str, ndmin: int = 1) -> np.ndarray:
     out.setflags(write=False)
     object.__setattr__(owner, name, out)
     return out
+
+
+def _interval(edges: np.ndarray, x):
+    """Index in [0, edges.size - 2] of the interval of the sorted ``edges`` holding
+    each ``x``: a point on an edge, even a repeated one, lies in the last interval
+    starting there, and a point past either end lies in that end's interval."""
+    return edges[1:-1].searchsorted(x, side="right")
 
 
 @dataclass(frozen=True)

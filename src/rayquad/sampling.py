@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .rays import ModelKind, OpacityTrace, SampleGrid, _Adopted
+from .rays import ModelKind, OpacityTrace, SampleGrid, _Adopted, _interval
 
 # Draws above 1 - EPS_UNIT carry no invertible information and are clamped
 # to the far bound.
@@ -68,11 +68,9 @@ class DiscreteRayCdf:
         if not ((u >= 0.0) & (u < 1.0)).all():
             raise ValueError("surrogate draws must lie in [0, 1)")
         c = self.cumulative
-        total = c[-1]
-        if (u > total).any():
+        if (u > c[-1]).any():
             raise ValueError("draw exceeds the total probability mass of the ray")
-        k = np.searchsorted(c[1:], u, side="right")
-        k = np.minimum(k, self.grid.n)
+        k = _interval(c, u)
         pts = self.grid.points
         span = c[k + 1] - c[k]
         frac = np.where(span > 0.0, (u - c[k]) / np.where(span > 0.0, span, 1.0), 0.0)
@@ -118,8 +116,7 @@ class ContinuousRayCdf:
         """
         clamped = (u >= 1.0 - EPS_UNIT) | (u >= self.cumulative[-1])
         u = np.where(clamped, 0.0, u)
-        k = np.searchsorted(self.cumulative[1:], u, side="right")
-        k = np.minimum(k, self.grid.n)
+        k = _interval(self.cumulative, u)
         q = self.dist.log_transmittance[k] - np.log1p(-u)
         if not np.isfinite(q).all():
             raise ArithmeticError("non-finite log mass while inverting the CDF")
@@ -141,8 +138,7 @@ class ContinuousRayCdf:
         if not ((t >= seg.near) & (t <= seg.far)).all():
             raise ValueError("evaluation point outside the ray segment")
         pts = self.grid.points
-        k = np.searchsorted(pts, t, side="right") - 1
-        k = np.clip(k, 0, self.grid.n)
+        k = _interval(pts, t)
         tp = t - pts[k]
         delta = self.grid.widths[k]
         tau = self.tau.values

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +240,88 @@ class TestSceneFiles:
         path.write_text(json.dumps({"field": slab, "segment": {"near": 0, "far": 1}, "color": {"kind": "plaid"}}))
         with pytest.raises(ValueError, match="unknown color kind 'plaid'"):
             load_scene(path)
+
+    @staticmethod
+    def _load(tmp_path, spec):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(spec))
+        return load_scene(path)
+
+    BUMP = {"kind": "gaussian_bump", "amplitude": 1.0, "center": 0.5, "width": 0.1}
+    SEGMENT = {"near": 0.0, "far": 1.0}
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"field": BUMP, "segment": SEGMENT, "colour": {"kind": "uniform", "value": [0.2]}},
+                "scene: unknown key 'colour'",
+            ),
+            (
+                {"field": {**BUMP, "widht": 0.3}, "segment": SEGMENT},
+                "scene field: unknown key 'widht'",
+            ),
+            (
+                {"field": BUMP, "segment": {**SEGMENT, "farr": 2.0}},
+                "scene segment: unknown key 'farr'",
+            ),
+            (
+                {"field": {k: v for k, v in BUMP.items() if k != "width"}, "segment": SEGMENT},
+                "scene field: missing key 'width'",
+            ),
+        ],
+        ids=["misspelled-color", "misspelled-parameter", "misspelled-bound", "missing-parameter"],
+    )
+    def test_misspelled_or_missing_keys_rejected(self, tmp_path, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self._load(tmp_path, spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"field": BUMP}, "scene: missing key 'segment'"),
+            ({"field": BUMP, "segment": {"near": 0.0}}, "scene segment: missing key 'far'"),
+            ({"field": BUMP, "segment": [0.0, 1.0]}, "scene segment must be an object"),
+            ([BUMP, SEGMENT], "scene must be an object"),
+            # The scene key is ``tau``, not the parameter name ``tau0``.
+            (
+                {"field": {"kind": "constant_slab", "tau0": 1.0, "start": 0.2, "end": 0.8}, "segment": SEGMENT},
+                "scene field: unknown key 'tau0'",
+            ),
+            (
+                {"field": BUMP, "segment": SEGMENT, "color": {"kind": "two_tone", "before": [0.1], "after": [0.9]}},
+                "scene color: missing key 'boundary'",
+            ),
+            ({"field": {"amplitude": 1.0}, "segment": SEGMENT}, "unknown field kind None"),
+        ],
+    )
+    def test_every_object_needs_exactly_its_keys(self, tmp_path, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self._load(tmp_path, spec)
+
+    def test_shipped_scenes_load_to_the_profiles_they_name(self):
+        # The rules the loader had before it checked keys, written out.
+        build = {
+            "constant_slab": lambda p: ConstantSlab(p["tau"], p["start"], p["end"]),
+            "linear_ramp": lambda p: LinearRamp(p["tau_start"], p["tau_end"], p["start"], p["end"]),
+            "gaussian_bump": lambda p: GaussianBump(p["amplitude"], p["center"], p["width"]),
+            "logistic_step": lambda p: LogisticStep(p["amplitude"], p["steepness"], p["center"]),
+            "uniform": lambda p: UniformColor(p["value"]),
+            "gradient": lambda p: GradientColor(p["start_value"], p["end_value"], p["start"], p["end"]),
+            "two_tone": lambda p: TwoToneColor(p["before"], p["after"], p["boundary"]),
+        }
+        scenes = sorted((Path(__file__).parent.parent / "scenes").glob("*.json"))
+        assert len(scenes) == 4
+        for path in scenes:
+            spec = json.loads(path.read_text())
+            field, segment = load_scene(path)
+            assert segment == RaySegment(spec["segment"]["near"], spec["segment"]["far"])
+            for profile, part in ((field.density, spec["field"]), (field.color, spec["color"])):
+                expected = build[part["kind"]](part)
+                assert type(profile) is type(expected)
+                for f in dataclasses.fields(expected):
+                    a, b = getattr(profile, f.name), getattr(expected, f.name)
+                    assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, f.name
 
     def test_default_color_is_unit_uniform(self, tmp_path):
         path = tmp_path / "plain.json"

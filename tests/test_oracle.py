@@ -22,6 +22,7 @@ from rayquad import (
     ks_critical,
     ks_statistic,
     make_uniform_grid,
+    oracle,
     render,
     sample_field,
     true_interval_probabilities,
@@ -41,6 +42,8 @@ from rayquad.fields import (
 from rayquad.oracle import (
     CumulativeOpacityTable,
     _adaptive_simpson,
+    _flat_cumulative,
+    _hermite,
     _refined,
     _render_rays,
     _tables,
@@ -83,11 +86,12 @@ class TestIntegrateAdaptive:
         result = integrate_adaptive(lambda s: np.sqrt(abs(s - 0.37)), 0.0, 1.0, 1e-12)
         assert result.value == pytest.approx(truth, abs=1e-11)
 
-    def test_depth_limit_raises_with_partial_result(self):
+    def test_depth_limit_raises_with_partial_result(self, monkeypatch):
         f = lambda s: np.sqrt(abs(s - 0.37))
         truth = 2.0 / 3.0 * (0.37**1.5 + 0.63**1.5)
+        monkeypatch.setattr(oracle, "_MAX_DEPTH", 4)
         with pytest.raises(NoConvergenceError) as err:
-            integrate_adaptive(f, 0.0, 1.0, 1e-15, max_depth=4)
+            integrate_adaptive(f, 0.0, 1.0, 1e-15)
         assert err.value.partial.value == pytest.approx(truth, abs=1e-3)
 
 
@@ -126,7 +130,7 @@ class TestToleranceBounds:
 
 
 class TestSimpsonEngine:
-    def test_batched_depth_limit_flags_only_the_failing_task(self):
+    def test_batched_depth_limit_flags_only_the_failing_task(self, monkeypatch):
         fs = [lambda s: s * s, lambda s: np.sqrt(abs(s - 0.37)), np.sin, np.exp]
         a = np.array([0.0, 0.0, 0.0, 1.5])
         b = np.array([1.0, 1.0, np.pi, 1.5])
@@ -135,15 +139,16 @@ class TestSimpsonEngine:
         def f(x, task):
             return [fs[k](xi) for xi, k in zip(x.tolist(), task.tolist())]
 
-        value, error, evals, failed = _adaptive_simpson(f, a, b, tol, max_depth=4)
+        monkeypatch.setattr(oracle, "_MAX_DEPTH", 4)
+        value, error, evals, failed = _adaptive_simpson(f, a, b, tol)
         assert failed.tolist() == [False, True, False, False]
         for k in range(4):
             if failed[k]:
                 with pytest.raises(NoConvergenceError) as err:
-                    integrate_adaptive(fs[k], a[k], b[k], tol[k], max_depth=4)
+                    integrate_adaptive(fs[k], a[k], b[k], tol[k])
                 alone = err.value.partial
             else:
-                alone = integrate_adaptive(fs[k], a[k], b[k], tol[k], max_depth=4)
+                alone = integrate_adaptive(fs[k], a[k], b[k], tol[k])
             assert (value[k], error[k], evals[k]) == (
                 alone.value,
                 alone.error_estimate,
@@ -393,6 +398,69 @@ class TestBatchedTabulation:
                 self._assert_same(table, single)
             for table, single in zip(_refined(batched), alone):
                 self._assert_same(table, single.refined())
+
+
+class TestFlatCumulative:
+    """The batched lookup equals each table's own search and Hermite piece, bit for bit."""
+
+    segment = RaySegment(0.0, 4.0)
+
+    @staticmethod
+    def _assert_matches_each_table(tables, segment):
+        edges = np.concatenate([t.edges for t in tables])
+        x = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                [segment.near - 1.0, segment.far + 1.0],
+                np.linspace(segment.near, segment.far, 97),
+            ]
+        )
+        cumulative = _flat_cumulative(tables)
+        expected = []
+        for r, t in enumerate(tables):
+            # The one-table search the batched lookup replaced.
+            idx = t.edges[1:-1].searchsorted(x, side="right")
+            expected.append(_hermite(x, idx, t.edges, t.cumulative_at_edges, t._d0, t._a2, t._a3))
+            assert np.array_equal(cumulative(x, np.full(x.size, r)), expected[r]), r
+            assert np.array_equal(t.cumulative(x), expected[r]), r
+        # Points of every ray interleaved in one call.
+        ray = np.arange(x.size) % len(tables)
+        assert np.array_equal(cumulative(x, ray), np.array(expected)[ray, np.arange(x.size)])
+
+    @pytest.mark.parametrize("refinements", [0, 1, 2])
+    def test_shared_edges(self, refinements):
+        steps = [LogisticStep(10.0, 40.0, c) for c in (0.5, 1.0, 2.5, 3.9)]
+        tables = _tables(steps, self.segment)
+        for _ in range(refinements):
+            tables = _refined(tables)
+        assert all(np.array_equal(t.edges, tables[0].edges) for t in tables)
+        self._assert_matches_each_table(tables, self.segment)
+
+    @pytest.mark.parametrize(
+        "densities",
+        [
+            # Breakpoints inside, straddling and on the segment's ends.
+            [
+                ConstantSlab(1.0, 0.5, 2.5),
+                ConstantSlab(2.0, 1.0, 3.0),
+                ConstantSlab(0.5, -1.0, 6.0),
+                ConstantSlab(3.0, 3.5, 4.0),
+            ],
+            [
+                LinearRamp(0.5, 2.0, 1.0, 3.0),
+                LinearRamp(1.0, 0.0, 0.25, 0.75),
+                LinearRamp(2.0, 1.0, -1.0, 2.0),
+                LinearRamp(0.0, 4.0, 0.0, 4.0),
+            ],
+        ],
+        ids=["slab", "ramp"],
+    )
+    def test_breakpoints_differ_from_ray_to_ray(self, densities):
+        tables = _tables(densities, self.segment)
+        assert len({t.edges.size for t in tables}) > 1
+        self._assert_matches_each_table(tables, self.segment)
 
 
 class TestTrueRender:

@@ -20,6 +20,7 @@ from rayquad import (
     RaySegment,
     fixtures,
     integrate_adaptive,
+    oracle,
     true_mean_termination,
     true_render,
 )
@@ -97,13 +98,14 @@ def test_true_mean_termination_pinned(tol):
     assert (out.tolist(), err_total, n_evals) == (first, err, evals)
 
 
-def test_integrate_adaptive_pinned():
+def test_integrate_adaptive_pinned(monkeypatch):
     kink = lambda s: np.sqrt(abs(s - 0.37))
     assert integrate_adaptive(kink, 0.0, 1.0, 1e-12) == IntegrationResult(
         0.4834061409414945, 3.5468915395188263e-13, 4205
     )
+    monkeypatch.setattr(oracle, "_MAX_DEPTH", 4)
     with pytest.raises(NoConvergenceError) as err:
-        integrate_adaptive(kink, 0.0, 1.0, 1e-15, max_depth=4)
+        integrate_adaptive(kink, 0.0, 1.0, 1e-15)
     assert err.value.partial == IntegrationResult(
         0.48366640813728373, 2.2565917808817457e-05, 65
     )

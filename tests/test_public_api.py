@@ -132,3 +132,26 @@ def test_public_name_is_used_outside_tests(module, name):
         texts += [p.read_text() for p in sorted(ROOT.glob(pattern)) if p.is_file()]
     word = re.compile(rf"\b{re.escape(name)}\b")
     assert any(word.search(text) for text in texts), f"{module.stem}.{name} is used only by tests"
+
+
+def _searchsorted_sites(path):
+    """``file:line`` of every ``searchsorted`` a module names, except inside
+    ``rays._interval``, the one interval locator."""
+    tree = ast.parse(path.read_text())
+    allowed = set()
+    if path.name == "rays.py":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "_interval":
+                allowed = {id(n) for n in ast.walk(node)}
+    for node in ast.walk(tree):
+        # Attribute, Name, and import alias or definition spellings alike.
+        named = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+        if named == "searchsorted" and id(node) not in allowed:
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_one_interval_locator():
+    # Grids, samplers, profiles and the oracle's tables find a point's
+    # interval only through ``rays._interval``, so the edge rule cannot fork.
+    sites = [site for path in sorted(SOURCES.glob("*.py")) for site in _searchsorted_sites(path)]
+    assert sites == []

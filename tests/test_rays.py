@@ -16,7 +16,7 @@ from rayquad import (
     make_uniform_grid,
 )
 from rayquad.quadrature import RayDistribution
-from rayquad.rays import _Adopted
+from rayquad.rays import _Adopted, _interval
 
 
 class TestRaySegment:
@@ -189,3 +189,46 @@ class TestColorTrace:
         trace = ColorTrace(np.array([0.25, 0.75]))
         assert trace.values.shape == (2, 1)
         assert trace.channels == 1
+
+
+def _probe_points(edges):
+    """Every edge, one ulp either side of it, points past both ends, and a
+    spread of points in between."""
+    pad = 1.0 + np.abs(edges).max()
+    return np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [edges[0] - pad, edges[-1] + pad, -np.inf, np.inf],
+            np.linspace(edges[0] - 0.1, edges[-1] + 0.1, 101),
+        ]
+    )
+
+
+class TestIntervalLocator:
+    """``_interval`` equals the formulas it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_formulas_it_replaced(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, 24))
+        # Drawn from a few values with replacement, so most arrays repeat an
+        # edge: the zero-mass bins of a cumulative.
+        pool = rng.uniform(-2.0, 3.0, int(rng.integers(1, size + 1)))
+        edges = np.sort(rng.choice(pool, size))
+        x = _probe_points(edges)
+        got = _interval(edges, x)
+        # Grids, knots and table edges: one search minus one, clipped to the ends.
+        clipped = np.clip(np.searchsorted(edges, x, "right") - 1, 0, edges.size - 2)
+        # Cumulatives: a search past the first value, capped at the last interval.
+        capped = np.minimum(np.searchsorted(edges[1:], x, "right"), edges.size - 2)
+        assert np.array_equal(got, clipped)
+        assert np.array_equal(got, capped)
+
+    def test_edge_rule(self):
+        edges = np.array([0.0, 1.0, 1.0, 2.0, 3.0])
+        x = [-5.0, 0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, 2.0, 3.0, 7.0]
+        # On an edge: the last interval starting there; past an end: that end's.
+        assert _interval(edges, np.array(x)).tolist() == [0, 0, 0, 0, 2, 3, 3, 3]
+        assert _interval(edges, 1.0) == 2
