@@ -36,6 +36,8 @@ _MODELS = (ModelKind.CONSTANT, ModelKind.LINEAR)
 
 # ``render`` image shape: one row per grazing angle, one column per wall offset.
 _RENDER_HEIGHT, _RENDER_WIDTH = 8, 12
+# ``render``'s oracle tolerance: it reads no ``--tol``; ``render.csv`` is recorded at this one.
+_RENDER_TOL = 1e-6
 
 
 @dataclass
@@ -132,16 +134,16 @@ def cmd_convergence(spec: ExperimentSpec) -> bool:
     return ok
 
 
-def _stacked_sweep(scene, segment, spec: ExperimentSpec):
+def _stacked_sweep(scene, segment, n_coarse: int, n_offsets: int):
     """``shift_sweep`` as offsets, grids, and widths, opacities and colors one row per offset."""
-    offsets, grids, taus, colors = zip(*shift_sweep(scene, segment, spec.n_coarse, spec.offsets))
+    offsets, grids, taus, colors = zip(*shift_sweep(scene, segment, n_coarse, n_offsets))
     stacked = [np.stack([trace.values for trace in traces]) for traces in (taus, colors)]
     return offsets, grids, np.stack([grid.widths for grid in grids]), *stacked
 
 
 def cmd_shift_sensitivity(spec: ExperimentSpec) -> bool:
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
-    offsets, _, widths, t, colors = _stacked_sweep(scene, segment, spec)
+    offsets, _, widths, t, colors = _stacked_sweep(scene, segment, spec.n_coarse, spec.offsets)
     rows = []
     spreads = {}
     for model in _MODELS:
@@ -334,7 +336,7 @@ def cmd_render(spec: ExperimentSpec) -> bool:
     wall_offsets = np.linspace(0.0, 0.12, width, endpoint=False)
 
     rays = [rig.ray_field(float(a), float(off)) for a in angles for off in wall_offsets]
-    truths = oracle.true_render_batch(rays, segment, 1e-6)[:, 0].reshape(height, width)
+    truths = oracle.true_render_batch(rays, segment, _RENDER_TOL)[:, 0].reshape(height, width)
     grid = make_uniform_grid(segment, spec.n_coarse)
     taus, colors = zip(*(opaque_trace(ray, grid) for ray in rays))
     t, colors = (np.stack([trace.values for trace in traces]) for traces in (taus, colors))
@@ -361,7 +363,7 @@ def cmd_render(spec: ExperimentSpec) -> bool:
 def cmd_depth(spec: ExperimentSpec) -> bool:
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
     truth = oracle.true_mean_termination(scene, segment, spec.tol)
-    offsets, grids, widths, t, _ = _stacked_sweep(scene, segment, spec)
+    offsets, grids, widths, t, _ = _stacked_sweep(scene, segment, spec.n_coarse, spec.offsets)
     mids = 0.5 * np.stack([grid.points[:-1] + grid.points[1:] for grid in grids])
     rows = []
     rmse = {}
@@ -384,44 +386,48 @@ def cmd_depth(spec: ExperimentSpec) -> bool:
     return rmse[ModelKind.LINEAR] <= rmse[ModelKind.CONSTANT]
 
 
+# Each command and the options it reads besides ``--out``; any other is a usage error.
 COMMANDS = {
-    "convergence": cmd_convergence,
-    "shift-sensitivity": cmd_shift_sensitivity,
-    "sampler-test": cmd_sampler_test,
-    "grad-check": cmd_grad_check,
-    "quadratic-probe": cmd_quadratic_probe,
-    "render": cmd_render,
-    "depth": cmd_depth,
+    "convergence": (cmd_convergence, ("scene", "tol")),
+    "shift-sensitivity": (cmd_shift_sensitivity, ("scene", "n_coarse", "offsets")),
+    "sampler-test": (cmd_sampler_test, ("seed",)),
+    "grad-check": (cmd_grad_check, ("seed",)),
+    "quadratic-probe": (cmd_quadratic_probe, ()),
+    "render": (cmd_render, ("n_coarse",)),
+    "depth": (cmd_depth, ("scene", "tol", "n_coarse", "offsets")),
 }
+_OPTIONS = {"scene": Path, "n_coarse": int, "offsets": int, "seed": int, "out": Path, "tol": float}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Experiment parser; every option's default is ``ExperimentSpec``'s."""
-    defaults = ExperimentSpec()
+    """Experiment parser; it sets only the options given, so defaults stay ``ExperimentSpec``'s."""
     parser = argparse.ArgumentParser(
         prog="rayquad",
         description="Volume-rendering quadrature experiments (CSV + PGM output).",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--scene", type=Path, default=defaults.scene, help="scene JSON file")
-    parser.add_argument("--n-coarse", type=int, default=defaults.n_coarse)
-    parser.add_argument("--offsets", type=int, default=defaults.offsets)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--out", type=Path, default=defaults.out)
-    parser.add_argument("--tol", type=float, default=defaults.tol)
+    for name, kind in _OPTIONS.items():
+        readers = ", ".join(c for c, (_, reads) in COMMANDS.items() if name in ("out", *reads))
+        parser.add_argument(f"--{name.replace('_', '-')}", type=kind, help=f"read by {readers}")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    spec = ExperimentSpec(**{k: v for k, v in vars(args).items() if k != "command"})
+    parser = build_parser()
+    args = vars(parser.parse_args(argv))
+    command = args.pop("command")
+    run, reads = COMMANDS[command]
+    for name in args:
+        if name not in ("out", *reads):
+            parser.error(f"{command} does not read --{name.replace('_', '-')}")
     try:
-        passed = COMMANDS[args.command](spec)
+        passed = run(ExperimentSpec(**args))
     except oracle.NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not passed:
-        print(f"{args.command}: threshold violated", file=sys.stderr)
+        print(f"{command}: threshold violated", file=sys.stderr)
     return 0 if passed else 1
 
 

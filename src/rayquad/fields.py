@@ -519,22 +519,43 @@ def _checked(spec, keys, what: str) -> dict:
     return spec
 
 
+def _number(value) -> bool:
+    """A JSON number: ``int`` or ``float``, never ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _from_scene(cls, spec, what: str, extra_keys=()):
+    """``cls`` called with the values of its fields' keys in ``spec``, an object with
+    exactly ``extra_keys`` and those keys.  An array field takes a non-empty list of
+    numbers, any other field a number; a wrong type raises ValueError naming the key."""
+    fields = dataclasses.fields(cls)
+    keys = [_SCENE_KEYS.get((cls, f.name), f.name) for f in fields]
+    _checked(spec, [*extra_keys, *keys], what)
+    for key, f in zip(keys, fields):
+        value = spec[key]
+        if f.type != "np.ndarray":
+            if not _number(value):
+                raise ValueError(f"{what}: {key!r} must be a number")
+        elif not (isinstance(value, list) and value and all(map(_number, value))):
+            raise ValueError(f"{what}: {key!r} must be a non-empty list of numbers")
+    return cls(*(spec[key] for key in keys))
+
+
 def _profile(spec, kinds: dict, what: str):
     """The profile of class ``kinds[spec["kind"]]``, called with the other keys of ``spec``."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in kinds:
         raise ValueError(f"unknown {what} kind {kind!r}")
-    cls = kinds[kind]
-    keys = [_SCENE_KEYS.get((cls, f.name), f.name) for f in dataclasses.fields(cls)]
-    _checked(spec, ["kind", *keys], f"scene {what}")
-    return cls(*(spec[key] for key in keys))
+    return _from_scene(kinds[kind], spec, f"scene {what}", ["kind"])
 
 
 def load_scene(path: str | Path) -> tuple[AnalyticField, RaySegment]:
     """Read a scene file: JSON with ``field``, ``segment``, optional ``color``.
 
-    Every object must have exactly its schema's keys; an unknown or missing
-    key raises ValueError.  See docs/scene-format.md for the schema.
+    Every object must have exactly its schema's keys, and every value must be
+    a JSON number, or a non-empty list of them for a color; an unknown or
+    missing key or a wrongly typed value raises ValueError naming the key.
+    See docs/scene-format.md for the schema.
     """
     spec = json.loads(Path(path).read_text())
     if isinstance(spec, dict):
@@ -542,5 +563,5 @@ def load_scene(path: str | Path) -> tuple[AnalyticField, RaySegment]:
     _checked(spec, ("field", "segment", "color"), "scene")
     density = _profile(spec["field"], _DENSITY_KINDS, "field")
     color = _profile(spec["color"], _COLOR_KINDS, "color")
-    segment = RaySegment(**_checked(spec["segment"], ("near", "far"), "scene segment"))
+    segment = _from_scene(RaySegment, spec["segment"], "scene segment")
     return AnalyticField(density=density, color=color), segment

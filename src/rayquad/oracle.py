@@ -202,10 +202,6 @@ class CumulativeOpacityTable:
     ):
         vars(self).update(vars(_tables([density], segment, extra_breaks)[0]))
 
-    def cumulative(self, s):
-        """Cumulative opacity from the near bound to ``s``, via ``_flat_cumulative``."""
-        return _flat_cumulative([self])(np.asarray(s, dtype=np.float64), 0)
-
     @property
     def total(self) -> float:
         return float(self.cumulative_at_edges[-1])

@@ -1,4 +1,6 @@
+import ast
 import csv
+import inspect
 import json
 from collections import Counter
 from pathlib import Path
@@ -6,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rayquad import oracle
-from rayquad.cli import ExperimentSpec, build_parser, main, write_pgm
+from rayquad import cli, oracle
+from rayquad.cli import COMMANDS, ExperimentSpec, build_parser, main, write_pgm
 from rayquad.fields import LogisticStep, TwoToneColor
 from rayquad.rays import ModelKind
 
@@ -37,9 +39,8 @@ class TestSpecValidation:
             run(["convergence", "--tol", tol, "--out", tmp_path])
 
     def test_parser_defaults_are_spec_defaults(self):
-        args = build_parser().parse_args(["depth"])
-        spec = ExperimentSpec(**{k: v for k, v in vars(args).items() if k != "command"})
-        assert spec == ExperimentSpec()
+        # The parser sets only the options given; the defaults live in ExperimentSpec.
+        assert vars(build_parser().parse_args(["depth"])) == {"command": "depth"}
 
     def test_rejects_missing_scene(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -49,8 +50,74 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             ExperimentSpec(seed=-1)
         with pytest.raises(ValueError, match="seed must be nonnegative"):
-            run(["convergence", "--seed", -1, "--out", tmp_path])
+            run(["sampler-test", "--seed", -1, "--out", tmp_path])
         assert not any(tmp_path.iterdir())
+
+
+SCENE = Path(__file__).parent.parent / "scenes" / "constant_slab.json"
+# An option, its command-line text and the value ExperimentSpec gets from it.
+OPTION_VALUES = {
+    "scene": ("--scene", SCENE, SCENE),
+    "n_coarse": ("--n-coarse", 16, 16),
+    "offsets": ("--offsets", 4, 4),
+    "seed": ("--seed", 9, 9),
+    "tol": ("--tol", "1e-3", 1e-3),
+}
+
+
+def _pairs(read: bool):
+    for command, (_, reads) in COMMANDS.items():
+        for name in OPTION_VALUES:
+            if (name in reads) == read:
+                yield pytest.param(command, name, id=f"{command}-{name}")
+
+
+def _spec_reads(command) -> set:
+    """The ``spec`` fields a command's body reads, ``load_scene_or`` counting as
+    ``scene``; ``spec`` itself must not leave the body."""
+    nodes = list(ast.walk(ast.parse(inspect.getsource(command))))
+    reads = [n for n in nodes if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "spec"]
+    bare = [n for n in nodes if isinstance(n, ast.Name) and n.id == "spec"]
+    assert len(bare) == len(reads), f"{command.__name__} passes spec on"
+    return {"scene" if n.attr == "load_scene_or" else n.attr for n in reads}
+
+
+class TestOptionTable:
+    """Each command accepts exactly the options COMMANDS says it reads, plus --out."""
+
+    def test_every_pair_is_read_or_refused(self):
+        assert len(list(_pairs(True))) == 12 and len(list(_pairs(False))) == 23
+
+    @pytest.mark.parametrize("command, name", _pairs(False))
+    def test_unread_option_is_a_usage_error(self, tmp_path, capsys, command, name):
+        flag, text, _ = OPTION_VALUES[name]
+        with pytest.raises(SystemExit) as exit_:
+            run([command, flag, text, "--out", tmp_path / "out"])
+        assert exit_.value.code == 2
+        assert f"rayquad: error: {command} does not read {flag}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, name", _pairs(True))
+    def test_read_option_reaches_the_spec(self, tmp_path, monkeypatch, command, name):
+        flag, text, value = OPTION_VALUES[name]
+        specs = []
+
+        def record(spec):
+            specs.append(spec)
+            return True
+
+        monkeypatch.setitem(COMMANDS, command, (record, COMMANDS[command][1]))
+        assert run([command, flag, text, "--out", tmp_path]) == 0
+        assert specs == [ExperimentSpec(out=tmp_path, **{name: value})]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_table_names_what_the_command_reads(self, command):
+        function, reads = COMMANDS[command]
+        assert _spec_reads(function) == {"out", *reads}
+
+    def test_every_command_function_is_in_the_table(self):
+        functions = {f for name, f in vars(cli).items() if name.startswith("cmd_")}
+        assert functions == {f for f, _ in COMMANDS.values()}
 
 
 class TestCommands:
@@ -297,9 +364,17 @@ class TestBatchedCommands:
         monkeypatch.setattr(cli, "_distributions", counting("kernel", cli._distributions))
         return calls
 
-    @pytest.mark.parametrize("command", ["render", "depth", "shift-sensitivity"])
-    def test_one_kernel_call_per_model(self, tmp_path, calls, command):
-        run([command, "--n-coarse", 16, "--offsets", 4, "--out", tmp_path])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["render", "--n-coarse", 16],
+            ["depth", "--n-coarse", 16, "--offsets", 4],
+            ["shift-sensitivity", "--n-coarse", 16, "--offsets", 4],
+        ],
+        ids=["render", "depth", "shift-sensitivity"],
+    )
+    def test_one_kernel_call_per_model(self, tmp_path, calls, args):
+        run(args + ["--out", tmp_path])
         assert calls == {"kernel": 2}
 
 

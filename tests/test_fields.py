@@ -299,6 +299,64 @@ class TestSceneFiles:
         with pytest.raises(ValueError, match=f"^{message}$"):
             self._load(tmp_path, spec)
 
+    SLAB = {"kind": "constant_slab", "tau": 1.0, "start": 0.2, "end": 0.8}
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"field": {**SLAB, "tau": True}, "segment": SEGMENT}, "scene field: 'tau' must be a number"),
+            ({"field": {**SLAB, "tau": "2"}, "segment": SEGMENT}, "scene field: 'tau' must be a number"),
+            ({"field": BUMP, "segment": {**SEGMENT, "near": "0"}}, "scene segment: 'near' must be a number"),
+            ({"field": BUMP, "segment": {**SEGMENT, "far": None}}, "scene segment: 'far' must be a number"),
+            (
+                {"field": BUMP, "segment": SEGMENT, "color": {"kind": "uniform", "value": ["0.2"]}},
+                "scene color: 'value' must be a non-empty list of numbers",
+            ),
+            (
+                {"field": BUMP, "segment": SEGMENT, "color": {"kind": "uniform", "value": [True]}},
+                "scene color: 'value' must be a non-empty list of numbers",
+            ),
+            (
+                {"field": BUMP, "segment": SEGMENT, "color": {"kind": "uniform", "value": 0.2}},
+                "scene color: 'value' must be a non-empty list of numbers",
+            ),
+            (
+                {"field": BUMP, "segment": SEGMENT, "color": {"kind": "uniform", "value": []}},
+                "scene color: 'value' must be a non-empty list of numbers",
+            ),
+            (
+                {
+                    "field": BUMP,
+                    "segment": SEGMENT,
+                    "color": {"kind": "two_tone", "before": [0.1], "after": [0.9], "boundary": [0.5]},
+                },
+                "scene color: 'boundary' must be a number",
+            ),
+        ],
+        ids=[
+            "bool-scalar",
+            "string-scalar",
+            "string-near",
+            "null-far",
+            "string-channel",
+            "bool-channel",
+            "bare-number-color",
+            "empty-color",
+            "list-scalar",
+        ],
+    )
+    def test_wrongly_typed_values_rejected(self, tmp_path, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self._load(tmp_path, spec)
+
+    def test_scene_parameters_are_numbers_or_arrays(self):
+        # The loader tells scalar from array parameters by the field's annotation.
+        from rayquad.fields import _COLOR_KINDS, _DENSITY_KINDS
+
+        classes = [*_DENSITY_KINDS.values(), *_COLOR_KINDS.values(), RaySegment]
+        types = {f.type for cls in classes for f in dataclasses.fields(cls)}
+        assert types == {"float", "np.ndarray"}
+
     def test_shipped_scenes_load_to_the_profiles_they_name(self):
         # The rules the loader had before it checked keys, written out.
         build = {

@@ -424,7 +424,7 @@ class TestFlatCumulative:
             idx = t.edges[1:-1].searchsorted(x, side="right")
             expected.append(_hermite(x, idx, t.edges, t.cumulative_at_edges, t._d0, t._a2, t._a3))
             assert np.array_equal(cumulative(x, np.full(x.size, r)), expected[r]), r
-            assert np.array_equal(t.cumulative(x), expected[r]), r
+            assert np.array_equal(_flat_cumulative([t])(x, 0), expected[r]), r
         # Points of every ray interleaved in one call.
         ray = np.arange(x.size) % len(tables)
         assert np.array_equal(cumulative(x, ray), np.array(expected)[ray, np.arange(x.size)])
@@ -537,7 +537,7 @@ class TestClosedFormTransmittances:
         table = CumulativeOpacityTable(slab, segment)
         s = np.linspace(0.0, 4.0, 33)
         np.testing.assert_allclose(
-            np.exp(-table.cumulative(s)), slab_transmittance(slab, segment, s), atol=1e-13
+            np.exp(-_flat_cumulative([table])(s, 0)), slab_transmittance(slab, segment, s), atol=1e-13
         )
 
     def test_ramp_against_table(self):
@@ -546,7 +546,7 @@ class TestClosedFormTransmittances:
         table = CumulativeOpacityTable(ramp, segment)
         s = np.linspace(0.0, 1.0, 17)
         np.testing.assert_allclose(
-            np.exp(-table.cumulative(s)), ramp_transmittance(ramp, segment, s), atol=1e-13
+            np.exp(-_flat_cumulative([table])(s, 0)), ramp_transmittance(ramp, segment, s), atol=1e-13
         )
 
     def test_ramp_rejects_queries_outside_the_ramp(self):
@@ -560,7 +560,7 @@ class TestClosedFormTransmittances:
             segment = RaySegment(0.0, 2.0)
             direct = integrate_adaptive(lambda s: float(density.tau(s)), 0.0, 2.0, 1e-12)
             table = CumulativeOpacityTable(density, segment).refined().refined().refined()
-            assert table.cumulative(2.0) == pytest.approx(direct.value, abs=1e-10)
+            assert _flat_cumulative([table])(np.array(2.0), 0) == pytest.approx(direct.value, abs=1e-10)
 
 
 class TestMeanTermination:

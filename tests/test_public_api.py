@@ -79,7 +79,8 @@ def test_traced_methods_exist(cls, name):
 
 
 def test_opacity_table_surface():
-    # The oracle pins and the tracer build, refine and read tables through these.
+    # The oracle pins build tables through the constructor, the tracer wraps
+    # ``refined``, and the oracle's mean termination reads ``total`` and ``tab_error``.
     table_cls = rayquad.CumulativeOpacityTable
     params = inspect.signature(table_cls).parameters.values()
     assert [(p.name, p.default) for p in params] == [
@@ -87,7 +88,7 @@ def test_opacity_table_surface():
         ("segment", inspect.Parameter.empty),
         ("extra_breaks", None),
     ]
-    for name in ("__init__", "cumulative", "refined"):
+    for name in ("__init__", "refined"):
         assert inspect.isfunction(inspect.getattr_static(table_cls, name))
     assert isinstance(inspect.getattr_static(table_cls, "total"), property)
     table = table_cls(rayquad.LogisticStep(10.0, 40.0, 1.0), rayquad.RaySegment(0.0, 4.0))
