@@ -6,9 +6,9 @@ functions of distance along the ray.  Profiles report their breakpoints
 their local polynomial degree when the density is piecewise polynomial,
 which lets the integration oracle tabulate it exactly.  Every parameter
 is finite and every color channel lies in [0, 1]; constructors reject
-anything else.  Array parameters enter through ``rays._frozen``, which
-stores a read-only float64 copy, so a profile never shares or freezes
-the caller's array.
+anything else.  A scalar enters through ``rays._real`` as a float; arrays
+and colors enter through ``rays._frozen`` and ``rays._unit`` as read-only
+float64 copies, so a profile never shares or freezes the caller's array.
 
 ``opaque_trace`` is the one path from a field to a renderable trace.
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,19 +45,13 @@ from .rays import (
     _Adopted,
     _frozen,
     _interval,
+    _is_real,
+    _real,
+    _unit,
     apply_far_convention,
     floor_opacity,
     make_uniform_grid,
 )
-
-
-def _finite(*values: float) -> bool:
-    return all(map(math.isfinite, values))
-
-
-def _unit_channels(*colors: np.ndarray) -> bool:
-    """Every channel of every 1-D color in [0, 1]; NaN fails the comparison."""
-    return all(0.0 <= c <= 1.0 for v in colors for c in v.tolist())
 
 
 class DensityProfile:
@@ -85,8 +78,7 @@ class ConstantSlab(DensityProfile):
     polynomial_degree = 0
 
     def __post_init__(self):
-        if not _finite(self.tau0, self.start, self.end):
-            raise ValueError("slab parameters must be finite")
+        _real(self, "tau0", "start", "end")
         if self.tau0 < 0:
             raise ValueError("slab opacity must be nonnegative")
         if not self.start < self.end:
@@ -114,8 +106,7 @@ class LinearRamp(DensityProfile):
     polynomial_degree = 1
 
     def __post_init__(self):
-        if not _finite(self.tau_start, self.tau_end, self.start, self.end):
-            raise ValueError("ramp parameters must be finite")
+        _real(self, "tau_start", "tau_end", "start", "end")
         if self.tau_start < 0 or self.tau_end < 0:
             raise ValueError("ramp opacities must be nonnegative")
         if not self.start < self.end:
@@ -139,8 +130,7 @@ class GaussianBump(DensityProfile):
     width: float
 
     def __post_init__(self):
-        if not _finite(self.amplitude, self.center, self.width):
-            raise ValueError("bump parameters must be finite")
+        _real(self, "amplitude", "center", "width")
         if self.width <= 0:
             raise ValueError("bump width must be positive")
         if self.amplitude < 0:
@@ -164,8 +154,7 @@ class LogisticStep(DensityProfile):
     center: float
 
     def __post_init__(self):
-        if not _finite(self.amplitude, self.steepness, self.center):
-            raise ValueError("step parameters must be finite")
+        _real(self, "amplitude", "steepness", "center")
         if self.steepness <= 0:
             raise ValueError("step steepness must be positive")
         if self.amplitude < 0:
@@ -207,8 +196,8 @@ class SampledDensity(DensityProfile):
             raise ValueError("need matching knots and values (>= 2)")
         if not np.all(np.diff(knots) > 0):
             raise ValueError("knots must be strictly increasing")
-        if self.degree not in (0, 1):
-            raise ValueError("sampled density supports degree 0 or 1")
+        if type(self.degree) is not int or self.degree not in (0, 1):
+            raise ValueError(f"sampled density supports the int degree 0 or 1, got {self.degree!r}")
         if np.any(values < 0):
             raise ValueError("sampled opacities must be nonnegative")
 
@@ -244,8 +233,7 @@ class UniformColor(ColorProfile):
     value: np.ndarray
 
     def __post_init__(self):
-        if not _unit_channels(_frozen(self, "value")):
-            raise ValueError("color channels must lie in [0, 1]")
+        _unit(self, "value")
 
     @property
     def channels(self) -> int:
@@ -266,13 +254,9 @@ class GradientColor(ColorProfile):
     end: float
 
     def __post_init__(self):
-        start_value, end_value = _frozen(self, "start_value"), _frozen(self, "end_value")
-        if start_value.size != end_value.size:
+        if _unit(self, "start_value").size != _unit(self, "end_value").size:
             raise ValueError("gradient endpoints need matching channel counts")
-        if not _unit_channels(start_value, end_value):
-            raise ValueError("color channels must lie in [0, 1]")
-        if not _finite(self.start, self.end):
-            raise ValueError("gradient bounds must be finite")
+        _real(self, "start", "end")
         if not self.start < self.end:
             raise ValueError("gradient needs start < end")
 
@@ -295,13 +279,9 @@ class TwoToneColor(ColorProfile):
     boundary: float
 
     def __post_init__(self):
-        before, after = _frozen(self, "before"), _frozen(self, "after")
-        if before.size != after.size:
+        if _unit(self, "before").size != _unit(self, "after").size:
             raise ValueError("two-tone colors need matching channel counts")
-        if not _unit_channels(before, after):
-            raise ValueError("color channels must lie in [0, 1]")
-        if not math.isfinite(self.boundary):
-            raise ValueError("two-tone boundary must be finite")
+        _real(self, "boundary")
 
     @property
     def channels(self) -> int:
@@ -324,13 +304,11 @@ class PiecewiseConstantColor(ColorProfile):
     values: np.ndarray
 
     def __post_init__(self):
-        knots, values = _frozen(self, "knots"), _frozen(self, "values", ndmin=2)
+        knots, values = _frozen(self, "knots"), _unit(self, "values", ndmin=2)
         if values.shape[0] != knots.size - 1:
             raise ValueError("need one color per knot interval")
         if not np.all(np.diff(knots) > 0):
             raise ValueError("color knots must be strictly increasing")
-        if not _unit_channels(values.ravel()):
-            raise ValueError("color channels must lie in [0, 1]")
 
     @property
     def channels(self) -> int:
@@ -466,7 +444,7 @@ class GrazingRig:
     The wall density rises along the perpendicular depth coordinate.  A
     ray at angle ``theta`` to the wall plane advances through depth at
     rate sin(theta), so its 1D profile is the wall profile stretched by
-    1/sin(theta).
+    1/sin(theta).  Building that profile once checks the wall's signs.
     """
 
     wall_amplitude: float
@@ -475,6 +453,8 @@ class GrazingRig:
     angles: np.ndarray
 
     def __post_init__(self):
+        _real(self, "wall_amplitude", "wall_steepness", "wall_depth")
+        LogisticStep(self.wall_amplitude, self.wall_steepness, self.wall_depth)
         angles = _frozen(self, "angles")
         if angles.size == 0:
             raise ValueError("grazing rig needs at least one angle")
@@ -490,11 +470,7 @@ class GrazingRig:
             raise ValueError(f"angle {angle} outside (0, pi/2]")
         sin = float(np.sin(angle))
         center = (self.wall_depth - offset) / sin
-        density = LogisticStep(
-            amplitude=self.wall_amplitude,
-            steepness=self.wall_steepness * sin,
-            center=center,
-        )
+        density = LogisticStep(self.wall_amplitude, self.wall_steepness * sin, center)
         color = TwoToneColor(before=[0.1], after=[0.9], boundary=center)
         return AnalyticField(density=density, color=color)
 
@@ -519,11 +495,6 @@ def _checked(spec, keys, what: str) -> dict:
     return spec
 
 
-def _number(value) -> bool:
-    """A JSON number: ``int`` or ``float``, never ``bool``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _from_scene(cls, spec, what: str, extra_keys=()):
     """``cls`` called with the values of its fields' keys in ``spec``, an object with
     exactly ``extra_keys`` and those keys.  An array field takes a non-empty list of
@@ -534,9 +505,9 @@ def _from_scene(cls, spec, what: str, extra_keys=()):
     for key, f in zip(keys, fields):
         value = spec[key]
         if f.type != "np.ndarray":
-            if not _number(value):
+            if not _is_real(value):
                 raise ValueError(f"{what}: {key!r} must be a number")
-        elif not (isinstance(value, list) and value and all(map(_number, value))):
+        elif not (isinstance(value, list) and value and all(map(_is_real, value))):
             raise ValueError(f"{what}: {key!r} must be a non-empty list of numbers")
     return cls(*(spec[key] for key in keys))
 
@@ -553,9 +524,10 @@ def load_scene(path: str | Path) -> tuple[AnalyticField, RaySegment]:
     """Read a scene file: JSON with ``field``, ``segment``, optional ``color``.
 
     Every object must have exactly its schema's keys, and every value must be
-    a JSON number, or a non-empty list of them for a color; an unknown or
-    missing key or a wrongly typed value raises ValueError naming the key.
-    See docs/scene-format.md for the schema.
+    a number a constructor takes (``rays._is_real``: finite, not a bool), or a
+    non-empty list of them for a color; an unknown or missing key or a wrongly
+    typed value raises ValueError naming the key.  See docs/scene-format.md
+    for the schema.
     """
     spec = json.loads(Path(path).read_text())
     if isinstance(spec, dict):

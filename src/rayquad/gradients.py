@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .rays import ColorTrace, ModelKind, OpacityTrace, SampleGrid
+from .rays import ColorTrace, ModelKind, OpacityTrace, SampleGrid, _is_real
 from .sampling import ContinuousRayCdf
 
 # Denominator floor for relative errors, so exact zeros do not blow up.
@@ -130,14 +130,14 @@ def grad_sample_wrt_tau(cdf: ContinuousRayCdf, u: float) -> SampleGradient:
     The bin's two opacities shape the quadratic root; the log mass
     ``q = ln T_k - ln(1 - u)`` adds ``dt/dq * d ln T_k / d tau_j``, where
     ``d ln T_k / d tau_j`` is ``-(w_{j-1} + w_j) / 2`` for ``0 < j < k``,
-    ``-w_0 / 2`` for ``j = 0`` and ``-w_{k-1} / 2`` for ``j = k``.  The draw
-    must fall strictly inside a bin: at a bin edge the derivative is only
-    one-sided, and a draw that ``precise_sample`` clamps to the far bound
-    has no root to differentiate; both raise.
+    ``-w_0 / 2`` for ``j = 0`` and ``-w_{k-1} / 2`` for ``j = k``.  The draw, a
+    real number in (0, 1), must fall strictly inside a bin: at a bin edge the
+    derivative is only one-sided, and a draw that ``precise_sample`` clamps to
+    the far bound has no root to differentiate; both raise.
     """
+    if not (_is_real(u) and 0.0 < u < 1.0):
+        raise ValueError(f"draw must be a real number strictly inside (0, 1), got {u!r}")
     u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValueError("draw must lie strictly inside (0, 1)")
     k, delta, q, root, denom, clamped = (v[0] for v in cdf._invert(np.array([u])))
     if clamped:
         raise ValueError(f"draw {u} is clamped to the far bound; no gradient exists")

@@ -162,6 +162,8 @@ def render(dist: RayDistribution, colors: ColorTrace) -> np.ndarray:
 
 def expected_depth(dist: RayDistribution, grid: SampleGrid) -> float:
     """Expected ray termination distance, each interval's mass at its midpoint."""
+    if dist.pmf.size != grid.widths.size:
+        raise ValueError(f"{dist.pmf.size} interval probabilities for {grid.widths.size} intervals")
     pts = grid.points
     mids = pts[:-1] + pts[1:]
     mids *= 0.5

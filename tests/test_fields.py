@@ -198,6 +198,13 @@ class TestSampledDensity:
         assert dens.tau(0.999) == 3.0
         assert dens.tau(1.0) == 5.0
 
+    @pytest.mark.parametrize(
+        "degree", [True, False, 1.0, 0.0, 2, np.int64(1)], ids=["True", "False", "1.0", "0.0", "2", "int64"]
+    )
+    def test_degree_must_be_int_zero_or_one(self, degree):
+        with pytest.raises(ValueError, match="degree"):
+            SampledDensity(np.array([0.0, 1.0]), np.array([1.0, 2.0]), degree=degree)
+
     def test_piecewise_color_left_hold(self):
         color = PiecewiseConstantColor(
             np.array([0.0, 1.0, 2.0]), np.array([[0.2], [0.8]])

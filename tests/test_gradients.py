@@ -174,6 +174,13 @@ class TestSampleGradient:
         assert rights[2] < rights[1] < rights[0]
         assert rights[2] < 1e-8
 
+    @pytest.mark.parametrize("u", ["0.5", True, None, np.nan])
+    def test_non_real_draw_rejected(self, u):
+        grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
+        cdf = ContinuousRayCdf(grid, OpacityTrace(np.array([1.0, 3.0, 5.0])))
+        with pytest.raises(ValueError, match="draw must be a real number"):
+            grad_sample_wrt_tau(cdf, u)
+
     def test_bin_edge_draw_rejected(self):
         grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
         cdf = ContinuousRayCdf(grid, OpacityTrace(np.array([1.0, 3.0, 5.0])))

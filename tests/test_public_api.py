@@ -156,3 +156,11 @@ def test_one_interval_locator():
     # interval only through ``rays._interval``, so the edge rule cannot fork.
     sites = [site for path in sorted(SOURCES.glob("*.py")) for site in _searchsorted_sites(path)]
     assert sites == []
+
+
+def test_one_scalar_rule():
+    # Profiles judge a caller's scalar only through ``rays._real`` (and the scene
+    # loader through ``rays._is_real``), so the finiteness rule cannot fork.
+    tree = ast.parse((SOURCES / "fields.py").read_text())
+    named = [getattr(n, "attr", None) or getattr(n, "id", None) or getattr(n, "name", None) for n in ast.walk(tree)]
+    assert "isfinite" not in named

@@ -427,6 +427,12 @@ class TestExpectedDepth:
             1.0 * sym.sum(), rel=1e-12
         )
 
+    def test_grid_size_mismatch_rejected(self):
+        grid, tau = two_interval_setup()
+        dist = interval_pmf(ModelKind.CONSTANT, grid, tau)
+        with pytest.raises(ValueError, match="^2 interval probabilities for 4 intervals$"):
+            expected_depth(dist, make_uniform_grid(grid.segment, 3))
+
     def test_monte_carlo_matches_oracle_mean(self):
         field = AnalyticField(GaussianBump(3.0, 0.6, 0.25), UniformColor(np.array([1.0])))
         segment = RaySegment(0.0, 2.0)
