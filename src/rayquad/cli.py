@@ -26,7 +26,7 @@ from .quadratic import (
     quad_integral_right,
 )
 from .quadrature import _distributions, interval_pmf, render
-from .rays import ModelKind, OpacityTrace, RaySegment, make_uniform_grid
+from .rays import ModelKind, OpacityTrace, RaySegment, _is_count, _is_real, make_uniform_grid
 from .sampling import ContinuousRayCdf, DiscreteRayCdf
 
 CONVERGENCE_NS = (8, 16, 32, 64, 128, 256)
@@ -50,12 +50,13 @@ class ExperimentSpec:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if min(self.n_coarse, self.offsets) < 1:
-            raise ValueError("sample and offset counts must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError("tolerance must be positive and finite")
+        for name in ("n_coarse", "offsets"):
+            if not _is_count(value := getattr(self, name), "positive"):
+                raise ValueError(f"counts must be positive integers, got {name}={value!r}")
+        if not _is_count(self.seed, "nonnegative"):
+            raise ValueError(f"seed must be nonnegative and an integer, got seed={self.seed!r}")
+        if not _is_real(self.tol, "positive"):
+            raise ValueError(f"tolerance must be positive and finite, got tol={self.tol!r}")
         if self.scene is not None and not Path(self.scene).exists():
             raise FileNotFoundError(f"scene file {self.scene} does not exist")
 
@@ -285,12 +286,9 @@ def cmd_quadratic_probe(spec: ExperimentSpec) -> bool:
     patch = PATHOLOGICAL_PATCH
     left = quad_integral_left(patch)
     right = quad_integral_right(patch)
-    numeric_left = oracle.integrate_adaptive(
-        lambda s: quad_eval(patch, s), float(patch.knots[0]), float(patch.knots[1]), 1e-12
-    ).value
-    numeric_right = oracle.integrate_adaptive(
-        lambda s: quad_eval(patch, s), float(patch.knots[1]), float(patch.knots[2]), 1e-12
-    ).value
+    k0, k1, k2 = patch.knots
+    numeric_left = oracle.integrate_adaptive(lambda s: quad_eval(patch, s), k0, k1, 1e-12).value
+    numeric_right = oracle.integrate_adaptive(lambda s: quad_eval(patch, s), k1, k2, 1e-12).value
     factor = float(np.exp(-left))
 
     rows = [
@@ -301,11 +299,8 @@ def cmd_quadratic_probe(spec: ExperimentSpec) -> bool:
         ("fixture_transmittance_factor", factor),
         ("fixture_empirical_slope", (patch.taus[2] - patch.taus[1]) / patch.beta),
     ]
-    thresholds = []
-    for tau_j, tau_j1, alpha in ((1.0, 1.0, 1.0), (1.0, 1.0, 0.5), (0.5, 2.0, 1.0)):
-        thresholds.append(
-            (tau_j, tau_j1, alpha, instability_threshold(tau_j, tau_j1, alpha))
-        )
+    probes = ((1.0, 1.0, 1.0), (1.0, 1.0, 0.5), (0.5, 2.0, 1.0))  # (tau_j, tau_j1, alpha)
+    thresholds = [(*probe, instability_threshold(*probe)) for probe in probes]
 
     _write_csv(spec.out / "quadratic_probe.csv", ["quantity", "value"], rows)
     _write_csv(

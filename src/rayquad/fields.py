@@ -45,6 +45,7 @@ from .rays import (
     _Adopted,
     _frozen,
     _interval,
+    _is_count,
     _is_real,
     _real,
     _unit,
@@ -78,9 +79,7 @@ class ConstantSlab(DensityProfile):
     polynomial_degree = 0
 
     def __post_init__(self):
-        _real(self, "tau0", "start", "end")
-        if self.tau0 < 0:
-            raise ValueError("slab opacity must be nonnegative")
+        _real(self, "start", "end", tau0="nonnegative")
         if not self.start < self.end:
             raise ValueError("slab needs start < end")
 
@@ -106,9 +105,7 @@ class LinearRamp(DensityProfile):
     polynomial_degree = 1
 
     def __post_init__(self):
-        _real(self, "tau_start", "tau_end", "start", "end")
-        if self.tau_start < 0 or self.tau_end < 0:
-            raise ValueError("ramp opacities must be nonnegative")
+        _real(self, "start", "end", tau_start="nonnegative", tau_end="nonnegative")
         if not self.start < self.end:
             raise ValueError("ramp needs start < end")
 
@@ -130,11 +127,7 @@ class GaussianBump(DensityProfile):
     width: float
 
     def __post_init__(self):
-        _real(self, "amplitude", "center", "width")
-        if self.width <= 0:
-            raise ValueError("bump width must be positive")
-        if self.amplitude < 0:
-            raise ValueError("bump amplitude must be nonnegative")
+        _real(self, "center", amplitude="nonnegative", width="positive")
 
     def tau(self, s):
         s = np.asarray(s, dtype=np.float64)
@@ -154,11 +147,7 @@ class LogisticStep(DensityProfile):
     center: float
 
     def __post_init__(self):
-        _real(self, "amplitude", "steepness", "center")
-        if self.steepness <= 0:
-            raise ValueError("step steepness must be positive")
-        if self.amplitude < 0:
-            raise ValueError("step amplitude must be nonnegative")
+        _real(self, "center", amplitude="nonnegative", steepness="positive")
 
     def tau(self, s):
         s = np.asarray(s, dtype=np.float64)
@@ -425,9 +414,11 @@ def shift_sweep(
 ) -> list[tuple[float, SampleGrid, OpacityTrace, ColorTrace]]:
     """``opaque_trace`` of ``field`` on a uniform ``n``-sample grid at shifted offsets.
 
-    The ``offsets`` shifts are equally spaced over one grid spacing,
-    starting at zero.  Returns ``(offset, grid, tau, colors)`` per shift.
+    The ``offsets`` shifts, a positive count, are equally spaced over one grid
+    spacing, starting at zero.  Returns ``(offset, grid, tau, colors)`` per shift.
     """
+    if not _is_count(offsets, "positive"):
+        raise ValueError(f"need a positive integer count of shifts, got offsets={offsets!r}")
     grid0 = make_uniform_grid(segment, n)
     h = segment.span / (n + 1)
     sweep = []
@@ -444,7 +435,7 @@ class GrazingRig:
     The wall density rises along the perpendicular depth coordinate.  A
     ray at angle ``theta`` to the wall plane advances through depth at
     rate sin(theta), so its 1D profile is the wall profile stretched by
-    1/sin(theta).  Building that profile once checks the wall's signs.
+    1/sin(theta).  The wall's amplitude and steepness have ``LogisticStep``'s signs.
     """
 
     wall_amplitude: float
@@ -453,8 +444,7 @@ class GrazingRig:
     angles: np.ndarray
 
     def __post_init__(self):
-        _real(self, "wall_amplitude", "wall_steepness", "wall_depth")
-        LogisticStep(self.wall_amplitude, self.wall_steepness, self.wall_depth)
+        _real(self, "wall_depth", wall_amplitude="nonnegative", wall_steepness="positive")
         angles = _frozen(self, "angles")
         if angles.size == 0:
             raise ValueError("grazing rig needs at least one angle")
@@ -464,10 +454,12 @@ class GrazingRig:
     def ray_field(self, angle: float, offset: float = 0.0) -> AnalyticField:
         """Field seen along a ray entering at ``offset`` perpendicular depth.
 
-        ``angle`` must lie in (0, pi/2], as the rig's ``angles`` do.
+        Both are real numbers; ``angle`` lies in (0, pi/2], as the rig's ``angles`` do.
         """
-        if not 0.0 < angle <= np.pi / 2:
-            raise ValueError(f"angle {angle} outside (0, pi/2]")
+        if not (_is_real(angle) and 0.0 < angle <= np.pi / 2):
+            raise ValueError(f"angle={angle!r} lies outside the real interval (0, pi/2]")
+        if not _is_real(offset):
+            raise ValueError(f"offset must be a finite real number, got offset={offset!r}")
         sin = float(np.sin(angle))
         center = (self.wall_depth - offset) / sin
         density = LogisticStep(self.wall_amplitude, self.wall_steepness * sin, center)

@@ -62,15 +62,15 @@ def grad_render_wrt_tau(
 
     Returns one partial per grid point (length n + 2).  Under the constant
     model the far-bound opacity never enters, so its partial is zero.
-    Array ``colors`` may be any finite weights, such as interval midpoints
-    for a depth gradient; a NaN or infinite one raises ValueError.  The
+    Array ``colors`` may be any finite weights, one per interval in one axis,
+    such as interval midpoints for a depth gradient; else ValueError.  The
     transmittance comes from ``interval_pmf``, which validates the model
     and the trace, and returns the distribution already kept on ``tau`` for
     this model and grid rather than building it again.
     """
     c = _interval_colors(colors)
-    if c.size != grid.n + 1:
-        raise ValueError(f"{c.size} colors for {grid.n + 1} intervals")
+    if c.shape != (grid.n + 1,):
+        raise ValueError(f"got colors of shape {c.shape}, need ({grid.n + 1},): one per interval")
 
     trans = quadrature.interval_pmf(model, grid, tau).transmittance
     widths = grid.widths
@@ -136,7 +136,7 @@ def grad_sample_wrt_tau(cdf: ContinuousRayCdf, u: float) -> SampleGradient:
     the far bound has no root to differentiate; both raise.
     """
     if not (_is_real(u) and 0.0 < u < 1.0):
-        raise ValueError(f"draw must be a real number strictly inside (0, 1), got {u!r}")
+        raise ValueError(f"draw must be a real number strictly inside (0, 1), got u={u!r}")
     u = float(u)
     k, delta, q, root, denom, clamped = (v[0] for v in cdf._invert(np.array([u])))
     if clamped:
@@ -170,8 +170,8 @@ def grad_sample_wrt_tau(cdf: ContinuousRayCdf, u: float) -> SampleGradient:
 def finite_diff_check(f, x: np.ndarray, analytic: np.ndarray, h: float = 1e-6) -> GradReport:
     """Central-difference check of supplied partials of a scalar function ``f``,
     called once on the ``(2m, m)`` rows ``x + h e_i``, then ``x - h e_i``: one value per row."""
-    if not 0.0 < h < np.inf:
-        raise ValueError("step size must be positive and finite")
+    if not _is_real(h, "positive"):
+        raise ValueError(f"step size must be positive and finite, got h={h!r}")
     x = np.asarray(x, dtype=np.float64)
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != x.shape:

@@ -48,7 +48,7 @@ from itertools import accumulate
 import numpy as np
 
 from .fields import _GATHERABLE, AnalyticField, DensityProfile, _by_ray
-from .rays import RaySegment, _interval
+from .rays import RaySegment, _interval, _is_count, _is_real
 
 _MAX_DEPTH = 48
 
@@ -144,12 +144,10 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10) -> Integration
     NoConvergenceError with the partial result attached if any panel is
     still failing at depth ``_MAX_DEPTH``.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tolerance must be positive and finite")
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("integration bounds must be finite")
-    if a > b:
-        raise ValueError(f"reversed bounds [{a}, {b}]")
+    if not _is_real(tol, "positive"):
+        raise ValueError(f"tolerance must be positive and finite, got tol={tol!r}")
+    if not (_is_real(a) and _is_real(b) and a <= b):
+        raise ValueError(f"integration bounds must be finite with a <= b, got a={a!r}, b={b!r}")
 
     value, error, evals, failed = _adaptive_simpson(
         lambda x, _task: [float(f(xi)) for xi in x.tolist()],
@@ -356,8 +354,8 @@ def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, i
     ``run_pass(rays, tables)`` is one pass over the rays not yet settled, named
     by their ``ids``.  The densities share one class; the tables of every
     unsettled ray are built together, once per round."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tolerance must be positive and finite")
+    if not _is_real(tol, "positive"):
+        raise ValueError(f"tolerance must be positive and finite, got tol={tol!r}")
     tables = _tables(densities, segment)
     values, rays, exact = {}, list(ids), _is_exact_class(densities[0])
     for round_ in range(9):
@@ -441,8 +439,8 @@ def true_interval_probabilities(
     at 8192 sub-panels; the partial's error adds each interval's gap to
     its tabulated mass and the tabulation error to the engine's estimates.
     """
-    if not 0.0 < rtol < np.inf:
-        raise ValueError("relative tolerance must be positive and finite")
+    if not _is_real(rtol, "positive"):
+        raise ValueError(f"relative tolerance must be positive and finite, got rtol={rtol!r}")
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("edges must be a one-dimensional array of at least two points")
@@ -501,10 +499,10 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or samples.size < 1:
         raise ValueError("need a one-dimensional sample array")
-    if not (np.diff(samples) >= 0).all():
-        raise ValueError("samples must be sorted ascending")
     if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
+    if not (np.diff(samples) >= 0).all():
+        raise ValueError("samples must be sorted ascending")
     n = samples.size
     f = np.asarray(cdf(samples), dtype=np.float64)
     if not np.isfinite(f).all():
@@ -517,8 +515,8 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
 
 def ks_critical(n: int) -> float:
     """Asymptotic KS critical value at the 5% level, 1.36 / sqrt(n)."""
-    if n < 8:
-        raise ValueError("asymptotic critical values need n >= 8")
+    if not (_is_count(n) and n >= 8):
+        raise ValueError(f"asymptotic critical values need an integer n >= 8, got n={n!r}")
     return 1.36 / np.sqrt(n)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import OpacityTrace, SampleGrid, _frozen
+from .rays import OpacityTrace, SampleGrid, _frozen, _is_real
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,8 @@ def instability_threshold(tau_j: float, tau_j1: float, alpha: float) -> float:
     subinterval integral turns negative exactly when the local opacity
     slope at the middle knot exceeds (2 tau_j + 4 tau_{j+1}) / alpha.
     """
-    if alpha <= 0:
-        raise ValueError("left subinterval width must be positive")
+    if not (_is_real(tau_j) and _is_real(tau_j1)):
+        raise ValueError(f"knot opacities must be real, got tau_j={tau_j!r}, tau_j1={tau_j1!r}")
+    if not _is_real(alpha, "positive"):
+        raise ValueError(f"left subinterval width must be positive and finite, got alpha={alpha!r}")
     return (2.0 * tau_j + 4.0 * tau_j1) / alpha

@@ -13,7 +13,9 @@ has just built is passed as ``_Adopted(array)`` and frozen in place after
 the same checks; a profile's output is copied, as the profile may keep it.
 ``_unit`` is the same intake for color channels, which must lie in [0, 1],
 and ``_real`` the intake of a caller's scalar, stored as a finite float.
-Each class checks its own shape, sign, order and range on either path.
+A scalar field or argument passes ``_is_real``, or ``_is_count`` for an
+integer, of the sign stated at the call; each class and function checks
+its own shape, order and range beyond the sign.
 ``_interval`` is the one rule for which interval of sorted edges holds a
 point: samplers, profiles and the oracle's tables all locate through it.
 """
@@ -87,18 +89,31 @@ def _unit(owner, name: str, ndmin: int = 1) -> np.ndarray:
     return out
 
 
-def _is_real(value) -> bool:
-    """A real number, not a ``bool``, in the float range: NaN, ±inf and a huge ``int`` fail."""
+# Least value of each sign; 5e-324, the least positive float, starts a positive count at 1.
+_LEAST = {"any": -sys.float_info.max, "nonnegative": 0.0, "positive": 5e-324}
+
+
+def _is_real(value, sign: str = "any") -> bool:
+    """A real number of ``sign``, not a ``bool``, in the float range: NaN, ±inf, 10**400 fail."""
     # ``float`` first: the ``numbers.Real`` check alone costs about 0.4 us.
     real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and -sys.float_info.max <= value <= sys.float_info.max
+    return real and _LEAST[sign] <= value <= sys.float_info.max
 
 
-def _real(owner, *names: str) -> None:
-    """Store each named scalar field as a float; ValueError names any that is not ``_is_real``."""
-    for name in names:
-        if not _is_real(value := getattr(owner, name)):
-            raise ValueError(f"{type(owner).__name__}.{name} must be a finite real number")
+def _is_count(value, sign: str = "any") -> bool:
+    """An integer of ``sign``, not a ``bool``; numpy integers count."""
+    # ``int`` first: the ``numbers.Integral`` check alone costs about 0.6 us.
+    integer = type(value) is int or isinstance(value, numbers.Integral) and type(value) is not bool
+    return integer and value >= _LEAST[sign]
+
+
+def _real(owner, *names: str, **signs: str) -> None:
+    """Store each named scalar field as a float; ValueError names any that is not
+    ``_is_real`` of its sign: "any" for ``names``, the keyword's for ``signs``."""
+    for name, sign in {**dict.fromkeys(names, "any"), **signs}.items():
+        if not _is_real(value := getattr(owner, name), sign):
+            rule = f"{sign}, got {value!r}" if _is_real(value) else "a finite real number"
+            raise ValueError(f"{type(owner).__name__}.{name} must be {rule}")
         object.__setattr__(owner, name, float(value))
 
 
@@ -117,9 +132,7 @@ class RaySegment:
     far: float
 
     def __post_init__(self):
-        _real(self, "near", "far")
-        if self.near < 0:
-            raise ValueError(f"near bound must be nonnegative, got {self.near}")
+        _real(self, "far", near="nonnegative")
         if not self.near < self.far:
             raise ValueError(f"degenerate segment [{self.near}, {self.far}]")
 
@@ -220,8 +233,8 @@ class ColorTrace:
 
 def make_uniform_grid(segment: RaySegment, n: int) -> SampleGrid:
     """Place ``n`` interior samples equally spaced strictly inside the segment."""
-    if n < 1:
-        raise ValueError(f"need at least one sample, got n={n}")
+    if not _is_count(n, "positive"):
+        raise ValueError(f"need a positive integer count of samples, got n={n!r}")
     pts = np.linspace(segment.near, segment.far, n + 2)
     return SampleGrid(interior=_Adopted(pts), segment=segment)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .rays import ModelKind, OpacityTrace, SampleGrid, _Adopted, _interval
+from .rays import ModelKind, OpacityTrace, SampleGrid, _Adopted, _interval, _is_count
 
 # Draws above 1 - EPS_UNIT carry no invertible information and are clamped
 # to the far bound.
@@ -170,8 +170,6 @@ class ContinuousRayCdf:
 
 def _stratified_unit_samples(n: int, seed: int) -> np.ndarray:
     """One uniform draw per equal-width stratum of [0, 1); deterministic."""
-    if n < 1:
-        raise ValueError("need at least one stratum")
     rng = np.random.default_rng(seed)
     return (np.arange(n) + rng.random(n)) / n
 
@@ -187,8 +185,10 @@ def hierarchical_samples(
     the surrogate, a ContinuousRayCdf through the exact inverse.  Unit
     draws are stratified (``_stratified_unit_samples``).
     """
-    if n_fine < 1:
-        raise ValueError("need at least one fine sample")
+    if not _is_count(n_fine, "positive"):
+        raise ValueError(f"need a positive integer count of fine samples, got n_fine={n_fine!r}")
+    if not _is_count(seed, "nonnegative"):
+        raise ValueError(f"seed must be nonnegative and an integer, got seed={seed!r}")
     u = _stratified_unit_samples(n_fine, seed)
     u = np.minimum(u, cdf.cumulative[-1] * (1.0 - 1e-15))
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,16 @@ class TestRenderGradient:
             colors[-1] = bad
             with pytest.raises(ValueError, match="finite"):
                 grad_render_wrt_tau(ModelKind.LINEAR, grid, tau, colors)
+
+    @pytest.mark.parametrize("shape", ["column", "row", "scalar"])
+    def test_array_colors_must_be_one_per_interval_on_one_axis(self, rng, shape):
+        # Numpy would broadcast a column or a row into the kernel's output and fail
+        # with its own message; the check names the shape instead.
+        grid, tau, colors = moderate_instance(rng)
+        bad = {"column": colors[:, None], "row": colors[None, :], "scalar": colors[0]}[shape]
+        shown = re.escape(str(np.shape(bad)))
+        with pytest.raises(ValueError, match=rf"^got colors of shape {shown}, need \({colors.size},\)"):
+            grad_render_wrt_tau(ModelKind.LINEAR, grid, tau, bad)
 
     def test_array_colors_may_be_any_finite_weights(self, rng):
         # Interval midpoints as weights give the gradient of the expected depth.

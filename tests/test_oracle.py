@@ -598,10 +598,14 @@ class TestKsStatistic:
         assert ks_statistic(np.array([0.5]), lambda v: v) == pytest.approx(0.5)
 
     def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            ks_statistic(np.array([0.3, 0.1]), lambda v: v)
         with pytest.raises(ValueError, match="sorted"):
-            ks_statistic(np.array([0.1, np.nan]), lambda v: v)
+            ks_statistic(np.array([0.3, 0.1]), lambda v: v)
+
+    @pytest.mark.parametrize("samples", [[0.1, np.nan], [np.nan, 0.1], [0.3, np.inf, 0.1]])
+    def test_finiteness_is_checked_before_order(self, samples):
+        # A NaN compares false, so an order check first would call it unsorted.
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            ks_statistic(np.array(samples), lambda v: v)
 
     def test_rejects_non_finite_samples(self):
         # One sample gives the sort check no pair to compare.

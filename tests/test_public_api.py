@@ -158,6 +158,30 @@ def test_one_interval_locator():
     assert sites == []
 
 
+def _inf_comparisons(path):
+    """``file:line`` of every comparison with an ``inf`` attribute (``np.inf``,
+    ``-np.inf``) as an operand."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                operand = operand.operand if isinstance(operand, ast.UnaryOp) else operand
+                if isinstance(operand, ast.Attribute) and operand.attr == "inf":
+                    yield f"{path.name}:{node.lineno}"
+
+
+def test_no_hand_written_finite_bound():
+    # ``0.0 < x < np.inf`` lets ``True`` and a huge ``int`` through and fails on a
+    # string with a TypeError; a scalar's range goes through ``rays._is_real`` or
+    # ``rays._is_count`` of a sign instead, so only ``rays.py`` states the float range.
+    sites = [
+        site
+        for path in sorted(SOURCES.glob("*.py"))
+        if path.name != "rays.py"
+        for site in _inf_comparisons(path)
+    ]
+    assert sites == []
+
+
 def test_one_scalar_rule():
     # Profiles judge a caller's scalar only through ``rays._real`` (and the scene
     # loader through ``rays._is_real``), so the finiteness rule cannot fork.
