@@ -104,14 +104,15 @@ def cmd_convergence(spec: ExperimentSpec) -> bool:
         fixtures.convergence_scene(), fixtures.CONVERGENCE_SEGMENT
     )
     truth = oracle.true_render(scene, segment, spec.tol)
+    # Each grid is sampled once; both models read the same traces.
+    grids = [make_uniform_grid(segment, n) for n in CONVERGENCE_NS]
+    traces = [(grid, *sample_field(scene, grid)) for grid in grids]
     rows = []
     slopes = {}
     exact = {}
     for model in _MODELS:
         errors = []
-        for n in CONVERGENCE_NS:
-            grid = make_uniform_grid(segment, n)
-            tau, colors = sample_field(scene, grid)
+        for n, (grid, tau, colors) in zip(CONVERGENCE_NS, traces):
             dist = interval_pmf(model, grid, tau)
             err = float(np.max(np.abs(render(dist, colors) - truth)))
             errors.append((n, err))

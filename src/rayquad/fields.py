@@ -185,8 +185,8 @@ class SampledDensity(DensityProfile):
             raise ValueError("need matching knots and values (>= 2)")
         if not np.all(np.diff(knots) > 0):
             raise ValueError("knots must be strictly increasing")
-        if type(self.degree) is not int or self.degree not in (0, 1):
-            raise ValueError(f"sampled density supports the int degree 0 or 1, got {self.degree!r}")
+        if not (_is_count(self.degree) and self.degree in (0, 1)):
+            raise ValueError(f"SampledDensity.degree must be an int 0 or 1, got {self.degree!r}")
         if np.any(values < 0):
             raise ValueError("sampled opacities must be nonnegative")
 
@@ -455,14 +455,19 @@ class GrazingRig:
         """Field seen along a ray entering at ``offset`` perpendicular depth.
 
         Both are real numbers; ``angle`` lies in (0, pi/2], as the rig's ``angles`` do.
+        The ray's center and steepness must stay finite and positive, else ValueError.
         """
         if not (_is_real(angle) and 0.0 < angle <= np.pi / 2):
             raise ValueError(f"angle={angle!r} lies outside the real interval (0, pi/2]")
         if not _is_real(offset):
             raise ValueError(f"offset must be a finite real number, got offset={offset!r}")
         sin = float(np.sin(angle))
-        center = (self.wall_depth - offset) / sin
-        density = LogisticStep(self.wall_amplitude, self.wall_steepness * sin, center)
+        center, steepness = (self.wall_depth - float(offset)) / sin, self.wall_steepness * sin
+        if not _is_real(center):
+            raise ValueError(f"offset={offset!r} overflows the wall center at angle={angle!r}")
+        if not _is_real(steepness, "positive"):
+            raise ValueError(f"wall_steepness={self.wall_steepness!r} underflows at angle={angle!r}")
+        density = LogisticStep(self.wall_amplitude, steepness, center)
         color = TwoToneColor(before=[0.1], after=[0.9], boundary=center)
         return AnalyticField(density=density, color=color)
 

@@ -22,18 +22,19 @@ refinement round; each tree and its sums depend only on its own task,
 never on the batch it runs in, so a batched ray matches its single-ray
 run bit for bit.
 
-Only ``true_render_batch`` takes rays of mixed profile classes.  It
-splits them into batches of one density class and one color class, and
-below it every batch holds one class pair.  A batch makes one ``tau``
-and one ``color`` call per engine level (``fields._by_ray``), not one per
-ray, and looks up every point's cumulative opacity with one float search
-over the union of its tables' edges (``_flat_cumulative``).  ``_base``,
-the one panel builder, splits the segment at field breakpoints for
-tables and render tasks alike; ``_tabulate``, the one table builder,
-makes every table, all unsettled rays of a refinement round in one call
-with one sub-panel count.  Every
-value is elementwise in its own ray's parameters, and every sum runs
-over one ray in the order of a single-ray run.
+Only ``true_render_batch`` takes rays of mixed profiles.  It splits them
+into batches of one density class, one color class and one base (the
+density's breakpoints inside the segment), and below it every batch holds
+one class pair and one base.  A batch makes one ``tau`` and one ``color``
+call per engine level (``fields._by_ray``), not one per ray.  Its tables
+share one grid, so a point's cumulative opacity is one search of the
+shared edges and one lookup in its ray's row (``_flat_cumulative``).
+``_base``, the one panel builder, splits the segment at field
+breakpoints for tables and render tasks alike; ``_tabulate``, the one
+table builder, makes every table, all unsettled rays of a refinement
+round in one call with one sub-panel count.  Every value is elementwise
+in its own ray's parameters, and every sum runs over one ray in the
+order of a single-ray run.
 
 Field evaluations that land exactly on a panel edge are nudged one ulp
 into the panel, so piecewise integrands are integrated with one-sided
@@ -43,7 +44,7 @@ limits and jump discontinuities cost no accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,10 +169,9 @@ def _is_exact_class(density: DensityProfile) -> bool:
     return density.polynomial_degree is not None and density.polynomial_degree <= 1
 
 
-def _hermite(s, idx, left, cumulative, d0, a2, a3) -> np.ndarray:
-    """Hermite piece ``idx`` at ``s``: O0 + d0 t + a2 t^2 + a3 t^3, t = s - left edge."""
-    t = s - left[idx]
-    return cumulative[idx] + t * (d0[idx] + t * (a2[idx] + t * a3[idx]))
+def _hermite(t, piece, cumulative, d0, a2, a3) -> np.ndarray:
+    """Hermite ``piece`` at ``t`` past its left edge: O0 + d0 t + a2 t^2 + a3 t^3."""
+    return cumulative[piece] + t * (d0[piece] + t * (a2[piece] + t * a3[piece]))
 
 
 def _base(density: DensityProfile, segment: RaySegment, extra_breaks=None) -> np.ndarray:
@@ -192,125 +192,98 @@ class CumulativeOpacityTable:
     refined Simpson pair with Richardson correction; the cumulative values
     and the one-sided endpoint opacities then define one cubic Hermite
     piece per sub-panel.  ``_tabulate``, the one table builder, makes every
-    table; this constructor is its one-ray case.
+    table; this class is the one-ray view of its rows.
     """
 
     def __init__(
         self, density: DensityProfile, segment: RaySegment, extra_breaks: np.ndarray | None = None
     ):
-        vars(self).update(vars(_tables([density], segment, extra_breaks)[0]))
+        self._view(density, segment, _base(density, segment, extra_breaks), 64)
 
     @property
     def total(self) -> float:
         return float(self.cumulative_at_edges[-1])
 
     def refined(self) -> "CumulativeOpacityTable":
-        return _refined([self])[0]
+        table = object.__new__(CumulativeOpacityTable)
+        table._view(self.density, self.segment, self.base, 2 * self.n_sub)
+        return table
+
+    def _view(self, density, segment, base, n_sub):
+        rows = _tabulate([density], segment, base, n_sub)
+        self.density, self.segment, self.base, self.n_sub = density, segment, base, rows.n_sub
+        self.edges, self.widths, self.tab_error = rows.edges, rows.widths, float(rows.tab_error[0])
+        self.cumulative_at_edges, self._d0 = rows.cumulative[0], rows.d0[0]
+        self._a2, self._a3 = rows.a2[0], rows.a3[0]
 
 
-def _tables(densities, segment: RaySegment, extra_breaks=None) -> list:
-    """``CumulativeOpacityTable(d, segment, extra_breaks)`` for every density
-    of one class, in one build."""
-    bases = [_base(d, segment, extra_breaks) for d in densities]
-    return _tabulate(densities, segment, bases, 64)
+class _Rows(NamedTuple):
+    """The tables of R rays on one grid: shared ``edges`` and ``widths``, then one row
+    per ray of ``cumulative`` (at the edges), ``d0``, ``a2``, ``a3`` and ``tab_error``."""
+
+    n_sub: int
+    edges: np.ndarray
+    widths: np.ndarray
+    cumulative: np.ndarray
+    d0: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+    tab_error: np.ndarray
 
 
-def _refined(tables) -> list:
-    """``t.refined()`` for every table of one class, in one build: the same
-    base panels with twice the sub-panels."""
-    densities, bases = [t.density for t in tables], [t.base for t in tables]
-    return _tabulate(densities, tables[0].segment, bases, 2 * tables[0].n_sub)
-
-
-def _tabulate(densities, segment: RaySegment, bases, n_sub: int) -> list:
-    """The one table builder: the ``CumulativeOpacityTable`` of each density
-    over its base panels, ``n_sub`` sub-panels per base panel, in one pass.
+def _tabulate(densities, segment: RaySegment, base: np.ndarray, n_sub: int) -> _Rows:
+    """The one table builder: the cumulative opacity of each density over the
+    shared ``base`` panels, ``n_sub`` sub-panels per base panel, in one pass.
 
     The densities share one class (``fields._by_ray``).  Piecewise
     constant/linear densities are tabulated exactly with one sub-panel per
-    base panel.  One linspace and one ``tau`` call cover every table; each
-    table's cumulative sum and error sum stay its own, so every table
-    matches its one-ray build bit for bit.
+    base panel.  One ``tau`` call covers every row; each row's cumulative
+    sum and error sum run along that row alone, so every row matches its
+    one-ray build bit for bit.
     """
     n_sub = 1 if _is_exact_class(densities[0]) else n_sub
-    stops = list(accumulate(n_sub * (b.size - 1) for b in bases))
-    starts = [0] + stops[:-1]
-    # Left edge of every sub-panel, in table then base panel order.
-    lo = np.concatenate([b[:-1] for b in bases])
-    hi = np.concatenate([b[1:] for b in bases])
-    left = np.linspace(lo, hi, n_sub + 1)[:-1].T.ravel()
-    # A sub-panel ends where the next starts (linspace starts each base
-    # panel exactly at its left base edge); each table's last ends at far.
-    right = np.empty_like(left)
-    right[:-1] = left[1:]
-    for b, j in zip(bases, stops):
-        right[j - 1] = b[-1]
+    # linspace starts each base panel exactly at its left base edge.
+    edges = np.append(np.linspace(base[:-1], base[1:], n_sub + 1)[:-1].T.ravel(), base[-1])
+    left, right = edges[:-1], edges[1:]
     widths = right - left
 
     # One-sided endpoint opacities: one ulp inside each sub-panel.
-    left_in = np.nextafter(left, np.inf)
-    right_in = np.nextafter(right, -np.inf)
-    q1 = left + 0.25 * widths
-    mid = left + 0.50 * widths
-    q3 = left + 0.75 * widths
-    ray = np.repeat(np.arange(len(bases)), [j - i for i, j in zip(starts, stops)])
-    tau = _by_ray(densities, "tau")
-    f0, f1, fq1, fmid, fq3 = tau(
-        np.concatenate([left_in, right_in, q1, mid, q3]), np.tile(ray, 5)
-    ).reshape(5, -1)
+    points = [np.nextafter(left, np.inf), np.nextafter(right, -np.inf)]
+    points += [left + q * widths for q in (0.25, 0.50, 0.75)]
+    n_rays, n = len(densities), widths.size
+    ray = np.repeat(np.arange(n_rays), 5 * n)
+    values = _by_ray(densities, "tau")(np.tile(np.concatenate(points), n_rays), ray)
+    f0, f1, fq1, fmid, fq3 = values.reshape(n_rays, 5, n).transpose(1, 0, 2)
 
     coarse = widths / 6.0 * (f0 + 4.0 * fmid + f1)
     fine = widths / 12.0 * (f0 + 4.0 * fq1 + 2.0 * fmid + 4.0 * fq3 + f1)
     err = (fine - coarse) / 15.0
-    panel = fine + err
-    abs_err = np.abs(err)
-    dO = np.empty_like(panel)
-    tables = [object.__new__(CumulativeOpacityTable) for _ in bases]
-    for t, d, b, i, j in zip(tables, densities, bases, starts, stops):
-        t.density, t.segment, t.base, t.n_sub = d, segment, b, n_sub
-        t.edges = np.concatenate((left[i:j], b[-1:]))
-        t.cumulative_at_edges = cum = np.empty(j - i + 1)
-        cum[0] = 0.0
-        np.cumsum(panel[i:j], out=cum[1:])
-        np.subtract(cum[1:], cum[:-1], out=dO[i:j])
-        t.tab_error = float(abs_err[i:j].sum())
-    # Hermite coefficients h(t) = O0 + d0 t + a2 t^2 + a3 t^3 on [0, w].
-    d0, d1 = f0, f1
-    w = widths
-    a2 = (3.0 * dO / w - 2.0 * d0 - d1) / w
-    a3 = (d0 + d1 - 2.0 * dO / w) / (w * w)
-    for t, i, j in zip(tables, starts, stops):
-        t.widths, t._d0, t._a2, t._a3 = widths[i:j], d0[i:j], a2[i:j], a3[i:j]
-    return tables
+    cumulative = np.zeros((n_rays, n + 1))
+    np.cumsum(fine + err, axis=1, out=cumulative[:, 1:])
+    dO = cumulative[:, 1:] - cumulative[:, :-1]
+    # Hermite coefficients h(t) = O0 + d0 t + a2 t^2 + a3 t^3 on [0, w]: d0 = f0, d1 = f1.
+    a2 = (3.0 * dO / widths - 2.0 * f0 - f1) / widths
+    a3 = (f0 + f1 - 2.0 * dO / widths) / (widths * widths)
+    return _Rows(n_sub, edges, widths, cumulative, f0, a2, a3, np.abs(err).sum(axis=1))
 
 
-def _flat_cumulative(tables):
-    """``O(x, ray)``: cumulative opacity of each point on its own ray's table.
-
-    The tables share one segment and are flattened once.  A point's piece is
-    ``piece[ray, _interval(union, x)]``: one search over the union of all
-    tables' edges, then the map ``piece[r, j] = start_r + _interval(edges_r,
-    union[j])``, exact because every table's edges are in the union and span
-    the segment.  The map holds R x |union| indices: tables of one class
-    share their edges (breakpoint-free ``GaussianBump``, ``LogisticStep``) or
-    have at most 4 each (``ConstantSlab``, ``LinearRamp``).
-    """
-    union = np.unique(np.concatenate([t.edges for t in tables]))
-    starts = np.cumsum([0] + [t.edges.size - 1 for t in tables[:-1]])
-    piece = np.array([_interval(t.edges, union) for t in tables]) + starts[:, None]
-    parts = [(t.edges[:-1], t.cumulative_at_edges[:-1], t._d0, t._a2, t._a3) for t in tables]
-    left, cum, d0, a2, a3 = map(np.concatenate, zip(*parts))
+def _flat_cumulative(rows: _Rows):
+    """``O(x, ray)``: cumulative opacity of each point on its own ray's row,
+    one search of the shared edges for every ray."""
+    edges = rows.edges
 
     def cumulative(x: np.ndarray, ray) -> np.ndarray:
-        return _hermite(x, piece[ray, _interval(union, x)], left, cum, d0, a2, a3)
+        idx = _interval(edges, x)
+        return _hermite(x - edges[idx], (ray, idx), rows.cumulative, rows.d0, rows.a2, rows.a3)
 
     return cumulative
 
 
-def _render_rays(fields, segment: RaySegment, tables, tol: float, weight=None, ids=None) -> list:
+def _render_rays(fields, segment: RaySegment, rows, tol: float, weight=None, ids=None) -> list:
     """Integrate tau * exp(-O) * c (optionally * weight) for many rays in one engine
-    call, one task per (ray, panel, channel).  Returns (value, error, evaluations)
-    per ray; the lowest-index ray failing at the depth limit raises, named by ``ids``."""
+    call, one task per (ray, panel, channel), ray ``r`` on table row ``r``.  Returns
+    (value, error, evaluations) per ray; the lowest-index ray failing at the depth
+    limit raises, named by ``ids``."""
     channels = fields[0].color.channels
     bases = [_base(f.density, segment, f.color.breakpoints()) for f in fields]
     lo = np.repeat(np.concatenate([b[:-1] for b in bases]), channels)
@@ -321,7 +294,7 @@ def _render_rays(fields, segment: RaySegment, tables, tol: float, weight=None, i
     inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
     tau = _by_ray([f.density for f in fields], "tau")
     color = _by_ray([f.color for f in fields], "color")
-    cumulative = _flat_cumulative(tables)
+    cumulative = _flat_cumulative(rows)
 
     def integrand(x: np.ndarray, task: np.ndarray) -> np.ndarray:
         x = np.minimum(np.maximum(x, inner_lo[task]), inner_hi[task])
@@ -351,26 +324,25 @@ def _render_rays(fields, segment: RaySegment, tables, tol: float, weight=None, i
 
 def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, ids) -> np.ndarray:
     """Per ray, rerun passes on doubled tabulations until values agree to 3 * tol;
-    ``run_pass(rays, tables)`` is one pass over the rays not yet settled, named
-    by their ``ids``.  The densities share one class; the tables of every
-    unsettled ray are built together, once per round."""
+    ``run_pass(rays, rows)`` is one pass over the rays not yet settled, named
+    by their ``ids``, on their table rows.  The densities share one class and
+    one base, so each round tabulates every unsettled ray in one build."""
     if not _is_real(tol, "positive"):
         raise ValueError(f"tolerance must be positive and finite, got tol={tol!r}")
-    tables = _tables(densities, segment)
-    values, rays, exact = {}, list(ids), _is_exact_class(densities[0])
+    base, exact = _base(densities[0], segment), _is_exact_class(densities[0])
+    values, live = {}, list(zip(ids, densities))
     for round_ in range(9):
-        if round_:
-            tables = _refined(tables)
-        live = []
-        for r, table, (value, err, evals) in zip(rays, tables, run_pass(rays, tables)):
+        rows = _tabulate([d for _, d in live], segment, base, 64 << round_)
+        unsettled = []
+        for (r, d), (value, err, evals) in zip(live, run_pass([r for r, _ in live], rows)):
             settled = np.max(np.abs(value - values[r])) <= 3.0 * tol if round_ else exact
             values[r] = value
             if not settled:
-                live.append((r, table, err, evals))
-        rays, tables = [r for r, *_ in live], [t for _, t, *_ in live]
-        if not rays:
+                unsettled.append((r, d, err, evals))
+        live = [(r, d) for r, d, *_ in unsettled]
+        if not live:
             return np.array([values[r] for r in ids])
-    r, _, err, evals = live[0]
+    r, _, err, evals = unsettled[0]
     raise NoConvergenceError(
         f"cumulative opacity tabulation did not stabilize for ray {r}",
         partial=IntegrationResult(float(values[r][0]), err, evals),
@@ -394,10 +366,11 @@ def true_render_batch(fields, segment: RaySegment, tol: float = 1e-10) -> np.nda
     Row ``r`` equals ``true_render(fields[r], segment, tol)`` bit for bit.
 
     Rays of one (density class, color class) pair, both classes in
-    ``fields._GATHERABLE``, run as one engine batch; every other ray runs
-    alone.  Batches run in the order of their first ray, and the first
-    failure raises with that ray's single-ray partial and its index in
-    ``fields`` in the message.
+    ``fields._GATHERABLE``, and one base (``_base``: the density's
+    breakpoints inside the segment) run as one engine batch on one table
+    grid; every other ray runs alone.  Batches run in the order of their
+    first ray, and the first failure raises with that ray's single-ray
+    partial and its index in ``fields`` in the message.
     """
     fields = list(fields)
     if not fields:
@@ -407,10 +380,11 @@ def true_render_batch(fields, segment: RaySegment, tol: float = 1e-10) -> np.nda
     batches: dict = {}
     for r, f in enumerate(fields):
         pair = (type(f.density), type(f.color))
-        batches.setdefault(pair if _GATHERABLE.issuperset(pair) else r, []).append(r)
+        key = (*pair, _base(f.density, segment).tobytes()) if _GATHERABLE.issuperset(pair) else r
+        batches.setdefault(key, []).append(r)
 
-    def run_pass(rays, tables):
-        return _render_rays([fields[r] for r in rays], segment, tables, tol, ids=rays)
+    def run_pass(rays, rows):
+        return _render_rays([fields[r] for r in rays], segment, rows, tol, ids=rays)
 
     out = np.empty((len(fields), fields[0].color.channels))
     for ids in batches.values():
@@ -446,11 +420,12 @@ def true_interval_probabilities(
         raise ValueError("edges must be a one-dimensional array of at least two points")
     if not (np.all(np.diff(edges) > 0) and segment.near <= edges[0] and edges[-1] <= segment.far):
         raise ValueError(f"edges must increase strictly within [{segment.near}, {segment.far}]")
-    table = CumulativeOpacityTable(field.density, segment, extra_breaks=edges[1:-1])
-    exact = _is_exact_class(field.density)
-    while not exact and table.tab_error > rtol / 8.0 and table.n_sub < 8192:
-        table = table.refined()
-    cumulative = _flat_cumulative([table])
+    base, exact = _base(field.density, segment, edges[1:-1]), _is_exact_class(field.density)
+    rows = _tabulate([field.density], segment, base, 64)
+    while not exact and rows.tab_error[0] > rtol / 8.0 and rows.n_sub < 8192:
+        rows = _tabulate([field.density], segment, base, 2 * rows.n_sub)
+    tab_error = float(rows.tab_error[0])
+    cumulative = _flat_cumulative(rows)
     prefix = cumulative(edges, 0)
     lo, hi = edges[:-1], edges[1:]
     inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
@@ -464,15 +439,15 @@ def true_interval_probabilities(
         integrand, lo, hi, np.maximum(rtol * mass, 1e-300)
     )
     scale = np.exp(-prefix[:-1])
-    untabulated = not exact and table.tab_error > rtol / 8.0
+    untabulated = not exact and tab_error > rtol / 8.0
     if failed.any() or untabulated:
         raise NoConvergenceError(
-            f"opacity tabulation error {table.tab_error:.3g} above rtol / 8 at 8192 sub-panels"
+            f"opacity tabulation error {tab_error:.3g} above rtol / 8 at 8192 sub-panels"
             if untabulated
             else f"adaptive Simpson did not converge on {failed.sum()} of {lo.size} intervals",
             partial=IntegrationResult(
                 float(np.sum(scale * value)),
-                float(np.sum(scale * (error + np.abs(value - mass))) + table.tab_error),
+                float(np.sum(scale * (error + np.abs(value - mass))) + tab_error),
                 int(evals.sum()),
             ),
         )
@@ -487,9 +462,9 @@ def true_mean_termination(
     """Expected termination distance; an opaque far plane absorbs the rest."""
     unit = AnalyticField(field.density)
 
-    def once(rays, tables):
-        (value, err, evals), = _render_rays([unit], segment, tables, tol, weight=lambda x: x)
-        return [(value + segment.far * np.exp(-tables[0].total), err, evals)]
+    def once(rays, rows):
+        (value, err, evals), = _render_rays([unit], segment, rows, tol, weight=lambda x: x)
+        return [(value + segment.far * np.exp(-rows.cumulative[0, -1]), err, evals)]
 
     return float(_refine_until_stable([field.density], segment, tol, once, [0])[0, 0])
 

@@ -377,6 +377,13 @@ class TestBatchedCommands:
         run(args + ["--out", tmp_path])
         assert calls == {"kernel": 2}
 
+    def test_convergence_samples_each_grid_once(self, tmp_path, monkeypatch):
+        # Both models read the same traces of each grid.
+        sampled, sample = [], cli.sample_field
+        monkeypatch.setattr(cli, "sample_field", lambda field, grid: sampled.append(grid.n) or sample(field, grid))
+        assert run(["convergence", "--out", tmp_path]) == 0
+        assert sampled == list(cli.CONVERGENCE_NS)
+
 
 class TestImageWriters:
     def test_pgm_round_trip(self, tmp_path):

@@ -185,6 +185,21 @@ class TestGrazingRig:
         with pytest.raises(ValueError, match="outside"):
             rig.ray_field(angle)
 
+    @pytest.mark.parametrize("offset", [1e308, -1e308, np.float64(-1e308)], ids=["max", "min", "min64"])
+    def test_ray_field_names_an_offset_that_overflows_the_center(self, offset):
+        # Finite on its own, but divided by sin(0.001) the center overflows.
+        rig = GrazingRig(10.0, 40.0, 1.0, angles=np.array([0.5]))
+        with pytest.raises(ValueError, match=r"^offset=.*1e\+308\)? overflows the wall center at angle=0\.001$") as err:
+            rig.ray_field(0.001, offset)
+        assert "LogisticStep" not in str(err.value)
+
+    def test_ray_field_names_a_wall_steepness_that_underflows(self):
+        rig = GrazingRig(10.0, 5e-324, 1.0, angles=np.array([0.5]))
+        with pytest.raises(ValueError, match=r"^wall_steepness=5e-324 underflows at angle=0\.5$"):
+            rig.ray_field(0.5)
+        # A steepness that stays positive still builds the ray.
+        assert GrazingRig(10.0, 1e-300, 1.0, angles=np.array([0.5])).ray_field(0.5).density.steepness > 0
+
 
 class TestSampledDensity:
     def test_linear_interpolation(self):
@@ -199,11 +214,18 @@ class TestSampledDensity:
         assert dens.tau(1.0) == 5.0
 
     @pytest.mark.parametrize(
-        "degree", [True, False, 1.0, 0.0, 2, np.int64(1)], ids=["True", "False", "1.0", "0.0", "2", "int64"]
+        "degree", [True, False, 1.0, 0.0, 2, np.int64(2)], ids=["True", "False", "1.0", "0.0", "2", "int64-2"]
     )
     def test_degree_must_be_int_zero_or_one(self, degree):
         with pytest.raises(ValueError, match="degree"):
             SampledDensity(np.array([0.0, 1.0]), np.array([1.0, 2.0]), degree=degree)
+
+    @pytest.mark.parametrize("degree", [np.int64(1), np.int64(0), np.int16(1)], ids=["int64", "int64-0", "int16"])
+    def test_numpy_integer_degree_is_accepted(self, degree):
+        # Counts accept numpy integers everywhere (``rays._is_count``); a bool is no count.
+        dens = SampledDensity(np.array([0.0, 1.0]), np.array([1.0, 2.0]), degree=degree)
+        assert dens.polynomial_degree == degree
+        assert dens.tau(0.5) == (1.5 if degree else 1.0)
 
     def test_piecewise_color_left_hold(self):
         color = PiecewiseConstantColor(

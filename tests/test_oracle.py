@@ -30,6 +30,7 @@ from rayquad import (
     true_render,
     true_render_batch,
 )
+from rayquad.cli import _RENDER_TOL
 from rayquad.fields import (
     DensityProfile,
     GradientColor,
@@ -42,11 +43,10 @@ from rayquad.fields import (
 from rayquad.oracle import (
     CumulativeOpacityTable,
     _adaptive_simpson,
+    _base,
     _flat_cumulative,
-    _hermite,
-    _refined,
     _render_rays,
-    _tables,
+    _tabulate,
 )
 
 from conftest import random_instance
@@ -55,6 +55,11 @@ SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 # A tolerance must lie in (0, inf); NaN must fail like the others.
 BAD_TOLERANCES = [np.nan, np.inf, 0.0, -1.0]
+
+
+def _rows(densities, segment, n_sub=64):
+    """The tables of ``densities`` on the first one's base, in one build."""
+    return _tabulate(densities, segment, _base(densities[0], segment), n_sub)
 
 
 class TestIntegrateAdaptive:
@@ -169,18 +174,14 @@ class TestFailurePartials:
     field = AnalyticField(_UnresolvedCusp(), UniformColor(np.array([0.5])))
     segment = RaySegment(0.0, 2.0)
 
-    def _last_table(self):
-        table = CumulativeOpacityTable(self.field.density, self.segment)
-        for _ in range(8):
-            table = table.refined()
-        return table
+    def _last_rows(self):
+        # The ninth round's tables: 64 sub-panels doubled eight times.
+        return _rows([self.field.density], self.segment, 64 << 8)
 
     def test_true_render_partial_is_last_pass(self):
         with pytest.raises(NoConvergenceError) as err:
             true_render(self.field, self.segment, 1e-10)
-        value, error, evals = _render_rays(
-            [self.field], self.segment, [self._last_table()], 1e-10
-        )[0]
+        value, error, evals = _render_rays([self.field], self.segment, self._last_rows(), 1e-10)[0]
         assert err.value.partial == IntegrationResult(float(value[0]), error, evals)
         assert np.isfinite(err.value.partial.error_estimate)
         assert err.value.partial.evaluations > 3
@@ -188,12 +189,10 @@ class TestFailurePartials:
     def test_mean_termination_partial_is_last_pass(self):
         with pytest.raises(NoConvergenceError) as err:
             true_mean_termination(self.field, self.segment, 1e-10)
-        table = self._last_table()
+        rows = self._last_rows()
         unit = AnalyticField(self.field.density, UniformColor(np.array([1.0])))
-        value, error, evals = _render_rays(
-            [unit], self.segment, [table], 1e-10, weight=lambda x: x
-        )[0]
-        mean = float(value[0]) + self.segment.far * np.exp(-table.total)
+        value, error, evals = _render_rays([unit], self.segment, rows, 1e-10, weight=lambda x: x)[0]
+        mean = float(value[0]) + self.segment.far * np.exp(-rows.cumulative[0, -1])
         assert err.value.partial == IntegrationResult(mean, error, evals)
 
 
@@ -356,6 +355,20 @@ class TestTrueRenderBatch:
             true_render_batch(fields, segment, 1e-10)
         assert err.value.partial == alone.value.partial
 
+    def test_render_rays_are_one_batch_per_round(self, monkeypatch):
+        # The ``render`` command's rays have no breakpoints, so each round
+        # tabulates every unsettled ray on one grid.
+        counts = []
+        tabulate = oracle._tabulate
+
+        def counted(densities, *args):
+            counts.append(len(densities))
+            return tabulate(densities, *args)
+
+        monkeypatch.setattr(oracle, "_tabulate", counted)
+        true_render_batch(_render_command_rays(), self.segment, _RENDER_TOL)
+        assert counts == [96, 96, 79]
+
     def test_rejects_empty_and_mixed_channel_batches(self):
         with pytest.raises(ValueError):
             true_render_batch([], self.segment)
@@ -365,102 +378,137 @@ class TestTrueRenderBatch:
 
 
 class TestBatchedTabulation:
-    """One build for many rays equals each ray's own table bit for bit."""
+    """Each row of one build for many rays equals that ray's own table bit for bit."""
 
     segment = RaySegment(0.0, 4.0)
-
-    @staticmethod
-    def _assert_same(batched, alone):
-        assert batched.n_sub == alone.n_sub
-        for name in ("base", "edges", "widths", "cumulative_at_edges", "_d0", "_a2", "_a3"):
-            a, b = getattr(batched, name), getattr(alone, name)
-            assert a.shape == b.shape and np.array_equal(a, b), name
-        assert batched.tab_error == alone.tab_error
 
     @pytest.mark.parametrize("n_sub", [64, 128, 256])
     def test_equals_per_ray_tables(self, n_sub):
-        # One build per class.  Exact densities (slab, ramp) get one
-        # sub-panel per base panel.
+        # One build per class and base; every group holds several rays.
+        # Exact densities (slab, ramp) get one sub-panel per base panel.
         densities = [f.density for f in _render_command_rays()] + [
             load_scene(path)[0].density for path in sorted(SCENES.glob("*.json"))
         ]
-        densities += [ConstantSlab(1.0, 0.5, 2.5), LinearRamp(0.5, 2.0, 1.0, 3.0), GaussianBump(1.0, 2.0, 0.5)]
-        by_class = {}
+        densities += [
+            ConstantSlab(0.5, 1.0, 3.0),
+            ConstantSlab(1.0, 0.5, 2.5),
+            ConstantSlab(2.0, 0.5, 2.5),
+            LinearRamp(2.0, 0.5, 0.0, 1.0),
+            LinearRamp(0.5, 2.0, 1.0, 3.0),
+            LinearRamp(3.0, 1.0, 1.0, 3.0),
+            GaussianBump(1.0, 2.0, 0.5),
+        ]
+        groups = {}
         for density in densities:
-            by_class.setdefault(type(density), []).append(density)
-        for group in by_class.values():
-            # 128 and 256 sub-panels are reached by refining the 64-panel build.
-            batched = _tables(group, self.segment)
-            alone = [CumulativeOpacityTable(density, self.segment) for density in group]
-            for _ in range(int(np.log2(n_sub // 64))):
-                batched, alone = _refined(batched), [table.refined() for table in alone]
-            for table, single in zip(batched, alone):
-                self._assert_same(table, single)
-            for table, single in zip(_refined(batched), alone):
-                self._assert_same(table, single.refined())
+            key = type(density), _base(density, self.segment).tobytes()
+            groups.setdefault(key, []).append(density)
+        assert all(len(group) > 1 for group in groups.values())
+        for group in groups.values():
+            rows = _rows(group, self.segment, n_sub)
+            for r, density in enumerate(group):
+                # 128 and 256 sub-panels are reached by refining the 64-panel table.
+                table = CumulativeOpacityTable(density, self.segment)
+                for _ in range(int(np.log2(n_sub // 64))):
+                    table = table.refined()
+                assert rows.n_sub == table.n_sub
+                pairs = [
+                    (rows.edges, table.edges),
+                    (rows.widths, table.widths),
+                    (rows.cumulative[r], table.cumulative_at_edges),
+                    (rows.d0[r], table._d0),
+                    (rows.a2[r], table._a2),
+                    (rows.a3[r], table._a3),
+                ]
+                for a, b in pairs:
+                    assert a.shape == b.shape and np.array_equal(a, b)
+                assert rows.tab_error[r] == table.tab_error
 
 
 class TestFlatCumulative:
-    """The batched lookup equals each table's own search and Hermite piece, bit for bit."""
+    """The batched lookup equals each row's own search and Hermite piece, bit for bit."""
 
     segment = RaySegment(0.0, 4.0)
 
-    @staticmethod
-    def _assert_matches_each_table(tables, segment):
-        edges = np.concatenate([t.edges for t in tables])
+    @pytest.mark.parametrize("refinements", [0, 1, 2])
+    def test_shared_edges(self, refinements):
+        n_sub = 64 << refinements
+        for densities in (
+            [LogisticStep(10.0, 40.0, c) for c in (0.5, 1.0, 2.5, 3.9)],
+            [GaussianBump(a, 2.0, 0.5) for a in (0.5, 1.0, 3.0)],
+            # Breakpoints on the segment's ends and inside it, shared by the rays.
+            [ConstantSlab(tau, 0.0, 4.0) for tau in (0.5, 1.0, 3.0)],
+            [LinearRamp(a, b, 0.5, 2.5) for a, b in ((0.5, 2.0), (2.0, 0.0), (1.0, 1.0))],
+        ):
+            self._assert_rows_match_their_own_pieces(densities, n_sub)
+
+    def _assert_rows_match_their_own_pieces(self, densities, n_sub):
+        rows = _rows(densities, self.segment, n_sub)
+        edges = rows.edges
         x = np.concatenate(
             [
                 edges,
                 np.nextafter(edges, -np.inf),
                 np.nextafter(edges, np.inf),
-                [segment.near - 1.0, segment.far + 1.0],
-                np.linspace(segment.near, segment.far, 97),
+                [self.segment.near - 1.0, self.segment.far + 1.0],
+                np.linspace(self.segment.near, self.segment.far, 97),
             ]
         )
-        cumulative = _flat_cumulative(tables)
+        cumulative = _flat_cumulative(rows)
+        # The search and Hermite piece of each row on its own.
+        idx = edges[1:-1].searchsorted(x, side="right")
+        t = x - edges[idx]
         expected = []
-        for r, t in enumerate(tables):
-            # The one-table search the batched lookup replaced.
-            idx = t.edges[1:-1].searchsorted(x, side="right")
-            expected.append(_hermite(x, idx, t.edges, t.cumulative_at_edges, t._d0, t._a2, t._a3))
+        for r, density in enumerate(densities):
+            row = rows.cumulative[r], rows.d0[r], rows.a2[r], rows.a3[r]
+            cum, d0, a2, a3 = (a[idx] for a in row)
+            expected.append(cum + t * (d0 + t * (a2 + t * a3)))
             assert np.array_equal(cumulative(x, np.full(x.size, r)), expected[r]), r
-            assert np.array_equal(_flat_cumulative([t])(x, 0), expected[r]), r
+            alone = _flat_cumulative(_rows([density], self.segment, n_sub))
+            assert np.array_equal(alone(x, 0), expected[r]), r
         # Points of every ray interleaved in one call.
-        ray = np.arange(x.size) % len(tables)
+        ray = np.arange(x.size) % len(densities)
         assert np.array_equal(cumulative(x, ray), np.array(expected)[ray, np.arange(x.size)])
-
-    @pytest.mark.parametrize("refinements", [0, 1, 2])
-    def test_shared_edges(self, refinements):
-        steps = [LogisticStep(10.0, 40.0, c) for c in (0.5, 1.0, 2.5, 3.9)]
-        tables = _tables(steps, self.segment)
-        for _ in range(refinements):
-            tables = _refined(tables)
-        assert all(np.array_equal(t.edges, tables[0].edges) for t in tables)
-        self._assert_matches_each_table(tables, self.segment)
 
     @pytest.mark.parametrize(
         "densities",
         [
-            # Breakpoints inside, straddling and on the segment's ends.
+            # Breakpoints inside, straddling and on the segment's ends; the
+            # last ray shares the first one's.
             [
                 ConstantSlab(1.0, 0.5, 2.5),
                 ConstantSlab(2.0, 1.0, 3.0),
                 ConstantSlab(0.5, -1.0, 6.0),
                 ConstantSlab(3.0, 3.5, 4.0),
+                ConstantSlab(0.7, 0.5, 2.5),
             ],
             [
                 LinearRamp(0.5, 2.0, 1.0, 3.0),
                 LinearRamp(1.0, 0.0, 0.25, 0.75),
                 LinearRamp(2.0, 1.0, -1.0, 2.0),
                 LinearRamp(0.0, 4.0, 0.0, 4.0),
+                LinearRamp(1.5, 0.5, 1.0, 3.0),
             ],
         ],
         ids=["slab", "ramp"],
     )
-    def test_breakpoints_differ_from_ray_to_ray(self, densities):
-        tables = _tables(densities, self.segment)
-        assert len({t.edges.size for t in tables}) > 1
-        self._assert_matches_each_table(tables, self.segment)
+    def test_breakpoints_differ_from_ray_to_ray(self, densities, monkeypatch):
+        # Rays whose breakpoints differ share no lookup: each base is its own batch.
+        builds = []
+        tabulate = oracle._tabulate
+
+        def counted(densities, segment, base, n_sub):
+            builds.append((len(densities), base.tolist()))
+            return tabulate(densities, segment, base, n_sub)
+
+        monkeypatch.setattr(oracle, "_tabulate", counted)
+        color = TwoToneColor(np.array([0.2]), np.array([0.8]), 1.3)
+        fields = [AnalyticField(density, color) for density in densities]
+        batch = true_render_batch(fields, self.segment, 1e-8)
+        # Exact densities settle in one round: one build per distinct base, in first-ray order.
+        bases = [_base(d, self.segment).tolist() for d in densities[:4]]
+        assert builds == [(2, bases[0]), (1, bases[1]), (1, bases[2]), (1, bases[3])]
+        for row, field in zip(batch, fields):
+            assert row.tolist() == true_render(field, self.segment, 1e-8).tolist()
 
 
 class TestTrueRender:
@@ -534,19 +582,19 @@ class TestClosedFormTransmittances:
     def test_slab_against_table(self):
         slab = ConstantSlab(2.0, 1.0, 3.0)
         segment = RaySegment(0.0, 4.0)
-        table = CumulativeOpacityTable(slab, segment)
         s = np.linspace(0.0, 4.0, 33)
+        cumulative = _flat_cumulative(_rows([slab], segment))
         np.testing.assert_allclose(
-            np.exp(-_flat_cumulative([table])(s, 0)), slab_transmittance(slab, segment, s), atol=1e-13
+            np.exp(-cumulative(s, 0)), slab_transmittance(slab, segment, s), atol=1e-13
         )
 
     def test_ramp_against_table(self):
         ramp = LinearRamp(1.0, 3.0, 0.0, 1.0)
         segment = RaySegment(0.0, 1.0)
-        table = CumulativeOpacityTable(ramp, segment)
         s = np.linspace(0.0, 1.0, 17)
+        cumulative = _flat_cumulative(_rows([ramp], segment))
         np.testing.assert_allclose(
-            np.exp(-_flat_cumulative([table])(s, 0)), ramp_transmittance(ramp, segment, s), atol=1e-13
+            np.exp(-cumulative(s, 0)), ramp_transmittance(ramp, segment, s), atol=1e-13
         )
 
     def test_ramp_rejects_queries_outside_the_ramp(self):
@@ -559,8 +607,8 @@ class TestClosedFormTransmittances:
         for density in (GaussianBump(3.0, 0.6, 0.25), LogisticStep(10.0, 40.0, 1.0)):
             segment = RaySegment(0.0, 2.0)
             direct = integrate_adaptive(lambda s: float(density.tau(s)), 0.0, 2.0, 1e-12)
-            table = CumulativeOpacityTable(density, segment).refined().refined().refined()
-            assert _flat_cumulative([table])(np.array(2.0), 0) == pytest.approx(direct.value, abs=1e-10)
+            cumulative = _flat_cumulative(_rows([density], segment, 512))
+            assert cumulative(np.array(2.0), 0) == pytest.approx(direct.value, abs=1e-10)
 
 
 class TestMeanTermination:

@@ -32,7 +32,7 @@ from rayquad.fields import (
     UniformColor,
     load_scene,
 )
-from rayquad.oracle import CumulativeOpacityTable, _render_rays
+from rayquad.oracle import _base, _render_rays, _tabulate
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -82,8 +82,8 @@ def test_true_render_pinned(name, tol):
     value, first, err, evals = RENDER_PINS[(name, tol)]
     field, segment = _case(name)
     assert true_render(field, segment, tol).tolist() == value
-    table = CumulativeOpacityTable(field.density, segment)
-    out, err_total, n_evals = _render_rays([field], segment, [table], tol)[0]
+    rows = _tabulate([field.density], segment, _base(field.density, segment), 64)
+    out, err_total, n_evals = _render_rays([field], segment, rows, tol)[0]
     assert (out.tolist(), err_total, n_evals) == (first, err, evals)
 
 
@@ -93,8 +93,8 @@ def test_true_mean_termination_pinned(tol):
     scene, segment = fixtures.shift_scene(), fixtures.SHIFT_SEGMENT
     assert true_mean_termination(scene, segment, tol) == value
     unit = AnalyticField(scene.density, UniformColor(np.array([1.0])))
-    table = CumulativeOpacityTable(scene.density, segment)
-    out, err_total, n_evals = _render_rays([unit], segment, [table], tol, weight=lambda x: x)[0]
+    rows = _tabulate([scene.density], segment, _base(scene.density, segment), 64)
+    out, err_total, n_evals = _render_rays([unit], segment, rows, tol, weight=lambda x: x)[0]
     assert (out.tolist(), err_total, n_evals) == (first, err, evals)
 
 
