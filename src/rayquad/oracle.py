@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import _GATHERABLE, AnalyticField, DensityProfile, _by_ray
-from .rays import RaySegment, _interval, _is_count, _is_real
+from .rays import RaySegment, _blocks, _interval, _is_count, _is_real
 
 _MAX_DEPTH = 48
 
@@ -279,13 +279,21 @@ def _flat_cumulative(rows: _Rows):
     return cumulative
 
 
-def _render_rays(fields, segment: RaySegment, rows, tol: float, weight=None, ids=None) -> list:
+def _render_bases(fields, segment: RaySegment) -> list:
+    """Each ray's render panels: the segment split at its density's and color's breakpoints."""
+    return [_base(f.density, segment, f.color.breakpoints()) for f in fields]
+
+
+def _render_rays(
+    fields, segment: RaySegment, rows, tol: float, weight=None, ids=None, bases=None
+) -> list:
     """Integrate tau * exp(-O) * c (optionally * weight) for many rays in one engine
-    call, one task per (ray, panel, channel), ray ``r`` on table row ``r``.  Returns
-    (value, error, evaluations) per ray; the lowest-index ray failing at the depth
-    limit raises, named by ``ids``."""
+    call, one task per (ray, panel, channel), ray ``r`` on table row ``r`` and over
+    its ``bases`` entry (``_render_bases`` when not given).  Returns (value, error,
+    evaluations) per ray; the lowest-index ray failing at the depth limit raises,
+    named by ``ids``."""
     channels = fields[0].color.channels
-    bases = [_base(f.density, segment, f.color.breakpoints()) for f in fields]
+    bases = _render_bases(fields, segment) if bases is None else bases
     lo = np.repeat(np.concatenate([b[:-1] for b in bases]), channels)
     hi = np.repeat(np.concatenate([b[1:] for b in bases]), channels)
     n_tasks = [channels * (b.size - 1) for b in bases]
@@ -354,6 +362,12 @@ def true_render(
 ) -> np.ndarray:
     """Expected color of the ray by direct numerical integration.
 
+    The light left at the far bound leaves the ray: the value is the
+    integral over the segment alone, with no far-plane term, while
+    ``true_mean_termination`` absorbs that light at the far bound.  The
+    ``convergence`` command relies on this; with its uniform color an
+    absorbing far plane would render exactly 1 for both models.
+
     The error budget is 10 * tol: the outer adaptive tolerance plus the
     tabulation error of the cumulative opacity, which is driven below tol
     by doubling the tabulation density until the result stabilizes.
@@ -363,14 +377,16 @@ def true_render(
 
 def true_render_batch(fields, segment: RaySegment, tol: float = 1e-10) -> np.ndarray:
     """Expected colors of many rays over one segment, shape (R, channels).
-    Row ``r`` equals ``true_render(fields[r], segment, tol)`` bit for bit.
+    Row ``r`` equals ``true_render(fields[r], segment, tol)`` bit for bit,
+    so the light left at the far bound leaves each ray as it does there.
 
     Rays of one (density class, color class) pair, both classes in
     ``fields._GATHERABLE``, and one base (``_base``: the density's
     breakpoints inside the segment) run as one engine batch on one table
     grid; every other ray runs alone.  Batches run in the order of their
     first ray, and the first failure raises with that ray's single-ray
-    partial and its index in ``fields`` in the message.
+    partial and its index in ``fields`` in the message.  Each ray's render
+    panels (``_render_bases``) are built once and serve every refinement pass.
     """
     fields = list(fields)
     if not fields:
@@ -383,8 +399,11 @@ def true_render_batch(fields, segment: RaySegment, tol: float = 1e-10) -> np.nda
         key = (*pair, _base(f.density, segment).tobytes()) if _GATHERABLE.issuperset(pair) else r
         batches.setdefault(key, []).append(r)
 
+    bases = _render_bases(fields, segment)
+
     def run_pass(rays, rows):
-        return _render_rays([fields[r] for r in rays], segment, rows, tol, ids=rays)
+        picked = [fields[r] for r in rays]
+        return _render_rays(picked, segment, rows, tol, ids=rays, bases=[bases[r] for r in rays])
 
     out = np.empty((len(fields), fields[0].color.channels))
     for ids in batches.values():
@@ -459,32 +478,48 @@ def true_mean_termination(
     segment: RaySegment,
     tol: float = 1e-10,
 ) -> float:
-    """Expected termination distance; an opaque far plane absorbs the rest."""
+    """Expected termination distance; an opaque far plane absorbs the rest.
+
+    Unlike ``true_render``, which lets the light left at the far bound leave,
+    this counts that light as terminating at ``segment.far``.
+    """
     unit = AnalyticField(field.density)
+    bases = _render_bases([unit], segment)
 
     def once(rays, rows):
-        (value, err, evals), = _render_rays([unit], segment, rows, tol, weight=lambda x: x)
+        (value, err, evals), = _render_rays(
+            [unit], segment, rows, tol, weight=lambda x: x, bases=bases
+        )
         return [(value + segment.far * np.exp(-rows.cumulative[0, -1]), err, evals)]
 
     return float(_refine_until_stable([field.density], segment, tol, once, [0])[0, 0])
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic of sorted samples against cdf."""
+    """One-sample Kolmogorov-Smirnov statistic of sorted samples against cdf.
+
+    ``cdf`` is called per slice: on consecutive slices of at most
+    ``rays._BLOCK`` samples (``rays._blocks``), once when the sample fits
+    one block.  ``d_plus`` and ``d_minus`` are maxima, so folding them over
+    the slices gives the whole-array statistic bit for bit.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or samples.size < 1:
         raise ValueError("need a one-dimensional sample array")
     if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
-    if not (np.diff(samples) >= 0).all():
+    # For finite samples, b >= a exactly when b - a >= 0; no float difference is built.
+    if not (samples[1:] >= samples[:-1]).all():
         raise ValueError("samples must be sorted ascending")
     n = samples.size
-    f = np.asarray(cdf(samples), dtype=np.float64)
-    if not np.isfinite(f).all():
-        raise ValueError("CDF values must be finite")
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1) / n)
+    d_plus = d_minus = -np.inf
+    for block in _blocks(n):
+        f = np.asarray(cdf(samples[block]), dtype=np.float64)
+        if not np.isfinite(f).all():
+            raise ValueError("CDF values must be finite")
+        i = np.arange(block.start + 1, min(block.stop, n) + 1)
+        d_plus = max(d_plus, np.max(i / n - f))
+        d_minus = max(d_minus, np.max(f - (i - 1) / n))
     return float(max(d_plus, d_minus))
 
 

@@ -18,6 +18,8 @@ integer, of the sign stated at the call; each class and function checks
 its own shape, order and range beyond the sign.
 ``_interval`` is the one rule for which interval of sorted edges holds a
 point: samplers, profiles and the oracle's tables all locate through it.
+``_blocks`` is the one rule for long elementwise work: the draw kernels and
+the KS statistic run over consecutive slices of at most ``_BLOCK`` values.
 """
 
 from __future__ import annotations
@@ -122,6 +124,29 @@ def _interval(edges: np.ndarray, x):
     each ``x``: a point on an edge, even a repeated one, lies in the last interval
     starting there, and a point past either end lies in that end's interval."""
     return edges[1:-1].searchsorted(x, side="right")
+
+
+# Long draw inputs run in blocks of this many values: 64 KiB per float64
+# temporary, inside L2 and below glibc's default mmap threshold (128 KiB), so
+# a block's temporaries are reused from the heap instead of mapped afresh.
+_BLOCK = 8192
+
+
+def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``_BLOCK`` covering ``range(n)``; one when ``n`` fits."""
+    return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
+
+
+def _blockwise(kernel, x: np.ndarray) -> np.ndarray:
+    """``kernel(x)`` of an elementwise float64 ``kernel``, bit for bit: one call when
+    ``x`` fits one block, else one call per block of ``_blocks`` into one output."""
+    if x.size <= _BLOCK:
+        return kernel(x)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for block in _blocks(flat.size):
+        out[block] = kernel(flat[block])
+    return out.reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from rayquad.oracle import (
     _render_rays,
     _tabulate,
 )
+from rayquad.rays import _BLOCK
 
 from conftest import random_instance
 
@@ -369,6 +370,15 @@ class TestTrueRenderBatch:
         true_render_batch(_render_command_rays(), self.segment, _RENDER_TOL)
         assert counts == [96, 96, 79]
 
+    def test_render_panels_are_built_once_per_ray(self, monkeypatch):
+        # One base per ray to batch it, one per ray for its render panels (serving
+        # all three refinement passes) and one for the batch's tables.
+        calls = []
+        base = oracle._base
+        monkeypatch.setattr(oracle, "_base", lambda *args: calls.append(args) or base(*args))
+        true_render_batch(_render_command_rays(), self.segment, _RENDER_TOL)
+        assert len(calls) == 96 + 96 + 1
+
     def test_rejects_empty_and_mixed_channel_batches(self):
         with pytest.raises(ValueError):
             true_render_batch([], self.segment)
@@ -664,6 +674,38 @@ class TestKsStatistic:
     def test_rejects_non_finite_cdf_values(self):
         with pytest.raises(ValueError, match="finite"):
             ks_statistic(np.array([0.2, 0.4]), lambda v: np.full_like(v, np.nan))
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 16385, 100_001])
+    def test_blocked_statistic_equals_whole_array_formula(self, n):
+        x = np.sort(np.random.default_rng(n).random(n) ** 2)
+        i = np.arange(1, n + 1)
+        # sqrt is the sample's own CDF; the stretched one peaks its gap in the last block.
+        for law in (np.sqrt, lambda v: np.sqrt(np.minimum(v * 1.01, 1.0))):
+            sizes = []
+
+            def cdf(v):
+                sizes.append(v.size)
+                return law(v)
+
+            f = law(x)
+            whole = max(np.max(i / n - f), np.max(f - (i - 1) / n))
+            assert ks_statistic(x, cdf) == whole
+            # ``cdf`` sees consecutive slices of at most one block each.
+            assert sizes == [min(_BLOCK, n - start) for start in range(0, n, _BLOCK)]
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "^samples must be finite$"), (0.0, "sorted")])
+    def test_bad_sample_in_last_block_raises_before_any_cdf_call(self, bad, message):
+        x = np.linspace(0.1, 0.9, 100_001)
+        x[-1] = bad
+        calls = []
+        with pytest.raises(ValueError, match=message):
+            ks_statistic(x, lambda v: calls.append(v.size) or v)
+        assert calls == []
+
+    def test_non_finite_cdf_value_in_last_block_raises(self):
+        x = np.linspace(0.1, 0.9, 100_001)
+        with pytest.raises(ValueError, match="^CDF values must be finite$"):
+            ks_statistic(x, lambda v: np.where(v == 0.9, np.nan, v))
 
     def test_critical_value_formula(self):
         assert ks_critical(100_000) == pytest.approx(1.36 / np.sqrt(100_000))

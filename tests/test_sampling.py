@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from rayquad import (
 from rayquad import fixtures
 from rayquad.fields import opaque_trace
 from rayquad.quadrature import RayDistribution
-from rayquad.sampling import _stratified_unit_samples
+from rayquad.rays import _BLOCK
+from rayquad.sampling import EPS_UNIT, _stratified_unit_samples
 
 from conftest import random_instance
 
@@ -298,3 +301,138 @@ class TestHierarchicalSampling:
     def test_stratified_unit_samples_cover_strata(self):
         u = _stratified_unit_samples(64, seed=8)
         assert np.all((u >= np.arange(64) / 64) & (u < (np.arange(64) + 1) / 64))
+
+
+def sampler_pairs():
+    """(continuous, surrogate) over the steep fixture, whose mass is one, and
+    over a shallow ray without the far convention, whose mass stays below one."""
+    shallow = (
+        SampleGrid(np.array([0.5, 1.0, 1.5]), RaySegment(0.0, 2.0)),
+        OpacityTrace(np.array([0.5, 1.0, 2.0, 0.3, 0.2])),
+    )
+    return [fixtures.precise_and_surrogate(*inst) for inst in (fixtures.steep_sampler_fixture(), shallow)]
+
+
+# Sizes either side of one and two block edges, and the size of sampler-test.
+BLOCK_SIZES = [8191, 8192, 8193, 16385, 100_001]
+
+
+class TestBlockedEvaluation:
+    """Long inputs run in blocks of ``_BLOCK``; each output equals the unblocked one bit for bit."""
+
+    @staticmethod
+    def by_slices(method, x):
+        return np.concatenate([method(x[i : i + 1000]) for i in range(0, x.size, 1000)])
+
+    @staticmethod
+    def with_specials(x, specials):
+        """A copy of ``x`` per special value, placed at indices 8191 and 8192 (where they
+        exist: either side of the first block edge) and at the last index."""
+        for value in specials:
+            y = x.copy()
+            y[8191:8193] = value
+            y[-1] = value
+            yield y
+
+    def test_block_is_the_documented_size(self):
+        # BLOCK_SIZES and the special indices straddle block edges only at this size.
+        assert _BLOCK == 8192
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_precise_sample_matches_slices(self, n):
+        rng = np.random.default_rng(n)
+        for continuous, _ in sampler_pairs():
+            c = continuous.cumulative
+            # A bin edge, the total mass, a clamped draw, and both ends of [0, 1].
+            specials = [c[2], c[-1], 1.0 - EPS_UNIT, 0.0, 1.0]
+            for u in self.with_specials(rng.random(n), specials):
+                whole = continuous.precise_sample(u)
+                assert np.array_equal(whole, self.by_slices(continuous.precise_sample, u))
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_surrogate_sample_matches_slices(self, n):
+        rng = np.random.default_rng(n)
+        for _, surrogate in sampler_pairs():
+            c = surrogate.cumulative
+            specials = [v for v in (c[2], c[-1], 1.0 - EPS_UNIT, 0.0) if v < 1.0 and v <= c[-1]]
+            for u in self.with_specials(rng.random(n) * c[-1], specials):
+                whole = surrogate.surrogate_sample(u)
+                assert np.array_equal(whole, self.by_slices(surrogate.surrogate_sample, u))
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_cdf_eval_matches_slices(self, n):
+        rng = np.random.default_rng(n)
+        for continuous, _ in sampler_pairs():
+            seg = continuous.grid.segment
+            specials = [continuous.grid.points[2], seg.near, seg.far]
+            for t in self.with_specials(seg.near + seg.span * rng.random(n), specials):
+                whole = continuous.cdf_eval(t)
+                assert np.array_equal(whole, self.by_slices(continuous.cdf_eval, t))
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES + [1, 64])
+    def test_kernel_runs_once_per_block(self, monkeypatch, n):
+        sizes = []
+        kernel = ContinuousRayCdf._precise
+
+        def counted(self, u):
+            sizes.append(u.size)
+            return kernel(self, u)
+
+        monkeypatch.setattr(ContinuousRayCdf, "_precise", counted)
+        sampler_pairs()[0][0].precise_sample(np.full(n, 0.5))
+        assert sizes == [min(_BLOCK, n - start) for start in range(0, n, _BLOCK)]
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5])
+    def test_bad_value_in_last_block_raises_before_any_block(self, monkeypatch, bad):
+        calls = []
+        for cls, kernel in (
+            (ContinuousRayCdf, "_precise"),
+            (ContinuousRayCdf, "_cdf"),
+            (DiscreteRayCdf, "_surrogate"),
+        ):
+            monkeypatch.setattr(cls, kernel, lambda self, x: calls.append(x.size))
+        continuous, surrogate = sampler_pairs()[1]
+        x = np.full(100_001, 0.5)
+        x[-1] = bad
+        with pytest.raises(ValueError, match=r"^draws must lie in \[0, 1\]$"):
+            continuous.precise_sample(x)
+        with pytest.raises(ValueError, match=r"^surrogate draws must lie in \[0, 1\)$"):
+            surrogate.surrogate_sample(x)
+        with pytest.raises(ValueError, match="^evaluation point outside the ray segment$"):
+            continuous.cdf_eval(x * 4.0)
+        x[-1] = np.nextafter(surrogate.cumulative[-1], 1.0)
+        with pytest.raises(ValueError, match="^draw exceeds the total probability mass of the ray$"):
+            surrogate.surrogate_sample(x)
+        assert calls == []
+
+
+class TestWorkingSet:
+    """A 100,000-draw call stays within a few blocks' worth of temporaries.
+
+    numpy reports its buffers to ``tracemalloc``, so the traced peak counts
+    the output and every temporary; unlike fault counts, it does not depend
+    on the allocator's history.
+    """
+
+    @pytest.mark.parametrize("name", ["precise_sample", "surrogate_sample", "cdf_eval", "ks_statistic"])
+    def test_peak_traced_memory_below_2_mb(self, name):
+        continuous, surrogate = fixtures.precise_and_surrogate(*fixtures.steep_sampler_fixture())
+        u = np.random.default_rng(5).random(100_000)
+        draws = np.minimum(u, surrogate.cumulative[-1] * (1 - 1e-12))
+        samples = np.sort(continuous.precise_sample(u))
+        call = {
+            "precise_sample": lambda: continuous.precise_sample(u),
+            "surrogate_sample": lambda: surrogate.surrogate_sample(draws),
+            "cdf_eval": lambda: continuous.cdf_eval(samples),
+            "ks_statistic": lambda: ks_statistic(samples, continuous.cdf_eval),
+        }[name]
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2_000_000
