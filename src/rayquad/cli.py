@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures, oracle
-from .fields import GrazingRig, load_scene, opaque_trace, sample_field, shift_sweep
+from .fields import GrazingRig, _sweep_rows, _trace_rows, load_scene, sample_field
 from .gradients import finite_diff_check, grad_render_wrt_tau, grad_sample_wrt_tau
 from .quadratic import (
     PATHOLOGICAL_PATCH,
@@ -27,7 +27,7 @@ from .quadratic import (
 )
 from .quadrature import _distributions, interval_pmf, render
 from .rays import ModelKind, OpacityTrace, RaySegment, _is_count, _is_real, make_uniform_grid
-from .sampling import ContinuousRayCdf, DiscreteRayCdf
+from .sampling import ContinuousRayCdf, DiscreteRayCdf, _precise_rows
 
 CONVERGENCE_NS = (8, 16, 32, 64, 128, 256)
 
@@ -137,10 +137,10 @@ def cmd_convergence(spec: ExperimentSpec) -> bool:
 
 
 def _stacked_sweep(scene, segment, n_coarse: int, n_offsets: int):
-    """``shift_sweep`` as offsets, grids, and widths, opacities and colors one row per offset."""
-    offsets, grids, taus, colors = zip(*shift_sweep(scene, segment, n_coarse, n_offsets))
-    stacked = [np.stack([trace.values for trace in traces]) for traces in (taus, colors)]
-    return offsets, grids, np.stack([grid.widths for grid in grids]), *stacked
+    """The shift sweep (``fields._sweep_rows``) as offsets, then points, widths,
+    opacities and colors one row per offset."""
+    offsets, points, t, colors = _sweep_rows(scene, segment, n_coarse, n_offsets)
+    return offsets, points, points[:, 1:] - points[:, :-1], t, colors
 
 
 def cmd_shift_sensitivity(spec: ExperimentSpec) -> bool:
@@ -180,24 +180,28 @@ def cmd_sampler_test(spec: ExperimentSpec) -> bool:
         ("single_bin", fixtures.single_bin_fixture()),
     ):
         continuous, surrogate = fixtures.precise_and_surrogate(grid, tau)
+        # Draws are scaled and clipped, and the samplers' fresh outputs sorted, in
+        # place: each array spared is 800 KB.
+        u = rng.random(n)
         if name == "single_bin":
             # Condition both samplers on the first bin: the in-bin law is
             # what separates them once bin masses agree.
             top_c = continuous.cumulative[1]
             top_s = surrogate.cumulative[1]
-            u = rng.random(n)
-            precise = continuous.precise_sample(u * top_c * (1 - 1e-12))
-            surro = surrogate.surrogate_sample(u * top_s * (1 - 1e-12))
+            draws = np.multiply(u, top_c)
+            draws *= 1 - 1e-12
+            precise = continuous.precise_sample(draws)
+            u *= top_s
+            u *= 1 - 1e-12
             cdf = lambda x: continuous.cdf_eval(x) / top_c
         else:
-            u = rng.random(n)
             precise = continuous.precise_sample(u)
-            surro = surrogate.surrogate_sample(
-                np.minimum(u, surrogate.cumulative[-1] * (1 - 1e-12))
-            )
+            np.minimum(u, surrogate.cumulative[-1] * (1 - 1e-12), out=u)
             cdf = continuous.cdf_eval
+        surro = surrogate.surrogate_sample(u)
         for sampler, samples in (("precise", precise), ("surrogate", surro)):
-            stat = oracle.ks_statistic(np.sort(samples), cdf)
+            samples.sort()
+            stat = oracle.ks_statistic(samples, cdf)
             passed = stat < crit
             rows.append((sampler, name, n, stat, crit, passed))
             results[(sampler, name)] = passed
@@ -247,7 +251,7 @@ def cmd_grad_check(spec: ExperimentSpec) -> bool:
         def sample(y, k=k):
             x = np.repeat(tauv[None], len(y), axis=0)
             x[:, k : k + 2] = y
-            return [ContinuousRayCdf(grid, OpacityTrace(row)).precise_sample(u) for row in x]
+            return _precise_rows(grid, x, np.full((len(y), 1), u))[:, 0]
 
         report = finite_diff_check(sample, tauv[k : k + 2], sg.d_tau[k : k + 2], h=1e-5)
         rel = report.max_rel_err
@@ -334,8 +338,7 @@ def cmd_render(spec: ExperimentSpec) -> bool:
     rays = [rig.ray_field(float(a), float(off)) for a in angles for off in wall_offsets]
     truths = oracle.true_render_batch(rays, segment, _RENDER_TOL)[:, 0].reshape(height, width)
     grid = make_uniform_grid(segment, spec.n_coarse)
-    taus, colors = zip(*(opaque_trace(ray, grid) for ray in rays))
-    t, colors = (np.stack([trace.values for trace in traces]) for traces in (taus, colors))
+    t, colors = _trace_rows(rays, grid.points)
     images = {m: _weighted_sums(m, grid.widths, t, colors).reshape(height, width) for m in _MODELS}
     rows = [
         (m.value, r, c, images[m][r, c], truths[r, c], abs(images[m][r, c] - truths[r, c]))
@@ -359,8 +362,8 @@ def cmd_render(spec: ExperimentSpec) -> bool:
 def cmd_depth(spec: ExperimentSpec) -> bool:
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
     truth = oracle.true_mean_termination(scene, segment, spec.tol)
-    offsets, grids, widths, t, _ = _stacked_sweep(scene, segment, spec.n_coarse, spec.offsets)
-    mids = 0.5 * np.stack([grid.points[:-1] + grid.points[1:] for grid in grids])
+    offsets, points, widths, t, _ = _stacked_sweep(scene, segment, spec.n_coarse, spec.offsets)
+    mids = 0.5 * (points[:, :-1] + points[:, 1:])
     rows = []
     rmse = {}
     for model in _MODELS:

@@ -10,21 +10,31 @@ anything else.  A scalar enters through ``rays._real`` as a float; arrays
 and colors enter through ``rays._frozen`` and ``rays._unit`` as read-only
 float64 copies, so a profile never shares or freezes the caller's array.
 
-``opaque_trace`` is the one path from a field to a renderable trace.
+``_trace_rows`` is the one path from fields to renderable traces: R rows
+in one pass, either R same-class fields on one grid (``render``) or one
+field on R grids (``shift_sweep``, ``depth``).  ``opaque_trace`` is its
+one-row view and ``shift_sweep`` a view of its rows; the CLI takes the
+stacked arrays directly.  ``sample_field`` samples one field without the
+far convention.  A trace adopts, without a copy, the output of the
+library's own profile classes (``_FRESH``), which is a fresh array on
+every call; any other profile's output is copied, as a user profile may
+keep the array it returns.
 
 The scalar-parameter profiles (``ConstantSlab``, ``LinearRamp``,
 ``GaussianBump``, ``LogisticStep``, ``UniformColor``, ``GradientColor``
 and ``TwoToneColor``) evaluate elementwise in every parameter.  So many
 profiles of one such class are evaluated as one: ``_stack`` stacks their
-parameters one row per profile, and ``_gather`` picks a row for each
-point into one instance whose ``tau``/``color`` gives, bit for bit, what
-each point's own profile gives; ``_by_ray`` makes that one call for
+parameters one row per profile, and ``_gather`` picks rows into one
+instance whose ``tau``/``color`` gives, bit for bit, what each point's
+own profile gives: one row per point, or an ``(R, 1)`` column of
+parameters broadcast against shared points, so R rays' densities on one
+grid are one ``(R, points)`` call.  ``_by_ray`` makes that one call for
 profiles of one class and rejects a mixed list.  ``SampledDensity`` and
 ``PiecewiseConstantColor`` look points up in their own knot arrays,
 which differ in length from profile to profile, so they do not gather
-and each is called on its own.  Gathered calls serve the oracle engine;
-only ``oracle.true_render_batch`` takes rays of mixed classes, and it
-splits them into same-class batches first.
+and each is called on its own.  Gathered calls serve the stacked traces
+and the oracle engine; only ``oracle.true_render_batch`` takes rays of
+mixed classes, and it splits them into same-class batches first.
 """
 
 from __future__ import annotations
@@ -38,19 +48,19 @@ import numpy as np
 
 from .rays import (
     ColorTrace,
-    FarConvention,
     OpacityTrace,
     RaySegment,
     SampleGrid,
     _Adopted,
+    _check,
+    _floored,
     _frozen,
     _interval,
     _is_count,
     _is_real,
+    _opaque_far,
     _real,
     _unit,
-    apply_far_convention,
-    floor_opacity,
     make_uniform_grid,
 )
 
@@ -316,6 +326,9 @@ _GATHERABLE = frozenset(
     {ConstantSlab, LinearRamp, GaussianBump, LogisticStep, UniformColor, GradientColor, TwoToneColor}
 )
 
+# Profiles whose tau/color return a fresh float64 array on every call.
+_FRESH = _GATHERABLE | {SampledDensity, PiecewiseConstantColor}
+
 
 def _stack(profiles) -> dict[str, np.ndarray]:
     """Each parameter of same-class gatherable profiles, one row per profile."""
@@ -326,7 +339,10 @@ def _stack(profiles) -> dict[str, np.ndarray]:
 
 
 def _gather(cls, stacked: dict[str, np.ndarray], rows: np.ndarray):
-    """One ``cls`` instance whose point ``i`` sees the profile in row ``rows[i]``.
+    """One ``cls`` instance whose parameters are ``stacked[name][rows]``: a flat
+    ``rows`` gives point ``i`` the profile in row ``rows[i]``, and a column
+    ``rows[:, None]`` gives output row ``r``, broadcast against shared points,
+    the profile in row ``rows[r]``.
 
     Built without its constructor, so its arrays skip ``rays._frozen``:
     every row was validated when its profile was made.
@@ -338,10 +354,11 @@ def _gather(cls, stacked: dict[str, np.ndarray], rows: np.ndarray):
 
 
 def _by_ray(profiles, method: str):
-    """``f(x, ray)``: ``profiles[ray[i]].<method>`` at ``x[i]`` for every point.
+    """``f(x, ray)``: ``profiles[ray].<method>`` at ``x``, elementwise after broadcasting.
 
     Many profiles share one class in ``_GATHERABLE`` and are called once,
-    as the instance gathered by each point's ray, so each point's value is
+    as the instance gathered by ``ray`` (``_gather``: one index per point, or
+    a column of profile indices against shared points), so each value is
     the one its own profile gives, bit for bit; a mixed list raises
     ValueError.  A single profile of any class is called as itself.
     """
@@ -354,6 +371,13 @@ def _by_ray(profiles, method: str):
         raise ValueError("profiles evaluated together need one class in _GATHERABLE")
     stacked = _stack(profiles)
     return lambda x, ray: getattr(_gather(cls, stacked, ray), method)(x)
+
+
+def _adopted(profile, out) -> _Adopted:
+    """``profile``'s output for a trace: as is from a ``_FRESH`` class, else a float64
+    copy, as a user profile may keep the array it returns and edit it later."""
+    fresh = type(profile) in _FRESH
+    return _Adopted(out if fresh else np.array(out, dtype=np.float64, ndmin=1))
 
 
 @dataclass(frozen=True)
@@ -376,10 +400,39 @@ def sample_field(
     """Evaluate a field on a grid: opacities at points, colors per interval.
 
     Each interval takes the color of its left sample, matching the
-    classical quadrature's indexing.
+    classical quadrature's indexing.  The traces adopt the outputs of the
+    library's own profiles and copy any other profile's (``_adopted``).
     """
-    pts = grid.points
-    return OpacityTrace(field.tau(pts)), ColorTrace(field.color_at(pts[:-1]))
+    pts, density, color = grid.points, field.density, field.color
+    tau = OpacityTrace(_adopted(density, density.tau(pts)))
+    return tau, ColorTrace(_adopted(color, color.color(pts[:-1])))
+
+
+def _trace_rows(fields, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renderable traces of R rows at once: opacities (R, N+2) and colors (R, N+1, C).
+
+    Row ``r`` is ``fields[r]`` on ``points[r]``.  ``fields`` holds R fields
+    whose densities share one class and whose colors share one class, both
+    in ``_GATHERABLE``, on one shared ``(N+2,)`` row of ``points``; or one
+    field for every row of an ``(R, N+2)`` ``points``.  Each profile class
+    makes one call: densities as one ``(R, N+2)`` broadcast (``_by_ray``),
+    colors, whose profiles take 1-D points, as one flat gather.  The stack
+    passes one intake check (``rays._check``, with the messages of
+    ``OpacityTrace`` and ``ColorTrace``), then the floor (``floor_opacity``)
+    and ``FarConvention.OPAQUE_FAR`` apply to every row in place.  Row ``r``
+    is the one-ray ``opaque_trace`` of ``fields[r]`` on ``points[r]``, bit for bit.
+    """
+    n_rows, n_points = np.broadcast_shapes((len(fields), 1), points.shape)
+    rows, one = np.arange(n_rows), len(fields) == 1
+    # One field on R grids sees every point at once, as the 1-D points a profile may assume.
+    density = _by_ray([f.density for f in fields], "tau")
+    tau = density(points.ravel() if one else points, rows[:, None])
+    tau = _adopted(fields[0].density, tau).array.reshape(n_rows, n_points)
+    _check(tau, OpacityTrace, "values")
+    left = np.broadcast_to(points[..., :-1], (n_rows, n_points - 1)).ravel()
+    colors = _by_ray([f.color for f in fields], "color")(left, np.repeat(rows, n_points - 1))
+    colors = _adopted(fields[0].color, colors).array.reshape(n_rows, n_points - 1, -1)
+    return _opaque_far(_floored(tau)), _check(colors, ColorTrace, "values", unit=True)
 
 
 def opaque_trace(
@@ -389,24 +442,44 @@ def opaque_trace(
 
     Samples the field, floors the interior opacities (``floor_opacity``)
     and applies ``FarConvention.OPAQUE_FAR``, so every distribution built
-    from the trace sums to one and its continuous CDF is invertible.
+    from the trace sums to one and its continuous CDF is invertible.  The
+    one-row view of ``_trace_rows``.
     """
-    tau, colors = sample_field(field, grid)
-    return apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR), colors
+    tau, colors = _trace_rows([field], grid.points)
+    return OpacityTrace(_Adopted(tau[0])), ColorTrace(_Adopted(colors[0]))
+
+
+def _shifted_points(grid: SampleGrid, offsets: np.ndarray) -> np.ndarray:
+    """One row of points per offset: ``grid``'s, every interior sample translated by it."""
+    gaps = grid.widths
+    outside = ~((offsets >= 0.0) & (offsets < gaps.min()))
+    if outside.any():
+        raise ValueError(f"offset {offsets[outside][0]} outside [0, min gap {gaps.min()})")
+    pts = np.empty((offsets.size, grid.points.size))
+    np.add(grid.interior, offsets[:, None], out=pts[:, 1:-1])
+    pts[:, 0], pts[:, -1] = grid.segment.near, grid.segment.far
+    if (pts[:, -2] >= grid.segment.far).any():
+        raise ValueError("shifted samples must stay inside the segment")
+    return pts
 
 
 def _shifted_grid(grid: SampleGrid, offset: float) -> SampleGrid:
-    """Translate every interior sample by ``offset`` (used by shift sweeps)."""
+    """Translate every interior sample by ``offset``: one row of ``_shifted_points``."""
     if offset == 0.0:
         return grid
-    gaps = grid.widths
-    if not 0.0 <= offset < gaps.min():
-        raise ValueError(f"offset {offset} outside [0, min gap {gaps.min()})")
-    pts = np.empty(grid.points.size)
-    np.add(grid.interior, offset, out=pts[1:-1])
-    if pts[-2] >= grid.segment.far:
-        raise ValueError("shifted samples must stay inside the segment")
-    return SampleGrid(interior=_Adopted(pts), segment=grid.segment)
+    points = _shifted_points(grid, np.array([offset]))[0]
+    return SampleGrid(interior=_Adopted(points), segment=grid.segment)
+
+
+def _sweep_rows(field: AnalyticField, segment: RaySegment, n: int, offsets: int):
+    """``shift_sweep`` as stacked rows: offsets (R,), grid points (R, n + 2), and
+    the opacities and colors of ``_trace_rows`` on them."""
+    if not _is_count(offsets, "positive"):
+        raise ValueError(f"need a positive integer count of shifts, got offsets={offsets!r}")
+    grid0 = make_uniform_grid(segment, n)
+    shifts = np.linspace(0.0, segment.span / (n + 1), offsets, endpoint=False)
+    points = _shifted_points(grid0, shifts)
+    return shifts, points, *_trace_rows([field], points)
 
 
 def shift_sweep(
@@ -415,17 +488,14 @@ def shift_sweep(
     """``opaque_trace`` of ``field`` on a uniform ``n``-sample grid at shifted offsets.
 
     The ``offsets`` shifts, a positive count, are equally spaced over one grid
-    spacing, starting at zero.  Returns ``(offset, grid, tau, colors)`` per shift.
+    spacing, starting at zero.  Returns ``(offset, grid, tau, colors)`` per shift,
+    one row each of ``_sweep_rows``.
     """
-    if not _is_count(offsets, "positive"):
-        raise ValueError(f"need a positive integer count of shifts, got offsets={offsets!r}")
-    grid0 = make_uniform_grid(segment, n)
-    h = segment.span / (n + 1)
-    sweep = []
-    for off in np.linspace(0.0, h, offsets, endpoint=False):
-        grid = _shifted_grid(grid0, float(off))
-        sweep.append((float(off), grid, *opaque_trace(field, grid)))
-    return sweep
+    return [
+        (float(off), SampleGrid(_Adopted(p), segment), OpacityTrace(_Adopted(t)),
+         ColorTrace(_Adopted(c)))
+        for off, p, t, c in zip(*_sweep_rows(field, segment, n, offsets))
+    ]
 
 
 @dataclass(frozen=True)

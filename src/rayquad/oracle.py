@@ -30,11 +30,13 @@ call per engine level (``fields._by_ray``), not one per ray.  Its tables
 share one grid, so a point's cumulative opacity is one search of the
 shared edges and one lookup in its ray's row (``_flat_cumulative``).
 ``_base``, the one panel builder, splits the segment at field
-breakpoints for tables and render tasks alike; ``_tabulate``, the one
-table builder, makes every table, all unsettled rays of a refinement
-round in one call with one sub-panel count.  Every value is elementwise
-in its own ray's parameters, and every sum runs over one ray in the
-order of a single-ray run.
+breakpoints for tables and render tasks alike, as a sorted set of a few
+floats rather than an ``np.unique``.  ``_tabulate``, the one table
+builder, makes every table, all unsettled rays of a refinement round in
+one ``(R, points)`` density call with one sub-panel count: each ray's
+parameters are an ``(R, 1)`` column broadcast against the shared points.
+Every value is elementwise in its own ray's parameters, and every sum
+runs over one ray in the order of a single-ray run.
 
 Field evaluations that land exactly on a panel edge are nudged one ulp
 into the panel, so piecewise integrands are integrated with one-sided
@@ -175,12 +177,16 @@ def _hermite(t, piece, cumulative, d0, a2, a3) -> np.ndarray:
 
 
 def _base(density: DensityProfile, segment: RaySegment, extra_breaks=None) -> np.ndarray:
-    """The one panel builder: the segment split at the density's and the extra breakpoints."""
-    breaks = density.breakpoints()
+    """The one panel builder: the segment split at the density's and the extra breakpoints.
+
+    The distinct breakpoints strictly inside the segment, sorted, between its
+    bounds: ``np.unique`` of them all, bit for bit, built as a set of a few floats.
+    """
+    near, far = segment.near, segment.far
+    breaks = density.breakpoints().tolist()
     if extra_breaks is not None:
-        breaks = np.concatenate([breaks, np.asarray(extra_breaks, dtype=np.float64)])
-    breaks = breaks[(breaks > segment.near) & (breaks < segment.far)]
-    return np.unique(np.concatenate(([segment.near], breaks, [segment.far])))
+        breaks += np.asarray(extra_breaks, dtype=np.float64).tolist()
+    return np.array([near, *sorted({b for b in breaks if near < b < far}), far])
 
 
 class CumulativeOpacityTable:
@@ -237,9 +243,10 @@ def _tabulate(densities, segment: RaySegment, base: np.ndarray, n_sub: int) -> _
 
     The densities share one class (``fields._by_ray``).  Piecewise
     constant/linear densities are tabulated exactly with one sub-panel per
-    base panel.  One ``tau`` call covers every row; each row's cumulative
-    sum and error sum run along that row alone, so every row matches its
-    one-ray build bit for bit.
+    base panel.  One ``tau`` call covers every row, each ray's parameters
+    broadcast against the shared points; each row's cumulative sum and
+    error sum run along that row alone, so every row matches its one-ray
+    build bit for bit.
     """
     n_sub = 1 if _is_exact_class(densities[0]) else n_sub
     # linspace starts each base panel exactly at its left base edge.
@@ -251,8 +258,7 @@ def _tabulate(densities, segment: RaySegment, base: np.ndarray, n_sub: int) -> _
     points = [np.nextafter(left, np.inf), np.nextafter(right, -np.inf)]
     points += [left + q * widths for q in (0.25, 0.50, 0.75)]
     n_rays, n = len(densities), widths.size
-    ray = np.repeat(np.arange(n_rays), 5 * n)
-    values = _by_ray(densities, "tau")(np.tile(np.concatenate(points), n_rays), ray)
+    values = _by_ray(densities, "tau")(np.concatenate(points), np.arange(n_rays)[:, None])
     f0, f1, fq1, fmid, fq3 = values.reshape(n_rays, 5, n).transpose(1, 0, 2)
 
     coarse = widths / 6.0 * (f0 + 4.0 * fmid + f1)

@@ -17,7 +17,12 @@ A scalar field or argument passes ``_is_real``, or ``_is_count`` for an
 integer, of the sign stated at the call; each class and function checks
 its own shape, order and range beyond the sign.
 ``_interval`` is the one rule for which interval of sorted edges holds a
-point: samplers, profiles and the oracle's tables all locate through it.
+point: samplers, profiles and the oracle's tables all locate through it,
+and rows of edges locate rows of points with one search per row.
+``_check`` is the one finite (and color range) test: ``_frozen`` runs it on
+each array it stores, and a stack of traces runs it once for all rows.
+``_floored`` and ``_opaque_far`` apply the opacity floor and the opaque-far
+convention in place to one trace or to every row of a stack.
 ``_blocks`` is the one rule for long elementwise work: the draw kernels and
 the KS statistic run over consecutive slices of at most ``_BLOCK`` values.
 """
@@ -65,30 +70,37 @@ class _Adopted(NamedTuple):
     array: np.ndarray
 
 
-def _frozen(owner, name: str, ndmin: int = 1) -> np.ndarray:
+def _check(out: np.ndarray, owner: type, name: str, unit: bool = False) -> np.ndarray:
+    """``out``, unless an entry is NaN or infinite or, for ``unit`` color channels, outside
+    [0, 1]: then ValueError naming field ``name`` of class ``owner``."""
+    # count_nonzero: half the cost of ``.all()`` on a short ray.
+    if np.count_nonzero(np.isfinite(out)) != out.size:
+        raise ValueError(f"{owner.__name__}.{name} must be finite")
+    if unit:
+        # Python checks a few channels in a third of numpy's time; min/max allocate no temporaries.
+        channels = out.ravel().tolist() if out.size < 8 else (out.min(), out.max())
+        if not all(0.0 <= c <= 1.0 for c in channels):
+            raise ValueError(f"{owner.__name__}.{name}: color channels must lie in [0, 1]")
+    return out
+
+
+def _frozen(owner, name: str, ndmin: int = 1, unit: bool = False) -> np.ndarray:
     """Store array field ``name`` of the frozen dataclass ``owner`` read-only: a
     float64 copy with at least ``ndmin`` axes, or an ``_Adopted`` array as is.
 
-    Raises ValueError naming the field if any entry is NaN or infinite.
+    Raises ValueError naming the field if it fails ``_check``.
     """
     out = getattr(owner, name)
     out = out.array if isinstance(out, _Adopted) else np.array(out, dtype=np.float64, ndmin=ndmin)
-    # count_nonzero: half the cost of ``.all()`` on a short ray.
-    if np.count_nonzero(np.isfinite(out)) != out.size:
-        raise ValueError(f"{type(owner).__name__}.{name} must be finite")
+    _check(out, type(owner), name, unit)
     out.setflags(write=False)
     object.__setattr__(owner, name, out)
     return out
 
 
 def _unit(owner, name: str, ndmin: int = 1) -> np.ndarray:
-    """``_frozen``, then ValueError naming the field unless every channel lies in [0, 1]."""
-    out = _frozen(owner, name, ndmin)
-    # Python checks a few channels in a third of numpy's time; min/max allocate no temporaries.
-    channels = out.ravel().tolist() if out.size < 8 else (out.min(), out.max())
-    if not all(0.0 <= c <= 1.0 for c in channels):
-        raise ValueError(f"{type(owner).__name__}.{name}: color channels must lie in [0, 1]")
-    return out
+    """``_frozen`` of color channels, each of which must lie in [0, 1]."""
+    return _frozen(owner, name, ndmin, unit=True)
 
 
 # Least value of each sign; 5e-324, the least positive float, starts a positive count at 1.
@@ -122,8 +134,17 @@ def _real(owner, *names: str, **signs: str) -> None:
 def _interval(edges: np.ndarray, x):
     """Index in [0, edges.size - 2] of the interval of the sorted ``edges`` holding
     each ``x``: a point on an edge, even a repeated one, lies in the last interval
-    starting there, and a point past either end lies in that end's interval."""
-    return edges[1:-1].searchsorted(x, side="right")
+    starting there, and a point past either end lies in that end's interval.
+
+    Rows of ``edges``, shape (R, M), locate the rows of ``x``, shape (R, S), one
+    search per row, so each row's indices are its one-row search's exactly.
+    """
+    if edges.ndim == 1:
+        return edges[1:-1].searchsorted(x, side="right")
+    out = np.empty(np.shape(x), dtype=np.intp)
+    for row, row_edges in enumerate(edges):
+        out[row] = _interval(row_edges, x[row])
+    return out
 
 
 # Long draw inputs run in blocks of this many values: 64 KiB per float64
@@ -264,11 +285,22 @@ def make_uniform_grid(segment: RaySegment, n: int) -> SampleGrid:
     return SampleGrid(interior=_Adopted(pts), segment=segment)
 
 
+def _floored(values: np.ndarray) -> np.ndarray:
+    """``values`` with each row's interior opacities clamped up to ``EPS_OPACITY``, in place."""
+    np.maximum(values[..., 1:-1], EPS_OPACITY, out=values[..., 1:-1])
+    return values
+
+
+def _opaque_far(values: np.ndarray) -> np.ndarray:
+    """``values`` with each row's near opacity zeroed and far opacity ``OPAQUE``, in place."""
+    values[..., 0] = 0.0
+    values[..., -1] = OPAQUE
+    return values
+
+
 def floor_opacity(trace: OpacityTrace) -> OpacityTrace:
     """Clamp interior opacities up to ``EPS_OPACITY``; boundary entries pass through."""
-    values = trace.values.copy()
-    np.maximum(values[1:-1], EPS_OPACITY, out=values[1:-1])
-    return OpacityTrace(_Adopted(values))
+    return OpacityTrace(_Adopted(_floored(trace.values.copy())))
 
 
 def apply_far_convention(
@@ -277,7 +309,4 @@ def apply_far_convention(
     """Zero the near-bound opacity and set the far bound to ``OPAQUE`` (``OPAQUE_FAR``)."""
     if convention is not FarConvention.OPAQUE_FAR:
         raise ValueError(f"unknown far convention {convention!r}")
-    values = trace.values.copy()
-    values[0] = 0.0
-    values[-1] = OPAQUE
-    return OpacityTrace(_Adopted(values))
+    return OpacityTrace(_Adopted(_opaque_far(trace.values.copy())))

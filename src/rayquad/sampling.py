@@ -25,6 +25,13 @@ first, then run their elementwise kernel over it in blocks of
 its temporaries at 64 KiB each instead of mapping a fresh 800 KB array per
 step.  Every output is bit-identical to one whole-array call, and an input
 of at most one block is one call.
+
+The exact inverse is one kernel, ``_invert_rows``, over one ray or over
+``(R, N+2)`` rows of rays that share one grid, each row located by its
+own search (``rays._interval``); ``ContinuousRayCdf._invert`` is its
+one-row case.  ``_precise_rows`` samples R rows from one stacked
+``quadrature._distributions`` build, bit for bit as R ``ContinuousRayCdf``
+instances would; ``grad-check``'s finite differences run through it.
 """
 
 from __future__ import annotations
@@ -117,29 +124,9 @@ class ContinuousRayCdf:
         return self.dist.cumulative
 
     def _invert(self, u: np.ndarray):
-        """Shared inverse kernel: ``(k, delta, q, root, denom, clamped)`` per draw.
-
-        ``k`` is the located bin and ``delta`` its width; ``q = ln T_k -
-        ln(1 - u)`` is the log mass left to spend in it; ``root`` and
-        ``denom`` make up the stable root ``t = 2 q / denom``.  Draws at or
-        above ``1 - EPS_UNIT`` or the total mass are flagged in ``clamped``
-        and inverted as ``u = 0``.  ``precise_sample`` and
-        ``gradients.grad_sample_wrt_tau`` both invert through here.
-        """
-        clamped = (u >= 1.0 - EPS_UNIT) | (u >= self.cumulative[-1])
-        u = np.where(clamped, 0.0, u)
-        k = _interval(self.cumulative, u)
-        q = self.dist.log_transmittance[k] - np.log1p(-u)
-        if not np.isfinite(q).all():
-            raise ArithmeticError("non-finite log mass while inverting the CDF")
-        tau = self.tau.values
-        tau_k = tau[k]
-        delta = self.grid.widths[k]
-        disc = tau_k * tau_k + 2.0 * (tau[k + 1] - tau_k) * q / delta
-        # The discriminant lies between tau_k^2 and tau_{k+1}^2; rounding can
-        # push it a hair negative when q sits at the bin boundary.
-        root = np.sqrt(np.maximum(disc, 0.0))
-        return k, delta, q, root, tau_k + root, clamped
+        """``_invert_rows`` on this ray: its one-row case."""
+        dist = self.dist
+        return _invert_rows(self.grid, self.tau.values, dist.log_transmittance, dist.cumulative, u)
 
     def cdf_eval(self, t):
         """Probability of terminating before distance ``t``."""
@@ -179,12 +166,64 @@ class ContinuousRayCdf:
         return float(s[0]) if scalar else s
 
     def _precise(self, u: np.ndarray) -> np.ndarray:
-        """``precise_sample``'s kernel on checked draws."""
-        k, delta, q, _, denom, clamped = self._invert(u)
-        t = np.where(denom > 0.0, 2.0 * q / np.where(denom > 0.0, denom, 1.0), 0.0)
-        t = np.clip(t, 0.0, delta)
-        s = self.grid.points[k] + t
-        return np.where(clamped, self.grid.segment.far, s)
+        """``precise_sample``'s kernel on checked draws: ``_sample_rows`` on this ray."""
+        dist = self.dist
+        return _sample_rows(self.grid, self.tau.values, dist.log_transmittance, dist.cumulative, u)
+
+
+def _at(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``rows[k]`` of one row, or of a stack each row's own entries ``rows[r, k[r]]``."""
+    return rows[k] if rows.ndim == 1 else np.take_along_axis(rows, k, axis=-1)
+
+
+def _invert_rows(grid: SampleGrid, tau, log_t, cumulative, u: np.ndarray):
+    """The exact inverse's kernel: ``(k, delta, q, root, denom, clamped)`` per draw.
+
+    ``tau``, ``log_t`` and ``cumulative`` are one ray's linear-model arrays,
+    shape (N+2,), with draws ``u`` (S,); or R rays' rows on the one ``grid``,
+    shape (R, N+2), with draws (R, S), row ``r`` inverting ray ``r`` bit for
+    bit as alone.  ``k`` is the located bin (``rays._interval``, one search
+    per row) and ``delta`` its width; ``q = ln T_k - ln(1 - u)`` is the log
+    mass left to spend in it; ``root`` and ``denom`` make up the stable root
+    ``t = 2 q / denom``.  Draws at or above ``1 - EPS_UNIT`` or the total mass
+    are flagged in ``clamped`` and inverted as ``u = 0``.  ``precise_sample``
+    and ``gradients.grad_sample_wrt_tau`` both invert through here.
+    """
+    clamped = (u >= 1.0 - EPS_UNIT) | (u >= cumulative[..., -1:])
+    u = np.where(clamped, 0.0, u)
+    k = _interval(cumulative, u)
+    q = _at(log_t, k) - np.log1p(-u)
+    if not np.isfinite(q).all():
+        raise ArithmeticError("non-finite log mass while inverting the CDF")
+    tau_k = _at(tau, k)
+    delta = grid.widths[k]
+    disc = tau_k * tau_k + 2.0 * (_at(tau, k + 1) - tau_k) * q / delta
+    # The discriminant lies between tau_k^2 and tau_{k+1}^2; rounding can
+    # push it a hair negative when q sits at the bin boundary.
+    root = np.sqrt(np.maximum(disc, 0.0))
+    return k, delta, q, root, tau_k + root, clamped
+
+
+def _sample_rows(grid: SampleGrid, tau, log_t, cumulative, u: np.ndarray) -> np.ndarray:
+    """Exact inverse samples of ``_invert_rows``' one ray or rows; clamped draws go to far."""
+    k, delta, q, _, denom, clamped = _invert_rows(grid, tau, log_t, cumulative, u)
+    t = np.where(denom > 0.0, 2.0 * q / np.where(denom > 0.0, denom, 1.0), 0.0)
+    t = np.clip(t, 0.0, delta)
+    s = grid.points[k] + t
+    return np.where(clamped, grid.segment.far, s)
+
+
+def _precise_rows(grid: SampleGrid, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``ContinuousRayCdf(grid, tau[r]).precise_sample(u[r])`` of each row, bit for
+    bit, for opacity rows (R, N+2) and draws (R, S): one stacked linear
+    ``quadrature._distributions`` build and one row inverse, with the checks
+    of the one-ray path but no ``ContinuousRayCdf``."""
+    if (tau[:, 1:-1] <= 0.0).any():
+        raise ValueError("interior opacities must be floored positive before sampling")
+    if not ((u >= 0.0) & (u <= 1.0)).all():
+        raise ValueError("draws must lie in [0, 1]")
+    log_t, _, _, cumulative = quadrature._distributions(ModelKind.LINEAR, grid.widths, tau)
+    return _sample_rows(grid, tau, log_t, cumulative, u)
 
 
 def _stratified_unit_samples(n: int, seed: int) -> np.ndarray:
@@ -218,17 +257,18 @@ def hierarchical_samples(
     else:
         raise TypeError(f"unknown cdf type {type(cdf).__name__}")
 
-    # Merged between the segment bounds, so one mask makes the point array;
-    # no draw lies below near, and the bound test drops one at or past far.
+    # Merged between the segment bounds, so one mask makes the point array.
+    # No sample lies below near, which is merged[0], so the gap test also
+    # drops every sample within MERGE_TOL of near; the bound test drops one
+    # within MERGE_TOL of far.
     seg = cdf.grid.segment
     merged = np.concatenate(([seg.near], cdf.grid.interior, fine, [seg.far]))
     samples = merged[1:-1]
     samples.sort()
-    # Drop samples within MERGE_TOL of the one before or of a bound.
+    # Drop samples within MERGE_TOL of the one before (or near) or of far.
     gap = samples - merged[:-2]
     keep = np.ones(merged.size, dtype=bool)
     np.greater(gap, MERGE_TOL, out=keep[1:-1])
-    keep[1:-1] &= np.subtract(samples, seg.near, out=gap) > MERGE_TOL
     keep[1:-1] &= np.subtract(seg.far, samples, out=gap) > MERGE_TOL
     del gap  # freed before the grid builds its widths
     return SampleGrid(interior=_Adopted(merged[keep]), segment=seg)

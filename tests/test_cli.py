@@ -325,9 +325,10 @@ class TestRenderFieldCalls:
         assert 0 < calls[True, "color"] <= 59
 
     def test_one_trace_call_per_ray(self, tmp_path, calls):
+        # The 96 rays are traced as one stack: one call per profile class, not one per ray.
         assert run(["render", "--out", tmp_path]) == 0
-        assert calls[False, "tau"] == 96
-        assert calls[False, "color"] == 96
+        assert calls[False, "tau"] == 1
+        assert calls[False, "color"] == 1
 
     def test_rays_run_as_one_engine_batch(self, tmp_path, monkeypatch):
         # The 96 rays share one class pair, so the oracle does not split them.
@@ -376,6 +377,16 @@ class TestBatchedCommands:
     def test_one_kernel_call_per_model(self, tmp_path, calls, args):
         run(args + ["--out", tmp_path])
         assert calls == {"kernel": 2}
+
+    def test_grad_check_rows_build_no_continuous_cdf(self, tmp_path, monkeypatch):
+        # One ContinuousRayCdf per instance for its analytic gradient, plus the two of the
+        # invariance check; the 80 finite-difference rows invert as stacked rows.
+        from rayquad.sampling import ContinuousRayCdf
+
+        built, init = [], ContinuousRayCdf.__post_init__
+        monkeypatch.setattr(ContinuousRayCdf, "__post_init__", lambda self: built.append(1) or init(self))
+        assert run(["grad-check", "--out", tmp_path]) == 0
+        assert len(built) == 20 + 2
 
     def test_convergence_samples_each_grid_once(self, tmp_path, monkeypatch):
         # Both models read the same traces of each grid.

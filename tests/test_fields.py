@@ -19,6 +19,8 @@ from rayquad import (
     SampleGrid,
     TwoToneColor,
     UniformColor,
+    apply_far_convention,
+    floor_opacity,
     load_scene,
     make_uniform_grid,
     opaque_trace,
@@ -27,6 +29,7 @@ from rayquad import (
 )
 from rayquad.fields import (
     _GATHERABLE,
+    ColorProfile,
     DensityProfile,
     PiecewiseConstantColor,
     SampledDensity,
@@ -34,7 +37,10 @@ from rayquad.fields import (
     _gather,
     _shifted_grid,
     _stack,
+    _sweep_rows,
+    _trace_rows,
 )
+from rayquad.rays import FarConvention
 
 
 class TestDensityProfiles:
@@ -539,3 +545,151 @@ class TestGatheredEvaluation:
         ):
             with pytest.raises(ValueError, match="one class"):
                 _by_ray(profiles, _method(profiles[0]))
+
+
+def _one_ray(field, grid):
+    """``opaque_trace`` spelled out in the public one-ray steps: opacities and colors."""
+    tau, colors = sample_field(field, grid)
+    return apply_far_convention(floor_opacity(tau), FarConvention.OPAQUE_FAR).values, colors.values
+
+
+class _Kept(DensityProfile):
+    """A user density that keeps the array it returns, and can poison it later."""
+
+    def __init__(self, bad=None):
+        self.out, self.bad = None, bad
+
+    def tau(self, s):
+        self.out = np.full(np.shape(s), 2.0)
+        if self.bad is not None:
+            self.out.flat[self.out.size // 2] = self.bad
+        return self.out
+
+
+class _KeptColor(ColorProfile):
+    """A user color that keeps the array it returns."""
+
+    def __init__(self, value=0.5):
+        self.out, self.value = None, value
+
+    def color(self, s):
+        self.out = np.full((np.size(s), 1), self.value)
+        return self.out
+
+
+class TestTraceRows:
+    """Each row of a stacked trace equals its one-ray trace, bit for bit."""
+
+    segment = RaySegment(0.0, 4.0)
+
+    @pytest.mark.parametrize("n", [1, 128])
+    @pytest.mark.parametrize(
+        "density, color",
+        [(cls, TwoToneColor) for cls in GATHERABLE[:4]] + [(LogisticStep, cls) for cls in GATHERABLE[4:]],
+        ids=lambda c: c.__name__,
+    )
+    def test_same_class_fields_on_one_grid(self, density, color, n, rng):
+        fields = [AnalyticField(_draw(density, rng), _draw(color, rng)) for _ in range(7)]
+        grid = make_uniform_grid(self.segment, n)
+        tau, colors = _trace_rows(fields, grid.points)
+        assert tau.shape == (7, n + 2) and colors.shape == (7, n + 1, fields[0].color.channels)
+        for r, field in enumerate(fields):
+            want_tau, want_colors = _one_ray(field, grid)
+            got_tau, got_colors = opaque_trace(field, grid)
+            for got in (tau[r], got_tau.values):
+                assert np.array_equal(got, want_tau)
+            for got in (colors[r], got_colors.values):
+                assert np.array_equal(got, want_colors)
+
+    @pytest.mark.parametrize("n", [1, 128])
+    @pytest.mark.parametrize("density", [*GATHERABLE[:4], SampledDensity], ids=lambda c: c.__name__)
+    def test_one_field_on_shifted_grids(self, density, n, rng):
+        if density is SampledDensity:
+            knots = np.linspace(0.0, 4.0, 9)
+            profile = SampledDensity(knots, rng.uniform(0.0, 3.0, 9), degree=1)
+        else:
+            profile = _draw(density, rng)
+        field = AnalyticField(profile, _draw(GradientColor, rng))
+        offsets, points, tau, colors = _sweep_rows(field, self.segment, n, 5)
+        grid0 = make_uniform_grid(self.segment, n)
+        for r, off in enumerate(offsets):
+            grid = _shifted_grid(grid0, float(off))
+            assert np.array_equal(points[r], grid.points)
+            want_tau, want_colors = _one_ray(field, grid)
+            assert np.array_equal(tau[r], want_tau)
+            assert np.array_equal(colors[r], want_colors)
+
+    def test_mixed_classes_raise(self, rng):
+        fields = [AnalyticField(_draw(LogisticStep, rng)), AnalyticField(_draw(GaussianBump, rng))]
+        with pytest.raises(ValueError, match="one class"):
+            _trace_rows(fields, make_uniform_grid(self.segment, 4).points)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_opacity_raises_the_one_ray_message(self, bad):
+        grid = make_uniform_grid(self.segment, 6)
+        field = AnalyticField(_Kept(bad))
+        with pytest.raises(ValueError) as one_ray:
+            sample_field(field, grid)
+        assert str(one_ray.value) == "OpacityTrace.values must be finite"
+        for call in (
+            lambda: opaque_trace(field, grid),
+            lambda: _sweep_rows(field, self.segment, 6, 3),
+            lambda: shift_sweep(field, self.segment, 6, 3),
+        ):
+            with pytest.raises(ValueError) as rows:
+                call()
+            assert str(rows.value) == str(one_ray.value)
+
+    @pytest.mark.parametrize("value, message", [(np.nan, "must be finite"), (1.5, "must lie in \\[0, 1\\]")])
+    def test_bad_color_raises_the_one_ray_message(self, value, message):
+        grid = make_uniform_grid(self.segment, 6)
+        field = AnalyticField(ConstantSlab(1.0, 1.0, 2.0), _KeptColor(value))
+        with pytest.raises(ValueError, match=message) as one_ray:
+            sample_field(field, grid)
+        for call in (lambda: opaque_trace(field, grid), lambda: _sweep_rows(field, self.segment, 6, 3)):
+            with pytest.raises(ValueError) as rows:
+                call()
+            assert str(rows.value) == str(one_ray.value)
+
+
+class TestProfileOutputAdoption:
+    """Traces adopt the library's own profile outputs and copy any other profile's."""
+
+    grid = make_uniform_grid(RaySegment(0.0, 4.0), 16)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            LogisticStep(10.0, 40.0, 2.0),
+            SampledDensity(np.linspace(0.0, 4.0, 5), np.arange(5.0), degree=0),
+            TwoToneColor([0.1], [0.9], 2.0),
+            PiecewiseConstantColor(np.linspace(0.0, 4.0, 5), [[0.1], [0.2], [0.3], [0.4]]),
+        ],
+        ids=lambda p: type(p).__name__,
+    )
+    def test_library_outputs_are_adopted(self, profile, monkeypatch):
+        method = _method(profile)
+        returned, call = [], getattr(type(profile), method)
+        monkeypatch.setattr(type(profile), method, lambda self, s: returned.append(call(self, s)) or returned[-1])
+        density = profile if method == "tau" else ConstantSlab(1.0, 1.0, 2.0)
+        field = AnalyticField(density, profile) if method == "color" else AnalyticField(density)
+        tau, colors = sample_field(field, self.grid)
+        trace = tau if method == "tau" else colors
+        assert trace.values is returned[0] or trace.values.base is returned[0]
+        assert not trace.values.flags.writeable
+
+    def test_user_profile_cannot_edit_a_trace(self):
+        density, color = _Kept(), _KeptColor()
+        field = AnalyticField(density, color)
+        sampled = sample_field(field, self.grid)
+        kept = [density.out, color.out]
+        opaque = opaque_trace(field, self.grid)
+        kept += [density.out, color.out]
+        _, _, *rows = _sweep_rows(field, RaySegment(0.0, 4.0), 16, 2)
+        kept += [density.out, color.out]
+        before = [np.array(a.values) for a in (*sampled, *opaque)] + [np.array(a) for a in rows]
+        for array in kept:
+            array[...] = 0.25
+        after = [a.values for a in (*sampled, *opaque)] + rows
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b)

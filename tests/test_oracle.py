@@ -434,6 +434,46 @@ class TestBatchedTabulation:
                 assert rows.tab_error[r] == table.tab_error
 
 
+class TestPanelBuilder:
+    """``_base`` equals the ``np.unique`` build it replaced, bit for bit."""
+
+    @staticmethod
+    def reference(density, segment, extra=None):
+        breaks = density.breakpoints()
+        if extra is not None:
+            breaks = np.concatenate([breaks, np.asarray(extra, dtype=np.float64)])
+        breaks = breaks[(breaks > segment.near) & (breaks < segment.far)]
+        return np.unique(np.concatenate(([segment.near], breaks, [segment.far])))
+
+    @pytest.mark.parametrize(
+        "density, segment, extra",
+        [
+            # Duplicates among and across the density's and the extra breakpoints.
+            (SampledDensity([0.5, 1.0, 2.0, 3.5], [1.0, 2.0, 0.5, 1.0]), RaySegment(0.0, 4.0), [2.0, 1.0, 2.0, 3.0]),
+            # Breakpoints outside the segment and on its bounds.
+            (ConstantSlab(1.0, -1.0, 5.0), RaySegment(0.5, 4.0), [0.5, 4.0, -3.0, 7.0, 2.5]),
+            (LinearRamp(1.0, 2.0, 1.0, 3.0), RaySegment(1.0, 3.0), None),
+            # A -0.0 near bound keeps its sign; a 0.0 breakpoint is not inside.
+            (ConstantSlab(1.0, 0.0, 1.0), RaySegment(-0.0, 2.0), [0.0, -0.0, 1.0, 0.25]),
+            (LogisticStep(10.0, 40.0, 1.0), RaySegment(-0.0, 4.0), np.empty(0)),
+        ],
+    )
+    def test_equals_unique(self, density, segment, extra):
+        got, want = _base(density, segment, extra), self.reference(density, segment, extra)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_unique_on_random_breaks(self, seed):
+        rng = np.random.default_rng(seed)
+        knots = np.unique(rng.choice(np.linspace(-1.0, 5.0, 13), 6))
+        density = SampledDensity(knots, rng.uniform(0.0, 2.0, knots.size))
+        segment = RaySegment(float(rng.choice([-0.0, 0.0, 0.5])), float(rng.choice([3.0, 4.0])))
+        extra = rng.choice(np.concatenate([knots, [-0.0, 0.0, 3.0, 4.0]]), 8)
+        got, want = _base(density, segment, extra), self.reference(density, segment, extra)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestFlatCumulative:
     """The batched lookup equals each row's own search and Hermite piece, bit for bit."""
 

@@ -226,6 +226,18 @@ class TestIntervalLocator:
         assert np.array_equal(got, clipped)
         assert np.array_equal(got, capped)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_equal_one_row_searches(self, seed):
+        # Rows repeat edges (ties) and hold points on, beside and past them.
+        rng = np.random.default_rng(seed)
+        pool = rng.uniform(-2.0, 3.0, 5)
+        edges = np.sort(rng.choice(pool, (4, 9)), axis=1)
+        x = np.stack([rng.permutation(_probe_points(row))[:40] for row in edges])
+        got = _interval(edges, x)
+        assert got.shape == x.shape
+        for row, (row_edges, row_x) in enumerate(zip(edges, x)):
+            assert np.array_equal(got[row], _interval(row_edges, row_x))
+
     def test_edge_rule(self):
         edges = np.array([0.0, 1.0, 1.0, 2.0, 3.0])
         x = [-5.0, 0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, 2.0, 3.0, 7.0]

@@ -21,8 +21,15 @@ from rayquad import (
 from rayquad import fixtures
 from rayquad.fields import opaque_trace
 from rayquad.quadrature import RayDistribution
+from rayquad.quadrature import _distributions
 from rayquad.rays import _BLOCK
-from rayquad.sampling import EPS_UNIT, _stratified_unit_samples
+from rayquad.sampling import (
+    EPS_UNIT,
+    MERGE_TOL,
+    _invert_rows,
+    _precise_rows,
+    _stratified_unit_samples,
+)
 
 from conftest import random_instance
 
@@ -301,6 +308,114 @@ class TestHierarchicalSampling:
     def test_stratified_unit_samples_cover_strata(self):
         u = _stratified_unit_samples(64, seed=8)
         assert np.all((u >= np.arange(64) / 64) & (u < (np.arange(64) + 1) / 64))
+
+
+class TestNearBoundMerge:
+    """The gap test alone drops every sample within MERGE_TOL of near."""
+
+    @staticmethod
+    def with_near_test(cdf, n_fine, seed):
+        """The merge as it was written with its own near-bound test."""
+        u = np.minimum(_stratified_unit_samples(n_fine, seed), cdf.cumulative[-1] * (1.0 - 1e-15))
+        fine = cdf.precise_sample(u) if isinstance(cdf, ContinuousRayCdf) else cdf.surrogate_sample(u)
+        seg = cdf.grid.segment
+        samples = np.sort(np.concatenate([cdf.grid.interior, fine]))
+        previous = np.concatenate([[seg.near], samples[:-1]])
+        keep = (samples - previous > MERGE_TOL) & (samples - seg.near > MERGE_TOL)
+        keep &= seg.far - samples > MERGE_TOL
+        return np.concatenate([[seg.near], samples[keep], [seg.far]])
+
+    @pytest.mark.parametrize("first", [5e-13, 1e-12, 3e-12])
+    @pytest.mark.parametrize("kind", ["continuous", "discrete"])
+    def test_draws_near_the_near_bound_are_dropped(self, first, kind):
+        # Most of the mass lies in the first bin, [0, first]: most draws land within MERGE_TOL of near.
+        grid = SampleGrid(np.array([first, 1.0]), RaySegment(0.0, 2.0))
+        tau = OpacityTrace(np.array([0.0, 5.0 / first, 1.0, OPAQUE]))
+        cdf = ContinuousRayCdf(grid, tau)
+        if kind == "discrete":
+            cdf = DiscreteRayCdf(grid, cdf.dist)
+        for seed in range(4):
+            merged = hierarchical_samples(cdf, 32, seed)
+            assert np.all(merged.interior > MERGE_TOL)
+            assert np.array_equal(merged.points, self.with_near_test(cdf, 32, seed))
+
+    def test_random_rays_match_the_near_test(self, rng):
+        for _ in range(30):
+            grid, tau = random_instance(rng, n_max=16)
+            cdf = ContinuousRayCdf(grid, tau)
+            seed = int(rng.integers(0, 1000))
+            assert np.array_equal(hierarchical_samples(cdf, 24, seed).points, self.with_near_test(cdf, 24, seed))
+
+
+def _row_instance():
+    """Opacity rows on one grid with a one-ulp bin (ties in the cumulative), an
+    opaque wall (zero-mass bins after it), and a row without the far convention."""
+    interior = np.array([0.5, np.nextafter(0.5, 1.0), 1.0, 1.5, 2.5, 3.0])
+    grid = SampleGrid(interior, RaySegment(0.0, 4.0))
+    rng = np.random.default_rng(3)
+    rows = [np.concatenate([[0.0], rng.uniform(1e-6, 3.0, 6), [OPAQUE]]) for _ in range(3)]
+    rows.append(np.array([0.0, 0.2, 1e-6, 0.4, 1e8, 0.1, 0.3, OPAQUE]))
+    rows.append(np.array([0.3, 0.1, 0.2, 1e-6, 0.05, 0.1, 0.2, 0.1]))
+    return grid, np.array(rows)
+
+
+class TestRowInverse:
+    """Each row of the row inverse equals its one-ray ``ContinuousRayCdf``, bit for bit."""
+
+    @staticmethod
+    def draws(cdf, rng):
+        c = cdf.cumulative
+        return np.concatenate(
+            [
+                c,  # on every bin edge, ties among them
+                np.nextafter(c, -np.inf).clip(0.0, 1.0),
+                np.nextafter(c, np.inf).clip(0.0, 1.0),
+                [0.0, 1.0 - EPS_UNIT, np.nextafter(1.0 - EPS_UNIT, 0.0), 1.0],  # clamped and not
+                rng.uniform(0.0, 1.0, 20),
+            ]
+        )
+
+    def test_rows_equal_one_ray(self, rng):
+        grid, tau = _row_instance()
+        cdfs = [ContinuousRayCdf(grid, OpacityTrace(row)) for row in tau]
+        u = np.array([self.draws(cdf, rng) for cdf in cdfs])
+        log_t, _, _, cumulative = _distributions(ModelKind.LINEAR, grid.widths, tau)
+        got = _invert_rows(grid, tau, log_t, cumulative, u)
+        samples = _precise_rows(grid, tau, u)
+        assert any(np.any(np.diff(cdf.cumulative) == 0.0) for cdf in cdfs)  # ties and zero-mass bins
+        assert any(cdf.cumulative[-1] < 1.0 for cdf in cdfs)  # draws past the total mass clamp
+        assert got[-1].any()  # some draws are clamped
+        for r, cdf in enumerate(cdfs):
+            for a, b in zip(got, cdf._invert(u[r])):
+                assert a[r].shape == b.shape and np.array_equal(a[r], b)
+            assert np.array_equal(samples[r], cdf.precise_sample(u[r]))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        grid, trace = random_instance(rng, n_max=32)
+        tau = np.array([trace.values * f for f in rng.uniform(0.5, 2.0, 4)])
+        u = np.stack([self.draws(ContinuousRayCdf(grid, OpacityTrace(row)), rng) for row in tau])
+        samples = _precise_rows(grid, tau, u)
+        for r, row in enumerate(tau):
+            assert np.array_equal(samples[r], ContinuousRayCdf(grid, OpacityTrace(row)).precise_sample(u[r]))
+
+    def test_rejects_what_the_one_ray_path_rejects(self):
+        grid, tau = _row_instance()
+        bad = tau.copy()
+        bad[1, 3] = 0.0
+        with pytest.raises(ValueError, match="floored positive") as one_ray:
+            ContinuousRayCdf(grid, OpacityTrace(bad[1]))
+        with pytest.raises(ValueError) as rows:
+            _precise_rows(grid, bad, np.full((5, 1), 0.5))
+        assert str(rows.value) == str(one_ray.value)
+        cdf = ContinuousRayCdf(grid, OpacityTrace(tau[0]))
+        for u in (-0.1, 1.5, np.nan):
+            with pytest.raises(ValueError) as one_ray:
+                cdf.precise_sample(np.array([u]))
+            with pytest.raises(ValueError) as rows:
+                _precise_rows(grid, tau, np.full((5, 1), u))
+            assert str(rows.value) == str(one_ray.value)
 
 
 def sampler_pairs():
