@@ -390,9 +390,6 @@ class AnalyticField:
     def tau(self, s):
         return self.density.tau(s)
 
-    def color_at(self, s) -> np.ndarray:
-        return self.color.color(s)
-
 
 def sample_field(
     field: AnalyticField, grid: SampleGrid
@@ -461,14 +458,6 @@ def _shifted_points(grid: SampleGrid, offsets: np.ndarray) -> np.ndarray:
     if (pts[:, -2] >= grid.segment.far).any():
         raise ValueError("shifted samples must stay inside the segment")
     return pts
-
-
-def _shifted_grid(grid: SampleGrid, offset: float) -> SampleGrid:
-    """Translate every interior sample by ``offset``: one row of ``_shifted_points``."""
-    if offset == 0.0:
-        return grid
-    points = _shifted_points(grid, np.array([offset]))[0]
-    return SampleGrid(interior=_Adopted(points), segment=grid.segment)
 
 
 def _sweep_rows(field: AnalyticField, segment: RaySegment, n: int, offsets: int):

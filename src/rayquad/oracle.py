@@ -507,7 +507,12 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     ``cdf`` is called per slice: on consecutive slices of at most
     ``rays._BLOCK`` samples (``rays._blocks``), once when the sample fits
     one block.  ``d_plus`` and ``d_minus`` are maxima, so folding them over
-    the slices gives the whole-array statistic bit for bit.
+    the slices gives the whole-array statistic bit for bit.  A slice's
+    ``i / n`` and ``(i - 1) / n`` are two views of one array of ranks over
+    ``n``, and both gaps go through one array the statistic made: ``cdf``
+    may return its own input, a view of the caller's samples, which is
+    never written.  A non-finite CDF value makes a gap's maximum
+    non-finite, which is how it is detected.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or samples.size < 1:
@@ -521,11 +526,15 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     d_plus = d_minus = -np.inf
     for block in _blocks(n):
         f = np.asarray(cdf(samples[block]), dtype=np.float64)
-        if not np.isfinite(f).all():
+        # i / n and (i - 1) / n over the block's ranks i: two views of one array.
+        steps = np.arange(block.start, min(block.stop, n) + 1) / n
+        gap = np.subtract(steps[1:], f)
+        above = gap.max()
+        below = np.subtract(f, steps[:-1], out=gap).max()
+        # The steps lie in [0, 1], so both maxima are finite exactly when f is.
+        if not (np.isfinite(above) and np.isfinite(below)):
             raise ValueError("CDF values must be finite")
-        i = np.arange(block.start + 1, min(block.stop, n) + 1)
-        d_plus = max(d_plus, np.max(i / n - f))
-        d_minus = max(d_minus, np.max(f - (i - 1) / n))
+        d_plus, d_minus = max(d_plus, above), max(d_minus, below)
     return float(max(d_plus, d_minus))
 
 

@@ -18,13 +18,18 @@ integer, of the sign stated at the call; each class and function checks
 its own shape, order and range beyond the sign.
 ``_interval`` is the one rule for which interval of sorted edges holds a
 point: samplers, profiles and the oracle's tables all locate through it,
-and rows of edges locate rows of points with one search per row.
+and rows of edges locate rows of points one row at a time.  It evaluates
+the rule in two ways that give the same index: a binary search, or, for
+many points against a few edges, a count of the edges each point is not
+below; the input's sizes choose.
 ``_check`` is the one finite (and color range) test: ``_frozen`` runs it on
 each array it stores, and a stack of traces runs it once for all rows.
 ``_floored`` and ``_opaque_far`` apply the opacity floor and the opaque-far
 convention in place to one trace or to every row of a stack.
 ``_blocks`` is the one rule for long elementwise work: the draw kernels and
 the KS statistic run over consecutive slices of at most ``_BLOCK`` values.
+A slice is a view of the caller's array, so a kernel writes only into
+arrays it has made.
 """
 
 from __future__ import annotations
@@ -131,16 +136,40 @@ def _real(owner, *names: str, **signs: str) -> None:
         object.__setattr__(owner, name, float(value))
 
 
+# ``_interval`` counts instead of searching on at most this many interior
+# edges and at least this many points.  For 8192 random keys on a 2-vCPU x86
+# VM, the count costs about 1.5 us per edge over a fixed 4 us; a search on
+# 3 edges costs 38 us, and 29 us on 8 edges even when the keys are sorted.
+_FEW_EDGES = 8
+_MANY_POINTS = 2048
+
+
 def _interval(edges: np.ndarray, x):
     """Index in [0, edges.size - 2] of the interval of the sorted ``edges`` holding
     each ``x``: a point on an edge, even a repeated one, lies in the last interval
     starting there, and a point past either end lies in that end's interval.
 
+    A row of at most ``_FEW_EDGES`` interior edges locates at least
+    ``_MANY_POINTS`` points by counting the edges each is not below, one compare
+    per edge: random keys make the binary search mispredict its branches.  A
+    point counts an edge it ties, NaN and +inf count every edge and -inf none,
+    so the count is ``searchsorted(side="right")`` exactly, as any other input
+    still computes it.
+
     Rows of ``edges``, shape (R, M), locate the rows of ``x``, shape (R, S), one
     search per row, so each row's indices are its one-row search's exactly.
     """
     if edges.ndim == 1:
-        return edges[1:-1].searchsorted(x, side="right")
+        inner = edges[1:-1]
+        if inner.size > _FEW_EDGES or np.size(x) < _MANY_POINTS:
+            return inner.searchsorted(x, side="right")
+        # One byte per point and compare; at most _FEW_EDGES counts fit a uint8.
+        below = np.zeros(np.shape(x), np.uint8)
+        step = np.empty(below.shape, bool)
+        for edge in inner.tolist():
+            np.less(x, edge, out=step)
+            below += step.view(np.uint8)
+        return np.subtract(inner.size, below, dtype=np.intp)
     out = np.empty(np.shape(x), dtype=np.intp)
     for row, row_edges in enumerate(edges):
         out[row] = _interval(row_edges, x[row])
@@ -160,7 +189,10 @@ def _blocks(n: int) -> list[slice]:
 
 def _blockwise(kernel, x: np.ndarray) -> np.ndarray:
     """``kernel(x)`` of an elementwise float64 ``kernel``, bit for bit: one call when
-    ``x`` fits one block, else one call per block of ``_blocks`` into one output."""
+    ``x`` fits one block, else one call per block of ``_blocks`` into one output.
+
+    Each block is a view of ``x``, which may be the caller's own array, so a
+    kernel may not write its input; it writes its steps into arrays it made."""
     if x.size <= _BLOCK:
         return kernel(x)
     flat = x.ravel()

@@ -24,7 +24,10 @@ first, then run their elementwise kernel over it in blocks of
 ``rays._BLOCK`` draws (``rays._blockwise``), so a 100,000-draw call keeps
 its temporaries at 64 KiB each instead of mapping a fresh 800 KB array per
 step.  Every output is bit-identical to one whole-array call, and an input
-of at most one block is one call.
+of at most one block is one call.  Each kernel gathers a table entry once
+per draw (``tau[1:][k]`` is ``tau[k + 1]`` without the shifted index) and
+writes each step of its formula, in the formula's order, into an array it
+made: never into the draws, which are a view of the caller's array.
 
 The exact inverse is one kernel, ``_invert_rows``, over one ray or over
 ``(R, N+2)`` rows of rays that share one grid, each row located by its
@@ -89,13 +92,18 @@ class DiscreteRayCdf:
 
     def _surrogate(self, u: np.ndarray) -> np.ndarray:
         """``surrogate_sample``'s kernel on checked draws."""
-        c = self.cumulative
+        c, grid = self.cumulative, self.grid
         k = _interval(c, u)
-        pts = self.grid.points
-        span = c[k + 1] - c[k]
-        frac = np.where(span > 0.0, (u - c[k]) / np.where(span > 0.0, span, 1.0), 0.0)
-        s = pts[k] + frac * (pts[k + 1] - pts[k])
-        return np.minimum(s, self.grid.segment.far)
+        # frac = (u - c[k]) / span where span = c[k + 1] - c[k] > 0, else 0.
+        c_k = c[k]
+        span = c[1:][k]
+        span -= c_k
+        frac = np.zeros(u.shape)
+        np.divide(np.subtract(u, c_k, out=c_k), span, out=frac, where=span > 0.0)
+        # s = pts[k] + frac * (pts[k + 1] - pts[k]); those differences are the widths.
+        s = np.multiply(frac, grid.widths[k], out=frac)
+        s += grid.points[k]
+        return np.minimum(s, grid.segment.far, out=s)
 
 
 @dataclass(frozen=True)
@@ -141,15 +149,26 @@ class ContinuousRayCdf:
 
     def _cdf(self, t: np.ndarray) -> np.ndarray:
         """``cdf_eval``'s kernel on checked points."""
-        pts = self.grid.points
-        k = _interval(pts, t)
-        tp = t - pts[k]
-        delta = self.grid.widths[k]
-        tau = self.tau.values
-        depth = (tau[k + 1] - tau[k]) * tp * tp / (2.0 * delta) + tau[k] * tp
-        trans = self.dist.transmittance
-        f = self.cumulative[k] + trans[k] * -np.expm1(-depth)
-        return np.clip(f, 0.0, 1.0)
+        grid, tau, dist = self.grid, self.tau.values, self.dist
+        k = _interval(grid.points, t)
+        # depth = (tau[k + 1] - tau[k]) * tp * tp / (2 delta) + tau[k] * tp, tp = t - s_k.
+        tp = np.subtract(t, grid.points[k])
+        tau_k = tau[k]
+        depth = tau[1:][k]
+        depth -= tau_k
+        depth *= tp
+        depth *= tp
+        two_delta = grid.widths[k]
+        two_delta *= 2.0
+        depth /= two_delta
+        depth += np.multiply(tau_k, tp, out=tau_k)
+        # f = cumulative[k] + transmittance[k] * -expm1(-depth), clipped to [0, 1].
+        f = np.negative(depth, out=depth)
+        np.expm1(f, out=f)
+        np.negative(f, out=f)
+        f *= dist.transmittance[k]
+        f += dist.cumulative[k]
+        return np.clip(f, 0.0, 1.0, out=f)
 
     def precise_sample(self, u):
         """Exact inverse of the CDF at ``u`` in [0, 1].
@@ -189,28 +208,43 @@ def _invert_rows(grid: SampleGrid, tau, log_t, cumulative, u: np.ndarray):
     are flagged in ``clamped`` and inverted as ``u = 0``.  ``precise_sample``
     and ``gradients.grad_sample_wrt_tau`` both invert through here.
     """
-    clamped = (u >= 1.0 - EPS_UNIT) | (u >= cumulative[..., -1:])
-    u = np.where(clamped, 0.0, u)
+    # u >= 1 - EPS_UNIT or u >= the total mass, in one compare.
+    clamped = u >= np.minimum(1.0 - EPS_UNIT, cumulative[..., -1:])
+    u = np.where(clamped, 0.0, u)  # a fresh array: the caller's draws are never written
     k = _interval(cumulative, u)
-    q = _at(log_t, k) - np.log1p(-u)
+    # q = log_t[k] - log1p(-u), in u's array.
+    q = np.negative(u, out=u)
+    np.log1p(q, out=q)
+    np.subtract(_at(log_t, k), q, out=q)
     if not np.isfinite(q).all():
         raise ArithmeticError("non-finite log mass while inverting the CDF")
     tau_k = _at(tau, k)
     delta = grid.widths[k]
-    disc = tau_k * tau_k + 2.0 * (_at(tau, k + 1) - tau_k) * q / delta
+    # disc = tau_k * tau_k + 2.0 * (tau[k + 1] - tau_k) * q / delta
+    slope = _at(tau[..., 1:], k)
+    slope -= tau_k
+    slope *= 2.0
+    slope *= q
+    slope /= delta
+    disc = np.multiply(tau_k, tau_k)
+    disc += slope
     # The discriminant lies between tau_k^2 and tau_{k+1}^2; rounding can
     # push it a hair negative when q sits at the bin boundary.
-    root = np.sqrt(np.maximum(disc, 0.0))
-    return k, delta, q, root, tau_k + root, clamped
+    root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    return k, delta, q, root, np.add(tau_k, root, out=slope), clamped
 
 
 def _sample_rows(grid: SampleGrid, tau, log_t, cumulative, u: np.ndarray) -> np.ndarray:
     """Exact inverse samples of ``_invert_rows``' one ray or rows; clamped draws go to far."""
     k, delta, q, _, denom, clamped = _invert_rows(grid, tau, log_t, cumulative, u)
-    t = np.where(denom > 0.0, 2.0 * q / np.where(denom > 0.0, denom, 1.0), 0.0)
-    t = np.clip(t, 0.0, delta)
-    s = grid.points[k] + t
-    return np.where(clamped, grid.segment.far, s)
+    # t = 2 q / denom where denom > 0, else 0, clipped to [0, delta].
+    q *= 2.0
+    t = np.zeros(q.shape)
+    np.divide(q, denom, out=t, where=denom > 0.0)
+    np.clip(t, 0.0, delta, out=t)
+    s = np.add(grid.points[k], t, out=t)
+    np.copyto(s, grid.segment.far, where=clamped)
+    return s
 
 
 def _precise_rows(grid: SampleGrid, tau: np.ndarray, u: np.ndarray) -> np.ndarray:

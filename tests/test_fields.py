@@ -35,7 +35,7 @@ from rayquad.fields import (
     SampledDensity,
     _by_ray,
     _gather,
-    _shifted_grid,
+    _shifted_points,
     _stack,
     _sweep_rows,
     _trace_rows,
@@ -124,7 +124,7 @@ class TestOpaqueTrace:
         assert [off for off, *_ in sweep] == offsets.tolist()
         grid0 = make_uniform_grid(segment, 7)
         for off, grid, tau, colors in sweep:
-            np.testing.assert_array_equal(grid.points, _shifted_grid(grid0, off).points)
+            np.testing.assert_array_equal(grid.points, SampleGrid(grid0.interior + off, segment).points)
             expected_tau, expected_colors = opaque_trace(field, grid)
             np.testing.assert_array_equal(tau.values, expected_tau.values)
             np.testing.assert_array_equal(colors.values, expected_colors.values)
@@ -133,30 +133,28 @@ class TestOpaqueTrace:
 class TestShiftedGrid:
     def test_zero_offset_is_identity(self):
         grid = make_uniform_grid(RaySegment(0.0, 2.0), 7)
-        assert _shifted_grid(grid, 0.0) is grid
+        assert np.array_equal(_shifted_points(grid, np.array([0.0]))[0], grid.points)
 
     def test_half_gap_gives_midpoints(self):
         grid = make_uniform_grid(RaySegment(0.0, 2.0), 3)
         h = 0.5
-        out = _shifted_grid(grid, h / 2)
-        np.testing.assert_allclose(out.interior, grid.interior + 0.25)
+        out = _shifted_points(grid, np.array([h / 2]))[0]
+        np.testing.assert_allclose(out[1:-1], grid.interior + 0.25)
+        assert (out[0], out[-1]) == (0.0, 2.0)
 
     def test_sweep_produces_distinct_valid_grids(self):
         grid = make_uniform_grid(RaySegment(0.0, 2.0), 31)
         h = 2.0 / 32
-        seen = set()
-        for off in np.linspace(0.0, h, 32, endpoint=False):
-            g = _shifted_grid(grid, float(off))
-            assert np.all(np.diff(g.points) > 0)
-            seen.add(round(float(g.interior[0]), 15))
-        assert len(seen) == 32
+        rows = _shifted_points(grid, np.linspace(0.0, h, 32, endpoint=False))
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert len({round(float(row[1]), 15) for row in rows}) == 32
 
     def test_rejects_out_of_range_offsets(self):
         grid = make_uniform_grid(RaySegment(0.0, 2.0), 3)
         with pytest.raises(ValueError):
-            _shifted_grid(grid, 0.5)  # equal to the gap
+            _shifted_points(grid, np.array([0.5]))  # equal to the gap
         with pytest.raises(ValueError):
-            _shifted_grid(grid, -0.1)
+            _shifted_points(grid, np.array([0.0, -0.1]))
 
 
 class TestGrazingRig:
@@ -428,7 +426,7 @@ class TestSceneFiles:
         )
         field, _ = load_scene(path)
         assert isinstance(field.color, UniformColor)
-        np.testing.assert_array_equal(field.color_at(0.3), [[1.0]])
+        np.testing.assert_array_equal(field.color.color(0.3), [[1.0]])
 
 
 class TestColorProfiles:
@@ -613,7 +611,7 @@ class TestTraceRows:
         offsets, points, tau, colors = _sweep_rows(field, self.segment, n, 5)
         grid0 = make_uniform_grid(self.segment, n)
         for r, off in enumerate(offsets):
-            grid = _shifted_grid(grid0, float(off))
+            grid = SampleGrid(grid0.interior + off, self.segment)
             assert np.array_equal(points[r], grid.points)
             want_tau, want_colors = _one_ray(field, grid)
             assert np.array_equal(tau[r], want_tau)

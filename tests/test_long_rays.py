@@ -34,7 +34,7 @@ from rayquad import (
     make_uniform_grid,
     sample_field,
 )
-from rayquad.fields import LogisticStep, _by_ray, _shifted_grid
+from rayquad.fields import LogisticStep, _by_ray, _shifted_points
 from rayquad.rays import EPS_OPACITY
 from rayquad.sampling import MERGE_TOL, _stratified_unit_samples
 
@@ -215,9 +215,9 @@ class TestBitIdentity:
         seg = grid.segment
         assert np.array_equal(grid.points, np.linspace(seg.near, seg.far, N + 2))
         offset = 0.3 * grid.widths.min()
-        shifted = _shifted_grid(grid, offset)
-        assert np.array_equal(shifted.interior, grid.interior + offset)
-        assert (shifted.points[0], shifted.points[-1]) == (seg.near, seg.far)
+        shifted = _shifted_points(grid, np.array([offset]))[0]
+        assert np.array_equal(shifted[1:-1], grid.interior + offset)
+        assert (shifted[0], shifted[-1]) == (seg.near, seg.far)
 
         floored = np.array(raw.values)
         floored[1:-1] = np.maximum(floored[1:-1], EPS_OPACITY)

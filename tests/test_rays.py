@@ -16,7 +16,7 @@ from rayquad import (
     make_uniform_grid,
 )
 from rayquad.quadrature import RayDistribution
-from rayquad.rays import _Adopted, _interval
+from rayquad.rays import _FEW_EDGES, _MANY_POINTS, _Adopted, _interval
 
 
 class TestRaySegment:
@@ -237,6 +237,33 @@ class TestIntervalLocator:
         assert got.shape == x.shape
         for row, (row_edges, row_x) in enumerate(zip(edges, x)):
             assert np.array_equal(got[row], _interval(row_edges, row_x))
+
+    # Interior-edge counts either side of the count path's limit, and point counts
+    # either side of its least size: the count path and the search must agree.
+    @pytest.mark.parametrize("inner", range(1, 17))
+    def test_count_path_equals_search(self, inner):
+        assert 1 <= _FEW_EDGES < 16
+        rng = np.random.default_rng(inner)
+        # Few values drawn with replacement: most rows repeat an edge.
+        pool = rng.uniform(-2.0, 3.0, max(2, inner // 2))
+        edges = np.sort(rng.choice(pool, inner + 2))
+        probes = np.concatenate([_probe_points(edges), [np.nan]])
+        for size in (_MANY_POINTS - 1, _MANY_POINTS, 3 * _MANY_POINTS):
+            x = rng.permutation(np.resize(probes, size))
+            got = _interval(edges, x)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, edges[1:-1].searchsorted(x, side="right"))
+
+    @pytest.mark.parametrize("inner", [1, 3, _FEW_EDGES, _FEW_EDGES + 1])
+    def test_count_path_on_rows(self, inner):
+        rng = np.random.default_rng(inner)
+        pool = rng.uniform(-2.0, 3.0, 4)
+        edges = np.sort(rng.choice(pool, (3, inner + 2)), axis=1)
+        probes = [np.concatenate([_probe_points(row), [np.nan]]) for row in edges]
+        x = np.stack([rng.permutation(np.resize(p, 2 * _MANY_POINTS)) for p in probes])
+        got = _interval(edges, x)
+        for row, (row_edges, row_x) in enumerate(zip(edges, x)):
+            assert np.array_equal(got[row], row_edges[1:-1].searchsorted(row_x, side="right"))
 
     def test_edge_rule(self):
         edges = np.array([0.0, 1.0, 1.0, 2.0, 3.0])

@@ -551,3 +551,209 @@ class TestWorkingSet:
             if not tracing:
                 tracemalloc.stop()
         assert peak < 2_000_000
+
+
+# The kernels' first formulas, one numpy expression per step, kept as references:
+# the block-vs-slice tests compare a kernel with itself and cannot see it drift.
+
+
+def _search(edges, x):
+    """The interval of each point, by one ``searchsorted`` per row of edges."""
+    if edges.ndim == 1:
+        return edges[1:-1].searchsorted(x, side="right")
+    return np.stack([_search(row, x_row) for row, x_row in zip(edges, x)])
+
+
+def _gather(rows, k):
+    return rows[k] if rows.ndim == 1 else np.take_along_axis(rows, k, axis=-1)
+
+
+def reference_invert(grid, tau, log_t, cumulative, u):
+    clamped = (u >= 1.0 - EPS_UNIT) | (u >= cumulative[..., -1:])
+    u = np.where(clamped, 0.0, u)
+    k = _search(cumulative, u)
+    q = _gather(log_t, k) - np.log1p(-u)
+    tau_k = _gather(tau, k)
+    delta = grid.widths[k]
+    disc = tau_k * tau_k + 2.0 * (_gather(tau, k + 1) - tau_k) * q / delta
+    root = np.sqrt(np.maximum(disc, 0.0))
+    return k, delta, q, root, tau_k + root, clamped
+
+
+def reference_sample(grid, tau, log_t, cumulative, u):
+    k, delta, q, _, denom, clamped = reference_invert(grid, tau, log_t, cumulative, u)
+    t = np.where(denom > 0.0, 2.0 * q / np.where(denom > 0.0, denom, 1.0), 0.0)
+    t = np.clip(t, 0.0, delta)
+    s = grid.points[k] + t
+    return np.where(clamped, grid.segment.far, s)
+
+
+def reference_surrogate(cdf, u):
+    c = cdf.cumulative
+    k = _search(c, u)
+    pts = cdf.grid.points
+    span = c[k + 1] - c[k]
+    frac = np.where(span > 0.0, (u - c[k]) / np.where(span > 0.0, span, 1.0), 0.0)
+    s = pts[k] + frac * (pts[k + 1] - pts[k])
+    return np.minimum(s, cdf.grid.segment.far)
+
+
+def reference_cdf(cdf, t):
+    pts = cdf.grid.points
+    k = _search(pts, t)
+    tp = t - pts[k]
+    delta = cdf.grid.widths[k]
+    tau = cdf.tau.values
+    depth = (tau[k + 1] - tau[k]) * tp * tp / (2.0 * delta) + tau[k] * tp
+    trans = cdf.dist.transmittance
+    f = cdf.cumulative[k] + trans[k] * -np.expm1(-depth)
+    return np.clip(f, 0.0, 1.0)
+
+
+def reference_ks(samples, cdf):
+    n = samples.size
+    d_plus = d_minus = -np.inf
+    for start in range(0, n, _BLOCK):
+        f = cdf(samples[start : start + _BLOCK])
+        i = np.arange(start + 1, min(start + _BLOCK, n) + 1)
+        d_plus = max(d_plus, np.max(i / n - f))
+        d_minus = max(d_minus, np.max(f - (i - 1) / n))
+    return float(max(d_plus, d_minus))
+
+
+def same_bits(got, want):
+    """Equal dtype, shape and bytes: ``np.array_equal``, and the sign of every zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_rows(n):
+    """Opacity rows on a uniform ``n``-sample grid: two random opaque-far rows, one
+    with an opaque wall (zero-mass bins after it), and a row without the far
+    convention (mass below one)."""
+    rng = np.random.default_rng(n)
+    grid = make_uniform_grid(RaySegment(0.5, 3.0), n)
+    rows = [np.concatenate([[0.0], rng.uniform(1e-6, 3.0, n), [OPAQUE]]) for _ in range(2)]
+    wall = rows[0].copy()
+    wall[1 + n // 2] = 1e8
+    rows += [wall, rng.uniform(1e-6, 0.3, n + 2)]
+    return grid, np.array(rows)
+
+
+def edge_draws(cumulative, rng, extra):
+    """Every cumulative value and one ulp either side of it, the clamp threshold
+    and both ends of [0, 1], then ``extra`` uniform draws."""
+    c = cumulative
+    special = [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)]
+    special.append([0.0, 1.0 - EPS_UNIT, np.nextafter(1.0 - EPS_UNIT, 0.0), 1.0])
+    return rng.permutation(np.concatenate([*special, rng.random(extra)]).clip(0.0, 1.0))
+
+
+def zero_span_surrogate(grid):
+    """A surrogate whose odd bins, the last among them, carry no mass; its total is 0.5,
+    so a draw of 0.5 lands in the last bin with zero span."""
+    pmf = (np.arange(grid.n + 1) % 2 == 0).astype(float)
+    pmf[-1] = 0.0
+    pmf *= 0.5 / pmf.sum()
+    cumulative = np.concatenate([[0.0], np.cumsum(pmf)])
+    trans = 1.0 - cumulative
+    dist = RayDistribution(ModelKind.CONSTANT, np.log(trans), trans, pmf, cumulative)
+    return DiscreteRayCdf(grid, dist)
+
+
+# Few draws take the locator's search, many its count on the small grids.
+DRAW_EXTRAS = [0, 3000]
+
+
+class TestReferenceFormulas:
+    """Each kernel equals its reference formula above bit for bit."""
+
+    @pytest.mark.parametrize("extra", DRAW_EXTRAS)
+    @pytest.mark.parametrize("n", [1, 3, 130])
+    def test_exact_inverse(self, n, extra):
+        grid, tau = reference_rows(n)
+        log_t, _, _, cumulative = _distributions(ModelKind.LINEAR, grid.widths, tau)
+        rng = np.random.default_rng(extra)
+        u = np.stack([edge_draws(c, rng, extra) for c in cumulative])
+        want = reference_invert(grid, tau, log_t, cumulative, u)
+        assert all(same_bits(g, w) for g, w in zip(_invert_rows(grid, tau, log_t, cumulative, u), want))
+        samples = reference_sample(grid, tau, log_t, cumulative, u)
+        assert same_bits(_precise_rows(grid, tau, u), samples)
+        for r, row in enumerate(tau):
+            cdf = ContinuousRayCdf(grid, OpacityTrace(row))
+            assert same_bits(cdf._precise(u[r]), samples[r])
+            assert same_bits(cdf.precise_sample(u[r]), samples[r])
+        _, _, _, _, denom, clamped = want
+        # Clamped draws, zero-mass bins, and draws of 0 on the zero near opacity.
+        assert clamped.any() and (np.diff(cumulative) == 0.0).any() and (denom <= 0.0).any()
+
+    @pytest.mark.parametrize("extra", DRAW_EXTRAS)
+    @pytest.mark.parametrize("n", [1, 3, 130])
+    def test_surrogate(self, n, extra):
+        grid, tau = reference_rows(n)
+        rng = np.random.default_rng(extra)
+        cdfs = [DiscreteRayCdf(grid, interval_pmf(ModelKind.CONSTANT, grid, OpacityTrace(row))) for row in tau]
+        spans = 0
+        for cdf in [*cdfs, zero_span_surrogate(grid)]:
+            c = cdf.cumulative
+            u = edge_draws(c, rng, extra)
+            u = u[(u < 1.0) & (u <= c[-1])]
+            want = reference_surrogate(cdf, u)
+            assert same_bits(cdf._surrogate(u), want)
+            assert same_bits(cdf.surrogate_sample(u), want)
+            k = _search(c, u)
+            spans += np.count_nonzero(c[k + 1] == c[k])
+        assert spans > 0
+
+    @pytest.mark.parametrize("extra", DRAW_EXTRAS)
+    @pytest.mark.parametrize("n", [1, 3, 130])
+    def test_cdf(self, n, extra):
+        grid, tau = reference_rows(n)
+        rng = np.random.default_rng(extra)
+        seg = grid.segment
+        pts = grid.points
+        t = np.concatenate([pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf)])
+        t = np.concatenate([t, seg.near + seg.span * rng.random(extra)]).clip(seg.near, seg.far)
+        for row in tau:
+            cdf = ContinuousRayCdf(grid, OpacityTrace(row))
+            want = reference_cdf(cdf, t)
+            assert same_bits(cdf._cdf(t), want)
+            assert same_bits(cdf.cdf_eval(t), want)
+
+    @pytest.mark.parametrize("n", [1, 500, 8193, 20_000])
+    def test_ks_statistic(self, n):
+        continuous, _ = fixtures.precise_and_surrogate(*fixtures.steep_sampler_fixture())
+        samples = np.sort(continuous.precise_sample(np.random.default_rng(n).random(n)))
+        for cdf in (continuous.cdf_eval, lambda v: v, lambda v: np.clip(v - 0.5, 0.0, 1.0)):
+            assert ks_statistic(samples, cdf) == reference_ks(samples, cdf)
+
+
+def read_only(array):
+    array = np.array(array, dtype=np.float64)
+    array.setflags(write=False)
+    return array
+
+
+class TestNoAliasing:
+    """No kernel writes into the caller's draws, nor into what a ``cdf`` returns:
+    each input here is read-only, so such a write raises."""
+
+    @pytest.mark.parametrize("n", [100, 3000, 20_000])
+    def test_draws_are_read_only(self, n):
+        continuous, surrogate = fixtures.precise_and_surrogate(*fixtures.steep_sampler_fixture())
+        u = np.random.default_rng(n).random(n)
+        draws = read_only(u)
+        assert same_bits(continuous.precise_sample(draws), continuous.precise_sample(u.copy()))
+        capped = read_only(np.minimum(u, surrogate.cumulative[-1] * (1 - 1e-12)))
+        assert same_bits(surrogate.surrogate_sample(capped), surrogate.surrogate_sample(capped.copy()))
+        seg = continuous.grid.segment
+        points = read_only(seg.near + seg.span * u)
+        assert same_bits(continuous.cdf_eval(points), continuous.cdf_eval(points.copy()))
+        grid, tau = _row_instance()
+        rows = read_only(np.resize(u, (tau.shape[0], n)))
+        assert same_bits(_precise_rows(grid, tau, rows), _precise_rows(grid, tau, rows.copy()))
+
+    @pytest.mark.parametrize("n", [100, 20_000])
+    def test_ks_identity_cdf_returns_the_samples(self, n):
+        samples = read_only(np.sort(np.random.default_rng(n).random(n)))
+        assert ks_statistic(samples, lambda v: v) == reference_ks(samples, lambda v: v)
