@@ -49,7 +49,6 @@ from .fields import (
     shift_sweep,
 )
 from .oracle import (
-    CumulativeOpacityTable,
     IntegrationResult,
     NoConvergenceError,
     convergence_slope,

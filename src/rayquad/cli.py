@@ -25,7 +25,7 @@ from .quadratic import (
     quad_integral_left,
     quad_integral_right,
 )
-from .quadrature import _distributions, interval_pmf, render
+from .quadrature import _distributions, _weighted_sums, interval_pmf, render
 from .rays import ModelKind, OpacityTrace, RaySegment, _is_count, _is_real, make_uniform_grid
 from .sampling import ContinuousRayCdf, DiscreteRayCdf, _precise_rows
 
@@ -64,13 +64,6 @@ class ExperimentSpec:
         if self.scene is None:
             return default_field, default_segment
         return load_scene(self.scene)
-
-
-def _weighted_sums(model: ModelKind, widths, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Each ray's pmf-weighted sum of ``v[..., 0]`` in one kernel call: a dot product per
-    row, the bits of ``render`` and ``expected_depth`` (a 2-D ``pmf @ v``, BLAS gemv, is not)."""
-    pmf = _distributions(model, widths, t)[2]
-    return np.matmul(pmf[:, None, :], v)[:, 0, 0]
 
 
 def _fmt(x) -> str:
@@ -149,7 +142,7 @@ def cmd_shift_sensitivity(spec: ExperimentSpec) -> bool:
     rows = []
     spreads = {}
     for model in _MODELS:
-        values = _weighted_sums(model, widths, t, colors)
+        values = _weighted_sums(_distributions(model, widths, t)[2], colors)[:, 0]
         rows += [(model.value, off, value) for off, value in zip(offsets, values)]
         spread = values.max() - values.min()
         # A spread at the rounding level of the rendered values is no shift at all.
@@ -237,7 +230,8 @@ def cmd_grad_check(spec: ExperimentSpec) -> bool:
             analytic = grad_render_wrt_tau(model, grid, OpacityTrace(tauv), colors)
 
             def f(x, model=model):
-                return _weighted_sums(model, grid.widths, x, colors[:, None])
+                pmf = _distributions(model, grid.widths, x)[2]
+                return _weighted_sums(pmf, colors[:, None])[:, 0]
 
             report = finite_diff_check(f, tauv, analytic, h=1e-4)
             worst[key] = max(worst[key], report.max_rel_err)
@@ -339,7 +333,10 @@ def cmd_render(spec: ExperimentSpec) -> bool:
     truths = oracle.true_render_batch(rays, segment, _RENDER_TOL)[:, 0].reshape(height, width)
     grid = make_uniform_grid(segment, spec.n_coarse)
     t, colors = _trace_rows(rays, grid.points)
-    images = {m: _weighted_sums(m, grid.widths, t, colors).reshape(height, width) for m in _MODELS}
+    images = {
+        m: _weighted_sums(_distributions(m, grid.widths, t)[2], colors)[:, 0].reshape(height, width)
+        for m in _MODELS
+    }
     rows = [
         (m.value, r, c, images[m][r, c], truths[r, c], abs(images[m][r, c] - truths[r, c]))
         for r, c in np.ndindex(height, width)
@@ -367,7 +364,7 @@ def cmd_depth(spec: ExperimentSpec) -> bool:
     rows = []
     rmse = {}
     for model in _MODELS:
-        depths = _weighted_sums(model, widths, t, mids[..., None])
+        depths = _weighted_sums(_distributions(model, widths, t)[2], mids[..., None])[:, 0]
         rows += [(model.value, off, d, truth, abs(d - truth)) for off, d in zip(offsets, depths)]
         rmse[model] = float(np.sqrt(np.mean(np.square(depths - truth))))
     _write_csv(

@@ -37,8 +37,8 @@ class GradReport:
     def __post_init__(self):
         if self.analytic.shape != self.numeric.shape:
             raise ValueError("analytic and numeric partials must align")
-        if self.max_rel_err < 0:
-            raise ValueError("relative error cannot be negative")
+        if not self.max_rel_err >= 0:
+            raise ValueError(f"relative error must be nonnegative, got {self.max_rel_err!r}")
 
 
 def _interval_colors(colors) -> np.ndarray:
@@ -178,6 +178,8 @@ def finite_diff_check(f, x: np.ndarray, analytic: np.ndarray, h: float = 1e-6) -
         raise ValueError("one analytic partial per parameter required")
     if not np.isfinite(x).all():  # the rows reach ``f`` unchecked
         raise ValueError("check point must be finite")
+    if not np.isfinite(analytic).all():
+        raise ValueError("analytic partials must be finite")
 
     steps = h * np.eye(x.size)
     values = np.asarray(f(np.concatenate([x + steps, x - steps])), dtype=np.float64)

@@ -63,9 +63,9 @@ class IntegrationResult:
     evaluations: int
 
     def __post_init__(self):
-        if self.error_estimate < 0:
-            raise ValueError("error estimate must be nonnegative")
-        if self.evaluations < 3:
+        if not self.error_estimate >= 0:
+            raise ValueError(f"error estimate must be nonnegative, got {self.error_estimate!r}")
+        if not self.evaluations >= 3:
             raise ValueError("a Simpson estimate needs at least three evaluations")
 
 
@@ -171,11 +171,6 @@ def _is_exact_class(density: DensityProfile) -> bool:
     return density.polynomial_degree is not None and density.polynomial_degree <= 1
 
 
-def _hermite(t, piece, cumulative, d0, a2, a3) -> np.ndarray:
-    """Hermite ``piece`` at ``t`` past its left edge: O0 + d0 t + a2 t^2 + a3 t^3."""
-    return cumulative[piece] + t * (d0[piece] + t * (a2[piece] + t * a3[piece]))
-
-
 def _base(density: DensityProfile, segment: RaySegment, extra_breaks=None) -> np.ndarray:
     """The one panel builder: the segment split at the density's and the extra breakpoints.
 
@@ -187,40 +182,6 @@ def _base(density: DensityProfile, segment: RaySegment, extra_breaks=None) -> np
     if extra_breaks is not None:
         breaks += np.asarray(extra_breaks, dtype=np.float64).tolist()
     return np.array([near, *sorted({b for b in breaks if near < b < far}), far])
-
-
-class CumulativeOpacityTable:
-    """Dense tabulation of the cumulative opacity with Hermite interpolation.
-
-    The segment is split at the density's breakpoints (``_base``, the one
-    panel builder) and each base panel into 64 sub-panels, twice as many
-    per ``refined()``.  Per sub-panel the opacity integral comes from a
-    refined Simpson pair with Richardson correction; the cumulative values
-    and the one-sided endpoint opacities then define one cubic Hermite
-    piece per sub-panel.  ``_tabulate``, the one table builder, makes every
-    table; this class is the one-ray view of its rows.
-    """
-
-    def __init__(
-        self, density: DensityProfile, segment: RaySegment, extra_breaks: np.ndarray | None = None
-    ):
-        self._view(density, segment, _base(density, segment, extra_breaks), 64)
-
-    @property
-    def total(self) -> float:
-        return float(self.cumulative_at_edges[-1])
-
-    def refined(self) -> "CumulativeOpacityTable":
-        table = object.__new__(CumulativeOpacityTable)
-        table._view(self.density, self.segment, self.base, 2 * self.n_sub)
-        return table
-
-    def _view(self, density, segment, base, n_sub):
-        rows = _tabulate([density], segment, base, n_sub)
-        self.density, self.segment, self.base, self.n_sub = density, segment, base, rows.n_sub
-        self.edges, self.widths, self.tab_error = rows.edges, rows.widths, float(rows.tab_error[0])
-        self.cumulative_at_edges, self._d0 = rows.cumulative[0], rows.d0[0]
-        self._a2, self._a3 = rows.a2[0], rows.a3[0]
 
 
 class _Rows(NamedTuple):
@@ -274,13 +235,15 @@ def _tabulate(densities, segment: RaySegment, base: np.ndarray, n_sub: int) -> _
 
 
 def _flat_cumulative(rows: _Rows):
-    """``O(x, ray)``: cumulative opacity of each point on its own ray's row,
-    one search of the shared edges for every ray."""
-    edges = rows.edges
+    """The one table evaluator, ``O(x, ray)``: cumulative opacity of each point
+    on its own ray's row, one search of the shared edges for every ray."""
+    edges, at_edges, d0, a2, a3 = rows.edges, rows.cumulative, rows.d0, rows.a2, rows.a3
 
     def cumulative(x: np.ndarray, ray) -> np.ndarray:
         idx = _interval(edges, x)
-        return _hermite(x - edges[idx], (ray, idx), rows.cumulative, rows.d0, rows.a2, rows.a3)
+        t, piece = x - edges[idx], (ray, idx)
+        # The Hermite piece at t past its left edge: O0 + d0 t + a2 t^2 + a3 t^3.
+        return at_edges[piece] + t * (d0[piece] + t * (a2[piece] + t * a3[piece]))
 
     return cumulative
 
@@ -291,15 +254,14 @@ def _render_bases(fields, segment: RaySegment) -> list:
 
 
 def _render_rays(
-    fields, segment: RaySegment, rows, tol: float, weight=None, ids=None, bases=None
+    fields, segment: RaySegment, rows, bases, tol: float, weight=None, ids=None
 ) -> list:
     """Integrate tau * exp(-O) * c (optionally * weight) for many rays in one engine
     call, one task per (ray, panel, channel), ray ``r`` on table row ``r`` and over
-    its ``bases`` entry (``_render_bases`` when not given).  Returns (value, error,
+    its render panels ``bases[r]`` (``_render_bases``).  Returns (value, error,
     evaluations) per ray; the lowest-index ray failing at the depth limit raises,
     named by ``ids``."""
     channels = fields[0].color.channels
-    bases = _render_bases(fields, segment) if bases is None else bases
     lo = np.repeat(np.concatenate([b[:-1] for b in bases]), channels)
     hi = np.repeat(np.concatenate([b[1:] for b in bases]), channels)
     n_tasks = [channels * (b.size - 1) for b in bases]
@@ -408,8 +370,8 @@ def true_render_batch(fields, segment: RaySegment, tol: float = 1e-10) -> np.nda
     bases = _render_bases(fields, segment)
 
     def run_pass(rays, rows):
-        picked = [fields[r] for r in rays]
-        return _render_rays(picked, segment, rows, tol, ids=rays, bases=[bases[r] for r in rays])
+        picked, picked_bases = [fields[r] for r in rays], [bases[r] for r in rays]
+        return _render_rays(picked, segment, rows, picked_bases, tol, ids=rays)
 
     out = np.empty((len(fields), fields[0].color.channels))
     for ids in batches.values():
@@ -493,9 +455,7 @@ def true_mean_termination(
     bases = _render_bases([unit], segment)
 
     def once(rays, rows):
-        (value, err, evals), = _render_rays(
-            [unit], segment, rows, tol, weight=lambda x: x, bases=bases
-        )
+        (value, err, evals), = _render_rays([unit], segment, rows, bases, tol, weight=lambda x: x)
         return [(value + segment.far * np.exp(-rows.cumulative[0, -1]), err, evals)]
 
     return float(_refine_until_stable([field.density], segment, tol, once, [0])[0, 0])

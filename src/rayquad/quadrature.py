@@ -22,7 +22,9 @@ distribution is built once per trace: ``interval_pmf`` stores it on the
 ``OpacityTrace``, keyed on the model and the grid's identity, and hands
 the same object to every later call with that trace, model and grid.  The
 memo is private to the trace and dies with it.  It is sound because
-traces and grids are immutable after construction.
+traces and grids are immutable after construction.  ``_weighted_sums`` is
+the one pmf-weighted sum: ``render`` and ``expected_depth`` are its
+one-ray views, and the commands call it on stacked rays.
 """
 
 from __future__ import annotations
@@ -151,13 +153,21 @@ def interval_pmf(
     return dist
 
 
+def _weighted_sums(pmf: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The one weighted sum: per ray, the pmf-weighted sum of each column of ``v``.
+
+    ``pmf`` is ``(N+1,)`` or ``(R, N+1)``, ``v`` ``(N+1, C)`` or ``(R, N+1, C)``, the
+    result ``(C,)`` or ``(R, C)``.  Each pmf enters as a one-row matrix, so a row and
+    channel is one dot product and a stacked row gets the bits of its one-ray sum
+    (a 2-D ``pmf @ v``, BLAS gemv, does not)."""
+    return np.matmul(pmf[..., None, :], v)[..., 0, :]
+
+
 def render(dist: RayDistribution, colors: ColorTrace) -> np.ndarray:
     """Expected color: pmf-weighted sum of the per-interval colors."""
     if colors.values.shape[0] != dist.pmf.size:
-        raise ValueError(
-            f"{colors.values.shape[0]} colors for {dist.pmf.size} intervals"
-        )
-    return dist.pmf @ colors.values
+        raise ValueError(f"{colors.values.shape[0]} colors for {dist.pmf.size} intervals")
+    return _weighted_sums(dist.pmf, colors.values)
 
 
 def expected_depth(dist: RayDistribution, grid: SampleGrid) -> float:
@@ -167,4 +177,4 @@ def expected_depth(dist: RayDistribution, grid: SampleGrid) -> float:
     pts = grid.points
     mids = pts[:-1] + pts[1:]
     mids *= 0.5
-    return float(dist.pmf @ mids)
+    return float(_weighted_sums(dist.pmf, mids[:, None])[0])

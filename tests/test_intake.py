@@ -227,6 +227,34 @@ def test_int_scalar_stored_as_float(cls, name):
     assert type(value) is float and value == valid
 
 
+# A record's range check rejects every value outside the range, NaN too.
+RESULT_RANGES = {
+    "GradReport.max_rel_err": (
+        lambda v: GradReport(np.zeros(2), np.zeros(2), v), r"relative error must be nonnegative, got "
+    ),
+    "IntegrationResult.error_estimate": (
+        lambda v: IntegrationResult(1.0, v, 3), r"error estimate must be nonnegative, got "
+    ),
+    "IntegrationResult.evaluations": (
+        lambda v: IntegrationResult(1.0, 0.0, v), r"a Simpson estimate needs at least three evaluations"
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("build, message", RESULT_RANGES.values(), ids=list(RESULT_RANGES))
+def test_result_out_of_range_rejected(build, message, bad):
+    with pytest.raises(ValueError, match=rf"^{message}"):
+        build(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_analytic_partial_rejected(bad):
+    # A NaN partial would make ``max_rel_err`` NaN, which no threshold reads as a failure.
+    with pytest.raises(ValueError, match=r"^analytic partials must be finite$"):
+        finite_diff_check(lambda x: x.sum(axis=1), np.ones(2), np.array([1.0, bad]))
+
+
 SCENE = {
     "field": {"kind": "constant_slab", "tau": 1.0, "start": 0.2, "end": 0.8},
     "segment": {"near": 0.0, "far": 1.0},

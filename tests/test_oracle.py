@@ -41,10 +41,10 @@ from rayquad.fields import (
     load_scene,
 )
 from rayquad.oracle import (
-    CumulativeOpacityTable,
     _adaptive_simpson,
     _base,
     _flat_cumulative,
+    _render_bases,
     _render_rays,
     _tabulate,
 )
@@ -182,7 +182,8 @@ class TestFailurePartials:
     def test_true_render_partial_is_last_pass(self):
         with pytest.raises(NoConvergenceError) as err:
             true_render(self.field, self.segment, 1e-10)
-        value, error, evals = _render_rays([self.field], self.segment, self._last_rows(), 1e-10)[0]
+        bases = _render_bases([self.field], self.segment)
+        value, error, evals = _render_rays([self.field], self.segment, self._last_rows(), bases, 1e-10)[0]
         assert err.value.partial == IntegrationResult(float(value[0]), error, evals)
         assert np.isfinite(err.value.partial.error_estimate)
         assert err.value.partial.evaluations > 3
@@ -192,7 +193,8 @@ class TestFailurePartials:
             true_mean_termination(self.field, self.segment, 1e-10)
         rows = self._last_rows()
         unit = AnalyticField(self.field.density, UniformColor(np.array([1.0])))
-        value, error, evals = _render_rays([unit], self.segment, rows, 1e-10, weight=lambda x: x)[0]
+        bases = _render_bases([unit], self.segment)
+        value, error, evals = _render_rays([unit], self.segment, rows, bases, 1e-10, weight=lambda x: x)[0]
         mean = float(value[0]) + self.segment.far * np.exp(-rows.cumulative[0, -1])
         assert err.value.partial == IntegrationResult(mean, error, evals)
 
@@ -216,13 +218,16 @@ class TestIntervalProbabilityPartial:
         with pytest.raises(NoConvergenceError) as err:
             true_interval_probabilities(AnalyticField(density), segment, edges)
         partial = err.value.partial
-        # Each opacity table evaluates five points per sub-panel; every
-        # other point was spent on the interval integrals.
-        table = CumulativeOpacityTable(_UnreportedJump(), segment, extra_breaks=edges[1:-1])
-        table_points = 5 * table.widths.size
-        while table.tab_error > 1e-12 / 8.0 and table.n_sub < 8192:
-            table = table.refined()
-            table_points += 5 * table.widths.size
+        # Each opacity table evaluates five points per sub-panel, from 64
+        # sub-panels per base panel, doubling; every other point was spent on
+        # the interval integrals.
+        jump = _UnreportedJump()
+        base = _base(jump, segment, edges[1:-1])
+        rows = _tabulate([jump], segment, base, 64)
+        table_points = 5 * rows.widths.size
+        while rows.tab_error[0] > 1e-12 / 8.0 and rows.n_sub < 8192:
+            rows = _tabulate([jump], segment, base, 2 * rows.n_sub)
+            table_points += 5 * rows.widths.size
         assert partial.evaluations == density.points - table_points
         truth = 1.0 - np.exp(-(0.5 * 0.7371 + 3.0 * (2.0 - 0.7371)))
         assert np.isfinite(partial.error_estimate)
@@ -416,22 +421,13 @@ class TestBatchedTabulation:
         for group in groups.values():
             rows = _rows(group, self.segment, n_sub)
             for r, density in enumerate(group):
-                # 128 and 256 sub-panels are reached by refining the 64-panel table.
-                table = CumulativeOpacityTable(density, self.segment)
-                for _ in range(int(np.log2(n_sub // 64))):
-                    table = table.refined()
-                assert rows.n_sub == table.n_sub
-                pairs = [
-                    (rows.edges, table.edges),
-                    (rows.widths, table.widths),
-                    (rows.cumulative[r], table.cumulative_at_edges),
-                    (rows.d0[r], table._d0),
-                    (rows.a2[r], table._a2),
-                    (rows.a3[r], table._a3),
-                ]
-                for a, b in pairs:
+                one = _rows([density], self.segment, n_sub)
+                assert rows.n_sub == one.n_sub
+                for a, b in [(rows.edges, one.edges), (rows.widths, one.widths)]:
                     assert a.shape == b.shape and np.array_equal(a, b)
-                assert rows.tab_error[r] == table.tab_error
+                for name in ("cumulative", "d0", "a2", "a3", "tab_error"):
+                    a, b = getattr(rows, name)[r], getattr(one, name)[0]
+                    assert a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestPanelBuilder:

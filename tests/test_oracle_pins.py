@@ -32,7 +32,7 @@ from rayquad.fields import (
     UniformColor,
     load_scene,
 )
-from rayquad.oracle import _base, _render_rays, _tabulate
+from rayquad.oracle import _base, _render_bases, _render_rays, _tabulate
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -83,7 +83,8 @@ def test_true_render_pinned(name, tol):
     field, segment = _case(name)
     assert true_render(field, segment, tol).tolist() == value
     rows = _tabulate([field.density], segment, _base(field.density, segment), 64)
-    out, err_total, n_evals = _render_rays([field], segment, rows, tol)[0]
+    bases = _render_bases([field], segment)
+    out, err_total, n_evals = _render_rays([field], segment, rows, bases, tol)[0]
     assert (out.tolist(), err_total, n_evals) == (first, err, evals)
 
 
@@ -94,7 +95,8 @@ def test_true_mean_termination_pinned(tol):
     assert true_mean_termination(scene, segment, tol) == value
     unit = AnalyticField(scene.density, UniformColor(np.array([1.0])))
     rows = _tabulate([scene.density], segment, _base(scene.density, segment), 64)
-    out, err_total, n_evals = _render_rays([unit], segment, rows, tol, weight=lambda x: x)[0]
+    bases = _render_bases([unit], segment)
+    out, err_total, n_evals = _render_rays([unit], segment, rows, bases, tol, weight=lambda x: x)[0]
     assert (out.tolist(), err_total, n_evals) == (first, err, evals)
 
 

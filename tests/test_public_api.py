@@ -45,7 +45,6 @@ TRACED_METHODS = (
     (rayquad.ContinuousRayCdf, "precise_sample"),
     (rayquad.ContinuousRayCdf, "cdf_eval"),
     (rayquad.DiscreteRayCdf, "surrogate_sample"),
-    (rayquad.CumulativeOpacityTable, "refined"),
 )
 
 
@@ -77,26 +76,6 @@ def test_traced_methods_exist(cls, name):
     assert inspect.isfunction(inspect.getattr_static(cls, name))
 
 
-
-def test_opacity_table_surface():
-    # The oracle pins build tables through the constructor, the tracer wraps
-    # ``refined``, and the oracle's mean termination reads ``total`` and ``tab_error``.
-    table_cls = rayquad.CumulativeOpacityTable
-    params = inspect.signature(table_cls).parameters.values()
-    assert [(p.name, p.default) for p in params] == [
-        ("density", inspect.Parameter.empty),
-        ("segment", inspect.Parameter.empty),
-        ("extra_breaks", None),
-    ]
-    for name in ("__init__", "refined"):
-        assert inspect.isfunction(inspect.getattr_static(table_cls, name))
-    assert isinstance(inspect.getattr_static(table_cls, "total"), property)
-    table = table_cls(rayquad.LogisticStep(10.0, 40.0, 1.0), rayquad.RaySegment(0.0, 4.0))
-    assert isinstance(table.tab_error, float)
-    assert isinstance(table.total, float)
-    assert isinstance(table.refined(), table_cls)
-
-
 def _module_level_definitions(tree):
     """Public functions, classes and constants a module defines."""
     for node in tree.body:
@@ -117,45 +96,74 @@ def _public_definitions():
             yield pytest.param(path, name, id=f"{path.stem}.{name}")
 
 
+def _read_outside_own_definition(tree, name) -> bool:
+    """Whether a module loads ``name`` outside the function or class that
+    defines it: a method naming its own class is no use."""
+    own = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            own |= {id(n) for n in ast.walk(node)}
+    return any(
+        isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load) and id(n) not in own
+        for n in ast.walk(tree)
+    )
+
+
 @pytest.mark.parametrize("module, name", _public_definitions())
 def test_public_name_is_used_outside_tests(module, name):
     # A public name that only tests reach belongs in the tests.  Its own
-    # module counts by the code that reads it; every other library module,
-    # the benchmark, the demos and the docs count by any mention.  The
-    # package's re-exports in __init__.py do not count: they name every
-    # public name, used or not.
-    loads = (n for n in ast.walk(ast.parse(module.read_text())) if isinstance(n, ast.Name))
-    if any(n.id == name and isinstance(n.ctx, ast.Load) for n in loads):
+    # module counts by the code that reads it outside the name's own
+    # definition; every other library module, the benchmark, the demos and
+    # the docs count by any mention.  The package's re-exports in
+    # __init__.py do not count: they name every public name, used or not.
+    # Nor does the benchmark's span tracer, which lists the names it wraps.
+    if _read_outside_own_definition(ast.parse(module.read_text()), name):
         return
-    skip = (module, SOURCES / "__init__.py")
+    skip = (module, SOURCES / "__init__.py", ROOT / "bench" / "tracer.py")
     texts = [p.read_text() for p in sorted(SOURCES.glob("*.py")) if p not in skip]
     for pattern in ("bench/*.py", "demos/*.py", "README.md", "docs/**/*"):
-        texts += [p.read_text() for p in sorted(ROOT.glob(pattern)) if p.is_file()]
+        texts += [p.read_text() for p in sorted(ROOT.glob(pattern)) if p.is_file() and p not in skip]
     word = re.compile(rf"\b{re.escape(name)}\b")
     assert any(word.search(text) for text in texts), f"{module.stem}.{name} is used only by tests"
 
 
-def _searchsorted_sites(path):
-    """``file:line`` of every ``searchsorted`` a module names, except inside
-    ``rays._interval``, the one interval locator."""
-    tree = ast.parse(path.read_text())
-    allowed = set()
-    if path.name == "rays.py":
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name == "_interval":
-                allowed = {id(n) for n in ast.walk(node)}
-    for node in ast.walk(tree):
-        # Attribute, Name, and import alias or definition spellings alike.
-        named = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
-        if named == "searchsorted" and id(node) not in allowed:
-            yield f"{path.name}:{node.lineno}"
+def _named(node):
+    # Attribute, Name, and import alias or definition spellings alike.
+    return getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+
+
+def _sites_outside(kernel, found):
+    """``file:line`` of every node ``found`` accepts in the library, except
+    inside ``kernel``, a ``module.function`` name."""
+    home, function = kernel.split(".")
+    for path in sorted(SOURCES.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.stem == home:
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == function:
+                    allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if found(node) and id(node) not in allowed:
+                yield f"{path.name}:{node.lineno}"
 
 
 def test_one_interval_locator():
     # Grids, samplers, profiles and the oracle's tables find a point's
     # interval only through ``rays._interval``, so the edge rule cannot fork.
-    sites = [site for path in sorted(SOURCES.glob("*.py")) for site in _searchsorted_sites(path)]
-    assert sites == []
+    sites = _sites_outside("rays._interval", lambda node: _named(node) == "searchsorted")
+    assert list(sites) == []
+
+
+def test_one_weighted_sum():
+    # ``render``, ``expected_depth`` and the commands' stacked rays take a
+    # pmf-weighted sum only through ``quadrature._weighted_sums``, so a
+    # stacked row cannot drift from its one-ray bits.
+    def found(node):
+        product = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        return product or _named(node) in ("matmul", "dot")
+
+    assert list(_sites_outside("quadrature._weighted_sums", found)) == []
 
 
 def _inf_comparisons(path):
