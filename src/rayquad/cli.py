@@ -2,7 +2,9 @@
 
 Every command is deterministic for a fixed seed and spec, writes
 ``<out>/<command>.csv`` (17 significant digits, newline line endings, so
-reruns diff byte-identically), and exits 0 only if its thresholds pass.
+reruns diff byte-identically), and exits 0 if its thresholds pass and 1 if
+one fails.  A usage error (an option the command does not read, a bad
+option value or scene file) or an oracle that does not converge exits 2.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class ExperimentSpec:
     seed: int = 0
     out: Path = field(default_factory=lambda: Path("out"))
     tol: float = 1e-10
+    _scene: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for name in ("n_coarse", "offsets"):
@@ -57,13 +60,12 @@ class ExperimentSpec:
             raise ValueError(f"seed must be nonnegative and an integer, got seed={self.seed!r}")
         if not _is_real(self.tol, "positive"):
             raise ValueError(f"tolerance must be positive and finite, got tol={self.tol!r}")
-        if self.scene is not None and not Path(self.scene).exists():
-            raise FileNotFoundError(f"scene file {self.scene} does not exist")
+        # Read here, so a missing or malformed scene is a usage error before any output.
+        if self.scene is not None:
+            self._scene = load_scene(self.scene)
 
     def load_scene_or(self, default_field, default_segment):
-        if self.scene is None:
-            return default_field, default_segment
-        return load_scene(self.scene)
+        return self._scene or (default_field, default_segment)
 
 
 def _fmt(x) -> str:
@@ -129,16 +131,10 @@ def cmd_convergence(spec: ExperimentSpec) -> bool:
     return ok
 
 
-def _stacked_sweep(scene, segment, n_coarse: int, n_offsets: int):
-    """The shift sweep (``fields._sweep_rows``) as offsets, then points, widths,
-    opacities and colors one row per offset."""
-    offsets, points, t, colors = _sweep_rows(scene, segment, n_coarse, n_offsets)
-    return offsets, points, points[:, 1:] - points[:, :-1], t, colors
-
-
 def cmd_shift_sensitivity(spec: ExperimentSpec) -> bool:
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
-    offsets, _, widths, t, colors = _stacked_sweep(scene, segment, spec.n_coarse, spec.offsets)
+    offsets, points, t, colors = _sweep_rows(scene, segment, spec.n_coarse, spec.offsets)
+    widths = np.diff(points)
     rows = []
     spreads = {}
     for model in _MODELS:
@@ -222,12 +218,13 @@ def cmd_grad_check(spec: ExperimentSpec) -> bool:
 
     for i in range(20):
         grid, tauv, colors = fixtures.gradient_instance(rng)
+        tau = OpacityTrace(tauv)
 
         for model, key in (
             (ModelKind.CONSTANT, "render_constant"),
             (ModelKind.LINEAR, "render_linear"),
         ):
-            analytic = grad_render_wrt_tau(model, grid, OpacityTrace(tauv), colors)
+            analytic = grad_render_wrt_tau(model, grid, tau, colors)
 
             def f(x, model=model):
                 pmf = _distributions(model, grid.widths, x)[2]
@@ -237,7 +234,7 @@ def cmd_grad_check(spec: ExperimentSpec) -> bool:
             worst[key] = max(worst[key], report.max_rel_err)
             rows.append((key, i, report.max_rel_err))
 
-        cdf = ContinuousRayCdf(grid, OpacityTrace(tauv))
+        cdf = ContinuousRayCdf(grid, tau)
         u = float(rng.uniform(0.05, min(0.95, cdf.cumulative[-1] * 0.98)))
         sg = grad_sample_wrt_tau(cdf, u)
         k = sg.bin
@@ -359,7 +356,8 @@ def cmd_render(spec: ExperimentSpec) -> bool:
 def cmd_depth(spec: ExperimentSpec) -> bool:
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
     truth = oracle.true_mean_termination(scene, segment, spec.tol)
-    offsets, points, widths, t, _ = _stacked_sweep(scene, segment, spec.n_coarse, spec.offsets)
+    offsets, points, t, _ = _sweep_rows(scene, segment, spec.n_coarse, spec.offsets)
+    widths = np.diff(points)
     mids = 0.5 * (points[:, :-1] + points[:, 1:])
     rows = []
     rmse = {}
@@ -417,8 +415,13 @@ def main(argv=None) -> int:
     for name in args:
         if name not in ("out", *reads):
             parser.error(f"{command} does not read --{name.replace('_', '-')}")
+    # A bad option value or scene is a usage error (exit 2); a command's own errors propagate.
     try:
-        passed = run(ExperimentSpec(**args))
+        spec = ExperimentSpec(**args)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+    try:
+        passed = run(spec)
     except oracle.NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -176,7 +176,7 @@ class LogisticStep(DensityProfile):
         return e if e.ndim else e[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledDensity(DensityProfile):
     """Density reconstructed from opacities at fixed knots.
 
@@ -227,7 +227,7 @@ class ColorProfile:
         return np.empty(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformColor(ColorProfile):
     value: np.ndarray
 
@@ -243,7 +243,7 @@ class UniformColor(ColorProfile):
         return np.broadcast_to(self.value, (s.size, self.value.shape[-1])).copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientColor(ColorProfile):
     """Linear blend from ``start_value`` at start to ``end_value`` at end."""
 
@@ -269,7 +269,7 @@ class GradientColor(ColorProfile):
         return self.start_value + frac[:, None] * (self.end_value - self.start_value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoToneColor(ColorProfile):
     """``before`` color up to the boundary, ``after`` color past it."""
 
@@ -295,7 +295,7 @@ class TwoToneColor(ColorProfile):
         return np.array([self.boundary])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseConstantColor(ColorProfile):
     """One color per knot interval, held constant (left-sample rule)."""
 
@@ -487,7 +487,7 @@ def shift_sweep(
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrazingRig:
     """Rays crossing a planar logistic wall at shallow angles.
 

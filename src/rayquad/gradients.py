@@ -26,7 +26,7 @@ from .sampling import ContinuousRayCdf
 REL_ERR_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradReport:
     """Analytic partials next to their central-difference estimates."""
 
@@ -102,7 +102,7 @@ def grad_render_wrt_tau(
     return grad
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleGradient:
     """Partials of one inverse-CDF sample w.r.t. every opacity value.
 

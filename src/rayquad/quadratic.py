@@ -28,7 +28,7 @@ import numpy as np
 from .rays import OpacityTrace, SampleGrid, _frozen, _is_real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticPatch:
     """Three knots and their opacities defining one parabola.
 

@@ -15,16 +15,17 @@ avoids underflow compounding in long products across opaque regions.
 
 ``_distributions`` is the one builder of ray distributions, for one ray
 or a stack of rays of one grid size; a stacked row is bit-identical to
-its one-ray build.  ``interval_pmf`` is its one-ray view: the exact
-sampler inverts through its log-transmittance and the render gradient
-reads its transmittance, so all of them see the same bits.  Each
-distribution is built once per trace: ``interval_pmf`` stores it on the
-``OpacityTrace``, keyed on the model and the grid's identity, and hands
-the same object to every later call with that trace, model and grid.  The
-memo is private to the trace and dies with it.  It is sound because
-traces and grids are immutable after construction.  ``_weighted_sums`` is
-the one pmf-weighted sum: ``render`` and ``expected_depth`` are its
-one-ray views, and the commands call it on stacked rays.
+its one-ray build.  ``interval_pmf`` is its one-ray view and the only
+maker of a ``RayDistribution``, so each one telescopes.  The exact sampler
+inverts through its log-transmittance and the render gradient reads its
+transmittance, so all of them see the same bits.  Each distribution is
+built once per trace: ``interval_pmf`` stores it on the ``OpacityTrace``,
+keyed on the model and the grid itself, and hands the same object to every
+later call with that trace, model and grid.  The memo is private to the
+trace and dies with it.  It is sound because traces and grids are
+immutable after construction.  ``_weighted_sums`` is the one pmf-weighted
+sum: ``render`` and ``expected_depth`` are its one-ray views, and the
+commands call it on stacked rays.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .rays import OPAQUE, ColorTrace, ModelKind, OpacityTrace, SampleGrid, _Adop
 _CROSSCHECK_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RayDistribution:
     """Termination distribution of one ray over the grid intervals.
 
@@ -48,25 +49,19 @@ class RayDistribution:
     zero) and transmittance[k] its exponential; pmf[j] is the probability
     of terminating in interval j, and cumulative[k] the prefix sum of the
     pmf.  ``cumulative[k] + transmittance[k] == 1`` holds to rounding
-    because the pmf telescopes.
+    because the pmf telescopes.  Only ``interval_pmf`` builds one.
     """
 
-    model: ModelKind
     log_transmittance: np.ndarray
     transmittance: np.ndarray
     pmf: np.ndarray
     cumulative: np.ndarray
 
     def __post_init__(self):
-        # A caller's arrays are copied; ``interval_pmf`` adopts its own, as copying
-        # them in a 65,536-sample two-pass render's four builds moves about 8 MB.
         for name in ("log_transmittance", "transmittance", "pmf", "cumulative"):
+            if not isinstance(getattr(self, name), _Adopted):
+                raise TypeError("a RayDistribution is built only by interval_pmf")
             _frozen(self, name)
-        if self.pmf.size + 1 != self.transmittance.size:
-            raise ValueError("pmf must have one entry per interval")
-        for name in ("log_transmittance", "cumulative"):
-            if getattr(self, name).size != self.transmittance.size:
-                raise ValueError(f"{name} must align with transmittance")
 
 
 def _distributions(model: ModelKind, widths: np.ndarray, t: np.ndarray):
@@ -138,18 +133,15 @@ def interval_pmf(
     with the same trace, model and grid object returns the distribution
     built the first time; only a build that passed every check is kept.
     """
-    # Grids are unhashable, so the key is the grid's id; the entry holds
-    # the grid itself, which keeps that id from being reused while it lives.
-    key = (model, id(grid))
-    hit = tau._dists.get(key)
-    if hit is not None and hit[0] is grid:
-        return hit[1]
-    log_t, trans, pmf, cumulative = _distributions(model, grid.widths, tau.values)
-    dist = RayDistribution(
-        model=model, log_transmittance=_Adopted(log_t), transmittance=_Adopted(trans),
-        pmf=_Adopted(pmf), cumulative=_Adopted(cumulative),
-    )
-    tau._dists[key] = (grid, dist)
+    key = (model, grid)
+    dist = tau._dists.get(key)
+    if dist is None:
+        log_t, trans, pmf, cumulative = _distributions(model, grid.widths, tau.values)
+        dist = RayDistribution(
+            log_transmittance=_Adopted(log_t), transmittance=_Adopted(trans),
+            pmf=_Adopted(pmf), cumulative=_Adopted(cumulative),
+        )
+        tau._dists[key] = dist
     return dist
 
 

@@ -4,7 +4,8 @@ Grids carry the boundary convention that the first grid point is the near
 bound and the last is the far bound, so a grid with ``n`` interior samples
 has ``n + 2`` points and ``n + 1`` intervals.  A grid builds its points and
 widths once; ``interior`` is a view of the points.  All values are float64
-and all containers are immutable after construction.
+and all containers are immutable after construction; one that holds an
+array compares and hashes by identity (``eq=False``).
 
 ``_frozen`` is the one intake of a caller's array into an immutable value:
 it copies the array, so the caller's own is never shared or frozen, rejects
@@ -219,7 +220,7 @@ class RaySegment:
         return self.far - self.near
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleGrid:
     """Strictly increasing sample distances on a ray segment.
 
@@ -268,17 +269,17 @@ class SampleGrid:
         return self._widths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpacityTrace:
     """Opacity (1/distance) at every grid point, length n + 2.
 
     ``quadrature.interval_pmf`` keeps the distributions it builds from this
-    trace in a private per-instance memo, keyed on the model and the
-    grid's identity; it lives and dies with the trace.
+    trace in a private per-instance memo, keyed on the model and the grid
+    itself; it lives and dies with the trace.
     """
 
     values: np.ndarray
-    _dists: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _dists: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         values = _frozen(self, "values")
@@ -290,7 +291,7 @@ class OpacityTrace:
         return self.values[1:-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColorTrace:
     """Per-interval emitted colors, shape (n + 1, channels), values in [0, 1]."""
 

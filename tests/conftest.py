@@ -9,6 +9,8 @@ from rayquad import (
     floor_opacity,
     oracle,
 )
+from rayquad.quadrature import RayDistribution
+from rayquad.rays import _Adopted
 
 
 def random_instance(rng, n_max=64, tau_lo=1e-6, tau_hi=10.0, convention=None):
@@ -26,6 +28,13 @@ def random_instance(rng, n_max=64, tau_lo=1e-6, tau_hi=10.0, convention=None):
     if convention is not None:
         trace = apply_far_convention(trace, convention)
     return grid, floor_opacity(trace)
+
+
+def hand_distribution(log_transmittance, transmittance, pmf, cumulative):
+    """A ``RayDistribution`` of copies of these arrays, adopted as ``interval_pmf``
+    adopts its own: a test sets a pmf that no opacity trace gives."""
+    arrays = (log_transmittance, transmittance, pmf, cumulative)
+    return RayDistribution(*(_Adopted(np.array(a, dtype=np.float64)) for a in arrays))
 
 
 @pytest.fixture

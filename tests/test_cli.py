@@ -32,11 +32,13 @@ class TestSpecValidation:
             ExperimentSpec(tol=0.0)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
-    def test_rejects_tolerance_outside_positive_reals(self, tol, tmp_path, engine_guard):
+    def test_rejects_tolerance_outside_positive_reals(self, tol, tmp_path, capsys, engine_guard):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             ExperimentSpec(tol=tol)
-        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        with pytest.raises(SystemExit) as exit_:
             run(["convergence", "--tol", tol, "--out", tmp_path])
+        assert exit_.value.code == 2
+        assert "rayquad: error: tolerance must be positive and finite" in capsys.readouterr().err
 
     def test_parser_defaults_are_spec_defaults(self):
         # The parser sets only the options given; the defaults live in ExperimentSpec.
@@ -46,12 +48,40 @@ class TestSpecValidation:
         with pytest.raises(FileNotFoundError):
             ExperimentSpec(scene=tmp_path / "nope.json")
 
-    def test_rejects_negative_seed(self, tmp_path):
+    def test_rejects_negative_seed(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             ExperimentSpec(seed=-1)
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
+        with pytest.raises(SystemExit) as exit_:
             run(["sampler-test", "--seed", -1, "--out", tmp_path])
+        assert exit_.value.code == 2
+        assert "rayquad: error: seed must be nonnegative" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["render", "--n-coarse", "0"], "counts must be positive integers, got n_coarse=0"),
+            (["depth", "--offsets", "-3"], "counts must be positive integers, got offsets=-3"),
+            (["convergence", "--tol", "-1"], "tolerance must be positive and finite"),
+            (["convergence", "--scene", "{tmp}/missing.json"], "No such file or directory"),
+            (["depth", "--scene", "{tmp}/not-json"], "Expecting value"),
+            (["convergence", "--scene", "{tmp}/unknown-key"], "scene segment: unknown key 'depth'"),
+        ],
+        ids=["n-coarse", "offsets", "tol", "scene-missing", "scene-not-json", "scene-unknown-key"],
+    )
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, args, message):
+        # Exit 1 means a paper threshold failed; a bad call exits 2 before writing.
+        scene = json.loads(SCENE.read_text())
+        scene["segment"]["depth"] = 1.0
+        (tmp_path / "unknown-key").write_text(json.dumps(scene))
+        (tmp_path / "not-json").write_text("segment: [0, 1]\n")
+        with pytest.raises(SystemExit) as exit_:
+            run([*(a.format(tmp=tmp_path) for a in args), "--out", tmp_path / "out"])
+        assert exit_.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if "error" in line] == [lines[-1]]
+        assert lines[-1].startswith("rayquad: error: ") and message in lines[-1]
+        assert not (tmp_path / "out").exists()
 
 
 SCENE = Path(__file__).parent.parent / "scenes" / "constant_slab.json"

@@ -21,10 +21,8 @@ from rayquad import (
     ContinuousRayCdf,
     GradReport,
     IntegrationResult,
-    ModelKind,
     OpacityTrace,
     QuadraticPatch,
-    RayDistribution,
     RaySegment,
     finite_diff_check,
     grad_sample_wrt_tau,
@@ -92,17 +90,6 @@ CONSTRUCTORS = {
         {"angles": [0.3, 0.7]},
         {"wall_amplitude": 10.0, "wall_steepness": 40.0, "wall_depth": 1.0},
         lambda v: np.array([v.ray_field(float(a)).tau(S) for a in v.angles]),
-    ),
-    "RayDistribution": (
-        RayDistribution,
-        {
-            "log_transmittance": [0.0, -0.5, -1.0],
-            "transmittance": [1.0, 0.6, 0.4],
-            "pmf": [0.4, 0.2],
-            "cumulative": [0.0, 0.4, 0.6],
-        },
-        {"model": ModelKind.LINEAR},
-        lambda v: np.concatenate([v.log_transmittance, v.transmittance, v.pmf, v.cumulative]),
     ),
     "QuadraticPatch": (
         QuadraticPatch,

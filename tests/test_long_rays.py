@@ -21,7 +21,6 @@ from rayquad import (
     GrazingRig,
     ModelKind,
     OpacityTrace,
-    RayDistribution,
     RaySegment,
     SampleGrid,
     apply_far_convention,
@@ -37,6 +36,8 @@ from rayquad import (
 from rayquad.fields import LogisticStep, _by_ray, _shifted_points
 from rayquad.rays import EPS_OPACITY
 from rayquad.sampling import MERGE_TOL, _stratified_unit_samples
+
+from conftest import hand_distribution
 
 N = 65_536
 UNIT = (N + 2) * 8
@@ -185,7 +186,7 @@ class TestBitIdentity:
         grid = SampleGrid(np.array(interior), RaySegment(0.0, 1.0))
         cumulative = np.concatenate(([0.0], np.cumsum(pmf)))
         trans = 1.0 - cumulative
-        dist = RayDistribution(ModelKind.CONSTANT, np.log(trans), trans, np.array(pmf), cumulative)
+        dist = hand_distribution(np.log(trans), trans, pmf, cumulative)
         cdf = DiscreteRayCdf(grid, dist)
         fine = hierarchical_samples(cdf, 64, 3)
         assert fine.n < grid.n + 64

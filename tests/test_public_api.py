@@ -7,14 +7,19 @@ so a deletion or rename fails this test instead of a benchmark run.
 """
 
 import ast
+import copy
+import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rayquad
 import rayquad.cli
+from rayquad import fields
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = ROOT / "src" / "rayquad"
@@ -164,6 +169,65 @@ def test_one_weighted_sum():
         return product or _named(node) in ("matmul", "dot")
 
     assert list(_sites_outside("quadrature._weighted_sums", found)) == []
+
+
+def test_one_distribution_maker():
+    # Only the kernel's telescoped arrays make a ``RayDistribution``, so no
+    # library path can hand a sampler or a render a non-probability.
+    def found(node):
+        return isinstance(node, ast.Call) and _named(node.func) == "RayDistribution"
+
+    assert list(_sites_outside("quadrature.interval_pmf", found)) == []
+
+
+def _library_dataclasses():
+    for path in sorted(SOURCES.glob("*.py")):
+        module = importlib.import_module(f"rayquad.{path.stem}")
+        for value in vars(module).values():
+            if isinstance(value, type) and dataclasses.is_dataclass(value):
+                if value.__module__ == module.__name__:
+                    yield value
+
+
+# Dataclasses with an array field, as ``fields._from_scene`` reads the annotation.
+ARRAY_HOLDERS = [
+    cls
+    for cls in _library_dataclasses()
+    if any(f.type == "np.ndarray" for f in dataclasses.fields(cls))
+]
+
+
+def _one_of_each():
+    """One instance of each array-holding dataclass, by class name."""
+    grid = rayquad.make_uniform_grid(rayquad.RaySegment(0.0, 2.0), 2)
+    tau = rayquad.OpacityTrace([0.0, 1.0, 2.0, 1.0])
+    values = [
+        grid,
+        tau,
+        rayquad.ColorTrace([0.2, 0.4, 0.6]),
+        rayquad.interval_pmf(rayquad.ModelKind.LINEAR, grid, tau),
+        fields.SampledDensity([0.0, 1.0], [1.0, 2.0]),
+        fields.UniformColor([0.5]),
+        fields.GradientColor([0.1], [0.9], start=0.0, end=1.0),
+        fields.TwoToneColor([0.1], [0.9], boundary=1.0),
+        fields.PiecewiseConstantColor([0.0, 1.0, 2.0], [[0.1], [0.9]]),
+        rayquad.GrazingRig(10.0, 40.0, 1.0, angles=[0.3]),
+        rayquad.QuadraticPatch([0.0, 1.0, 2.0], [1.0, 2.0, 1.5]),
+        rayquad.finite_diff_check(lambda x: x.sum(axis=1), np.ones(2), np.ones(2)),
+        rayquad.grad_sample_wrt_tau(rayquad.ContinuousRayCdf(grid, tau), 0.5),
+    ]
+    return {type(v).__name__: v for v in values}
+
+
+@pytest.mark.parametrize("cls", ARRAY_HOLDERS, ids=lambda cls: cls.__name__)
+def test_array_holder_compares_by_identity(cls):
+    # A generated ``__eq__`` compares array fields with numpy's elementwise
+    # ``==`` and raises, and its ``__hash__`` hashes an unhashable array;
+    # ``eq=False`` gives identity equality and hash instead.
+    assert not cls.__dataclass_params__.eq, f"{cls.__name__} must be declared eq=False"
+    value = _one_of_each()[cls.__name__]
+    assert value == value and value != copy.copy(value)
+    assert hash(value) == hash(value) and value in {value}
 
 
 def _inf_comparisons(path):

@@ -29,7 +29,7 @@ from rayquad import quadrature
 from rayquad.fields import AnalyticField, GaussianBump, UniformColor
 from rayquad import fixtures
 
-from conftest import random_instance
+from conftest import hand_distribution, random_instance
 
 
 def two_interval_setup():
@@ -209,7 +209,6 @@ class TestOneBuilder:
             grid, tau = random_instance(rng, convention=FarConvention.OPAQUE_FAR)
             built = ContinuousRayCdf(grid, tau).dist
             direct = interval_pmf(ModelKind.LINEAR, grid, tau)
-            assert built.model is direct.model
             for name in ("log_transmittance", "transmittance", "pmf", "cumulative"):
                 np.testing.assert_array_equal(getattr(built, name), getattr(direct, name))
 
@@ -398,10 +397,7 @@ class TestExpectedDepth:
         dist = interval_pmf(ModelKind.CONSTANT, grid, tau)
         forced = np.zeros_like(dist.pmf)
         forced[1] = 1.0
-        from rayquad.quadrature import RayDistribution
-
-        concentrated = RayDistribution(
-            model=ModelKind.CONSTANT,
+        concentrated = hand_distribution(
             log_transmittance=dist.log_transmittance,
             transmittance=dist.transmittance,
             pmf=forced,
@@ -413,11 +409,8 @@ class TestExpectedDepth:
         grid = make_uniform_grid(RaySegment(0.0, 2.0), 3)
         tau = OpacityTrace(np.full(5, 0.5))
         dist = interval_pmf(ModelKind.CONSTANT, grid, tau)
-        from rayquad.quadrature import RayDistribution
-
         sym = 0.5 * (dist.pmf + dist.pmf[::-1])
-        sym_dist = RayDistribution(
-            model=ModelKind.CONSTANT,
+        sym_dist = hand_distribution(
             log_transmittance=dist.log_transmittance,
             transmittance=dist.transmittance,
             pmf=sym,

@@ -7,7 +7,6 @@ from rayquad import (
     OPAQUE,
     ColorTrace,
     FarConvention,
-    ModelKind,
     OpacityTrace,
     RaySegment,
     SampleGrid,
@@ -17,6 +16,8 @@ from rayquad import (
 )
 from rayquad.quadrature import RayDistribution
 from rayquad.rays import _FEW_EDGES, _MANY_POINTS, _Adopted, _interval
+
+from conftest import hand_distribution
 
 
 class TestRaySegment:
@@ -74,10 +75,6 @@ class TestGridArrays:
 SEGMENT = RaySegment(0.0, 2.0)
 
 
-def adopted_dist(*arrays):
-    return RayDistribution(ModelKind.LINEAR, *(_Adopted(np.array(a)) for a in arrays))
-
-
 class TestAdoptPath:
     """A library-built array is stored frozen in place, not copied, and
     meets the same checks as a caller's array."""
@@ -100,14 +97,23 @@ class TestAdoptPath:
             lambda: SampleGrid(_Adopted(np.array([0.0, 1.5, 0.5, 0.0])), SEGMENT),
             lambda: SampleGrid(_Adopted(np.array([0.0, np.nan, 0.0])), SEGMENT),
             lambda: SampleGrid(_Adopted(np.zeros(2)), SEGMENT),
-            lambda: adopted_dist([0.0, -1.0], [1.0, 0.4], [0.6, 0.1], [0.0, 0.6]),
-            lambda: adopted_dist([0.0, -np.inf], [1.0, 0.0], [1.0], [0.0, 1.0]),
+            lambda: hand_distribution([0.0, -np.inf], [1.0, 0.0], [1.0], [0.0, 1.0]),
         ],
-        ids=["trace-nan", "trace-short", "grid-order", "grid-nan", "grid-empty", "dist-shape", "dist-inf"],
+        ids=["trace-nan", "trace-short", "grid-order", "grid-nan", "grid-empty", "dist-inf"],
     )
     def test_checks_still_run(self, build):
         with pytest.raises(ValueError):
             build()
+
+    @pytest.mark.parametrize("adopted", [(), ("pmf",)], ids=["caller", "mixed"])
+    def test_distribution_refuses_caller_arrays(self, adopted):
+        # Only ``interval_pmf`` makes a distribution, so a caller's arrays,
+        # here a pmf with a negative entry, never pass for a probability.
+        names = ("log_transmittance", "transmittance", "pmf", "cumulative")
+        arrays = (np.zeros(3), np.ones(3), np.array([2.0, -1.0]), np.array([0.0, 2.0, 1.0]))
+        fields = {n: _Adopted(a) if n in adopted else a for n, a in zip(names, arrays)}
+        with pytest.raises(TypeError, match="interval_pmf"):
+            RayDistribution(**fields)
 
 
 class TestGridValidation:

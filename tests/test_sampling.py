@@ -20,7 +20,6 @@ from rayquad import (
 )
 from rayquad import fixtures
 from rayquad.fields import opaque_trace
-from rayquad.quadrature import RayDistribution
 from rayquad.quadrature import _distributions
 from rayquad.rays import _BLOCK
 from rayquad.sampling import (
@@ -31,7 +30,7 @@ from rayquad.sampling import (
     _stratified_unit_samples,
 )
 
-from conftest import random_instance
+from conftest import hand_distribution, random_instance
 
 
 def wall_distribution(model, grid):
@@ -49,8 +48,7 @@ def rect_distribution():
     """
     grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
     pmf = np.array([0.5, 0.5])
-    dist = RayDistribution(
-        model=ModelKind.CONSTANT,
+    dist = hand_distribution(
         log_transmittance=np.array([0.0, np.log(0.5), np.log(0.5) - OPAQUE]),
         transmittance=np.array([1.0, 0.5, 0.0]),
         pmf=pmf,
@@ -66,8 +64,7 @@ class TestSurrogateSampler:
 
     def test_zero_draw_returns_first_positive_bin_edge(self):
         grid = SampleGrid(np.array([1.0, 1.5]), RaySegment(0.0, 2.0))
-        dist = RayDistribution(
-            model=ModelKind.CONSTANT,
+        dist = hand_distribution(
             log_transmittance=np.array([0.0, 0.0, np.log(0.5), np.log(0.5) - OPAQUE]),
             transmittance=np.array([1.0, 1.0, 0.5, 0.0]),
             pmf=np.array([0.0, 0.5, 0.5]),
@@ -657,7 +654,7 @@ def zero_span_surrogate(grid):
     pmf *= 0.5 / pmf.sum()
     cumulative = np.concatenate([[0.0], np.cumsum(pmf)])
     trans = 1.0 - cumulative
-    dist = RayDistribution(ModelKind.CONSTANT, np.log(trans), trans, pmf, cumulative)
+    dist = hand_distribution(np.log(trans), trans, pmf, cumulative)
     return DiscreteRayCdf(grid, dist)
 
 
