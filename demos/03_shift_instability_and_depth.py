@@ -9,7 +9,10 @@ termination depth biasing late under the constant model.
 import numpy as np
 
 from rayquad import (
+    ColorTrace,
     ModelKind,
+    OpacityTrace,
+    SampleGrid,
     expected_depth,
     interval_pmf,
     render,
@@ -22,14 +25,19 @@ scene = fixtures.shift_scene()
 segment = fixtures.SHIFT_SEGMENT
 n = fixtures.SHIFT_N
 h = segment.span / (n + 1)
-sweep = shift_sweep(scene, segment, n, 32)
+# One row per shift; the public constructors make each row a one-ray grid and traces.
+_, points, taus, colors = shift_sweep(scene, segment, n, 32)
+sweep = [
+    (SampleGrid(p[1:-1], segment), OpacityTrace(t), ColorTrace(c))
+    for p, t, c in zip(points, taus, colors)
+]
 
 print(f"logistic wall on [{segment.near}, {segment.far}], {n} samples, "
       f"sweeping offsets over one spacing h = {h:.4f}")
 
 spreads = {}
 for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
-    values = [render(interval_pmf(model, g, tau), colors)[0] for _, g, tau, colors in sweep]
+    values = [render(interval_pmf(model, g, tau), colors)[0] for g, tau, colors in sweep]
     spreads[model] = max(values) - min(values)
     print(f"  {model.value:8s} rendered-value spread over offsets: {spreads[model]:.3e}")
 
@@ -39,6 +47,6 @@ print(f"spread ratio constant/linear: "
 truth = true_mean_termination(scene, segment, 1e-10)
 print(f"\noracle mean termination depth: {truth:.6f}")
 for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
-    errs = [expected_depth(interval_pmf(model, g, tau), g) - truth for _, g, tau, _ in sweep]
+    errs = [expected_depth(interval_pmf(model, g, tau), g) - truth for g, tau, _ in sweep]
     rmse = float(np.sqrt(np.mean(np.square(errs))))
     print(f"  {model.value:8s} depth RMSE vs oracle: {rmse:.6f}")

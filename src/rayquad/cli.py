@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures, oracle
-from .fields import GrazingRig, _sweep_rows, _trace_rows, load_scene, sample_field
+from .fields import GrazingRig, _trace_rows, load_scene, sample_field, shift_sweep
 from .gradients import finite_diff_check, grad_render_wrt_tau, grad_sample_wrt_tau
 from .quadratic import (
     PATHOLOGICAL_PATCH,
@@ -133,7 +133,7 @@ def cmd_convergence(spec: ExperimentSpec) -> bool:
 
 def cmd_shift_sensitivity(spec: ExperimentSpec) -> bool:
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
-    offsets, points, t, colors = _sweep_rows(scene, segment, spec.n_coarse, spec.offsets)
+    offsets, points, t, colors = shift_sweep(scene, segment, spec.n_coarse, spec.offsets)
     widths = np.diff(points)
     rows = []
     spreads = {}
@@ -356,7 +356,7 @@ def cmd_render(spec: ExperimentSpec) -> bool:
 def cmd_depth(spec: ExperimentSpec) -> bool:
     scene, segment = spec.load_scene_or(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT)
     truth = oracle.true_mean_termination(scene, segment, spec.tol)
-    offsets, points, t, _ = _sweep_rows(scene, segment, spec.n_coarse, spec.offsets)
+    offsets, points, t, _ = shift_sweep(scene, segment, spec.n_coarse, spec.offsets)
     widths = np.diff(points)
     mids = 0.5 * (points[:, :-1] + points[:, 1:])
     rows = []

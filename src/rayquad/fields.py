@@ -12,13 +12,14 @@ float64 copies, so a profile never shares or freezes the caller's array.
 
 ``_trace_rows`` is the one path from fields to renderable traces: R rows
 in one pass, either R same-class fields on one grid (``render``) or one
-field on R grids (``shift_sweep``, ``depth``).  ``opaque_trace`` is its
-one-row view and ``shift_sweep`` a view of its rows; the CLI takes the
-stacked arrays directly.  ``sample_field`` samples one field without the
-far convention.  A trace adopts, without a copy, the output of the
-library's own profile classes (``_FRESH``), which is a fresh array on
-every call; any other profile's output is copied, as a user profile may
-keep the array it returns.
+field on R shifted grids (``shift_sweep``).  ``opaque_trace`` is its
+one-row view; ``shift_sweep`` returns the stacked rows, which the CLI
+reads directly and from which the public constructors build one-ray
+traces.  ``sample_field`` samples one field without the far convention.
+A trace adopts, without a copy, the output of the library's own profile
+classes (``_FRESH``), which is a fresh array on every call; any other
+profile's output is copied, as a user profile may keep the array it
+returns.
 
 The scalar-parameter profiles (``ConstantSlab``, ``LinearRamp``,
 ``GaussianBump``, ``LogisticStep``, ``UniformColor``, ``GradientColor``
@@ -446,45 +447,26 @@ def opaque_trace(
     return OpacityTrace(_Adopted(tau[0])), ColorTrace(_Adopted(colors[0]))
 
 
-def _shifted_points(grid: SampleGrid, offsets: np.ndarray) -> np.ndarray:
-    """One row of points per offset: ``grid``'s, every interior sample translated by it."""
-    gaps = grid.widths
-    outside = ~((offsets >= 0.0) & (offsets < gaps.min()))
-    if outside.any():
-        raise ValueError(f"offset {offsets[outside][0]} outside [0, min gap {gaps.min()})")
-    pts = np.empty((offsets.size, grid.points.size))
-    np.add(grid.interior, offsets[:, None], out=pts[:, 1:-1])
-    pts[:, 0], pts[:, -1] = grid.segment.near, grid.segment.far
-    if (pts[:, -2] >= grid.segment.far).any():
-        raise ValueError("shifted samples must stay inside the segment")
-    return pts
+def shift_sweep(field: AnalyticField, segment: RaySegment, n: int, offsets: int):
+    """``opaque_trace`` of ``field`` on a uniform ``n``-sample grid at shifted offsets, as
+    rows: shifts (R,), points (R, n + 2), opacities (R, n + 2) and colors (R, n + 1, C).
 
-
-def _sweep_rows(field: AnalyticField, segment: RaySegment, n: int, offsets: int):
-    """``shift_sweep`` as stacked rows: offsets (R,), grid points (R, n + 2), and
-    the opacities and colors of ``_trace_rows`` on them."""
+    The ``offsets`` shifts, a positive count, are equally spaced over one grid spacing from
+    zero, and each translates every interior sample.  A shift that reaches the least gap,
+    or a last sample pushed onto the far bound, raises ValueError.
+    """
     if not _is_count(offsets, "positive"):
         raise ValueError(f"need a positive integer count of shifts, got offsets={offsets!r}")
-    grid0 = make_uniform_grid(segment, n)
+    grid = make_uniform_grid(segment, n)
     shifts = np.linspace(0.0, segment.span / (n + 1), offsets, endpoint=False)
-    points = _shifted_points(grid0, shifts)
+    gap = grid.widths.min()
+    if shifts[-1] >= gap:
+        raise ValueError(f"offset {shifts[shifts >= gap][0]} outside [0, min gap {gap})")
+    points = grid.points + shifts[:, None]
+    points[:, 0], points[:, -1] = segment.near, segment.far
+    if (points[:, -2] >= segment.far).any():
+        raise ValueError("shifted samples must stay inside the segment")
     return shifts, points, *_trace_rows([field], points)
-
-
-def shift_sweep(
-    field: AnalyticField, segment: RaySegment, n: int, offsets: int
-) -> list[tuple[float, SampleGrid, OpacityTrace, ColorTrace]]:
-    """``opaque_trace`` of ``field`` on a uniform ``n``-sample grid at shifted offsets.
-
-    The ``offsets`` shifts, a positive count, are equally spaced over one grid
-    spacing, starting at zero.  Returns ``(offset, grid, tau, colors)`` per shift,
-    one row each of ``_sweep_rows``.
-    """
-    return [
-        (float(off), SampleGrid(_Adopted(p), segment), OpacityTrace(_Adopted(t)),
-         ColorTrace(_Adopted(c)))
-        for off, p, t, c in zip(*_sweep_rows(field, segment, n, offsets))
-    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,10 +564,13 @@ def load_scene(path: str | Path) -> tuple[AnalyticField, RaySegment]:
     Every object must have exactly its schema's keys, and every value must be
     a number a constructor takes (``rays._is_real``: finite, not a bool), or a
     non-empty list of them for a color; an unknown or missing key or a wrongly
-    typed value raises ValueError naming the key.  See docs/scene-format.md
-    for the schema.
+    typed value raises ValueError naming the key, and a file that is not JSON
+    one naming the file.  See docs/scene-format.md for the schema.
     """
-    spec = json.loads(Path(path).read_text())
+    try:
+        spec = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"scene {path} is not JSON: {err}") from None
     if isinstance(spec, dict):
         spec.setdefault("color", {"kind": "uniform", "value": [1.0]})
     _checked(spec, ("field", "segment", "color"), "scene")

@@ -54,6 +54,9 @@ from .fields import _GATHERABLE, AnalyticField, DensityProfile, _by_ray
 from .rays import RaySegment, _blocks, _interval, _is_count, _is_real
 
 _MAX_DEPTH = 48
+# ``true_interval_probabilities`` doubles past 8192 sub-panels per base panel only while the
+# table stays within this many: a deep ray's one panel needs 16384, many edges cost what 8192 did.
+_MAX_SUB_PANELS = 65536
 
 
 @dataclass(frozen=True)
@@ -397,8 +400,8 @@ def true_interval_probabilities(
     edge bounds that accuracy at about ulp * |tau'| / tau.  Raises
     NoConvergenceError if a panel hits the depth limit, or if a density
     outside the piecewise-linear class is still tabulated above rtol / 8
-    at 8192 sub-panels; the partial's error adds each interval's gap to
-    its tabulated mass and the tabulation error to the engine's estimates.
+    when doubling stops (``_MAX_SUB_PANELS``); the partial's error adds each
+    interval's gap to its tabulated mass and the tabulation error to the engine's estimates.
     """
     if not _is_real(rtol, "positive"):
         raise ValueError(f"relative tolerance must be positive and finite, got rtol={rtol!r}")
@@ -409,7 +412,9 @@ def true_interval_probabilities(
         raise ValueError(f"edges must increase strictly within [{segment.near}, {segment.far}]")
     base, exact = _base(field.density, segment, edges[1:-1]), _is_exact_class(field.density)
     rows = _tabulate([field.density], segment, base, 64)
-    while not exact and rows.tab_error[0] > rtol / 8.0 and rows.n_sub < 8192:
+    while not exact and rows.tab_error[0] > rtol / 8.0 and (
+        rows.n_sub < 8192 or 2 * rows.widths.size <= _MAX_SUB_PANELS
+    ):
         rows = _tabulate([field.density], segment, base, 2 * rows.n_sub)
     tab_error = float(rows.tab_error[0])
     cumulative = _flat_cumulative(rows)
@@ -429,7 +434,7 @@ def true_interval_probabilities(
     untabulated = not exact and tab_error > rtol / 8.0
     if failed.any() or untabulated:
         raise NoConvergenceError(
-            f"opacity tabulation error {tab_error:.3g} above rtol / 8 at 8192 sub-panels"
+            f"opacity tabulation error {tab_error:.3g} above rtol / 8 at {rows.n_sub} sub-panels"
             if untabulated
             else f"adaptive Simpson did not converge on {failed.sum()} of {lo.size} intervals",
             partial=IntegrationResult(

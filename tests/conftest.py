@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from rayquad import (
+    ColorTrace,
     OpacityTrace,
     RaySegment,
     SampleGrid,
     apply_far_convention,
     floor_opacity,
     oracle,
+    shift_sweep,
 )
 from rayquad.quadrature import RayDistribution
 from rayquad.rays import _Adopted
@@ -28,6 +30,16 @@ def random_instance(rng, n_max=64, tau_lo=1e-6, tau_hi=10.0, convention=None):
     if convention is not None:
         trace = apply_far_convention(trace, convention)
     return grid, floor_opacity(trace)
+
+
+def sweep_traces(field, segment, n, offsets):
+    """``shift_sweep``'s rows as one-ray ``(grid, tau, colors)`` triples, built
+    with the public constructors."""
+    _, points, taus, colors = shift_sweep(field, segment, n, offsets)
+    return [
+        (SampleGrid(p[1:-1], segment), OpacityTrace(t), ColorTrace(c))
+        for p, t, c in zip(points, taus, colors)
+    ]
 
 
 def hand_distribution(log_transmittance, transmittance, pmf, cumulative):

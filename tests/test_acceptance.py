@@ -36,7 +36,6 @@ from rayquad import (
     quad_integral_right,
     render,
     sample_field,
-    shift_sweep,
     true_interval_probabilities,
     true_mean_termination,
     true_render,
@@ -44,7 +43,7 @@ from rayquad import (
 from rayquad import fixtures
 from rayquad.fields import PiecewiseConstantColor, SampledDensity
 
-from conftest import random_instance
+from conftest import random_instance, sweep_traces
 
 
 def report(number, name, ok, elapsed, budget, detail=""):
@@ -187,12 +186,12 @@ class TestAcceptance:
         start = time.time()
         scene = fixtures.shift_scene()
         segment = fixtures.SHIFT_SEGMENT
-        sweep = shift_sweep(scene, segment, fixtures.SHIFT_N, 32)
+        sweep = sweep_traces(scene, segment, fixtures.SHIFT_N, 32)
         spreads = {}
         for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
             values = [
                 float(render(interval_pmf(model, g, tau), colors)[0])
-                for _, g, tau, colors in sweep
+                for g, tau, colors in sweep
             ]
             spreads[model] = max(values) - min(values)
         ratio = spreads[ModelKind.CONSTANT] / spreads[ModelKind.LINEAR]
@@ -304,12 +303,12 @@ class TestAcceptance:
         scene = fixtures.shift_scene()
         segment = fixtures.SHIFT_SEGMENT
         truth = true_mean_termination(scene, segment, 1e-10)
-        sweep = shift_sweep(scene, segment, 32, 32)
+        sweep = sweep_traces(scene, segment, 32, 32)
         rmse = {}
         for model in (ModelKind.CONSTANT, ModelKind.LINEAR):
             errs = [
                 expected_depth(interval_pmf(model, g, tau), g) - truth
-                for _, g, tau, _ in sweep
+                for g, tau, _ in sweep
             ]
             rmse[model] = float(np.sqrt(np.mean(np.square(errs))))
         elapsed = time.time() - start

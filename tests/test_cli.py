@@ -64,7 +64,7 @@ class TestSpecValidation:
             (["depth", "--offsets", "-3"], "counts must be positive integers, got offsets=-3"),
             (["convergence", "--tol", "-1"], "tolerance must be positive and finite"),
             (["convergence", "--scene", "{tmp}/missing.json"], "No such file or directory"),
-            (["depth", "--scene", "{tmp}/not-json"], "Expecting value"),
+            (["depth", "--scene", "{tmp}/not-json"], "scene {tmp}/not-json is not JSON: Expecting value"),
             (["convergence", "--scene", "{tmp}/unknown-key"], "scene segment: unknown key 'depth'"),
         ],
         ids=["n-coarse", "offsets", "tol", "scene-missing", "scene-not-json", "scene-unknown-key"],
@@ -80,7 +80,7 @@ class TestSpecValidation:
         assert exit_.value.code == 2
         lines = capsys.readouterr().err.splitlines()
         assert [line for line in lines if "error" in line] == [lines[-1]]
-        assert lines[-1].startswith("rayquad: error: ") and message in lines[-1]
+        assert lines[-1].startswith("rayquad: error: ") and message.format(tmp=tmp_path) in lines[-1]
         assert not (tmp_path / "out").exists()
 
 

@@ -35,9 +35,7 @@ from rayquad.fields import (
     SampledDensity,
     _by_ray,
     _gather,
-    _shifted_points,
     _stack,
-    _sweep_rows,
     _trace_rows,
 )
 from rayquad.rays import FarConvention
@@ -116,45 +114,38 @@ class TestOpaqueTrace:
         np.testing.assert_array_equal(tau.values, [0.0, EPS_OPACITY, 2.0, 2.0, OPAQUE])
         np.testing.assert_array_equal(colors.values, sample_field(field, grid)[1].values)
 
-    def test_shift_sweep_traces_each_shifted_grid(self):
-        field = AnalyticField(LogisticStep(10.0, 40.0, 1.0))
-        segment = RaySegment(0.0, 2.0)
-        sweep = shift_sweep(field, segment, 7, 4)
-        offsets = np.linspace(0.0, segment.span / 8, 4, endpoint=False)
-        assert [off for off, *_ in sweep] == offsets.tolist()
-        grid0 = make_uniform_grid(segment, 7)
-        for off, grid, tau, colors in sweep:
-            np.testing.assert_array_equal(grid.points, SampleGrid(grid0.interior + off, segment).points)
-            expected_tau, expected_colors = opaque_trace(field, grid)
-            np.testing.assert_array_equal(tau.values, expected_tau.values)
-            np.testing.assert_array_equal(colors.values, expected_colors.values)
-
 
 class TestShiftedGrid:
+    field = AnalyticField(LogisticStep(10.0, 40.0, 1.0))
+    segment = RaySegment(0.0, 2.0)
+    # One ulp at 1e15 is 0.125, so the grid's gaps there round to multiples of it.
+    far_field = AnalyticField(LogisticStep(10.0, 40.0, 1e15 + 0.5))
+    far_segment = RaySegment(1e15, 1e15 + 1)
+
     def test_zero_offset_is_identity(self):
-        grid = make_uniform_grid(RaySegment(0.0, 2.0), 7)
-        assert np.array_equal(_shifted_points(grid, np.array([0.0]))[0], grid.points)
+        shifts, points, _, _ = shift_sweep(self.field, self.segment, 7, 1)
+        assert shifts.tolist() == [0.0]
+        assert np.array_equal(points[0], make_uniform_grid(self.segment, 7).points)
 
     def test_half_gap_gives_midpoints(self):
-        grid = make_uniform_grid(RaySegment(0.0, 2.0), 3)
-        h = 0.5
-        out = _shifted_points(grid, np.array([h / 2]))[0]
-        np.testing.assert_allclose(out[1:-1], grid.interior + 0.25)
-        assert (out[0], out[-1]) == (0.0, 2.0)
+        shifts, points, _, _ = shift_sweep(self.field, self.segment, 3, 2)
+        assert shifts.tolist() == [0.0, 0.25]  # half of the gap 0.5
+        assert np.array_equal(points[1, 1:-1], make_uniform_grid(self.segment, 3).interior + 0.25)
+        assert (points[1, 0], points[1, -1]) == (0.0, 2.0)
 
     def test_sweep_produces_distinct_valid_grids(self):
-        grid = make_uniform_grid(RaySegment(0.0, 2.0), 31)
-        h = 2.0 / 32
-        rows = _shifted_points(grid, np.linspace(0.0, h, 32, endpoint=False))
-        assert np.all(np.diff(rows, axis=1) > 0)
-        assert len({round(float(row[1]), 15) for row in rows}) == 32
+        _, points, _, _ = shift_sweep(self.field, self.segment, 31, 32)
+        assert np.all(np.diff(points, axis=1) > 0)
+        assert len({round(float(row[1]), 15) for row in points}) == 32
 
     def test_rejects_out_of_range_offsets(self):
-        grid = make_uniform_grid(RaySegment(0.0, 2.0), 3)
-        with pytest.raises(ValueError):
-            _shifted_points(grid, np.array([0.5]))  # equal to the gap
-        with pytest.raises(ValueError):
-            _shifted_points(grid, np.array([0.0, -0.1]))
+        # Shifts step by 1 / 7 / 32; the 29th, 28 / 224 = 0.125, reaches the least gap.
+        with pytest.raises(ValueError, match=r"^offset 0.125 outside \[0, min gap 0.125\)$"):
+            shift_sweep(self.far_field, self.far_segment, 6, 32)
+
+    def test_rejects_samples_pushed_onto_far_bound(self):
+        with pytest.raises(ValueError, match="^shifted samples must stay inside the segment$"):
+            shift_sweep(self.far_field, self.far_segment, 3, 4)
 
 
 class TestGrazingRig:
@@ -608,14 +599,18 @@ class TestTraceRows:
         else:
             profile = _draw(density, rng)
         field = AnalyticField(profile, _draw(GradientColor, rng))
-        offsets, points, tau, colors = _sweep_rows(field, self.segment, n, 5)
+        offsets, points, tau, colors = shift_sweep(field, self.segment, n, 5)
+        assert offsets.tolist() == np.linspace(0.0, self.segment.span / (n + 1), 5, endpoint=False).tolist()
         grid0 = make_uniform_grid(self.segment, n)
         for r, off in enumerate(offsets):
             grid = SampleGrid(grid0.interior + off, self.segment)
             assert np.array_equal(points[r], grid.points)
             want_tau, want_colors = _one_ray(field, grid)
-            assert np.array_equal(tau[r], want_tau)
-            assert np.array_equal(colors[r], want_colors)
+            got_tau, got_colors = opaque_trace(field, grid)
+            for got in (tau[r], got_tau.values):
+                assert np.array_equal(got, want_tau)
+            for got in (colors[r], got_colors.values):
+                assert np.array_equal(got, want_colors)
 
     def test_mixed_classes_raise(self, rng):
         fields = [AnalyticField(_draw(LogisticStep, rng)), AnalyticField(_draw(GaussianBump, rng))]
@@ -631,7 +626,6 @@ class TestTraceRows:
         assert str(one_ray.value) == "OpacityTrace.values must be finite"
         for call in (
             lambda: opaque_trace(field, grid),
-            lambda: _sweep_rows(field, self.segment, 6, 3),
             lambda: shift_sweep(field, self.segment, 6, 3),
         ):
             with pytest.raises(ValueError) as rows:
@@ -644,7 +638,7 @@ class TestTraceRows:
         field = AnalyticField(ConstantSlab(1.0, 1.0, 2.0), _KeptColor(value))
         with pytest.raises(ValueError, match=message) as one_ray:
             sample_field(field, grid)
-        for call in (lambda: opaque_trace(field, grid), lambda: _sweep_rows(field, self.segment, 6, 3)):
+        for call in (lambda: opaque_trace(field, grid), lambda: shift_sweep(field, self.segment, 6, 3)):
             with pytest.raises(ValueError) as rows:
                 call()
             assert str(rows.value) == str(one_ray.value)
@@ -683,7 +677,7 @@ class TestProfileOutputAdoption:
         kept = [density.out, color.out]
         opaque = opaque_trace(field, self.grid)
         kept += [density.out, color.out]
-        _, _, *rows = _sweep_rows(field, RaySegment(0.0, 4.0), 16, 2)
+        _, _, *rows = shift_sweep(field, RaySegment(0.0, 4.0), 16, 2)
         kept += [density.out, color.out]
         before = [np.array(a.values) for a in (*sampled, *opaque)] + [np.array(a) for a in rows]
         for array in kept:

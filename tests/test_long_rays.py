@@ -32,8 +32,9 @@ from rayquad import (
     interval_pmf,
     make_uniform_grid,
     sample_field,
+    shift_sweep,
 )
-from rayquad.fields import LogisticStep, _by_ray, _shifted_points
+from rayquad.fields import LogisticStep, _by_ray
 from rayquad.rays import EPS_OPACITY
 from rayquad.sampling import MERGE_TOL, _stratified_unit_samples
 
@@ -212,13 +213,12 @@ class TestBitIdentity:
         assert fine.n == grid.n + 3
 
     def test_grids_and_conventions(self, ray):
-        _, grid, raw, _, _ = ray
+        field, grid, raw, _, _ = ray
         seg = grid.segment
         assert np.array_equal(grid.points, np.linspace(seg.near, seg.far, N + 2))
-        offset = 0.3 * grid.widths.min()
-        shifted = _shifted_points(grid, np.array([offset]))[0]
-        assert np.array_equal(shifted[1:-1], grid.interior + offset)
-        assert (shifted[0], shifted[-1]) == (seg.near, seg.far)
+        shifts, shifted, _, _ = shift_sweep(field, seg, N, 4)
+        assert np.array_equal(shifted[:, 1:-1], grid.interior + shifts[:, None])
+        assert (shifted[:, 0] == seg.near).all() and (shifted[:, -1] == seg.far).all()
 
         floored = np.array(raw.values)
         floored[1:-1] = np.maximum(floored[1:-1], EPS_OPACITY)

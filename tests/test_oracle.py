@@ -225,7 +225,9 @@ class TestIntervalProbabilityPartial:
         base = _base(jump, segment, edges[1:-1])
         rows = _tabulate([jump], segment, base, 64)
         table_points = 5 * rows.widths.size
-        while rows.tab_error[0] > 1e-12 / 8.0 and rows.n_sub < 8192:
+        while rows.tab_error[0] > 1e-12 / 8.0 and (
+            rows.n_sub < 8192 or 2 * rows.widths.size <= oracle._MAX_SUB_PANELS
+        ):
             rows = _tabulate([jump], segment, base, 2 * rows.n_sub)
             table_points += 5 * rows.widths.size
         assert partial.evaluations == density.points - table_points
@@ -257,6 +259,27 @@ class TestIntervalProbabilities:
         truth = np.exp(-depth[:-1]) * -np.expm1(-np.diff(depth))
         probs = true_interval_probabilities(AnalyticField(density), self.segment, edges)
         assert np.max(np.abs(probs - truth) / truth) <= 1e-11
+
+    def test_deep_wall_ray_on_one_base_panel_reaches_default_rtol(self):
+        # One interval, so one base panel: the table error falls 16x per
+        # doubling and first drops below rtol / 8 at 16384 sub-panels.
+        rig = GrazingRig(10.0, 40.0, 1.0, angles=[0.5])
+        field = rig.ray_field(0.8877039854146296, 0.11047222768823231)
+        step = field.density
+        segment, edges = RaySegment(0.0, 4.0), np.array([0.0, 4.0])
+        probs = true_interval_probabilities(field, segment, edges)
+        k, c = step.steepness, step.center
+        depth = step.amplitude / k * (np.logaddexp(0.0, k * (edges - c)) - np.logaddexp(0.0, -k * c))
+        truth = np.exp(-depth[:-1]) * -np.expm1(-np.diff(depth))
+        assert np.max(np.abs(probs - truth) / truth) <= 1e-11
+
+    @pytest.mark.parametrize("n_edges, n_sub", [(2, 65536), (5, 16384), (33, 8192)])
+    def test_untabulated_table_stops_within_its_cap(self, n_edges, n_sub):
+        # Past 8192 sub-panels per base panel a table doubles only while it stays
+        # within _MAX_SUB_PANELS in all, so many edges take no more memory than at 8192.
+        edges = np.linspace(0.0, 2.0, n_edges)
+        with pytest.raises(NoConvergenceError, match=f"at {n_sub} sub-panels$"):
+            true_interval_probabilities(AnalyticField(_UnreportedJump()), self.segment, edges)
 
     def test_depth_limit_raises(self):
         # Claims the exact class, so the tabulation is trusted and the

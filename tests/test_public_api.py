@@ -180,6 +180,53 @@ def test_one_distribution_maker():
     assert list(_sites_outside("quadrature.interval_pmf", found)) == []
 
 
+def _private_rayquad_names(tree):
+    """``line: name`` of each ``_``-name a module imports from ``rayquad``, or reads
+    as an attribute of a name it imported from there."""
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            pairs = [(a.name, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            pairs = [(f"{node.module}.{a.name}", a.asname or a.name) for a in node.names]
+        else:
+            continue
+        for path, local in pairs:
+            if path.split(".")[0] == "rayquad":
+                bound.add(local)
+                if any(part.startswith("_") for part in path.split(".")):
+                    found.append(f"{node.lineno}: {path}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from rayquad.fields import _trace_rows",
+        "from rayquad._hidden import render",
+        "import rayquad.fields as f\nf._sweep = 1",
+        "import rayquad\nrayquad.fields._trace_rows([], None)",
+        "from rayquad import fixtures\nprint(fixtures._cache)",
+    ],
+)
+def test_private_name_finder_flags(source):
+    assert len(_private_rayquad_names(ast.parse(source))) == 1
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_reads_only_public_names(demo):
+    # A demo shows the library as a user sees it, so it reaches no ``_``-name
+    # of ``rayquad``; one that needs a private helper shows a missing public name.
+    assert _private_rayquad_names(ast.parse(demo.read_text())) == []
+
+
 def _library_dataclasses():
     for path in sorted(SOURCES.glob("*.py")):
         module = importlib.import_module(f"rayquad.{path.stem}")

@@ -22,14 +22,13 @@ from rayquad import (
     make_uniform_grid,
     opaque_trace,
     render,
-    shift_sweep,
     true_mean_termination,
 )
 from rayquad import quadrature
 from rayquad.fields import AnalyticField, GaussianBump, UniformColor
 from rayquad import fixtures
 
-from conftest import hand_distribution, random_instance
+from conftest import hand_distribution, random_instance, sweep_traces
 
 
 def two_interval_setup():
@@ -441,8 +440,8 @@ class TestExpectedDepth:
 
 
 def _offset_sweep(model, n, offsets=16):
-    sweep = shift_sweep(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT, n, offsets)
-    return [float(render(interval_pmf(model, g, tau), colors)[0]) for _, g, tau, colors in sweep]
+    sweep = sweep_traces(fixtures.shift_scene(), fixtures.SHIFT_SEGMENT, n, offsets)
+    return [float(render(interval_pmf(model, g, tau), colors)[0]) for g, tau, colors in sweep]
 
 
 class TestShiftSensitivityOrdering:
