@@ -3,8 +3,9 @@
 Every command is deterministic for a fixed seed and spec, writes
 ``<out>/<command>.csv`` (17 significant digits, newline line endings, so
 reruns diff byte-identically), and exits 0 if its thresholds pass and 1 if
-one fails.  A usage error (an option the command does not read, a bad
-option value or scene file) or an oracle that does not converge exits 2.
+one fails.  Input the run cannot use (an unread option, a bad option value,
+scene or ``--out``, a segment too narrow for the grid, a tolerance the oracle
+cannot reach) exits 2 with one ``rayquad: error:`` line, writing nothing.
 """
 
 from __future__ import annotations
@@ -415,16 +416,12 @@ def main(argv=None) -> int:
     for name in args:
         if name not in ("out", *reads):
             parser.error(f"{command} does not read --{name.replace('_', '-')}")
-    # A bad option value or scene is a usage error (exit 2); a command's own errors propagate.
+    # The library raises ValueError only for a value it rejects, so it, an OSError and an
+    # oracle that cannot reach the tolerance are usage errors (exit 2); other faults propagate.
     try:
-        spec = ExperimentSpec(**args)
-    except (ValueError, OSError) as exc:
+        passed = run(ExperimentSpec(**args))
+    except (ValueError, OSError, oracle.NoConvergenceError) as exc:
         parser.error(str(exc))
-    try:
-        passed = run(spec)
-    except oracle.NoConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if not passed:
         print(f"{command}: threshold violated", file=sys.stderr)
     return 0 if passed else 1

@@ -564,12 +564,12 @@ def load_scene(path: str | Path) -> tuple[AnalyticField, RaySegment]:
     Every object must have exactly its schema's keys, and every value must be
     a number a constructor takes (``rays._is_real``: finite, not a bool), or a
     non-empty list of them for a color; an unknown or missing key or a wrongly
-    typed value raises ValueError naming the key, and a file that is not JSON
-    one naming the file.  See docs/scene-format.md for the schema.
+    typed value raises ValueError naming the key, and a file that is not UTF-8
+    JSON one naming the file.  See docs/scene-format.md for the schema.
     """
     try:
-        spec = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+        spec = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"scene {path} is not JSON: {err}") from None
     if isinstance(spec, dict):
         spec.setdefault("color", {"kind": "uniform", "value": [1.0]})

@@ -188,12 +188,15 @@ def _blocks(n: int) -> list[slice]:
     return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
 
 
-def _blockwise(kernel, x: np.ndarray) -> np.ndarray:
+def _blockwise(kernel, x: np.ndarray) -> np.ndarray | float:
     """``kernel(x)`` of an elementwise float64 ``kernel``, bit for bit: one call when
     ``x`` fits one block, else one call per block of ``_blocks`` into one output.
+    A 0-d ``x`` runs as one element and returns a Python ``float``.
 
     Each block is a view of ``x``, which may be the caller's own array, so a
     kernel may not write its input; it writes its steps into arrays it made."""
+    if x.ndim == 0:
+        return float(kernel(x.reshape(1))[0])
     if x.size <= _BLOCK:
         return kernel(x)
     flat = x.ravel()

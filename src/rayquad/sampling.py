@@ -23,11 +23,11 @@ Both samplers and ``ContinuousRayCdf.cdf_eval`` check the whole input
 first, then run their elementwise kernel over it in blocks of
 ``rays._BLOCK`` draws (``rays._blockwise``), so a 100,000-draw call keeps
 its temporaries at 64 KiB each instead of mapping a fresh 800 KB array per
-step.  Every output is bit-identical to one whole-array call, and an input
-of at most one block is one call.  Each kernel gathers a table entry once
-per draw (``tau[1:][k]`` is ``tau[k + 1]`` without the shifted index) and
-writes each step of its formula, in the formula's order, into an array it
-made: never into the draws, which are a view of the caller's array.
+step.  Every output is bit-identical to one whole-array call, an input of
+at most one block is one call, and a 0-d input returns a Python ``float``.
+Each kernel gathers a table entry once per draw (``tau[1:][k]``, not
+``tau[k + 1]``) and writes each step of its formula, in order, into an
+array it made, never into the draws: they view the caller's array.
 
 The exact inverse is one kernel, ``_invert_rows``, over one ray or over
 ``(R, N+2)`` rows of rays that share one grid, each row located by its
@@ -80,15 +80,12 @@ class DiscreteRayCdf:
         k with ``C_{k+1} > u``, so ``u == C_k`` returns ``s_k`` exactly.
         """
         u = np.asarray(u, dtype=np.float64)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
         if not ((u >= 0.0) & (u < 1.0)).all():
             raise ValueError("surrogate draws must lie in [0, 1)")
         c = self.cumulative
         if (u > c[-1]).any():
             raise ValueError("draw exceeds the total probability mass of the ray")
-        s = _blockwise(self._surrogate, u)
-        return float(s[0]) if scalar else s
+        return _blockwise(self._surrogate, u)
 
     def _surrogate(self, u: np.ndarray) -> np.ndarray:
         """``surrogate_sample``'s kernel on checked draws."""
@@ -139,13 +136,10 @@ class ContinuousRayCdf:
     def cdf_eval(self, t):
         """Probability of terminating before distance ``t``."""
         t = np.asarray(t, dtype=np.float64)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
         seg = self.grid.segment
         if not ((t >= seg.near) & (t <= seg.far)).all():
             raise ValueError("evaluation point outside the ray segment")
-        f = _blockwise(self._cdf, t)
-        return float(f[0]) if scalar else f
+        return _blockwise(self._cdf, t)
 
     def _cdf(self, t: np.ndarray) -> np.ndarray:
         """``cdf_eval``'s kernel on checked points."""
@@ -177,12 +171,9 @@ class ContinuousRayCdf:
         unnormalized ray) are clamped to the far bound.
         """
         u = np.asarray(u, dtype=np.float64)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
         if not ((u >= 0.0) & (u <= 1.0)).all():
             raise ValueError("draws must lie in [0, 1]")
-        s = _blockwise(self._precise, u)
-        return float(s[0]) if scalar else s
+        return _blockwise(self._precise, u)
 
     def _precise(self, u: np.ndarray) -> np.ndarray:
         """``precise_sample``'s kernel on checked draws: ``_sample_rows`` on this ray."""

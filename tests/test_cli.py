@@ -66,22 +66,63 @@ class TestSpecValidation:
             (["convergence", "--scene", "{tmp}/missing.json"], "No such file or directory"),
             (["depth", "--scene", "{tmp}/not-json"], "scene {tmp}/not-json is not JSON: Expecting value"),
             (["convergence", "--scene", "{tmp}/unknown-key"], "scene segment: unknown key 'depth'"),
+            (["depth", "--scene", "{tmp}/not-utf8"], "scene {tmp}/not-utf8 is not JSON: 'utf-8' codec"),
+            # A segment so narrow that neighbouring grid points round onto one float.
+            (["convergence", "--scene", "{tmp}/narrow"], "grid points must be strictly increasing"),
+            (["shift-sensitivity", "--scene", "{tmp}/narrow"], "grid points must be strictly increasing"),
+            (["depth", "--scene", "{tmp}/narrow"], "grid points must be strictly increasing"),
+            (["convergence", "--tol", "1e-300"], "cumulative opacity tabulation did not stabilize for ray 0"),
+            *(([command, "--out", "{tmp}/a-file"], "File exists: '{tmp}/a-file'") for command in COMMANDS),
         ],
-        ids=["n-coarse", "offsets", "tol", "scene-missing", "scene-not-json", "scene-unknown-key"],
+        ids=[
+            "n-coarse", "offsets", "tol", "scene-missing", "scene-not-json", "scene-unknown-key",
+            "scene-not-utf8", "narrow-convergence", "narrow-shift-sensitivity", "narrow-depth",
+            "tol-unreachable", *(f"out-is-a-file-{command}" for command in COMMANDS),
+        ],
     )
     def test_bad_value_is_a_usage_error(self, tmp_path, capsys, args, message):
-        # Exit 1 means a paper threshold failed; a bad call exits 2 before writing.
+        # Exit 1 means a paper threshold failed; input a run cannot use exits 2 before writing.
         scene = json.loads(SCENE.read_text())
+        narrow = {**scene, "segment": {"near": 1e15, "far": 1.000000000000001e15}}
+        (tmp_path / "narrow").write_text(json.dumps(narrow))
         scene["segment"]["depth"] = 1.0
         (tmp_path / "unknown-key").write_text(json.dumps(scene))
         (tmp_path / "not-json").write_text("segment: [0, 1]\n")
+        (tmp_path / "not-utf8").write_bytes(b"\xff\xfe{}")
+        (tmp_path / "a-file").write_text("kept\n")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        if "--out" not in args:
+            args = [*args, "--out", "{tmp}/out"]
         with pytest.raises(SystemExit) as exit_:
-            run([*(a.format(tmp=tmp_path) for a in args), "--out", tmp_path / "out"])
+            run([a.format(tmp=tmp_path) for a in args])
         assert exit_.value.code == 2
         lines = capsys.readouterr().err.splitlines()
         assert [line for line in lines if "error" in line] == [lines[-1]]
         assert lines[-1].startswith("rayquad: error: ") and message.format(tmp=tmp_path) in lines[-1]
-        assert not (tmp_path / "out").exists()
+        assert sorted(tmp_path.rglob("*")) == sorted(before)
+        assert all(path.read_bytes() == data for path, data in before.items())
+
+    @pytest.mark.parametrize("error", [ArithmeticError, FloatingPointError, TypeError, RuntimeError])
+    def test_a_fault_in_a_command_propagates(self, tmp_path, monkeypatch, error):
+        # Only input the run cannot use is a usage error; a fault keeps its traceback.
+        def fault(spec):
+            raise error("a fault, not an input")
+
+        monkeypatch.setitem(COMMANDS, "render", (fault, COMMANDS["render"][1]))
+        with pytest.raises(error, match="a fault, not an input"):
+            run(["render", "--out", tmp_path])
+
+    def test_main_holds_the_only_try(self):
+        # One error route: no command or helper may catch and report an error of its own.
+        tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+        tree = ast.parse(inspect.getsource(cli))
+        sites = [
+            (getattr(top, "name", None), node.lineno)
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, tries)
+        ]
+        assert [name for name, _ in sites] == ["main"], sites
 
 
 SCENE = Path(__file__).parent.parent / "scenes" / "constant_slab.json"

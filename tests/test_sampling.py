@@ -481,6 +481,26 @@ class TestBlockedEvaluation:
                 whole = continuous.cdf_eval(t)
                 assert np.array_equal(whole, self.by_slices(continuous.cdf_eval, t))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 5000)], ids=["one-block", "three-blocks"])
+    def test_scalar_is_a_float_and_an_array_keeps_its_shape(self, shape):
+        # A 0-d input is one element returned as a Python float with the bits of a
+        # one-element call; any other input keeps its shape, one block or several.
+        draws = np.random.default_rng(3).random(shape) * (1 - EPS_UNIT)
+        for continuous, surrogate in sampler_pairs():
+            seg = continuous.grid.segment
+            for method, x in (
+                (continuous.precise_sample, draws),
+                (surrogate.surrogate_sample, draws * surrogate.cumulative[-1]),
+                (continuous.cdf_eval, seg.near + seg.span * draws),
+            ):
+                out = method(x)
+                assert out.shape == shape and same_bits(out.ravel(), method(x.ravel()))
+                for value in x.ravel()[:3]:
+                    one = method(np.array([value]))[0]
+                    for scalar in (float(value), np.float64(value), np.array(value)):
+                        got = method(scalar)
+                        assert type(got) is float and same_bits(got, one)
+
     @pytest.mark.parametrize("n", BLOCK_SIZES + [1, 64])
     def test_kernel_runs_once_per_block(self, monkeypatch, n):
         sizes = []
