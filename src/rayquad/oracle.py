@@ -18,9 +18,20 @@ stabilizes.  The documented error budget of every oracle value is ten
 times the requested tolerance.  One adaptive engine serves the render,
 the mean termination distance and the interval probabilities.  It grows
 all panel trees together, all rays of a batch in one engine call per
-refinement round; each tree and its sums depend only on its own task,
+refinement wave; each tree and its sums depend only on its own task,
 never on the batch it runs in, so a batched ray matches its single-ray
 run bit for bit.
+
+Refinement round ``k`` tabulates at ``64 << k`` sub-panels per base
+panel, and the rounds run in waves (``_refine_until_stable``): wave 1
+runs rounds 0 to 2 of every ray, each later wave the rounds each
+unsettled ray is predicted to need from the rate its differences fall
+at.  The engine's rows are (ray, round) pairs.  A round ``j`` rounds
+coarser than the wave's finest has the finest edges taken every
+``2**j``-th, so one search of the finest edges finds a point's piece in
+every row's table (``_nest``).  Since no row affects another, values,
+settling and errors are those of one round at a time, and a row past a
+ray's settling round is dropped, failed or not.
 
 Only ``true_render_batch`` takes rays of mixed profiles.  It splits them
 into batches of one density class, one color class and one base (the
@@ -28,13 +39,14 @@ density's breakpoints inside the segment), and below it every batch holds
 one class pair and one base.  A batch makes one ``tau`` and one ``color``
 call per engine level (``fields._by_ray``), not one per ray.  Its tables
 share one grid, so a point's cumulative opacity is one search of the
-shared edges and one lookup in its ray's row (``_flat_cumulative``).
+shared edges and one lookup in its row (``_flat_cumulative``).
 ``_base``, the one panel builder, splits the segment at field
 breakpoints for tables and render tasks alike, as a sorted set of a few
 floats rather than an ``np.unique``.  ``_tabulate``, the one table
-builder, makes every table, all unsettled rays of a refinement round in
-one ``(R, points)`` density call with one sub-panel count: each ray's
-parameters are an ``(R, 1)`` column broadcast against the shared points.
+builder, makes every table, all rays of a wave that run one refinement
+round in one ``(R, points)`` density call with one sub-panel count: each
+ray's parameters are an ``(R, 1)`` column broadcast against the shared
+points.
 Every value is elementwise in its own ray's parameters, and every sum
 runs over one ray in the order of a single-ray run.
 
@@ -104,17 +116,19 @@ def _adaptive_simpson(f, a, b, tol):
     # Halving the tolerance per level must stop at rounding scale, or panels
     # whose error estimate is pure float noise can never be accepted.
     floor = np.maximum(1e-300, 0.25 * np.finfo(float).eps * np.abs(whole))
-    levels = []
+    # Each level keeps only what the reconstruction reads; evaluations are counted as they go.
+    levels, evals = [], np.full(n, 3)
     for depth in range(_MAX_DEPTH + 1):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm, frm = call([lm, rm], task)
+        evals += 2 * np.bincount(task, minlength=n)
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - whole) / 15.0
         ordered = (a < lm) & (lm < m) & (m < rm) & (rm < b)
         split = ~((np.abs(err) <= tol) | (a == b) | ~ordered)
-        levels.append((left + right + err, np.abs(err), split, task))
+        levels.append((left + right + err, np.abs(err), split))
         if depth == _MAX_DEPTH or not split.any():
             break
         # Left children, then right children, in split-node order; a
@@ -129,11 +143,10 @@ def _adaptive_simpson(f, a, b, tol):
 
     # Panels still splitting at the last level are accepted as they stand.
     failed = np.bincount(task[split], minlength=n) > 0
-    evals = 3 + 2 * np.bincount(np.concatenate([lv[3] for lv in levels]), minlength=n)
     # The children of the i-th split node sit at i and k + i one level down,
     # so each split node's (value, error) is its left plus right child's.
-    value, error, _, _ = levels.pop()
-    for node_value, node_error, split, _ in reversed(levels):
+    value, error, _ = levels.pop()
+    for node_value, node_error, split in reversed(levels):
         k = value.size // 2
         node_value[split] = value[:k] + value[k:]
         node_error[split] = error[:k] + error[k:]
@@ -217,6 +230,12 @@ def _tabulate(densities, segment: RaySegment, base: np.ndarray, n_sub: int) -> _
     edges = np.append(np.linspace(base[:-1], base[1:], n_sub + 1)[:-1].T.ravel(), base[-1])
     left, right = edges[:-1], edges[1:]
     widths = right - left
+    if not (widths > 0).all():
+        k = np.argmin(widths > 0) // n_sub
+        raise ValueError(
+            f"cannot tabulate [{segment.near}, {segment.far}] at {n_sub} sub-panels per base "
+            f"panel: sub-panel edges collide in base panel [{base[k]}, {base[k + 1]}]"
+        )
 
     # One-sided endpoint opacities: one ulp inside each sub-panel.
     points = [np.nextafter(left, np.inf), np.nextafter(right, -np.inf)]
@@ -234,17 +253,74 @@ def _tabulate(densities, segment: RaySegment, base: np.ndarray, n_sub: int) -> _
     # Hermite coefficients h(t) = O0 + d0 t + a2 t^2 + a3 t^3 on [0, w]: d0 = f0, d1 = f1.
     a2 = (3.0 * dO / widths - 2.0 * f0 - f1) / widths
     a3 = (f0 + f1 - 2.0 * dO / widths) / (widths * widths)
-    return _Rows(n_sub, edges, widths, cumulative, f0, a2, a3, np.abs(err).sum(axis=1))
+    # d0 is a copy, so a kept table does not hold every point value alive.
+    return _Rows(n_sub, edges, widths, cumulative, f0.copy(), a2, a3, np.abs(err).sum(axis=1))
 
 
-def _flat_cumulative(rows: _Rows):
-    """The one table evaluator, ``O(x, ray)``: cumulative opacity of each point
-    on its own ray's row, one search of the shared edges for every ray."""
-    edges, at_edges, d0, a2, a3 = rows.edges, rows.cumulative, rows.d0, rows.a2, rows.a3
+class _Wave(NamedTuple):
+    """The tables of many engine rows on one set of ``edges``, the finest table's.
 
-    def cumulative(x: np.ndarray, ray) -> np.ndarray:
-        idx = _interval(edges, x)
-        t, piece = x - edges[idx], (ray, idx)
+    Row ``j`` is a table of ray ``ray[j]`` (an index into the caller's rays).  A
+    point in interval ``i`` of ``edges`` reads piece ``start[j] + (i >> shift[j])``
+    of the flat ``cumulative`` (at the piece's left edge), ``d0``, ``a2`` and
+    ``a3``; ``far[j]`` is the row's opacity at the far bound.  ``n_sub`` is the
+    finest table's sub-panel count, so row ``j`` has ``n_sub >> shift[j]``.
+    """
+
+    n_sub: int
+    edges: np.ndarray
+    ray: np.ndarray
+    shift: np.ndarray
+    start: np.ndarray
+    far: np.ndarray
+    cumulative: np.ndarray
+    d0: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+
+
+def _nest(tables, rays) -> _Wave:
+    """The rows of ``tables`` (``_Rows`` of one base, coarsest first) as one ``_Wave``,
+    row ``i`` of ``tables[k]`` being ray ``rays[k][i]``.
+
+    Each table's edges must be the last one's taken every ``2**shift``-th: then a
+    point's interval among the last table's edges, shifted right by ``shift``, is its
+    interval in that table, and one search serves every row.  A doubled ``n_sub``
+    gives such edges bit for bit (``linspace`` scales its step by a power of two).
+    """
+    finest = tables[-1]
+    counts = [t.d0.shape[0] for t in tables]
+    offsets = np.cumsum([0] + [t.d0.size for t in tables])
+    start = [o + t.d0.shape[1] * np.arange(c) for o, t, c in zip(offsets, tables, counts)]
+    shifts = [(finest.n_sub // t.n_sub).bit_length() - 1 for t in tables]
+    pieces = [(t.cumulative[:, :-1], t.d0, t.a2, t.a3) for t in tables]
+    return _Wave(
+        finest.n_sub,
+        finest.edges,
+        np.concatenate(rays),
+        np.repeat(shifts, counts),
+        np.concatenate(start),
+        np.concatenate([t.cumulative[:, -1] for t in tables]),
+        *(np.concatenate([a.ravel() for a in arrays]) for arrays in zip(*pieces)),
+    )
+
+
+def _as_wave(rows) -> _Wave:
+    """``rows`` as a ``_Wave``: row ``r`` of a ``_Rows`` is row ``r``, of ray ``r``."""
+    return rows if isinstance(rows, _Wave) else _nest([rows], [np.arange(rows.d0.shape[0])])
+
+
+def _flat_cumulative(rows):
+    """The one table evaluator, ``O(x, row)``: cumulative opacity of each point on
+    its own row's table (``_as_wave``), one search of the shared edges for every row."""
+    rows = _as_wave(rows)
+    edges, shift, start = rows.edges, rows.shift, rows.start
+    at_edges, d0, a2, a3 = rows.cumulative, rows.d0, rows.a2, rows.a3
+
+    def cumulative(x: np.ndarray, row) -> np.ndarray:
+        s = shift[row]
+        idx = _interval(edges, x) >> s
+        t, piece = x - edges[idx << s], start[row] + idx
         # The Hermite piece at t past its left edge: O0 + d0 t + a2 t^2 + a3 t^3.
         return at_edges[piece] + t * (d0[piece] + t * (a2[piece] + t * a3[piece]))
 
@@ -259,73 +335,170 @@ def _render_bases(fields, segment: RaySegment) -> list:
 def _render_rays(
     fields, segment: RaySegment, rows, bases, tol: float, weight=None, ids=None
 ) -> list:
-    """Integrate tau * exp(-O) * c (optionally * weight) for many rays in one engine
-    call, one task per (ray, panel, channel), ray ``r`` on table row ``r`` and over
-    its render panels ``bases[r]`` (``_render_bases``).  Returns (value, error,
-    evaluations) per ray; the lowest-index ray failing at the depth limit raises,
-    named by ``ids``."""
-    channels = fields[0].color.channels
-    lo = np.repeat(np.concatenate([b[:-1] for b in bases]), channels)
-    hi = np.repeat(np.concatenate([b[1:] for b in bases]), channels)
-    n_tasks = [channels * (b.size - 1) for b in bases]
-    ray = np.repeat(np.arange(len(fields)), n_tasks)
+    """Integrate tau * exp(-O) * c (optionally * weight) for many table rows in one
+    engine call, one task per (row, panel, channel).  ``rows`` is a ``_Wave``, whose
+    row ``j`` belongs to ray ``rows.ray[j]``, or a ``_Rows``, whose row ``r`` is ray
+    ``r``'s; a row of ray ``r`` integrates ``fields[r]`` over its render panels
+    ``bases[r]`` (``_render_bases``).  Returns per row (value, error, evaluations),
+    or, for a row with a panel failing at the depth limit, the NoConvergenceError
+    naming its ray by ``ids``, which the caller raises if it needs that row."""
+    wave = _as_wave(rows)
+    rays, channels = wave.ray.tolist(), fields[0].color.channels
+    lo = np.repeat(np.concatenate([bases[r][:-1] for r in rays]), channels)
+    hi = np.repeat(np.concatenate([bases[r][1:] for r in rays]), channels)
+    n_tasks = [channels * (bases[r].size - 1) for r in rays]
+    row = np.repeat(np.arange(len(rays)), n_tasks)
+    ray = wave.ray[row]
     channel = np.tile(np.arange(channels), lo.size // channels)
     inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
     tau = _by_ray([f.density for f in fields], "tau")
     color = _by_ray([f.color for f in fields], "color")
-    cumulative = _flat_cumulative(rows)
+    cumulative = _flat_cumulative(wave)
 
     def integrand(x: np.ndarray, task: np.ndarray) -> np.ndarray:
         x = np.minimum(np.maximum(x, inner_lo[task]), inner_hi[task])
         r = ray[task]
         c = color(x, r)[np.arange(x.size), channel[task]]
-        y = tau(x, r) * np.exp(-cumulative(x, r)) * c
+        y = tau(x, r) * np.exp(-cumulative(x, row[task])) * c
         return y if weight is None else y * weight(x)
 
     panel_tol = np.maximum(tol * (hi - lo) / segment.span, 1e-300)
     value, error, evals, failed = _adaptive_simpson(integrand, lo, hi, panel_tol)
     results = []
     ends = np.cumsum(n_tasks).tolist()
-    for r, (i, j) in enumerate(zip([0] + ends[:-1], ends)):
+    for r, i, j in zip(rays, [0] + ends[:-1], ends):
         # Accumulate in task order; np.sum's pairwise order would change last bits.
         out = np.add.accumulate(value[i:j].reshape(-1, channels))[-1]
         err_total, n_evals = float(np.add.accumulate(error[i:j])[-1]), int(evals[i:j].sum())
+        results.append((out, err_total, n_evals))
         if failed[i:j].any():
             k = i + np.argmax(failed[i:j])
-            raise NoConvergenceError(
+            results[-1] = NoConvergenceError(
                 f"adaptive Simpson did not converge for ray {r if ids is None else ids[r]} on "
                 f"[{lo[k]}, {hi[k]}] at depth {_MAX_DEPTH}",
                 partial=IntegrationResult(float(out[0]), err_total, n_evals),
             )
-        results.append((out, err_total, n_evals))
     return results
 
 
+def _wave_end(first: int, diffs: list, tol: float) -> int:
+    """The last round a wave runs for a smooth ray whose next round is ``first``.
+
+    Up to round 2 while the ray has fewer than two differences; then every round up to
+    the first where its last difference, falling on at its last rate
+    ``diffs[-2] / diffs[-1]``, would be at most 3 * tol, and only ``first`` where that
+    rate is below 2.  Never past round 8.
+    """
+    if len(diffs) < 2:
+        return 2
+    rate, stop = diffs[-2] / diffs[-1], first
+    if rate >= 2.0:
+        guess = diffs[-1] / rate
+        while guess > 3.0 * tol and stop < 8:
+            stop, guess = stop + 1, guess / rate
+    return stop
+
+
+def _wave_tables(densities, segment: RaySegment, base: np.ndarray, plan: dict):
+    """One wave's tables, ``plan[p] = (first, last)`` rounds for the ray at position
+    ``p``: per round, one ``_tabulate`` of the rays that run it, coarsest first.
+    Returns the ``_Wave`` (``_nest``, ray ``i`` being the ``i``-th of ``plan``) and
+    each row's (round, position).  The wave stops before a round whose table raises
+    ValueError or whose edges do not nest the coarser ones; a failure of its lowest
+    round propagates."""
+    index = {p: i for i, p in enumerate(plan)}
+    tables, rays, keys = [], [], []
+    for k in sorted({k for first, last in plan.values() for k in range(first, last + 1)}):
+        picked = [p for p, (first, last) in plan.items() if first <= k <= last]
+        try:
+            rows = _tabulate([densities[p] for p in picked], segment, base, 64 << k)
+        except ValueError:
+            if not tables:
+                raise
+            break
+        if tables and not np.array_equal(
+            rows.edges[:: rows.n_sub // tables[-1].n_sub], tables[-1].edges
+        ):
+            break
+        tables.append(rows)
+        rays.append([index[p] for p in picked])
+        keys += [(k, p) for p in picked]
+    return _nest(tables, rays), keys
+
+
 def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, ids) -> np.ndarray:
-    """Per ray, rerun passes on doubled tabulations until values agree to 3 * tol;
-    ``run_pass(rays, rows)`` is one pass over the rays not yet settled, named
-    by their ``ids``, on their table rows.  The densities share one class and
-    one base, so each round tabulates every unsettled ray in one build."""
+    """Per ray, rerun passes on doubled tabulations until values agree to 3 * tol.
+
+    Round ``k`` tabulates at ``64 << k`` sub-panels per base panel.  A ray settles
+    at the first round whose value differs from its previous round's by at most
+    3 * tol (an exact-class ray at round 0), and a ray still unsettled after round 8
+    raises NoConvergenceError with its last pass as the partial.  The densities
+    share one class and one base.
+
+    The rounds run in waves: one ``_tabulate`` per round of a wave, for the rays that
+    run it, and one ``run_pass(rays, wave)`` per wave, where ``rays`` are the ids of
+    the wave's rays and ``wave`` (``_nest``) holds its (ray, round) table rows; it
+    returns per row (value, error, evaluations) or the NoConvergenceError of a row
+    that failed.  Wave 1 runs rounds 0 to 2 (round 0 alone for an exact class); each
+    later wave runs, per unsettled ray, its next round up to the one ``_wave_end``
+    predicts it settles at.  Every row depends only on its own ray and table, so
+    values, settling, errors and partials are those of running one round at a time:
+    rows past the round a ray settles or fails at are dropped, and the error raised
+    is the first that loop meets, by round, then a round's table or engine error
+    before its rays' depth-limit failures, then by ray.  A round whose table cannot
+    be built, or whose edges do not nest the wave's coarser ones, waits for a later
+    wave; a wave that raises ValueError runs again as its lowest round alone, and an
+    error there is met at that round.
+    """
     if not _is_real(tol, "positive"):
         raise ValueError(f"tolerance must be positive and finite, got tol={tol!r}")
     base, exact = _base(densities[0], segment), _is_exact_class(densities[0])
-    values, live = {}, list(zip(ids, densities))
-    for round_ in range(9):
-        rows = _tabulate([d for _, d in live], segment, base, 64 << round_)
-        unsettled = []
-        for (r, d), (value, err, evals) in zip(live, run_pass([r for r, _ in live], rows)):
-            settled = np.max(np.abs(value - values[r])) <= 3.0 * tol if round_ else exact
-            values[r] = value
-            if not settled:
-                unsettled.append((r, d, err, evals))
-        live = [(r, d) for r, d, *_ in unsettled]
-        if not live:
-            return np.array([values[r] for r in ids])
-    r, _, err, evals = unsettled[0]
-    raise NoConvergenceError(
-        f"cumulative opacity tabulation did not stabilize for ray {r}",
-        partial=IntegrationResult(float(values[r][0]), err, evals),
-    )
+    ahead = dict.fromkeys(range(len(ids)), 0)  # each unsettled ray's next round, by position
+    values, diffs = [None] * len(ids), [[] for _ in ids]
+    failures = {}  # (round, ray position or -1 for the table) -> the error met there
+    one_round = False
+    while ahead:
+        plan = {p: (k, 0 if exact else _wave_end(k, diffs[p], tol)) for p, k in ahead.items()}
+        low = min(ahead.values())
+        if one_round:
+            plan = {p: (low, low) for p, k in ahead.items() if k == low}
+        try:
+            wave, keys = _wave_tables(densities, segment, base, plan)
+            results = run_pass([ids[p] for p in plan], wave)
+        except ValueError as exc:
+            if not one_round and set(plan.values()) != {(low, low)}:
+                one_round = True  # the error may lie past a ray's settling round
+                continue
+            # Met at the lowest round, as its table is built or before its pass returns.
+            failures[low, -1] = exc
+            for p in plan:
+                del ahead[p]
+            keys = results = ()
+        one_round = False
+        for (k, p), result in zip(keys, results):
+            if p not in ahead:
+                continue  # past the round this ray settled or failed at
+            if isinstance(result, NoConvergenceError):
+                failures[k, p] = result
+                del ahead[p]
+                continue
+            value, err, evals = result
+            if k:
+                diffs[p].append(float(np.max(np.abs(value - values[p]))))
+            values[p] = value
+            if (diffs[p][-1] <= 3.0 * tol) if k else exact:
+                del ahead[p]
+            elif k == 8:
+                failures[9, p] = NoConvergenceError(
+                    f"cumulative opacity tabulation did not stabilize for ray {ids[p]}",
+                    partial=IntegrationResult(float(value[0]), err, evals),
+                )
+                del ahead[p]
+            else:
+                ahead[p] = k + 1
+    if failures:
+        raise failures[min(failures)]
+    return np.array(values)
 
 
 def true_render(
@@ -372,9 +545,9 @@ def true_render_batch(fields, segment: RaySegment, tol: float = 1e-10) -> np.nda
 
     bases = _render_bases(fields, segment)
 
-    def run_pass(rays, rows):
+    def run_pass(rays, wave):
         picked, picked_bases = [fields[r] for r in rays], [bases[r] for r in rays]
-        return _render_rays(picked, segment, rows, picked_bases, tol, ids=rays)
+        return _render_rays(picked, segment, wave, picked_bases, tol, ids=rays)
 
     out = np.empty((len(fields), fields[0].color.channels))
     for ids in batches.values():
@@ -459,9 +632,12 @@ def true_mean_termination(
     unit = AnalyticField(field.density)
     bases = _render_bases([unit], segment)
 
-    def once(rays, rows):
-        (value, err, evals), = _render_rays([unit], segment, rows, bases, tol, weight=lambda x: x)
-        return [(value + segment.far * np.exp(-rows.cumulative[0, -1]), err, evals)]
+    def once(rays, wave):
+        results = _render_rays([unit], segment, wave, bases, tol, weight=lambda x: x, ids=rays)
+        return [
+            (r[0] + segment.far * np.exp(-far), *r[1:]) if isinstance(r, tuple) else r
+            for r, far in zip(results, wave.far)
+        ]
 
     return float(_refine_until_stable([field.density], segment, tol, once, [0])[0, 0])
 

@@ -318,6 +318,11 @@ def make_uniform_grid(segment: RaySegment, n: int) -> SampleGrid:
     if not _is_count(n, "positive"):
         raise ValueError(f"need a positive integer count of samples, got n={n!r}")
     pts = np.linspace(segment.near, segment.far, n + 2)
+    if not (pts[1:] > pts[:-1]).all():
+        raise ValueError(
+            f"segment [{segment.near}, {segment.far}] is too narrow for n={n} equally "
+            "spaced samples: grid points collide"
+        )
     return SampleGrid(interior=_Adopted(pts), segment=segment)
 
 

@@ -14,6 +14,8 @@ from rayquad.fields import LogisticStep, TwoToneColor
 from rayquad.rays import ModelKind
 
 GOLDEN = Path(__file__).parent.parent / "bench" / "golden" / "paper-suite"
+# The segment of the ``narrow`` scene of ``test_bad_value_is_a_usage_error``, as errors print it.
+NARROW = "[1000000000000000.0, 1000000000000001.0]"
 
 
 def run(args):
@@ -67,10 +69,11 @@ class TestSpecValidation:
             (["depth", "--scene", "{tmp}/not-json"], "scene {tmp}/not-json is not JSON: Expecting value"),
             (["convergence", "--scene", "{tmp}/unknown-key"], "scene segment: unknown key 'depth'"),
             (["depth", "--scene", "{tmp}/not-utf8"], "scene {tmp}/not-utf8 is not JSON: 'utf-8' codec"),
-            # A segment so narrow that neighbouring grid points round onto one float.
-            (["convergence", "--scene", "{tmp}/narrow"], "grid points must be strictly increasing"),
-            (["shift-sensitivity", "--scene", "{tmp}/narrow"], "grid points must be strictly increasing"),
-            (["depth", "--scene", "{tmp}/narrow"], "grid points must be strictly increasing"),
+            # A segment so narrow that neighbouring grid points round onto one float; the
+            # error names it and the grid's sample count.
+            (["convergence", "--scene", "{tmp}/narrow"], f"segment {NARROW} is too narrow for n=8 "),
+            (["shift-sensitivity", "--scene", "{tmp}/narrow"], f"segment {NARROW} is too narrow for n=128 "),
+            (["depth", "--scene", "{tmp}/narrow"], f"segment {NARROW} is too narrow for n=128 "),
             (["convergence", "--tol", "1e-300"], "cumulative opacity tabulation did not stabilize for ray 0"),
             *(([command, "--out", "{tmp}/a-file"], "File exists: '{tmp}/a-file'") for command in COMMANDS),
         ],

@@ -386,17 +386,20 @@ class TestTrueRenderBatch:
 
     def test_render_rays_are_one_batch_per_round(self, monkeypatch):
         # The ``render`` command's rays have no breakpoints, so each round
-        # tabulates every unsettled ray on one grid.
-        counts = []
-        tabulate = oracle._tabulate
+        # tabulates every ray that runs it on one grid.  All 96 run in wave 1,
+        # rounds 0 to 2, with one engine call; 79 of them need round 2.
+        builds, calls = [], []
+        tabulate, engine = oracle._tabulate, oracle._adaptive_simpson
 
-        def counted(densities, *args):
-            counts.append(len(densities))
-            return tabulate(densities, *args)
+        def counted(densities, segment, base, n_sub):
+            builds.append((len(densities), n_sub))
+            return tabulate(densities, segment, base, n_sub)
 
         monkeypatch.setattr(oracle, "_tabulate", counted)
+        monkeypatch.setattr(oracle, "_adaptive_simpson", lambda *args: calls.append(1) or engine(*args))
         true_render_batch(_render_command_rays(), self.segment, _RENDER_TOL)
-        assert counts == [96, 96, 79]
+        assert builds == [(96, 64), (96, 128), (96, 256)]
+        assert len(calls) == 1
 
     def test_render_panels_are_built_once_per_ray(self, monkeypatch):
         # One base per ray to batch it, one per ray for its render panels (serving

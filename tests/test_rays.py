@@ -47,6 +47,13 @@ class TestUniformGrid:
         with pytest.raises(ValueError):
             make_uniform_grid(RaySegment(0.0, 1.0), 0)
 
+    def test_too_narrow_segment_names_itself_and_n(self):
+        # Neighbouring points of a grid on [1e15, 1e15 + 1] round onto one float.
+        message = r"segment \[1000000000000000.0, 1000000000000001.0\] is too narrow for n=8 "
+        with pytest.raises(ValueError, match=message):
+            make_uniform_grid(RaySegment(1e15, 1.000000000000001e15), 8)
+        assert make_uniform_grid(RaySegment(1e15, 1.000000000000001e15), 1).interior.tolist() == [1e15 + 0.5]
+
     def test_points_include_bounds(self):
         grid = make_uniform_grid(RaySegment(0.5, 2.5), 3)
         assert grid.points[0] == 0.5 and grid.points[-1] == 2.5
