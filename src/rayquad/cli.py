@@ -170,9 +170,10 @@ def cmd_sampler_test(spec: ExperimentSpec) -> bool:
         ("single_bin", fixtures.single_bin_fixture()),
     ):
         continuous, surrogate = fixtures.precise_and_surrogate(grid, tau)
-        # Draws are scaled and clipped, and the samplers' fresh outputs sorted, in
-        # place: each array spared is 800 KB.
+        # Draws are sorted, then scaled and clipped in place (800 KB each spared): the
+        # steps are monotone, so the kernels run bin by bin and the samples come in order.
         u = rng.random(n)
+        u.sort()
         if name == "single_bin":
             # Condition both samplers on the first bin: the in-bin law is
             # what separates them once bin masses agree.
@@ -190,7 +191,8 @@ def cmd_sampler_test(spec: ExperimentSpec) -> bool:
             cdf = continuous.cdf_eval
         surro = surrogate.surrogate_sample(u)
         for sampler, samples in (("precise", precise), ("surrogate", surro)):
-            samples.sort()
+            if not (samples[1:] >= samples[:-1]).all():
+                samples.sort()
             stat = oracle.ks_statistic(samples, cdf)
             passed = stat < crit
             rows.append((sampler, name, n, stat, crit, passed))

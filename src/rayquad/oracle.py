@@ -645,7 +645,9 @@ def true_mean_termination(
 def ks_statistic(samples: np.ndarray, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic of sorted samples against cdf.
 
-    ``cdf`` is called per slice: on consecutive slices of at most
+    ``cdf`` must return one value per sample of the slice it is given, an
+    array of the slice's shape, or ValueError is raised before any gap is
+    built.  It is called per slice: on consecutive slices of at most
     ``rays._BLOCK`` samples (``rays._blocks``), once when the sample fits
     one block.  ``d_plus`` and ``d_minus`` are maxima, so folding them over
     the slices gives the whole-array statistic bit for bit.  A slice's
@@ -666,7 +668,10 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     n = samples.size
     d_plus = d_minus = -np.inf
     for block in _blocks(n):
-        f = np.asarray(cdf(samples[block]), dtype=np.float64)
+        part = samples[block]
+        f = np.asarray(cdf(part), dtype=np.float64)
+        if f.shape != part.shape:
+            raise ValueError(f"cdf must return one value per sample: {part.size} gave {f.shape}")
         # i / n and (i - 1) / n over the block's ranks i: two views of one array.
         steps = np.arange(block.start, min(block.stop, n) + 1) / n
         gap = np.subtract(steps[1:], f)

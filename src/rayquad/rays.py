@@ -20,9 +20,9 @@ its own shape, order and range beyond the sign.
 ``_interval`` is the one rule for which interval of sorted edges holds a
 point: samplers, profiles and the oracle's tables all locate through it,
 and rows of edges locate rows of points one row at a time.  It evaluates
-the rule in two ways that give the same index: a binary search, or, for
-many points against a few edges, a count of the edges each point is not
-below; the input's sizes choose.
+the rule in three ways that place each point alike: a binary search, a
+count of the edges each point is not below (many points, few edges), or
+for such points in order, their run in each interval; sizes and order choose.
 ``_check`` is the one finite (and color range) test: ``_frozen`` runs it on
 each array it stores, and a stack of traces runs it once for all rows.
 ``_floored`` and ``_opaque_far`` apply the opacity floor and the opaque-far
@@ -145,7 +145,7 @@ _FEW_EDGES = 8
 _MANY_POINTS = 2048
 
 
-def _interval(edges: np.ndarray, x):
+def _interval(edges: np.ndarray, x, runs: bool = False):
     """Index in [0, edges.size - 2] of the interval of the sorted ``edges`` holding
     each ``x``: a point on an edge, even a repeated one, lies in the last interval
     starting there, and a point past either end lies in that end's interval.
@@ -157,6 +157,9 @@ def _interval(edges: np.ndarray, x):
     so the count is ``searchsorted(side="right")`` exactly, as any other input
     still computes it.
 
+    With ``runs``, such a row and a non-decreasing 1-D ``x`` give ``(k, run)`` per
+    nonempty run ``x[run]`` of interval ``k``, from its first point not below edge ``k``.
+
     Rows of ``edges``, shape (R, M), locate the rows of ``x``, shape (R, S), one
     search per row, so each row's indices are its one-row search's exactly.
     """
@@ -164,6 +167,9 @@ def _interval(edges: np.ndarray, x):
         inner = edges[1:-1]
         if inner.size > _FEW_EDGES or np.size(x) < _MANY_POINTS:
             return inner.searchsorted(x, side="right")
+        if runs and x.ndim == 1 and (x[1:] >= x[:-1]).all():
+            bounds = [0, *x.searchsorted(inner, side="left").tolist(), x.size]
+            return [(k, slice(a, b)) for k, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
         # One byte per point and compare; at most _FEW_EDGES counts fit a uint8.
         below = np.zeros(np.shape(x), np.uint8)
         step = np.empty(below.shape, bool)

@@ -25,16 +25,17 @@ first, then run their elementwise kernel over it in blocks of
 its temporaries at 64 KiB each instead of mapping a fresh 800 KB array per
 step.  Every output is bit-identical to one whole-array call, an input of
 at most one block is one call, and a 0-d input returns a Python ``float``.
-Each kernel gathers a table entry once per draw (``tau[1:][k]``, not
-``tau[k + 1]``) and writes each step of its formula, in order, into an
-array it made, never into the draws: they view the caller's array.
+Each kernel's formula is written once over a bin's table entries, and
+``_per_bin`` runs it on runs of sorted draws against a few bins
+(``rays._interval``), once per run with scalar entries, or else on entries
+gathered once per draw (``tau[1:][k]``, not ``tau[k + 1]``), bit for bit alike;
+each step goes into an array it made or a gathered entry, never the draws.
 
-The exact inverse is one kernel, ``_invert_rows``, over one ray or over
-``(R, N+2)`` rows of rays that share one grid, each row located by its
-own search (``rays._interval``); ``ContinuousRayCdf._invert`` is its
-one-row case.  ``_precise_rows`` samples R rows from one stacked
-``quadrature._distributions`` build, bit for bit as R ``ContinuousRayCdf``
-instances would; ``grad-check``'s finite differences run through it.
+The inverse's formula, ``_root``, serves one ray or ``(R, N+2)`` rows on
+one grid: ``_invert_rows`` returns its steps for the gradient, and
+``_sample_rows`` its samples.  ``_precise_rows`` samples R rows from one
+stacked ``quadrature._distributions`` build, bit for bit as R
+``ContinuousRayCdf`` instances would; ``grad-check`` runs through it.
 """
 
 from __future__ import annotations
@@ -90,17 +91,19 @@ class DiscreteRayCdf:
     def _surrogate(self, u: np.ndarray) -> np.ndarray:
         """``surrogate_sample``'s kernel on checked draws."""
         c, grid = self.cumulative, self.grid
-        k = _interval(c, u)
-        # frac = (u - c[k]) / span where span = c[k + 1] - c[k] > 0, else 0.
-        c_k = c[k]
-        span = c[1:][k]
-        span -= c_k
-        frac = np.zeros(u.shape)
-        np.divide(np.subtract(u, c_k, out=c_k), span, out=frac, where=span > 0.0)
-        # s = pts[k] + frac * (pts[k + 1] - pts[k]); those differences are the widths.
-        s = np.multiply(frac, grid.widths[k], out=frac)
-        s += grid.points[k]
+        s = _per_bin(_in_bin, u, _interval(c, u, runs=True), c, c[1:], grid.points, grid.widths)
         return np.minimum(s, grid.segment.far, out=s)
+
+
+def _in_bin(u, c_k, c_next, s_k, width):
+    """The surrogate in a bin: ``s_k + width * (u - c_k) / span``, or ``s_k`` if ``span`` is 0."""
+    span = c_next
+    span -= c_k
+    frac = np.zeros(u.shape)
+    np.divide(u - c_k, span, out=frac, where=span > 0.0)
+    frac *= width
+    frac += s_k
+    return frac
 
 
 @dataclass(frozen=True)
@@ -144,25 +147,8 @@ class ContinuousRayCdf:
     def _cdf(self, t: np.ndarray) -> np.ndarray:
         """``cdf_eval``'s kernel on checked points."""
         grid, tau, dist = self.grid, self.tau.values, self.dist
-        k = _interval(grid.points, t)
-        # depth = (tau[k + 1] - tau[k]) * tp * tp / (2 delta) + tau[k] * tp, tp = t - s_k.
-        tp = np.subtract(t, grid.points[k])
-        tau_k = tau[k]
-        depth = tau[1:][k]
-        depth -= tau_k
-        depth *= tp
-        depth *= tp
-        two_delta = grid.widths[k]
-        two_delta *= 2.0
-        depth /= two_delta
-        depth += np.multiply(tau_k, tp, out=tau_k)
-        # f = cumulative[k] + transmittance[k] * -expm1(-depth), clipped to [0, 1].
-        f = np.negative(depth, out=depth)
-        np.expm1(f, out=f)
-        np.negative(f, out=f)
-        f *= dist.transmittance[k]
-        f += dist.cumulative[k]
-        return np.clip(f, 0.0, 1.0, out=f)
+        tables = (grid.points, tau, tau[1:], grid.widths, dist.transmittance, dist.cumulative)
+        return _per_bin(_cdf_in_bin, t, _interval(grid.points, t, runs=True), *tables)
 
     def precise_sample(self, u):
         """Exact inverse of the CDF at ``u`` in [0, 1].
@@ -181,59 +167,105 @@ class ContinuousRayCdf:
         return _sample_rows(self.grid, self.tau.values, dist.log_transmittance, dist.cumulative, u)
 
 
+def _cdf_in_bin(t, s_k, tau_k, tau_next, width, trans_k, cum_k):
+    """The CDF in a bin: ``cum_k + trans_k * -expm1(-depth)``, clipped to [0, 1], where
+    ``depth = (tau_next - tau_k) * tp * tp / (2 width) + tau_k * tp``, ``tp = t - s_k``."""
+    tp = t - s_k
+    depth = tau_next
+    depth -= tau_k
+    depth *= tp
+    depth *= tp
+    width *= 2.0
+    depth /= width
+    tau_k *= tp
+    depth += tau_k
+    f = np.negative(depth, out=depth)
+    np.expm1(f, out=f)
+    np.negative(f, out=f)
+    f *= trans_k
+    f += cum_k
+    return np.clip(f, 0.0, 1.0, out=f)
+
+
 def _at(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
     """``rows[k]`` of one row, or of a stack each row's own entries ``rows[r, k[r]]``."""
     return rows[k] if rows.ndim == 1 else np.take_along_axis(rows, k, axis=-1)
 
 
+def _per_bin(formula, x: np.ndarray, located, *tables) -> np.ndarray:
+    """``formula(x, *entries)``, each entry a table's value at the bins ``rays._interval``
+    ``located``: gathered per point in one call, or a scalar in one call per run.  An
+    entry is fresh, so a formula may update it in place (``c -= d`` rebinds a scalar)."""
+    if not isinstance(located, list):
+        return formula(x, *(_at(table, located) for table in tables))
+    out = np.empty(x.shape)
+    for k, run in located:
+        out[run] = formula(x[run], *(table[k] for table in tables))
+    return out
+
+
+def _clamped(u: np.ndarray, cumulative) -> tuple[np.ndarray, np.ndarray]:
+    """Draws at or above ``1 - EPS_UNIT`` or the total mass, and a fresh ``u`` with them 0."""
+    clamped = u >= np.minimum(1.0 - EPS_UNIT, cumulative[..., -1:])
+    return clamped, np.where(clamped, 0.0, u)
+
+
+def _root(u, log_t_k, tau_k, tau_next, delta):
+    """The inverse in a bin: ``(q, root, denom)``, ``q = log_t_k - log1p(-u)`` in ``u``'s
+    array, and ``t = 2 q / denom`` with ``denom = tau_k + root`` the stable root."""
+    q = np.negative(u, out=u)
+    np.log1p(q, out=q)
+    np.subtract(log_t_k, q, out=q)
+    if not np.isfinite(q).all():
+        raise ArithmeticError("non-finite log mass while inverting the CDF")
+    # disc = tau_k * tau_k + 2.0 * (tau_next - tau_k) * q / delta
+    slope = tau_next
+    slope -= tau_k
+    slope *= 2.0
+    slope *= q
+    slope /= delta
+    disc = tau_k * tau_k
+    disc += slope
+    # The discriminant lies between tau_k^2 and tau_{k+1}^2; rounding can
+    # push it a hair negative when q sits at the bin boundary.
+    root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    return q, root, np.add(tau_k, root, out=slope)
+
+
+def _sample_in_bin(u, log_t_k, tau_k, tau_next, delta, s_k):
+    """The exact sample in a bin: ``s_k + t``, ``t = 2 q / denom`` of ``_root`` (0 if
+    ``denom`` is 0) clipped to [0, delta]."""
+    q, _, denom = _root(u, log_t_k, tau_k, tau_next, delta)
+    q *= 2.0
+    t = np.zeros(q.shape)
+    np.divide(q, denom, out=t, where=denom > 0.0)
+    np.clip(t, 0.0, delta, out=t)
+    return np.add(s_k, t, out=t)
+
+
 def _invert_rows(grid: SampleGrid, tau, log_t, cumulative, u: np.ndarray):
-    """The exact inverse's kernel: ``(k, delta, q, root, denom, clamped)`` per draw.
+    """The exact inverse's steps per draw: ``(k, delta, q, root, denom, clamped)``.
 
     ``tau``, ``log_t`` and ``cumulative`` are one ray's linear-model arrays,
     shape (N+2,), with draws ``u`` (S,); or R rays' rows on the one ``grid``,
     shape (R, N+2), with draws (R, S), row ``r`` inverting ray ``r`` bit for
     bit as alone.  ``k`` is the located bin (``rays._interval``, one search
-    per row) and ``delta`` its width; ``q = ln T_k - ln(1 - u)`` is the log
-    mass left to spend in it; ``root`` and ``denom`` make up the stable root
-    ``t = 2 q / denom``.  Draws at or above ``1 - EPS_UNIT`` or the total mass
-    are flagged in ``clamped`` and inverted as ``u = 0``.  ``precise_sample``
-    and ``gradients.grad_sample_wrt_tau`` both invert through here.
+    per row) and ``delta`` its width; ``q``, ``root`` and ``denom`` are ``_root``'s.
+    A draw ``_clamped`` is flagged and inverted as ``u = 0``, for the gradient.
     """
-    # u >= 1 - EPS_UNIT or u >= the total mass, in one compare.
-    clamped = u >= np.minimum(1.0 - EPS_UNIT, cumulative[..., -1:])
-    u = np.where(clamped, 0.0, u)  # a fresh array: the caller's draws are never written
+    clamped, u = _clamped(u, cumulative)
     k = _interval(cumulative, u)
-    # q = log_t[k] - log1p(-u), in u's array.
-    q = np.negative(u, out=u)
-    np.log1p(q, out=q)
-    np.subtract(_at(log_t, k), q, out=q)
-    if not np.isfinite(q).all():
-        raise ArithmeticError("non-finite log mass while inverting the CDF")
-    tau_k = _at(tau, k)
     delta = grid.widths[k]
-    # disc = tau_k * tau_k + 2.0 * (tau[k + 1] - tau_k) * q / delta
-    slope = _at(tau[..., 1:], k)
-    slope -= tau_k
-    slope *= 2.0
-    slope *= q
-    slope /= delta
-    disc = np.multiply(tau_k, tau_k)
-    disc += slope
-    # The discriminant lies between tau_k^2 and tau_{k+1}^2; rounding can
-    # push it a hair negative when q sits at the bin boundary.
-    root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
-    return k, delta, q, root, np.add(tau_k, root, out=slope), clamped
+    q, root, denom = _root(u, _at(log_t, k), _at(tau, k), _at(tau[..., 1:], k), delta)
+    return k, delta, q, root, denom, clamped
 
 
 def _sample_rows(grid: SampleGrid, tau, log_t, cumulative, u: np.ndarray) -> np.ndarray:
-    """Exact inverse samples of ``_invert_rows``' one ray or rows; clamped draws go to far."""
-    k, delta, q, _, denom, clamped = _invert_rows(grid, tau, log_t, cumulative, u)
-    # t = 2 q / denom where denom > 0, else 0, clipped to [0, delta].
-    q *= 2.0
-    t = np.zeros(q.shape)
-    np.divide(q, denom, out=t, where=denom > 0.0)
-    np.clip(t, 0.0, delta, out=t)
-    s = np.add(grid.points[k], t, out=t)
+    """Exact inverse samples of one ray or rows, as ``_invert_rows`` takes them; clamped
+    draws go to far.  Bins are located on the draws as given, so sorted ones keep runs."""
+    clamped, zeroed = _clamped(u, cumulative)
+    tables = (log_t, tau, tau[..., 1:], grid.widths, grid.points)
+    s = _per_bin(_sample_in_bin, zeroed, _interval(cumulative, u, runs=True), *tables)
     np.copyto(s, grid.segment.far, where=clamped)
     return s
 

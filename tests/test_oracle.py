@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -732,6 +733,27 @@ class TestKsStatistic:
         for samples in ([np.nan], [np.inf], [0.2, np.inf]):
             with pytest.raises(ValueError, match="finite"):
                 ks_statistic(np.array(samples), lambda v: v)
+
+    @pytest.mark.parametrize(
+        "cdf",
+        [lambda v: v[:, None], lambda v: 0.5, lambda v: v[:1]],
+        ids=["column", "scalar", "first-value"],
+    )
+    def test_rejects_a_cdf_without_one_value_per_sample(self, cdf):
+        # Each broadcasts against the ranks: the column into a 3000 x 3000 gap
+        # (72 MB), the others into a statistic of nothing.  The check comes first.
+        x = np.sort(np.random.default_rng(4).random(3000))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            with pytest.raises(ValueError, match=r"^cdf must return one value per sample: 3000 gave "):
+                ks_statistic(x, cdf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_rejects_non_finite_cdf_values(self):
         with pytest.raises(ValueError, match="finite"):

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,10 +20,10 @@ from rayquad import (
     ks_statistic,
     make_uniform_grid,
 )
-from rayquad import fixtures
+from rayquad import cli, fixtures, sampling
 from rayquad.fields import opaque_trace
 from rayquad.quadrature import _distributions
-from rayquad.rays import _BLOCK
+from rayquad.rays import _BLOCK, _MANY_POINTS
 from rayquad.sampling import (
     EPS_UNIT,
     MERGE_TOL,
@@ -429,6 +431,21 @@ def sampler_pairs():
 BLOCK_SIZES = [8191, 8192, 8193, 16385, 100_001]
 
 
+def spy_locator(monkeypatch):
+    """Record each draw kernel's ``_interval`` call as ``(caller, points, runs)``:
+    ``runs`` when it answered with runs of sorted points, not bin indices."""
+    calls = []
+    locate = sampling._interval
+
+    def spy(edges, x, runs=False):
+        got = locate(edges, x, runs=runs)
+        calls.append((sys._getframe(1).f_code.co_name, np.size(x), isinstance(got, list)))
+        return got
+
+    monkeypatch.setattr(sampling, "_interval", spy)
+    return calls
+
+
 class TestBlockedEvaluation:
     """Long inputs run in blocks of ``_BLOCK``; each output equals the unblocked one bit for bit."""
 
@@ -439,47 +456,66 @@ class TestBlockedEvaluation:
     @staticmethod
     def with_specials(x, specials):
         """A copy of ``x`` per special value, placed at indices 8191 and 8192 (where they
-        exist: either side of the first block edge) and at the last index."""
+        exist: either side of the first block edge) and at the last index; then each
+        copy sorted, whose blocks the kernels run bin by bin."""
+        copies = []
         for value in specials:
             y = x.copy()
             y[8191:8193] = value
             y[-1] = value
-            yield y
+            copies.append(y)
+        return copies + [np.sort(y) for y in copies]
+
+    @staticmethod
+    def assert_matches_slices(method, x, calls):
+        """``method`` on all of ``x`` equals it on 1000-point slices, which locate point by
+        point; a sorted ``x`` locates each block of ``_MANY_POINTS`` or more by runs."""
+        calls.clear()
+        whole = method(x)
+        if (x[1:] >= x[:-1]).all():
+            assert all(runs for _, size, runs in calls if size >= _MANY_POINTS)
+            assert any(runs for _, _, runs in calls)
+        calls.clear()
+        assert np.array_equal(whole, TestBlockedEvaluation.by_slices(method, x))
+        assert not any(runs for _, _, runs in calls)
 
     def test_block_is_the_documented_size(self):
         # BLOCK_SIZES and the special indices straddle block edges only at this size.
         assert _BLOCK == 8192
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
-    def test_precise_sample_matches_slices(self, n):
+    def test_precise_sample_matches_slices(self, monkeypatch, n):
+        calls = spy_locator(monkeypatch)
         rng = np.random.default_rng(n)
         for continuous, _ in sampler_pairs():
             c = continuous.cumulative
             # A bin edge, the total mass, a clamped draw, and both ends of [0, 1].
             specials = [c[2], c[-1], 1.0 - EPS_UNIT, 0.0, 1.0]
             for u in self.with_specials(rng.random(n), specials):
-                whole = continuous.precise_sample(u)
-                assert np.array_equal(whole, self.by_slices(continuous.precise_sample, u))
+                self.assert_matches_slices(continuous.precise_sample, u, calls)
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
-    def test_surrogate_sample_matches_slices(self, n):
+    def test_surrogate_sample_matches_slices(self, monkeypatch, n):
+        calls = spy_locator(monkeypatch)
         rng = np.random.default_rng(n)
-        for _, surrogate in sampler_pairs():
+        # The last surrogate repeats cumulative edges: its zero-mass bins.
+        surrogates = [s for _, s in sampler_pairs()]
+        surrogates.append(zero_span_surrogate(fixtures.steep_sampler_fixture()[0]))
+        for surrogate in surrogates:
             c = surrogate.cumulative
             specials = [v for v in (c[2], c[-1], 1.0 - EPS_UNIT, 0.0) if v < 1.0 and v <= c[-1]]
             for u in self.with_specials(rng.random(n) * c[-1], specials):
-                whole = surrogate.surrogate_sample(u)
-                assert np.array_equal(whole, self.by_slices(surrogate.surrogate_sample, u))
+                self.assert_matches_slices(surrogate.surrogate_sample, u, calls)
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
-    def test_cdf_eval_matches_slices(self, n):
+    def test_cdf_eval_matches_slices(self, monkeypatch, n):
+        calls = spy_locator(monkeypatch)
         rng = np.random.default_rng(n)
         for continuous, _ in sampler_pairs():
             seg = continuous.grid.segment
             specials = [continuous.grid.points[2], seg.near, seg.far]
             for t in self.with_specials(seg.near + seg.span * rng.random(n), specials):
-                whole = continuous.cdf_eval(t)
-                assert np.array_equal(whole, self.by_slices(continuous.cdf_eval, t))
+                self.assert_matches_slices(continuous.cdf_eval, t, calls)
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 5000)], ids=["one-block", "three-blocks"])
     def test_scalar_is_a_float_and_an_array_keeps_its_shape(self, shape):
@@ -536,6 +572,32 @@ class TestBlockedEvaluation:
         with pytest.raises(ValueError, match="^draw exceeds the total probability mass of the ray$"):
             surrogate.surrogate_sample(x)
         assert calls == []
+
+
+class TestRunPath:
+    """Sorted input runs the draw kernels bin by bin; other input locates point by point."""
+
+    def test_sampler_test_runs_every_long_block_by_bins(self, monkeypatch, tmp_path):
+        calls = spy_locator(monkeypatch)
+        assert cli.main(["sampler-test", "--out", str(tmp_path)]) == 0
+        # Each 100,000-point call has 12 full blocks and a last one below _MANY_POINTS.
+        blocks = 100_000 // _BLOCK
+        assert 100_000 % _BLOCK < _MANY_POINTS
+        runs = Counter(caller for caller, _, by_runs in calls if by_runs)
+        # Four KS statistics' CDFs, two exact and two surrogate samplers.
+        assert runs == {"_cdf": 4 * blocks, "_sample_rows": 2 * blocks, "_surrogate": 2 * blocks}
+        assert all(by_runs for _, size, by_runs in calls if size >= _MANY_POINTS)
+
+    def test_unsorted_input_of_the_same_size_locates_by_point(self, monkeypatch):
+        calls = spy_locator(monkeypatch)
+        continuous, surrogate = fixtures.precise_and_surrogate(*fixtures.steep_sampler_fixture())
+        u = np.random.default_rng(9).random(100_000)
+        seg = continuous.grid.segment
+        continuous.precise_sample(u)
+        surrogate.surrogate_sample(np.minimum(u, surrogate.cumulative[-1] * (1 - 1e-12)))
+        continuous.cdf_eval(seg.near + seg.span * u)
+        assert len(calls) == 3 * -(-100_000 // _BLOCK)
+        assert not any(by_runs for _, _, by_runs in calls)
 
 
 class TestWorkingSet:
