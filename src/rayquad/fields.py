@@ -388,9 +388,6 @@ class AnalyticField:
     density: DensityProfile
     color: ColorProfile = UniformColor(np.array([1.0]))
 
-    def tau(self, s):
-        return self.density.tau(s)
-
 
 def sample_field(
     field: AnalyticField, grid: SampleGrid

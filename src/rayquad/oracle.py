@@ -598,7 +598,7 @@ def true_interval_probabilities(
 
     def integrand(x: np.ndarray, task: np.ndarray) -> np.ndarray:
         x = np.minimum(np.maximum(x, inner_lo[task]), inner_hi[task])
-        return field.tau(x) * np.exp(-(cumulative(x, 0) - prefix[task]))
+        return field.density.tau(x) * np.exp(-(cumulative(x, 0) - prefix[task]))
 
     value, error, evals, failed = _adaptive_simpson(
         integrand, lo, hi, np.maximum(rtol * mass, 1e-300)
@@ -627,19 +627,23 @@ def true_mean_termination(
     """Expected termination distance; an opaque far plane absorbs the rest.
 
     Unlike ``true_render``, which lets the light left at the far bound leave,
-    this counts that light as terminating at ``segment.far``.
+    this counts that light as terminating at ``segment.far``.  The integral
+    measures distance from ``segment.near``, which is added back at the end,
+    so ``tol`` bounds the same error wherever the segment lies on the ray.
     """
-    unit = AnalyticField(field.density)
+    unit, near, span = AnalyticField(field.density), segment.near, segment.span
     bases = _render_bases([unit], segment)
 
     def once(rays, wave):
-        results = _render_rays([unit], segment, wave, bases, tol, weight=lambda x: x, ids=rays)
+        results = _render_rays(
+            [unit], segment, wave, bases, tol, weight=lambda x: x - near, ids=rays
+        )
         return [
-            (r[0] + segment.far * np.exp(-far), *r[1:]) if isinstance(r, tuple) else r
+            (r[0] + span * np.exp(-far), *r[1:]) if isinstance(r, tuple) else r
             for r, far in zip(results, wave.far)
         ]
 
-    return float(_refine_until_stable([field.density], segment, tol, once, [0])[0, 0])
+    return near + float(_refine_until_stable([field.density], segment, tol, once, [0])[0, 0])
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:

@@ -20,9 +20,9 @@ its own shape, order and range beyond the sign.
 ``_interval`` is the one rule for which interval of sorted edges holds a
 point: samplers, profiles and the oracle's tables all locate through it,
 and rows of edges locate rows of points one row at a time.  It evaluates
-the rule in three ways that place each point alike: a binary search, a
-count of the edges each point is not below (many points, few edges), or
-for such points in order, their run in each interval; sizes and order choose.
+the rule in two ways that place each point alike: a binary search, or, for
+many points in order on few edges when the caller takes runs, their run in
+each interval; sizes and order choose.
 ``_check`` is the one finite (and color range) test: ``_frozen`` runs it on
 each array it stores, and a stack of traces runs it once for all rows.
 ``_floored`` and ``_opaque_far`` apply the opacity floor and the opaque-far
@@ -137,10 +137,12 @@ def _real(owner, *names: str, **signs: str) -> None:
         object.__setattr__(owner, name, float(value))
 
 
-# ``_interval`` counts instead of searching on at most this many interior
-# edges and at least this many points.  For 8192 random keys on a 2-vCPU x86
-# VM, the count costs about 1.5 us per edge over a fixed 4 us; a search on
-# 3 edges costs 38 us, and 29 us on 8 edges even when the keys are sorted.
+# ``_interval`` answers with runs only on at most this many interior edges
+# and at least this many points.  Each run is one formula call on scalar
+# entries, about 10 us of fixed cost on a 2-vCPU x86 VM, so runs pay only when
+# they are few and long: on 8192 sorted points ``ContinuousRayCdf._cdf`` took
+# 73-136 us by runs against 120-159 us by search on 1 to 8 interior edges, but
+# 227 against 148 us on 16; on 1024 points the search won on every count.
 _FEW_EDGES = 8
 _MANY_POINTS = 2048
 
@@ -150,33 +152,23 @@ def _interval(edges: np.ndarray, x, runs: bool = False):
     each ``x``: a point on an edge, even a repeated one, lies in the last interval
     starting there, and a point past either end lies in that end's interval.
 
-    A row of at most ``_FEW_EDGES`` interior edges locates at least
-    ``_MANY_POINTS`` points by counting the edges each is not below, one compare
-    per edge: random keys make the binary search mispredict its branches.  A
-    point counts an edge it ties, NaN and +inf count every edge and -inf none,
-    so the count is ``searchsorted(side="right")`` exactly, as any other input
-    still computes it.
-
-    With ``runs``, such a row and a non-decreasing 1-D ``x`` give ``(k, run)`` per
-    nonempty run ``x[run]`` of interval ``k``, from its first point not below edge ``k``.
+    The rule has two evaluations that place each point alike.  A row of edges
+    answers with ``searchsorted(side="right")`` of its interior edges.  With
+    ``runs``, a row of at most ``_FEW_EDGES`` interior edges and a non-decreasing
+    1-D ``x`` of at least ``_MANY_POINTS`` points answer instead with ``(k, run)``
+    per nonempty run ``x[run]`` of interval ``k``, from its first point not below
+    edge ``k``; NaN, unsorted, short or 2-D input gets the search.
 
     Rows of ``edges``, shape (R, M), locate the rows of ``x``, shape (R, S), one
     search per row, so each row's indices are its one-row search's exactly.
     """
     if edges.ndim == 1:
         inner = edges[1:-1]
-        if inner.size > _FEW_EDGES or np.size(x) < _MANY_POINTS:
-            return inner.searchsorted(x, side="right")
-        if runs and x.ndim == 1 and (x[1:] >= x[:-1]).all():
+        few = inner.size <= _FEW_EDGES and np.size(x) >= _MANY_POINTS
+        if few and runs and x.ndim == 1 and (x[1:] >= x[:-1]).all():
             bounds = [0, *x.searchsorted(inner, side="left").tolist(), x.size]
             return [(k, slice(a, b)) for k, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
-        # One byte per point and compare; at most _FEW_EDGES counts fit a uint8.
-        below = np.zeros(np.shape(x), np.uint8)
-        step = np.empty(below.shape, bool)
-        for edge in inner.tolist():
-            np.less(x, edge, out=step)
-            below += step.view(np.uint8)
-        return np.subtract(inner.size, below, dtype=np.intp)
+        return inner.searchsorted(x, side="right")
     out = np.empty(np.shape(x), dtype=np.intp)
     for row, row_edges in enumerate(edges):
         out[row] = _interval(row_edges, x[row])

@@ -294,6 +294,21 @@ class TestCommands:
         values = {r.split(",")[0]: float(r.split(",")[1]) for r in rmse[1:]}
         assert values["linear"] <= values["constant"]
 
+    def test_depth_far_from_the_origin(self, tmp_path):
+        # The shipped wall a million units out, where a distance's ulp (1.2e-10)
+        # is above the oracle's default tol: its mean still settles, and sits
+        # where the wall at the origin puts it.
+        scene = json.loads((SCENE.parent / "logistic_wall.json").read_text())
+        scene["field"]["center"] += 1e6
+        scene["segment"] = {"near": 1e6, "far": 1e6 + 0.5}
+        scene["color"] = {"kind": "uniform", "value": [1.0]}
+        path = tmp_path / "far_wall.json"
+        path.write_text(json.dumps(scene))
+        assert run(["depth", "--scene", path, "--out", tmp_path]) == 0
+        rows = list(csv.DictReader((tmp_path / "depth.csv").read_text().splitlines()))
+        (mean,) = {float(r["oracle_mean"]) for r in rows}
+        assert mean == pytest.approx(1e6 + 0.25001135, abs=1e-8)
+
     def test_render_emits_images(self, tmp_path):
         from rayquad.cli import cmd_render
 

@@ -159,14 +159,14 @@ class TestGrazingRig:
         for angle in rig.angles:
             ray = rig.ray_field(float(angle), offset=0.2)
             depth = 0.2 + s * np.sin(angle)
-            np.testing.assert_allclose(ray.tau(s), wall.tau(depth), rtol=1e-12)
+            np.testing.assert_allclose(ray.density.tau(s), wall.tau(depth), rtol=1e-12)
 
     def test_perpendicular_ray_matches_wall_profile(self):
         rig = GrazingRig(10.0, 40.0, 1.0, angles=np.array([np.pi / 2]))
         ray = rig.ray_field(np.pi / 2)
         wall = LogisticStep(10.0, 40.0, 1.0)
         s = np.linspace(0.0, 3.0, 32)
-        np.testing.assert_allclose(ray.tau(s), wall.tau(s), rtol=1e-12)
+        np.testing.assert_allclose(ray.density.tau(s), wall.tau(s), rtol=1e-12)
 
     def test_rejects_empty_or_invalid_angles(self):
         with pytest.raises(ValueError):
@@ -243,7 +243,7 @@ class TestSceneFiles:
         field, segment = load_scene(path)
         assert isinstance(field.density, LogisticStep)
         assert segment.far == 0.5
-        assert field.tau(0.25) == pytest.approx(20.0)
+        assert field.density.tau(0.25) == pytest.approx(20.0)
 
     def test_shipped_scenes_load(self):
         from pathlib import Path
@@ -253,7 +253,7 @@ class TestSceneFiles:
         for path in scenes:
             field, segment = load_scene(path)
             assert segment.near < segment.far
-            assert np.all(field.tau(np.linspace(segment.near, segment.far, 16)) >= 0)
+            assert np.all(field.density.tau(np.linspace(segment.near, segment.far, 16)) >= 0)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -89,7 +89,7 @@ CONSTRUCTORS = {
         GrazingRig,
         {"angles": [0.3, 0.7]},
         {"wall_amplitude": 10.0, "wall_steepness": 40.0, "wall_depth": 1.0},
-        lambda v: np.array([v.ray_field(float(a)).tau(S) for a in v.angles]),
+        lambda v: np.array([v.ray_field(float(a)).density.tau(S) for a in v.angles]),
     ),
     "QuadraticPatch": (
         QuadraticPatch,

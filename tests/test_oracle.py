@@ -696,6 +696,16 @@ class TestMeanTermination:
         mean = true_mean_termination(field, RaySegment(0.0, 4.0), 1e-10)
         assert mean == pytest.approx(4.0, abs=1e-6)
 
+    @pytest.mark.parametrize("near", [1e4, 1e6, 1e9])
+    def test_settles_far_from_the_origin(self, near):
+        # From 1e6 on a distance's ulp is above the default tol; measured from the
+        # near bound, the integral is the one at the origin, shifted.
+        def mean(near):
+            field = AnalyticField(GaussianBump(3.0, near + 0.6, 0.25))
+            return true_mean_termination(field, RaySegment(near, near + 2.0))
+
+        assert abs(mean(near) - (near + mean(0.0))) <= 1e-8
+
 
 class TestKsStatistic:
     def test_matches_scipy_on_uniform_sample(self, rng):

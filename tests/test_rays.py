@@ -251,8 +251,9 @@ class TestIntervalLocator:
         for row, (row_edges, row_x) in enumerate(zip(edges, x)):
             assert np.array_equal(got[row], _interval(row_edges, row_x))
 
-    # Interior-edge counts either side of the count path's limit, and point counts
-    # either side of its least size: the count path and the search must agree.
+    # Interior-edge counts either side of the runs' limit, and point counts either
+    # side of their least size: each run holds exactly the points the search
+    # places in its interval.
     @pytest.mark.parametrize("inner", range(1, 17))
     def test_count_path_equals_search(self, inner):
         assert 1 <= _FEW_EDGES < 16
@@ -260,23 +261,30 @@ class TestIntervalLocator:
         # Few values drawn with replacement: most rows repeat an edge.
         pool = rng.uniform(-2.0, 3.0, max(2, inner // 2))
         edges = np.sort(rng.choice(pool, inner + 2))
-        probes = np.concatenate([_probe_points(edges), [np.nan]])
         for size in (_MANY_POINTS - 1, _MANY_POINTS, 3 * _MANY_POINTS):
-            x = rng.permutation(np.resize(probes, size))
-            got = _interval(edges, x)
-            assert got.dtype == np.intp
-            assert np.array_equal(got, edges[1:-1].searchsorted(x, side="right"))
-
-    @pytest.mark.parametrize("inner", [1, 3, _FEW_EDGES, _FEW_EDGES + 1])
-    def test_count_path_on_rows(self, inner):
-        rng = np.random.default_rng(inner)
-        pool = rng.uniform(-2.0, 3.0, 4)
-        edges = np.sort(rng.choice(pool, (3, inner + 2)), axis=1)
-        probes = [np.concatenate([_probe_points(row), [np.nan]]) for row in edges]
-        x = np.stack([rng.permutation(np.resize(p, 2 * _MANY_POINTS)) for p in probes])
-        got = _interval(edges, x)
-        for row, (row_edges, row_x) in enumerate(zip(edges, x)):
-            assert np.array_equal(got[row], row_edges[1:-1].searchsorted(row_x, side="right"))
+            # On, beside and past the edges, and both infinities, in order.
+            x = np.sort(np.resize(_probe_points(edges), size))
+            want = edges[1:-1].searchsorted(x, side="right")
+            got = _interval(edges, x, runs=True)
+            if inner <= _FEW_EDGES and size >= _MANY_POINTS:
+                ks = [k for k, _ in got]
+                assert ks == sorted(set(ks))
+                # Nonempty runs that tile the points in order.
+                bounds = [(run.start, run.stop) for _, run in got]
+                assert all(a < b for a, b in bounds)
+                assert [a for a, _ in bounds] == [0, *(b for _, b in bounds[:-1])]
+                assert bounds[-1][1] == size
+                for k, run in got:
+                    assert (want[run] == k).all()
+            else:
+                assert got.dtype == np.intp
+                assert np.array_equal(got, want)
+            # NaN, unsorted or 2-D input falls back to an index array.
+            nan = np.sort(np.append(x[1:], np.nan))
+            for other in (nan, rng.permutation(x), x[None, :]):
+                got = _interval(edges, other, runs=True)
+                assert isinstance(got, np.ndarray) and got.dtype == np.intp
+                assert np.array_equal(got, edges[1:-1].searchsorted(other, side="right"))
 
     def test_edge_rule(self):
         edges = np.array([0.0, 1.0, 1.0, 2.0, 3.0])
