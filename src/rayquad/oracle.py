@@ -29,9 +29,11 @@ unsettled ray is predicted to need from the rate its differences fall
 at.  The engine's rows are (ray, round) pairs.  A round ``j`` rounds
 coarser than the wave's finest has the finest edges taken every
 ``2**j``-th, so one search of the finest edges finds a point's piece in
-every row's table (``_nest``).  Since no row affects another, values,
-settling and errors are those of one round at a time, and a row past a
-ray's settling round is dropped, failed or not.
+every row's table (``_nest``).  Since no row affects another, values and
+settling are those of one round at a time, and a row past a ray's
+settling round is dropped.  A wave that meets any failure is dropped
+whole, and the rest of the call runs one round per pass, so the error
+raised is the one that loop meets first.
 
 Only ``true_render_batch`` takes rays of mixed profiles.  It splits them
 into batches of one density class, one color class and one base (the
@@ -403,23 +405,17 @@ def _wave_tables(densities, segment: RaySegment, base: np.ndarray, plan: dict):
     """One wave's tables, ``plan[p] = (first, last)`` rounds for the ray at position
     ``p``: per round, one ``_tabulate`` of the rays that run it, coarsest first.
     Returns the ``_Wave`` (``_nest``, ray ``i`` being the ``i``-th of ``plan``) and
-    each row's (round, position).  The wave stops before a round whose table raises
-    ValueError or whose edges do not nest the coarser ones; a failure of its lowest
-    round propagates."""
+    each row's (round, position).  Raises ValueError for a table that cannot be built
+    or whose edges do not nest the coarser ones."""
     index = {p: i for i, p in enumerate(plan)}
     tables, rays, keys = [], [], []
     for k in sorted({k for first, last in plan.values() for k in range(first, last + 1)}):
         picked = [p for p, (first, last) in plan.items() if first <= k <= last]
-        try:
-            rows = _tabulate([densities[p] for p in picked], segment, base, 64 << k)
-        except ValueError:
-            if not tables:
-                raise
-            break
+        rows = _tabulate([densities[p] for p in picked], segment, base, 64 << k)
         if tables and not np.array_equal(
             rows.edges[:: rows.n_sub // tables[-1].n_sub], tables[-1].edges
         ):
-            break
+            raise ValueError(f"round {k}'s edges do not nest the wave's coarser rounds")
         tables.append(rows)
         rays.append([index[p] for p in picked])
         keys += [(k, p) for p in picked]
@@ -435,69 +431,58 @@ def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, i
     raises NoConvergenceError with its last pass as the partial.  The densities
     share one class and one base.
 
-    The rounds run in waves: one ``_tabulate`` per round of a wave, for the rays that
-    run it, and one ``run_pass(rays, wave)`` per wave, where ``rays`` are the ids of
-    the wave's rays and ``wave`` (``_nest``) holds its (ray, round) table rows; it
-    returns per row (value, error, evaluations) or the NoConvergenceError of a row
-    that failed.  Wave 1 runs rounds 0 to 2 (round 0 alone for an exact class); each
-    later wave runs, per unsettled ray, its next round up to the one ``_wave_end``
-    predicts it settles at.  Every row depends only on its own ray and table, so
-    values, settling, errors and partials are those of running one round at a time:
-    rows past the round a ray settles or fails at are dropped, and the error raised
-    is the first that loop meets, by round, then a round's table or engine error
-    before its rays' depth-limit failures, then by ray.  A round whose table cannot
-    be built, or whose edges do not nest the wave's coarser ones, waits for a later
-    wave; a wave that raises ValueError runs again as its lowest round alone, and an
-    error there is met at that round.
+    The rounds run in waves: one ``_wave_tables`` per wave and one
+    ``run_pass(rays, wave)``, where ``rays`` are the ids of the wave's rays and
+    ``wave`` holds its (ray, round) table rows; it returns per row (value, error,
+    evaluations) or the NoConvergenceError of a row that failed.  Wave 1 runs rounds
+    0 to 2 (round 0 alone for an exact class); each later wave runs, per unsettled
+    ray, its next round up to the one ``_wave_end`` predicts it settles at.  Rows
+    past the round a ray settles at are dropped.  A wave that meets any failure (a
+    ValueError, a failed row or a ray unsettled at round 8) is dropped whole, and
+    the rest of the call runs one round per pass, the rays at the lowest round,
+    raising the first failure it meets.
     """
     if not _is_real(tol, "positive"):
         raise ValueError(f"tolerance must be positive and finite, got tol={tol!r}")
     base, exact = _base(densities[0], segment), _is_exact_class(densities[0])
     ahead = dict.fromkeys(range(len(ids)), 0)  # each unsettled ray's next round, by position
     values, diffs = [None] * len(ids), [[] for _ in ids]
-    failures = {}  # (round, ray position or -1 for the table) -> the error met there
     one_round = False
     while ahead:
-        plan = {p: (k, 0 if exact else _wave_end(k, diffs[p], tol)) for p, k in ahead.items()}
         low = min(ahead.values())
         if one_round:
             plan = {p: (low, low) for p, k in ahead.items() if k == low}
+        else:
+            plan = {p: (k, 0 if exact else _wave_end(k, diffs[p], tol)) for p, k in ahead.items()}
+        # The wave works on copies, so a dropped wave changes no ray.
+        live, new, new_diffs = dict(ahead), list(values), [list(d) for d in diffs]
         try:
             wave, keys = _wave_tables(densities, segment, base, plan)
             results = run_pass([ids[p] for p in plan], wave)
-        except ValueError as exc:
-            if not one_round and set(plan.values()) != {(low, low)}:
-                one_round = True  # the error may lie past a ray's settling round
-                continue
-            # Met at the lowest round, as its table is built or before its pass returns.
-            failures[low, -1] = exc
-            for p in plan:
-                del ahead[p]
-            keys = results = ()
-        one_round = False
-        for (k, p), result in zip(keys, results):
-            if p not in ahead:
-                continue  # past the round this ray settled or failed at
-            if isinstance(result, NoConvergenceError):
-                failures[k, p] = result
-                del ahead[p]
-                continue
-            value, err, evals = result
-            if k:
-                diffs[p].append(float(np.max(np.abs(value - values[p]))))
-            values[p] = value
-            if (diffs[p][-1] <= 3.0 * tol) if k else exact:
-                del ahead[p]
-            elif k == 8:
-                failures[9, p] = NoConvergenceError(
-                    f"cumulative opacity tabulation did not stabilize for ray {ids[p]}",
-                    partial=IntegrationResult(float(value[0]), err, evals),
-                )
-                del ahead[p]
-            else:
-                ahead[p] = k + 1
-    if failures:
-        raise failures[min(failures)]
+            failed = [result for result in results if isinstance(result, NoConvergenceError)]
+            if failed:
+                raise failed[0]
+            for (k, p), (value, err, evals) in zip(keys, results):
+                if p not in live:
+                    continue  # past the round this ray settled at
+                if k:
+                    new_diffs[p].append(float(np.max(np.abs(value - new[p]))))
+                new[p] = value
+                if (new_diffs[p][-1] <= 3.0 * tol) if k else exact:
+                    del live[p]
+                elif k == 8:
+                    raise NoConvergenceError(
+                        f"cumulative opacity tabulation did not stabilize for ray {ids[p]}",
+                        partial=IntegrationResult(float(value[0]), err, evals),
+                    )
+                else:
+                    live[p] = k + 1
+        except (ValueError, NoConvergenceError):
+            if one_round:
+                raise
+            one_round = True
+            continue
+        ahead, values, diffs = live, new, new_diffs
     return np.array(values)
 
 

@@ -34,7 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rays import OPAQUE, ColorTrace, ModelKind, OpacityTrace, SampleGrid, _Adopted, _frozen
+from .rays import (
+    OPAQUE,
+    ColorTrace,
+    ModelKind,
+    OpacityTrace,
+    SampleGrid,
+    _Adopted,
+    _blocks,
+    _frozen,
+)
 
 # Tolerance for the internal cross-check between the direct P_j formula and
 # the transmittance difference T_j - T_{j+1}; both are exact rearrangements.
@@ -49,13 +58,15 @@ class RayDistribution:
     zero) and transmittance[k] its exponential; pmf[j] is the probability
     of terminating in interval j, and cumulative[k] the prefix sum of the
     pmf.  ``cumulative[k] + transmittance[k] == 1`` holds to rounding
-    because the pmf telescopes.  Only ``interval_pmf`` builds one.
+    because the pmf telescopes.  ``grid`` is the grid it was built on.  Only
+    ``interval_pmf`` builds one.
     """
 
     log_transmittance: np.ndarray
     transmittance: np.ndarray
     pmf: np.ndarray
     cumulative: np.ndarray
+    grid: SampleGrid
 
     def __post_init__(self):
         for name in ("log_transmittance", "transmittance", "pmf", "cumulative"):
@@ -139,10 +150,16 @@ def interval_pmf(
         log_t, trans, pmf, cumulative = _distributions(model, grid.widths, tau.values)
         dist = RayDistribution(
             log_transmittance=_Adopted(log_t), transmittance=_Adopted(trans),
-            pmf=_Adopted(pmf), cumulative=_Adopted(cumulative),
+            pmf=_Adopted(pmf), cumulative=_Adopted(cumulative), grid=grid,
         )
         tau._dists[key] = dist
     return dist
+
+
+def _check_grid(dist: RayDistribution, grid: SampleGrid) -> None:
+    """ValueError unless ``grid`` is the one ``dist`` was built on: that object or equal points."""
+    if grid is not dist.grid and not np.array_equal(grid.points, dist.grid.points):
+        raise ValueError("the distribution was built on another grid")
 
 
 def _weighted_sums(pmf: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -151,8 +168,15 @@ def _weighted_sums(pmf: np.ndarray, v: np.ndarray) -> np.ndarray:
     ``pmf`` is ``(N+1,)`` or ``(R, N+1)``, ``v`` ``(N+1, C)`` or ``(R, N+1, C)``, the
     result ``(C,)`` or ``(R, C)``.  Each pmf enters as a one-row matrix, so a row and
     channel is one dot product and a stacked row gets the bits of its one-ray sum
-    (a 2-D ``pmf @ v``, BLAS gemv, does not)."""
-    return np.matmul(pmf[..., None, :], v)[..., 0, :]
+    (a 2-D ``pmf @ v``, BLAS gemv, does not).  A row longer than ``rays._BLOCK``
+    intervals is summed as one product per block, added in order: threaded BLAS
+    took about 8 ms for one single-channel product of 16,385 elements on a 2-vCPU
+    VM, against 13 us for its two blocks."""
+    blocks = _blocks(pmf.shape[-1])
+    total = np.matmul(pmf[..., None, blocks[0]], v[..., blocks[0], :])
+    for block in blocks[1:]:
+        total += np.matmul(pmf[..., None, block], v[..., block, :])
+    return total[..., 0, :]
 
 
 def render(dist: RayDistribution, colors: ColorTrace) -> np.ndarray:
@@ -163,9 +187,9 @@ def render(dist: RayDistribution, colors: ColorTrace) -> np.ndarray:
 
 
 def expected_depth(dist: RayDistribution, grid: SampleGrid) -> float:
-    """Expected ray termination distance, each interval's mass at its midpoint."""
-    if dist.pmf.size != grid.widths.size:
-        raise ValueError(f"{dist.pmf.size} interval probabilities for {grid.widths.size} intervals")
+    """Expected ray termination distance, each interval's mass at its midpoint.
+    ``grid`` must be the one ``dist`` was built on, else ValueError."""
+    _check_grid(dist, grid)
     pts = grid.points
     mids = pts[:-1] + pts[1:]
     mids *= 0.5

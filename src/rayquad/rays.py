@@ -137,14 +137,19 @@ def _real(owner, *names: str, **signs: str) -> None:
         object.__setattr__(owner, name, float(value))
 
 
+# Long draw inputs run in blocks of this many values: 64 KiB per float64
+# temporary, inside L2 and below glibc's default mmap threshold (128 KiB), so
+# a block's temporaries are reused from the heap instead of mapped afresh.
+_BLOCK = 8192
+
 # ``_interval`` answers with runs only on at most this many interior edges
-# and at least this many points.  Each run is one formula call on scalar
-# entries, about 10 us of fixed cost on a 2-vCPU x86 VM, so runs pay only when
-# they are few and long: on 8192 sorted points ``ContinuousRayCdf._cdf`` took
-# 73-136 us by runs against 120-159 us by search on 1 to 8 interior edges, but
-# 227 against 148 us on 16; on 1024 points the search won on every count.
+# and a block of at least ``_BLOCK`` points.  Each run is one formula call on
+# scalar entries, about 10 us of fixed cost on a 2-vCPU x86 VM, so runs pay
+# only when they are few and long: on 8192 sorted points ``ContinuousRayCdf._cdf``
+# took 73-136 us by runs against 120-159 us by search on 1 to 8 interior edges,
+# but 227 against 148 us on 16; on 2048 and 4096 points the search took 45-79
+# us against 70-185 us by runs on 4 and 8 interior edges.
 _FEW_EDGES = 8
-_MANY_POINTS = 2048
 
 
 def _interval(edges: np.ndarray, x, runs: bool = False):
@@ -155,7 +160,7 @@ def _interval(edges: np.ndarray, x, runs: bool = False):
     The rule has two evaluations that place each point alike.  A row of edges
     answers with ``searchsorted(side="right")`` of its interior edges.  With
     ``runs``, a row of at most ``_FEW_EDGES`` interior edges and a non-decreasing
-    1-D ``x`` of at least ``_MANY_POINTS`` points answer instead with ``(k, run)``
+    1-D ``x`` of at least ``_BLOCK`` points answer instead with ``(k, run)``
     per nonempty run ``x[run]`` of interval ``k``, from its first point not below
     edge ``k``; NaN, unsorted, short or 2-D input gets the search.
 
@@ -164,7 +169,7 @@ def _interval(edges: np.ndarray, x, runs: bool = False):
     """
     if edges.ndim == 1:
         inner = edges[1:-1]
-        few = inner.size <= _FEW_EDGES and np.size(x) >= _MANY_POINTS
+        few = inner.size <= _FEW_EDGES and np.size(x) >= _BLOCK
         if few and runs and x.ndim == 1 and (x[1:] >= x[:-1]).all():
             bounds = [0, *x.searchsorted(inner, side="left").tolist(), x.size]
             return [(k, slice(a, b)) for k, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
@@ -173,12 +178,6 @@ def _interval(edges: np.ndarray, x, runs: bool = False):
     for row, row_edges in enumerate(edges):
         out[row] = _interval(row_edges, x[row])
     return out
-
-
-# Long draw inputs run in blocks of this many values: 64 KiB per float64
-# temporary, inside L2 and below glibc's default mmap threshold (128 KiB), so
-# a block's temporaries are reused from the heap instead of mapped afresh.
-_BLOCK = 8192
 
 
 def _blocks(n: int) -> list[slice]:

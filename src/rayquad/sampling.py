@@ -60,15 +60,15 @@ class DiscreteRayCdf:
     """Piecewise-linear surrogate over the discrete interval CDF.
 
     Built from any ray distribution (classically the constant-model one,
-    whose true CDF is a step function and cannot be inverted directly).
+    whose true CDF is a step function and cannot be inverted directly) of
+    ``grid``; one built on another grid raises ValueError.
     """
 
     grid: SampleGrid
     dist: quadrature.RayDistribution
 
     def __post_init__(self):
-        if self.dist.cumulative.size != self.grid.n + 2:
-            raise ValueError("distribution does not match grid size")
+        quadrature._check_grid(self.dist, self.grid)
 
     @property
     def cumulative(self) -> np.ndarray:

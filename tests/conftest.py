@@ -42,11 +42,11 @@ def sweep_traces(field, segment, n, offsets):
     ]
 
 
-def hand_distribution(log_transmittance, transmittance, pmf, cumulative):
-    """A ``RayDistribution`` of copies of these arrays, adopted as ``interval_pmf``
-    adopts its own: a test sets a pmf that no opacity trace gives."""
+def hand_distribution(grid, log_transmittance, transmittance, pmf, cumulative):
+    """A ``RayDistribution`` on ``grid`` of copies of these arrays, adopted as
+    ``interval_pmf`` adopts its own: a test sets a pmf that no opacity trace gives."""
     arrays = (log_transmittance, transmittance, pmf, cumulative)
-    return RayDistribution(*(_Adopted(np.array(a, dtype=np.float64)) for a in arrays))
+    return RayDistribution(*(_Adopted(np.array(a, dtype=np.float64)) for a in arrays), grid)
 
 
 @pytest.fixture

@@ -22,6 +22,18 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _try_sites(module):
+    """(top-level definition, line) of every ``try`` in ``module``'s source."""
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    tree = ast.parse(inspect.getsource(module))
+    return [
+        (getattr(top, "name", None), node.lineno)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, tries)
+    ]
+
+
 class NonZeroExit(Exception):
     """A command's thresholds failed after it wrote its outputs."""
 
@@ -117,15 +129,14 @@ class TestSpecValidation:
 
     def test_main_holds_the_only_try(self):
         # One error route: no command or helper may catch and report an error of its own.
-        tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
-        tree = ast.parse(inspect.getsource(cli))
-        sites = [
-            (getattr(top, "name", None), node.lineno)
-            for top in tree.body
-            for node in ast.walk(top)
-            if isinstance(node, tries)
-        ]
+        sites = _try_sites(cli)
         assert [name for name, _ in sites] == ["main"], sites
+
+    def test_oracle_holds_one_try(self):
+        # A wave that meets a failure is dropped and replayed one round per pass;
+        # no other oracle path catches an error to emulate that order.
+        sites = _try_sites(oracle)
+        assert [name for name, _ in sites] == ["_refine_until_stable"], sites
 
 
 SCENE = Path(__file__).parent.parent / "scenes" / "constant_slab.json"

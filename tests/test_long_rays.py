@@ -35,7 +35,8 @@ from rayquad import (
     shift_sweep,
 )
 from rayquad.fields import LogisticStep, _by_ray
-from rayquad.rays import EPS_OPACITY
+from rayquad.quadrature import _weighted_sums
+from rayquad.rays import EPS_OPACITY, _BLOCK
 from rayquad.sampling import MERGE_TOL, _stratified_unit_samples
 
 from conftest import hand_distribution
@@ -132,7 +133,18 @@ class TestBitIdentity:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         mids = 0.5 * (grid.points[:-1] + grid.points[1:])
-        assert expected_depth(dist, grid) == float(dist.pmf @ mids)
+        # One dot product per block of _BLOCK intervals, added in order.
+        blocks = [slice(i, i + _BLOCK) for i in range(0, mids.size, _BLOCK)]
+        assert expected_depth(dist, grid) == sum(float(dist.pmf[b] @ mids[b]) for b in blocks)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_weighted_sum_of_a_long_row_stacked_and_alone(self, channels):
+        # 65,537 intervals: eight full blocks of _BLOCK and a last one of one interval.
+        rng = np.random.default_rng(channels)
+        pmf, v = rng.random((3, 65_537)), rng.random((3, 65_537, channels))
+        stacked = _weighted_sums(pmf, v)
+        for row in range(3):
+            assert np.array_equal(stacked[row], _weighted_sums(pmf[row], v[row]))
 
     @pytest.mark.parametrize("model", MODELS)
     def test_gradients(self, ray, model):
@@ -187,7 +199,7 @@ class TestBitIdentity:
         grid = SampleGrid(np.array(interior), RaySegment(0.0, 1.0))
         cumulative = np.concatenate(([0.0], np.cumsum(pmf)))
         trans = 1.0 - cumulative
-        dist = hand_distribution(np.log(trans), trans, pmf, cumulative)
+        dist = hand_distribution(grid, np.log(trans), trans, pmf, cumulative)
         cdf = DiscreteRayCdf(grid, dist)
         fine = hierarchical_samples(cdf, 64, 3)
         assert fine.n < grid.n + 64

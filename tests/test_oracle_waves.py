@@ -183,6 +183,24 @@ def edit_tables_at(monkeypatch, n_sub, edit):
     monkeypatch.setattr(oracle, "_tabulate", edited)
 
 
+def drift(monkeypatch, target):
+    """Add ``3**-k`` to the value of each round-``k`` table row of the ray of field
+    ``target``: its differences fall threefold per round, so a wave predicts it
+    settles past round 8, and it is still unsettled there."""
+    render_rays = oracle._render_rays
+
+    def drifting(fields, segment, rows, bases, tol, weight=None, ids=None):
+        wave = oracle._as_wave(rows)
+        results = render_rays(fields, segment, rows, bases, tol, weight, ids)
+        rounds = [(wave.n_sub >> s).bit_length() - 7 for s in wave.shift.tolist()]
+        return [
+            (value + 3.0**-k, err, evals) if fields[r] is target else (value, err, evals)
+            for (value, err, evals), r, k in zip(results, wave.ray.tolist(), rounds)
+        ]
+
+    monkeypatch.setattr(oracle, "_render_rays", drifting)
+
+
 BREAKS = [fail_from, refuse_tables_from]
 
 
@@ -237,9 +255,9 @@ class TestRoundsPastSettling:
         got = assert_waves_match_one_round(monkeypatch, lambda: true_render(field, segment, 1e-6))
         assert not isinstance(got, tuple)
 
-    def test_edges_that_do_not_nest_wait_for_a_later_wave(self, monkeypatch):
+    def test_edges_that_do_not_nest_replay(self, monkeypatch):
         # Round 2's third edge, round 1's second, moved by one ulp: round 2 cannot
-        # share the coarser rounds' search, so it runs in the next wave.
+        # share the coarser rounds' search, so wave 1 is dropped before its pass.
         def moved(rows):
             edges = rows.edges.copy()
             edges[2] = np.nextafter(edges[2], np.inf)
@@ -248,19 +266,40 @@ class TestRoundsPastSettling:
         edit_tables_at(monkeypatch, 256, moved)
         calls = count_engine_calls(monkeypatch)
         outcome(convergence(1e-10))
-        assert len(calls) == 3  # rounds 0-1, round 2, round 3
+        assert len(calls) == 4  # rounds 0, 1, 2 and 3, one per pass
         assert_waves_match_one_round(monkeypatch, convergence(1e-10))
 
-    def test_non_finite_row_past_settling_runs_its_wave_again_one_round_at_a_time(self, monkeypatch):
+    def test_non_finite_row_past_settling_replays(self, monkeypatch):
         edit_tables_at(monkeypatch, 256, lambda rows: rows._replace(a2=np.full_like(rows.a2, np.nan)))
         calls = count_engine_calls(monkeypatch)
         outcome(convergence(1e-6))
-        # Rounds 0-2 raise, round 0 alone; rounds 1-2 raise, round 1 alone settles.
-        assert len(calls) == 4
+        # Rounds 0-2 raise and are dropped; round 0, then round 1, which settles.
+        assert len(calls) == 3
         for call in (convergence(1e-6), convergence(1e-10)):
             assert_waves_match_one_round(monkeypatch, call)
         kind, message, _ = outcome(convergence(1e-10))
         assert kind is ValueError and message.startswith("integrand is not finite at ")
+
+    def test_dropped_wave_changes_no_ray(self, monkeypatch):
+        # Wave 2 runs rounds 3 to 8 of all four rays: rays 0, 1 and 3 settle at
+        # round 6 and ray 2 is unsettled at round 8, so the wave is dropped.  Had
+        # ray 2 kept that wave's round-8 value, its replayed round 8 would settle.
+        batch = [
+            AnalyticField(LogisticStep(10.0, 40.0, c), UniformColor(np.array([0.5])))
+            for c in (0.5, 1.0, 1.3, 2.5)
+        ]
+        drift(monkeypatch, batch[2])
+        plans = []
+        wave_tables = oracle._wave_tables
+        monkeypatch.setattr(
+            oracle, "_wave_tables", lambda *args: plans.append(dict(args[-1])) or wave_tables(*args)
+        )
+        kind, message, _ = assert_waves_match_one_round(
+            monkeypatch, lambda: true_render_batch(batch, RENDER_SEGMENT, 1e-10)
+        )
+        assert kind is NoConvergenceError and message.endswith("did not stabilize for ray 2")
+        assert plans[1] == dict.fromkeys(range(4), (3, 8))
+        assert plans[2] == dict.fromkeys(range(4), (3, 3))
 
 
 class TestWaveStructure:

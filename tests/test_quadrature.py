@@ -397,6 +397,7 @@ class TestExpectedDepth:
         forced = np.zeros_like(dist.pmf)
         forced[1] = 1.0
         concentrated = hand_distribution(
+            grid,
             log_transmittance=dist.log_transmittance,
             transmittance=dist.transmittance,
             pmf=forced,
@@ -410,6 +411,7 @@ class TestExpectedDepth:
         dist = interval_pmf(ModelKind.CONSTANT, grid, tau)
         sym = 0.5 * (dist.pmf + dist.pmf[::-1])
         sym_dist = hand_distribution(
+            grid,
             log_transmittance=dist.log_transmittance,
             transmittance=dist.transmittance,
             pmf=sym,
@@ -422,8 +424,17 @@ class TestExpectedDepth:
     def test_grid_size_mismatch_rejected(self):
         grid, tau = two_interval_setup()
         dist = interval_pmf(ModelKind.CONSTANT, grid, tau)
-        with pytest.raises(ValueError, match="^2 interval probabilities for 4 intervals$"):
+        with pytest.raises(ValueError, match="^the distribution was built on another grid$"):
             expected_depth(dist, make_uniform_grid(grid.segment, 3))
+
+    def test_another_grid_of_equal_size_rejected(self):
+        # Read on b, a's distribution once put its mass ten times as deep.
+        a, b = (make_uniform_grid(RaySegment(0.0, far), 32) for far in (0.5, 5.0))
+        dist = interval_pmf(ModelKind.LINEAR, a, OpacityTrace(np.full(34, 2.0)))
+        with pytest.raises(ValueError, match="another grid"):
+            expected_depth(dist, b)
+        twin = make_uniform_grid(RaySegment(0.0, 0.5), 32)  # equal points, another object
+        assert twin is not a and expected_depth(dist, twin) == expected_depth(dist, a)
 
     def test_monte_carlo_matches_oracle_mean(self):
         field = AnalyticField(GaussianBump(3.0, 0.6, 0.25), UniformColor(np.array([1.0])))

@@ -15,7 +15,7 @@ from rayquad import (
     make_uniform_grid,
 )
 from rayquad.quadrature import RayDistribution
-from rayquad.rays import _FEW_EDGES, _MANY_POINTS, _Adopted, _interval
+from rayquad.rays import _BLOCK, _FEW_EDGES, _Adopted, _interval
 
 from conftest import hand_distribution
 
@@ -104,7 +104,7 @@ class TestAdoptPath:
             lambda: SampleGrid(_Adopted(np.array([0.0, 1.5, 0.5, 0.0])), SEGMENT),
             lambda: SampleGrid(_Adopted(np.array([0.0, np.nan, 0.0])), SEGMENT),
             lambda: SampleGrid(_Adopted(np.zeros(2)), SEGMENT),
-            lambda: hand_distribution([0.0, -np.inf], [1.0, 0.0], [1.0], [0.0, 1.0]),
+            lambda: hand_distribution(None, [0.0, -np.inf], [1.0, 0.0], [1.0], [0.0, 1.0]),
         ],
         ids=["trace-nan", "trace-short", "grid-order", "grid-nan", "grid-empty", "dist-inf"],
     )
@@ -120,7 +120,7 @@ class TestAdoptPath:
         arrays = (np.zeros(3), np.ones(3), np.array([2.0, -1.0]), np.array([0.0, 2.0, 1.0]))
         fields = {n: _Adopted(a) if n in adopted else a for n, a in zip(names, arrays)}
         with pytest.raises(TypeError, match="interval_pmf"):
-            RayDistribution(**fields)
+            RayDistribution(**fields, grid=None)
 
 
 class TestGridValidation:
@@ -261,12 +261,12 @@ class TestIntervalLocator:
         # Few values drawn with replacement: most rows repeat an edge.
         pool = rng.uniform(-2.0, 3.0, max(2, inner // 2))
         edges = np.sort(rng.choice(pool, inner + 2))
-        for size in (_MANY_POINTS - 1, _MANY_POINTS, 3 * _MANY_POINTS):
+        for size in (_BLOCK - 1, _BLOCK, 3 * _BLOCK):
             # On, beside and past the edges, and both infinities, in order.
             x = np.sort(np.resize(_probe_points(edges), size))
             want = edges[1:-1].searchsorted(x, side="right")
             got = _interval(edges, x, runs=True)
-            if inner <= _FEW_EDGES and size >= _MANY_POINTS:
+            if inner <= _FEW_EDGES and size >= _BLOCK:
                 ks = [k for k, _ in got]
                 assert ks == sorted(set(ks))
                 # Nonempty runs that tile the points in order.

@@ -23,7 +23,7 @@ from rayquad import (
 from rayquad import cli, fixtures, sampling
 from rayquad.fields import opaque_trace
 from rayquad.quadrature import _distributions
-from rayquad.rays import _BLOCK, _MANY_POINTS
+from rayquad.rays import _BLOCK
 from rayquad.sampling import (
     EPS_UNIT,
     MERGE_TOL,
@@ -51,6 +51,7 @@ def rect_distribution():
     grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
     pmf = np.array([0.5, 0.5])
     dist = hand_distribution(
+        grid,
         log_transmittance=np.array([0.0, np.log(0.5), np.log(0.5) - OPAQUE]),
         transmittance=np.array([1.0, 0.5, 0.0]),
         pmf=pmf,
@@ -67,6 +68,7 @@ class TestSurrogateSampler:
     def test_zero_draw_returns_first_positive_bin_edge(self):
         grid = SampleGrid(np.array([1.0, 1.5]), RaySegment(0.0, 2.0))
         dist = hand_distribution(
+            grid,
             log_transmittance=np.array([0.0, 0.0, np.log(0.5), np.log(0.5) - OPAQUE]),
             transmittance=np.array([1.0, 1.0, 0.5, 0.0]),
             pmf=np.array([0.0, 0.5, 0.5]),
@@ -74,6 +76,18 @@ class TestSurrogateSampler:
         )
         cdf = DiscreteRayCdf(grid, dist)
         assert cdf.surrogate_sample(0.0) == pytest.approx(1.0)
+
+    def test_rejects_another_grid_of_equal_size(self):
+        # On b, a's distribution once drew ten times as deep, silently.
+        a, b = (make_uniform_grid(RaySegment(0.0, far), 32) for far in (0.5, 5.0))
+        dist = interval_pmf(ModelKind.LINEAR, a, OpacityTrace(np.full(34, 2.0)))
+        with pytest.raises(ValueError, match="another grid"):
+            DiscreteRayCdf(b, dist)
+        twin = make_uniform_grid(RaySegment(0.0, 0.5), 32)  # equal points, another object
+        u = np.array([0.1, 0.25, 0.5])
+        assert np.array_equal(
+            DiscreteRayCdf(twin, dist).surrogate_sample(u), DiscreteRayCdf(a, dist).surrogate_sample(u)
+        )
 
     def test_draw_at_cumulative_value_returns_grid_point(self):
         cdf = rect_distribution()
@@ -469,12 +483,12 @@ class TestBlockedEvaluation:
     @staticmethod
     def assert_matches_slices(method, x, calls):
         """``method`` on all of ``x`` equals it on 1000-point slices, which locate point by
-        point; a sorted ``x`` locates each block of ``_MANY_POINTS`` or more by runs."""
+        point; a sorted ``x`` locates each full block of ``_BLOCK`` by runs."""
         calls.clear()
         whole = method(x)
         if (x[1:] >= x[:-1]).all():
-            assert all(runs for _, size, runs in calls if size >= _MANY_POINTS)
-            assert any(runs for _, _, runs in calls)
+            assert all(runs for _, size, runs in calls if size >= _BLOCK)
+            assert any(runs for _, _, runs in calls) == (x.size >= _BLOCK)
         calls.clear()
         assert np.array_equal(whole, TestBlockedEvaluation.by_slices(method, x))
         assert not any(runs for _, _, runs in calls)
@@ -580,13 +594,13 @@ class TestRunPath:
     def test_sampler_test_runs_every_long_block_by_bins(self, monkeypatch, tmp_path):
         calls = spy_locator(monkeypatch)
         assert cli.main(["sampler-test", "--out", str(tmp_path)]) == 0
-        # Each 100,000-point call has 12 full blocks and a last one below _MANY_POINTS.
+        # Each 100,000-point call has 12 full blocks and a shorter last one.
         blocks = 100_000 // _BLOCK
-        assert 100_000 % _BLOCK < _MANY_POINTS
+        assert 100_000 % _BLOCK > 0
         runs = Counter(caller for caller, _, by_runs in calls if by_runs)
         # Four KS statistics' CDFs, two exact and two surrogate samplers.
         assert runs == {"_cdf": 4 * blocks, "_sample_rows": 2 * blocks, "_surrogate": 2 * blocks}
-        assert all(by_runs for _, size, by_runs in calls if size >= _MANY_POINTS)
+        assert all(by_runs for _, size, by_runs in calls if size >= _BLOCK)
 
     def test_unsorted_input_of_the_same_size_locates_by_point(self, monkeypatch):
         calls = spy_locator(monkeypatch)
@@ -736,7 +750,7 @@ def zero_span_surrogate(grid):
     pmf *= 0.5 / pmf.sum()
     cumulative = np.concatenate([[0.0], np.cumsum(pmf)])
     trans = 1.0 - cumulative
-    dist = hand_distribution(np.log(trans), trans, pmf, cumulative)
+    dist = hand_distribution(grid, np.log(trans), trans, pmf, cumulative)
     return DiscreteRayCdf(grid, dist)
 
 
