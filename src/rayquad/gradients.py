@@ -133,12 +133,15 @@ def grad_sample_wrt_tau(cdf: ContinuousRayCdf, u: float) -> SampleGradient:
     ``-w_0 / 2`` for ``j = 0`` and ``-w_{k-1} / 2`` for ``j = k``.  The draw, a
     real number in (0, 1), must fall strictly inside a bin: at a bin edge the
     derivative is only one-sided, and a draw that ``precise_sample`` clamps to
-    the far bound has no root to differentiate; both raise.
+    the far bound has no root to differentiate; both raise.  A ``cdf`` that is
+    not a ContinuousRayCdf raises TypeError.
     """
+    if not isinstance(cdf, ContinuousRayCdf):
+        raise TypeError(f"need a ContinuousRayCdf, got {type(cdf).__name__}")
     if not (_is_real(u) and 0.0 < u < 1.0):
         raise ValueError(f"draw must be a real number strictly inside (0, 1), got u={u!r}")
     u = float(u)
-    k, delta, q, root, denom, clamped = (v[0] for v in cdf._invert(np.array([u])))
+    k, delta, q, root, denom, clamped = cdf._invert(u)
     if clamped:
         raise ValueError(f"draw {u} is clamped to the far bound; no gradient exists")
     c = cdf.cumulative

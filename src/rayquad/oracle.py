@@ -341,9 +341,9 @@ def _render_rays(
     engine call, one task per (row, panel, channel).  ``rows`` is a ``_Wave``, whose
     row ``j`` belongs to ray ``rows.ray[j]``, or a ``_Rows``, whose row ``r`` is ray
     ``r``'s; a row of ray ``r`` integrates ``fields[r]`` over its render panels
-    ``bases[r]`` (``_render_bases``).  Returns per row (value, error, evaluations),
-    or, for a row with a panel failing at the depth limit, the NoConvergenceError
-    naming its ray by ``ids``, which the caller raises if it needs that row."""
+    ``bases[r]`` (``_render_bases``).  Returns per row (value, error, evaluations);
+    raises, for the first row in row order with a panel failing at the depth limit,
+    the NoConvergenceError naming its ray by ``ids``."""
     wave = _as_wave(rows)
     rays, channels = wave.ray.tolist(), fields[0].color.channels
     lo = np.repeat(np.concatenate([bases[r][:-1] for r in rays]), channels)
@@ -372,14 +372,14 @@ def _render_rays(
         # Accumulate in task order; np.sum's pairwise order would change last bits.
         out = np.add.accumulate(value[i:j].reshape(-1, channels))[-1]
         err_total, n_evals = float(np.add.accumulate(error[i:j])[-1]), int(evals[i:j].sum())
-        results.append((out, err_total, n_evals))
         if failed[i:j].any():
             k = i + np.argmax(failed[i:j])
-            results[-1] = NoConvergenceError(
+            raise NoConvergenceError(
                 f"adaptive Simpson did not converge for ray {r if ids is None else ids[r]} on "
                 f"[{lo[k]}, {hi[k]}] at depth {_MAX_DEPTH}",
                 partial=IntegrationResult(float(out[0]), err_total, n_evals),
             )
+        results.append((out, err_total, n_evals))
     return results
 
 
@@ -434,7 +434,7 @@ def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, i
     The rounds run in waves: one ``_wave_tables`` per wave and one
     ``run_pass(rays, wave)``, where ``rays`` are the ids of the wave's rays and
     ``wave`` holds its (ray, round) table rows; it returns per row (value, error,
-    evaluations) or the NoConvergenceError of a row that failed.  Wave 1 runs rounds
+    evaluations), and raises NoConvergenceError for a failed row.  Wave 1 runs rounds
     0 to 2 (round 0 alone for an exact class); each later wave runs, per unsettled
     ray, its next round up to the one ``_wave_end`` predicts it settles at.  Rows
     past the round a ray settles at are dropped.  A wave that meets any failure (a
@@ -459,9 +459,6 @@ def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, i
         try:
             wave, keys = _wave_tables(densities, segment, base, plan)
             results = run_pass([ids[p] for p in plan], wave)
-            failed = [result for result in results if isinstance(result, NoConvergenceError)]
-            if failed:
-                raise failed[0]
             for (k, p), (value, err, evals) in zip(keys, results):
                 if p not in live:
                     continue  # past the round this ray settled at
@@ -623,10 +620,7 @@ def true_mean_termination(
         results = _render_rays(
             [unit], segment, wave, bases, tol, weight=lambda x: x - near, ids=rays
         )
-        return [
-            (r[0] + span * np.exp(-far), *r[1:]) if isinstance(r, tuple) else r
-            for r, far in zip(results, wave.far)
-        ]
+        return [(r[0] + span * np.exp(-far), *r[1:]) for r, far in zip(results, wave.far)]
 
     return near + float(_refine_until_stable([field.density], segment, tol, once, [0])[0, 0])
 

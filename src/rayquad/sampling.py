@@ -31,11 +31,12 @@ Each kernel's formula is written once over a bin's table entries, and
 gathered once per draw (``tau[1:][k]``, not ``tau[k + 1]``), bit for bit alike;
 each step goes into an array it made or a gathered entry, never the draws.
 
-The inverse's formula, ``_root``, serves one ray or ``(R, N+2)`` rows on
-one grid: ``_invert_rows`` returns its steps for the gradient, and
-``_sample_rows`` its samples.  ``_precise_rows`` samples R rows from one
-stacked ``quadrature._distributions`` build, bit for bit as R
-``ContinuousRayCdf`` instances would; ``grad-check`` runs through it.
+The inverse's formula, ``_root``, has one row kernel, ``_sample_rows``, for
+one ray or ``(R, N+2)`` rows on one grid: ``precise_sample`` is its one-row
+view, and ``_precise_rows`` samples R rows from one stacked
+``quadrature._distributions`` build, bit for bit as R ``ContinuousRayCdf``
+instances would; ``grad-check`` runs through it.  The gradient's
+``ContinuousRayCdf._invert`` runs ``_root`` on the one bin of its one draw.
 """
 
 from __future__ import annotations
@@ -131,10 +132,19 @@ class ContinuousRayCdf:
     def cumulative(self) -> np.ndarray:
         return self.dist.cumulative
 
-    def _invert(self, u: np.ndarray):
-        """``_invert_rows`` on this ray: its one-row case."""
-        dist = self.dist
-        return _invert_rows(self.grid, self.tau.values, dist.log_transmittance, dist.cumulative, u)
+    def _invert(self, u: float):
+        """The exact inverse's steps at one draw: ``(k, delta, q, root, denom, clamped)``.
+
+        ``k`` is the bin ``rays._interval`` locates in the cumulative and ``delta``
+        its width; ``q``, ``root`` and ``denom`` are ``_root``'s on the bin's scalar
+        entries.  A draw ``_clamped`` is flagged and inverted as ``u = 0``, for the gradient.
+        """
+        tau, dist = self.tau.values, self.dist
+        (clamped,), zeroed = _clamped(np.array([u]), dist.cumulative)
+        k = _interval(dist.cumulative, zeroed[0])
+        delta = self.grid.widths[k]
+        steps = _root(zeroed, dist.log_transmittance[k], tau[k], tau[k + 1], delta)
+        return k, delta, *(v[0] for v in steps), clamped
 
     def cdf_eval(self, t):
         """Probability of terminating before distance ``t``."""
@@ -243,26 +253,11 @@ def _sample_in_bin(u, log_t_k, tau_k, tau_next, delta, s_k):
     return np.add(s_k, t, out=t)
 
 
-def _invert_rows(grid: SampleGrid, tau, log_t, cumulative, u: np.ndarray):
-    """The exact inverse's steps per draw: ``(k, delta, q, root, denom, clamped)``.
-
-    ``tau``, ``log_t`` and ``cumulative`` are one ray's linear-model arrays,
-    shape (N+2,), with draws ``u`` (S,); or R rays' rows on the one ``grid``,
-    shape (R, N+2), with draws (R, S), row ``r`` inverting ray ``r`` bit for
-    bit as alone.  ``k`` is the located bin (``rays._interval``, one search
-    per row) and ``delta`` its width; ``q``, ``root`` and ``denom`` are ``_root``'s.
-    A draw ``_clamped`` is flagged and inverted as ``u = 0``, for the gradient.
-    """
-    clamped, u = _clamped(u, cumulative)
-    k = _interval(cumulative, u)
-    delta = grid.widths[k]
-    q, root, denom = _root(u, _at(log_t, k), _at(tau, k), _at(tau[..., 1:], k), delta)
-    return k, delta, q, root, denom, clamped
-
-
 def _sample_rows(grid: SampleGrid, tau, log_t, cumulative, u: np.ndarray) -> np.ndarray:
-    """Exact inverse samples of one ray or rows, as ``_invert_rows`` takes them; clamped
-    draws go to far.  Bins are located on the draws as given, so sorted ones keep runs."""
+    """Exact inverse samples of one ray's linear-model arrays ``tau``, ``log_t`` and
+    ``cumulative``, shape (N+2,), at draws (S,); or of R rays' rows on the one ``grid``,
+    shape (R, N+2), at draws (R, S), row ``r`` bit for bit as alone.  Clamped draws go
+    to far.  Bins are located on the draws as given, so sorted ones keep runs."""
     clamped, zeroed = _clamped(u, cumulative)
     tables = (log_t, tau, tau[..., 1:], grid.widths, grid.points)
     s = _per_bin(_sample_in_bin, zeroed, _interval(cumulative, u, runs=True), *tables)
@@ -297,22 +292,21 @@ def hierarchical_samples(
     """Merge fine importance samples from ``cdf`` into its coarse grid.
 
     The sampler is chosen by the CDF type: a DiscreteRayCdf draws through
-    the surrogate, a ContinuousRayCdf through the exact inverse.  Unit
-    draws are stratified (``_stratified_unit_samples``).
+    the surrogate, a ContinuousRayCdf through the exact inverse; any other
+    type raises TypeError.  Unit draws are stratified (``_stratified_unit_samples``).
     """
+    if not isinstance(cdf, (ContinuousRayCdf, DiscreteRayCdf)):
+        raise TypeError(f"unknown cdf type {type(cdf).__name__}")
     if not _is_count(n_fine, "positive"):
         raise ValueError(f"need a positive integer count of fine samples, got n_fine={n_fine!r}")
     if not _is_count(seed, "nonnegative"):
         raise ValueError(f"seed must be nonnegative and an integer, got seed={seed!r}")
     u = _stratified_unit_samples(n_fine, seed)
     u = np.minimum(u, cdf.cumulative[-1] * (1.0 - 1e-15))
-
     if isinstance(cdf, ContinuousRayCdf):
         fine = cdf.precise_sample(u)
-    elif isinstance(cdf, DiscreteRayCdf):
-        fine = cdf.surrogate_sample(u)
     else:
-        raise TypeError(f"unknown cdf type {type(cdf).__name__}")
+        fine = cdf.surrogate_sample(u)
 
     # Merged between the segment bounds, so one mask makes the point array.
     # No sample lies below near, which is merged[0], so the gap test also

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rayquad import cli, oracle
+from rayquad import cli, gradients, oracle, sampling
 from rayquad.cli import COMMANDS, ExperimentSpec, build_parser, main, write_pgm
 from rayquad.fields import LogisticStep, TwoToneColor
 from rayquad.rays import ModelKind
@@ -31,6 +31,19 @@ def _try_sites(module):
         for top in tree.body
         for node in ast.walk(top)
         if isinstance(node, tries)
+    ]
+
+
+def _call_sites(module, names):
+    """(top-level definition, function) of every call in ``module``'s source of a
+    function, bare or an attribute such as ``np.sqrt``, whose name is in ``names``."""
+    tree = ast.parse(inspect.getsource(module))
+    return [
+        (getattr(top, "name", None), name)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "attr", getattr(node.func, "id", None))) in names
     ]
 
 
@@ -137,6 +150,13 @@ class TestSpecValidation:
         # no other oracle path catches an error to emulate that order.
         sites = _try_sites(oracle)
         assert [name for name, _ in sites] == ["_refine_until_stable"], sites
+
+    def test_root_holds_the_inverse_roots(self):
+        # The exact inverse's root is written once: the sampler and the sample
+        # gradient both reach it through ``sampling._root``.
+        roots = {"sqrt", "log1p"}
+        assert sorted(_call_sites(sampling, roots)) == [("_root", "log1p"), ("_root", "sqrt")]
+        assert _call_sites(gradients, roots) == []
 
 
 SCENE = Path(__file__).parent.parent / "scenes" / "constant_slab.json"

@@ -193,6 +193,13 @@ class TestSampleGradient:
         with pytest.raises(ValueError, match="draw must be a real number"):
             grad_sample_wrt_tau(cdf, u)
 
+    def test_discrete_cdf_is_a_type_error(self):
+        grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
+        tau = OpacityTrace(np.array([1.0, 3.0, 5.0]))
+        cdf = DiscreteRayCdf(grid, interval_pmf(ModelKind.CONSTANT, grid, tau))
+        with pytest.raises(TypeError, match="need a ContinuousRayCdf, got DiscreteRayCdf"):
+            grad_sample_wrt_tau(cdf, 0.5)
+
     def test_bin_edge_draw_rejected(self):
         grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
         cdf = ContinuousRayCdf(grid, OpacityTrace(np.array([1.0, 3.0, 5.0])))

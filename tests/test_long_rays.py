@@ -161,7 +161,7 @@ class TestBitIdentity:
         _, grid, _, tau, _ = ray
         cdf = ContinuousRayCdf(grid, tau)
         u = 0.5 * cdf.cumulative[-1]
-        k, delta, q, root, denom, _ = (v[0] for v in cdf._invert(np.array([u])))
+        k, delta, q, root, denom, _ = cdf._invert(u)
         t = tau.values
         a = t[k + 1] - t[k]
         dt_da = -2.0 * q * q / (delta * root * denom * denom)

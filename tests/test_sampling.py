@@ -27,7 +27,6 @@ from rayquad.rays import _BLOCK
 from rayquad.sampling import (
     EPS_UNIT,
     MERGE_TOL,
-    _invert_rows,
     _precise_rows,
     _stratified_unit_samples,
 )
@@ -297,6 +296,10 @@ class TestHierarchicalSampling:
         b = hierarchical_samples(cdf, 16, seed=5)
         np.testing.assert_array_equal(a.interior, b.interior)
 
+    def test_other_cdf_type_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unknown cdf type str"):
+            hierarchical_samples("x", 4, 0)
+
     def test_fine_samples_concentrate_in_heavy_bin(self):
         # steep middle trace puts nearly all mass in [0.8, 1.2]
         grid = SampleGrid(np.array([0.8, 1.2]), RaySegment(0.0, 2.0))
@@ -392,15 +395,10 @@ class TestRowInverse:
         grid, tau = _row_instance()
         cdfs = [ContinuousRayCdf(grid, OpacityTrace(row)) for row in tau]
         u = np.array([self.draws(cdf, rng) for cdf in cdfs])
-        log_t, _, _, cumulative = _distributions(ModelKind.LINEAR, grid.widths, tau)
-        got = _invert_rows(grid, tau, log_t, cumulative, u)
         samples = _precise_rows(grid, tau, u)
         assert any(np.any(np.diff(cdf.cumulative) == 0.0) for cdf in cdfs)  # ties and zero-mass bins
         assert any(cdf.cumulative[-1] < 1.0 for cdf in cdfs)  # draws past the total mass clamp
-        assert got[-1].any()  # some draws are clamped
         for r, cdf in enumerate(cdfs):
-            for a, b in zip(got, cdf._invert(u[r])):
-                assert a[r].shape == b.shape and np.array_equal(a[r], b)
             assert np.array_equal(samples[r], cdf.precise_sample(u[r]))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -769,7 +767,6 @@ class TestReferenceFormulas:
         rng = np.random.default_rng(extra)
         u = np.stack([edge_draws(c, rng, extra) for c in cumulative])
         want = reference_invert(grid, tau, log_t, cumulative, u)
-        assert all(same_bits(g, w) for g, w in zip(_invert_rows(grid, tau, log_t, cumulative, u), want))
         samples = reference_sample(grid, tau, log_t, cumulative, u)
         assert same_bits(_precise_rows(grid, tau, u), samples)
         for r, row in enumerate(tau):
@@ -777,6 +774,25 @@ class TestReferenceFormulas:
             assert same_bits(cdf._precise(u[r]), samples[r])
             assert same_bits(cdf.precise_sample(u[r]), samples[r])
         _, _, _, _, denom, clamped = want
+        # Clamped draws, zero-mass bins, and draws of 0 on the zero near opacity.
+        assert clamped.any() and (np.diff(cumulative) == 0.0).any() and (denom <= 0.0).any()
+
+    @pytest.mark.parametrize("n", [1, 3, 130])
+    def test_one_draw_inverse(self, n):
+        # The gradient's steps at one draw, on every bin edge, one ulp either side,
+        # the clamp threshold and both ends of [0, 1].
+        grid, tau = reference_rows(n)
+        log_t, _, _, cumulative = _distributions(ModelKind.LINEAR, grid.widths, tau)
+        rng = np.random.default_rng(n)
+        steps = []
+        for r, row in enumerate(tau):
+            cdf = ContinuousRayCdf(grid, OpacityTrace(row))
+            for u in edge_draws(cumulative[r], rng, 0).tolist():
+                want = [w[0] for w in reference_invert(grid, row, log_t[r], cumulative[r], np.array([u]))]
+                got = cdf._invert(u)
+                assert len(got) == 6 and all(same_bits(g, w) for g, w in zip(got, want))
+                steps.append(want)
+        _, _, _, _, denom, clamped = np.array(steps).T
         # Clamped draws, zero-mass bins, and draws of 0 on the zero near opacity.
         assert clamped.any() and (np.diff(cumulative) == 0.0).any() and (denom <= 0.0).any()
 
