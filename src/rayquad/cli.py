@@ -78,12 +78,18 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    # The common cell types by exact type, each to the string ``_fmt`` gives it;
+    # any other type (bool among them) goes through ``_fmt``'s isinstance chain.
+    def float17(x):
+        return format(float(x), ".17g")
+
+    formats = {float: float17, np.float64: float17, int: str, str: str}
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([formats.get(type(v), _fmt)(v) for v in row])
 
 
 def write_pgm(path: Path, values: np.ndarray) -> None:

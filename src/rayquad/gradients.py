@@ -133,8 +133,9 @@ def grad_sample_wrt_tau(cdf: ContinuousRayCdf, u: float) -> SampleGradient:
     ``-w_0 / 2`` for ``j = 0`` and ``-w_{k-1} / 2`` for ``j = k``.  The draw, a
     real number in (0, 1), must fall strictly inside a bin: at a bin edge the
     derivative is only one-sided, and a draw that ``precise_sample`` clamps to
-    the far bound has no root to differentiate; both raise.  A ``cdf`` that is
-    not a ContinuousRayCdf raises TypeError.
+    the far bound has no root to differentiate; both raise.  A draw so small that
+    the root's derivatives underflow to 0 / 0 raises ArithmeticError.  A ``cdf``
+    that is not a ContinuousRayCdf raises TypeError.
     """
     if not isinstance(cdf, ContinuousRayCdf):
         raise TypeError(f"need a ContinuousRayCdf, got {type(cdf).__name__}")
@@ -149,12 +150,17 @@ def grad_sample_wrt_tau(cdf: ContinuousRayCdf, u: float) -> SampleGradient:
         raise ValueError(f"draw {u} sits on a bin edge; derivative is one-sided")
     if root == 0.0 or denom == 0.0:
         raise ArithmeticError("degenerate bin: opacity not floored positive")
+    # Checked before the division: a tiny draw in a bin whose near opacity is 0
+    # underflows both q * q and this product to 0, and 0 / 0 is no gradient.
+    curvature = delta * root * denom * denom
+    if curvature == 0.0:
+        raise ArithmeticError(f"draw {u} is too small: the root's derivatives underflow")
 
     tau = cdf.tau.values
     tau_l = tau[k]
     a = tau[k + 1] - tau_l
-    dt_da = -2.0 * q * q / (delta * root * denom * denom)
-    dt_dq = 2.0 / denom - 2.0 * q * a / (delta * root * denom * denom)
+    dt_da = -2.0 * q * q / curvature
+    dt_dq = 2.0 / denom - 2.0 * q * a / curvature
     dt_dtau_direct = -2.0 * q * (1.0 + tau_l / root) / (denom * denom)
 
     widths = cdf.grid.widths

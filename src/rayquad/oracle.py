@@ -50,7 +50,8 @@ round in one ``(R, points)`` density call with one sub-panel count: each
 ray's parameters are an ``(R, 1)`` column broadcast against the shared
 points.
 Every value is elementwise in its own ray's parameters, and every sum
-runs over one ray in the order of a single-ray run.
+runs over one ray in the order of a single-ray run, its row padded with
+-0.0 (an exact additive identity) and accumulated with all the others.
 
 Field evaluations that land exactly on a panel edge are nudged one ulp
 into the panel, so piecewise integrands are integrated with one-sided
@@ -97,10 +98,10 @@ class NoConvergenceError(RuntimeError):
 def _adaptive_simpson(f, a, b, tol):
     """Level-synchronous adaptive Simpson over independent tasks.
 
-    Task ``k`` integrates over [a[k], b[k]] to absolute tolerance tol[k].
-    ``f(x, task)`` evaluates the points of every live panel, one call per
-    tree level.  Returns per-task value, error estimate, evaluation count
-    and whether a panel still failed at depth ``_MAX_DEPTH``.
+    Task ``k`` integrates over [a[k], b[k]] to absolute tolerance tol[k].  ``f(x, task)``
+    evaluates the points of every live panel, one call per tree level.  Returns per-task
+    value, error estimate, evaluation count (one count of all levels' tasks, after the
+    last) and whether a panel still failed at depth ``_MAX_DEPTH``.
     """
 
     def call(points: list[np.ndarray], task: np.ndarray) -> np.ndarray:
@@ -118,19 +119,20 @@ def _adaptive_simpson(f, a, b, tol):
     # Halving the tolerance per level must stop at rounding scale, or panels
     # whose error estimate is pure float noise can never be accepted.
     floor = np.maximum(1e-300, 0.25 * np.finfo(float).eps * np.abs(whole))
-    # Each level keeps only what the reconstruction reads; evaluations are counted as they go.
-    levels, evals = [], np.full(n, 3)
+    # Each level keeps only what the reconstruction reads, and its nodes' tasks.
+    levels, tasks = [], []
     for depth in range(_MAX_DEPTH + 1):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm, frm = call([lm, rm], task)
-        evals += 2 * np.bincount(task, minlength=n)
+        tasks.append(task)
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - whole) / 15.0
+        abs_err = np.abs(err)
         ordered = (a < lm) & (lm < m) & (m < rm) & (rm < b)
-        split = ~((np.abs(err) <= tol) | (a == b) | ~ordered)
-        levels.append((left + right + err, np.abs(err), split))
+        split = ~((abs_err <= tol) | (a == b) | ~ordered)
+        levels.append((left + right + err, abs_err, split))
         if depth == _MAX_DEPTH or not split.any():
             break
         # Left children, then right children, in split-node order; a
@@ -143,7 +145,9 @@ def _adaptive_simpson(f, a, b, tol):
         a, b, m, whole, fa, fm, fb, tol, floor = np.hstack((halves[:9], halves[9:]))
         task = np.concatenate([task[split], task[split]])
 
-    # Panels still splitting at the last level are accepted as they stand.
+    # Three evaluations per task and two per node of its tree; panels still
+    # splitting at the last level are accepted as they stand.
+    evals = 3 + 2 * np.bincount(np.concatenate(tasks), minlength=n)
     failed = np.bincount(task[split], minlength=n) > 0
     # The children of the i-th split node sit at i and k + i one level down,
     # so each split node's (value, error) is its left plus right child's.
@@ -341,15 +345,19 @@ def _render_rays(
     engine call, one task per (row, panel, channel).  ``rows`` is a ``_Wave``, whose
     row ``j`` belongs to ray ``rows.ray[j]``, or a ``_Rows``, whose row ``r`` is ray
     ``r``'s; a row of ray ``r`` integrates ``fields[r]`` over its render panels
-    ``bases[r]`` (``_render_bases``).  Returns per row (value, error, evaluations);
-    raises, for the first row in row order with a panel failing at the depth limit,
-    the NoConvergenceError naming its ray by ``ids``."""
+    ``bases[r]`` (``_render_bases``).  Returns per row (value, error, evaluations),
+    each summed in task order along the row's -0.0-padded row of a (rows, tasks)
+    matrix, all rows at once; raises, for the first row in row order with a panel
+    failing at the depth limit, the NoConvergenceError naming its ray by ``ids``."""
     wave = _as_wave(rows)
-    rays, channels = wave.ray.tolist(), fields[0].color.channels
-    lo = np.repeat(np.concatenate([bases[r][:-1] for r in rays]), channels)
-    hi = np.repeat(np.concatenate([bases[r][1:] for r in rays]), channels)
-    n_tasks = [channels * (bases[r].size - 1) for r in rays]
-    row = np.repeat(np.arange(len(rays)), n_tasks)
+    channels = fields[0].color.channels
+    # Row j's tasks, in task order, are the ``cells`` of row j of a (rows, panels * channels) grid.
+    flat, sizes = np.concatenate(bases), np.array([b.size for b in bases])
+    width = np.arange(sizes.max() - 1)
+    at = (np.cumsum(sizes) - sizes)[wave.ray, None] + width  # each panel's left edge in flat
+    cells = np.repeat(width < sizes[wave.ray, None] - 1, channels, axis=1)
+    k = np.repeat(at, channels, axis=1)[cells]
+    lo, hi, row = flat[k], flat[k + 1], np.nonzero(cells)[0]
     ray = wave.ray[row]
     channel = np.tile(np.arange(channels), lo.size // channels)
     inner_lo, inner_hi = np.nextafter(lo, hi), np.nextafter(hi, lo)
@@ -366,21 +374,22 @@ def _render_rays(
 
     panel_tol = np.maximum(tol * (hi - lo) / segment.span, 1e-300)
     value, error, evals, failed = _adaptive_simpson(integrand, lo, hi, panel_tol)
-    results = []
-    ends = np.cumsum(n_tasks).tolist()
-    for r, i, j in zip(rays, [0] + ends[:-1], ends):
-        # Accumulate in task order; np.sum's pairwise order would change last bits.
-        out = np.add.accumulate(value[i:j].reshape(-1, channels))[-1]
-        err_total, n_evals = float(np.add.accumulate(error[i:j])[-1]), int(evals[i:j].sum())
-        if failed[i:j].any():
-            k = i + np.argmax(failed[i:j])
-            raise NoConvergenceError(
-                f"adaptive Simpson did not converge for ray {r if ids is None else ids[r]} on "
-                f"[{lo[k]}, {hi[k]}] at depth {_MAX_DEPTH}",
-                partial=IntegrationResult(float(out[0]), err_total, n_evals),
-            )
-        results.append((out, err_total, n_evals))
-    return results
+    # Each row's tasks, padded with -0.0 (x + -0.0 is x, bit for bit), accumulate in task
+    # order; np.sum's pairwise order would change last bits.  Counts sum exactly as floats.
+    padded = np.full((3, *cells.shape), -0.0)
+    padded[:, cells] = value, error, evals
+    out = np.add.accumulate(padded[0].reshape(len(cells), -1, channels), axis=1)[:, -1]
+    err_total = np.add.accumulate(padded[1], axis=1)[:, -1].tolist()
+    n_evals = padded[2].sum(axis=1).astype(int).tolist()
+    if failed.any():
+        k = np.argmax(failed)
+        j, r = row[k], int(wave.ray[row[k]])
+        raise NoConvergenceError(
+            f"adaptive Simpson did not converge for ray {r if ids is None else ids[r]} on "
+            f"[{lo[k]}, {hi[k]}] at depth {_MAX_DEPTH}",
+            partial=IntegrationResult(float(out[j, 0]), err_total[j], n_evals[j]),
+        )
+    return list(zip(out, err_total, n_evals))
 
 
 def _wave_end(first: int, diffs: list, tol: float) -> int:
@@ -459,11 +468,16 @@ def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, i
         try:
             wave, keys = _wave_tables(densities, segment, base, plan)
             results = run_pass([ids[p] for p in plan], wave)
-            for (k, p), (value, err, evals) in zip(keys, results):
+            # Each row's previous round: its ray's row a round down here, else its last value.
+            at, now = {key: j for j, key in enumerate(keys)}, np.array([r[0] for r in results])
+            before = [now[at[k - 1, p]] if (k - 1, p) in at else new[p] if k else now[j]
+                      for j, (k, p) in enumerate(keys)]
+            steps = np.max(np.abs(now - np.array(before)), axis=1).tolist()
+            for (k, p), (value, err, evals), diff in zip(keys, results, steps):
                 if p not in live:
                     continue  # past the round this ray settled at
                 if k:
-                    new_diffs[p].append(float(np.max(np.abs(value - new[p]))))
+                    new_diffs[p].append(diff)
                 new[p] = value
                 if (new_diffs[p][-1] <= 3.0 * tol) if k else exact:
                     del live[p]

@@ -162,6 +162,22 @@ class TestSampleGradient:
         with pytest.raises(ValueError, match="clamped"):
             grad_sample_wrt_tau(opaque, u)
 
+    @pytest.mark.parametrize("u", [1e-250, 1e-300, 5e-324])
+    def test_underflowing_draw_raises(self, u):
+        # Near opacity 0: q * q and the root's curvature both underflow, a 0 / 0.
+        grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
+        cdf = ContinuousRayCdf(grid, OpacityTrace(np.array([0.0, 0.5, 1.0])))
+        with pytest.raises(ArithmeticError, match="too small"):
+            grad_sample_wrt_tau(cdf, u)
+
+    def test_tiny_draw_above_underflow_keeps_its_gradient(self):
+        # q * q underflows to 0 here, but the curvature does not: dt/da is exactly 0.
+        grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
+        cdf = ContinuousRayCdf(grid, OpacityTrace(np.array([0.0, 0.5, 1.0])))
+        sg = grad_sample_wrt_tau(cdf, 1e-200)
+        assert sg.bin == 0
+        assert sg.d_tau.tolist() == [-2.0, 0.0, 0.0]
+
     def test_flat_bin_limit_holding_mass_fixed(self):
         grid = SampleGrid(np.array([1.0]), RaySegment(0.0, 2.0))
         tau_value = 2.0

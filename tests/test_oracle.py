@@ -1,3 +1,5 @@
+import ast
+import inspect
 import tracemalloc
 from pathlib import Path
 
@@ -410,6 +412,30 @@ class TestTrueRenderBatch:
         monkeypatch.setattr(oracle, "_base", lambda *args: calls.append(args) or base(*args))
         true_render_batch(_render_command_rays(), self.segment, _RENDER_TOL)
         assert len(calls) == 96 + 96 + 1
+
+    def test_rows_of_unequal_panel_counts_match_their_own_runs(self):
+        # Two-tone boundaries inside and outside the segment give rows of two and one
+        # render panels: each row's padded sums are its own run's, bit for bit.
+        rgb = np.array([0.2, 0.5, 0.9]), np.array([0.7, 0.1, 0.4])
+        fields = [
+            AnalyticField(GaussianBump(2.0, 1.0 + 0.5 * i, 0.4), TwoToneColor(*rgb, boundary))
+            for i, boundary in enumerate([1.3, 5.0, 2.9, -1.0])
+        ]
+        densities, bases = [f.density for f in fields], _render_bases(fields, self.segment)
+        assert [b.size - 1 for b in bases] == [2, 1, 2, 1]
+        tables = [_rows(densities, self.segment, 64), _rows(densities[1:3], self.segment, 128)]
+        wave = oracle._nest(tables, [np.arange(4), np.array([1, 2])])
+        batch = _render_rays(fields, self.segment, wave, bases, 1e-8)
+        for (value, error, evals), r, n_sub in zip(batch, [0, 1, 2, 3, 1, 2], [64] * 4 + [128] * 2):
+            rows = _rows([densities[r]], self.segment, n_sub)
+            alone = _render_rays([fields[r]], self.segment, rows, [bases[r]], 1e-8)[0]
+            assert (value.tolist(), error, evals) == (alone[0].tolist(), alone[1], alone[2])
+
+    def test_render_rays_hold_no_row_loop(self):
+        # Each row's sums, counts and failure are array operations over every row at once.
+        tree = ast.parse(inspect.getsource(oracle._render_rays))
+        loops = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.For, ast.AsyncFor))]
+        assert loops == [], loops
 
     def test_rejects_empty_and_mixed_channel_batches(self):
         with pytest.raises(ValueError):
