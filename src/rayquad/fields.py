@@ -396,11 +396,12 @@ def sample_field(
 
     Each interval takes the color of its left sample, matching the
     classical quadrature's indexing.  The traces adopt the outputs of the
-    library's own profiles and copy any other profile's (``_adopted``).
+    library's own profiles and copy any other profile's (``_adopted``); the
+    color trace keeps ``grid``.
     """
     pts, density, color = grid.points, field.density, field.color
     tau = OpacityTrace(_adopted(density, density.tau(pts)))
-    return tau, ColorTrace(_adopted(color, color.color(pts[:-1])))
+    return tau, ColorTrace(_adopted(color, color.color(pts[:-1])), grid)
 
 
 def _trace_rows(fields, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -438,10 +439,10 @@ def opaque_trace(
     Samples the field, floors the interior opacities (``floor_opacity``)
     and applies ``FarConvention.OPAQUE_FAR``, so every distribution built
     from the trace sums to one and its continuous CDF is invertible.  The
-    one-row view of ``_trace_rows``.
+    one-row view of ``_trace_rows``; the color trace keeps ``grid``.
     """
     tau, colors = _trace_rows([field], grid.points)
-    return OpacityTrace(_Adopted(tau[0])), ColorTrace(_Adopted(colors[0]))
+    return OpacityTrace(_Adopted(tau[0])), ColorTrace(_Adopted(colors[0]), grid)
 
 
 def shift_sweep(field: AnalyticField, segment: RaySegment, n: int, offsets: int):

@@ -180,9 +180,12 @@ def _weighted_sums(pmf: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def render(dist: RayDistribution, colors: ColorTrace) -> np.ndarray:
-    """Expected color: pmf-weighted sum of the per-interval colors."""
+    """Expected color: pmf-weighted sum of the per-interval colors.  Colors that
+    keep the grid they were sampled on must share ``dist``'s grid, else ValueError."""
     if colors.values.shape[0] != dist.pmf.size:
         raise ValueError(f"{colors.values.shape[0]} colors for {dist.pmf.size} intervals")
+    if colors.grid is not None:
+        _check_grid(dist, colors.grid)
     return _weighted_sums(dist.pmf, colors.values)
 
 

@@ -27,8 +27,9 @@ each interval; sizes and order choose.
 each array it stores, and a stack of traces runs it once for all rows.
 ``_floored`` and ``_opaque_far`` apply the opacity floor and the opaque-far
 convention in place to one trace or to every row of a stack.
-``_blocks`` is the one rule for long elementwise work: the draw kernels and
-the KS statistic run over consecutive slices of at most ``_BLOCK`` values.
+``_blocks`` is the one rule for long elementwise work: the draw kernels, the
+KS statistic, the weighted sums and the render gradient run over consecutive
+slices of at most ``_BLOCK`` values.
 A slice is a view of the caller's array, so a kernel writes only into
 arrays it has made.
 """
@@ -293,9 +294,16 @@ class OpacityTrace:
 
 @dataclass(frozen=True, eq=False)
 class ColorTrace:
-    """Per-interval emitted colors, shape (n + 1, channels), values in [0, 1]."""
+    """Per-interval emitted colors, shape (n + 1, channels), values in [0, 1].
+
+    ``grid`` is the grid the colors were sampled on, as ``sample_field`` and
+    ``opaque_trace`` set it, so ``quadrature.render`` can refuse a distribution
+    of another grid; a trace built from bare values has none, and only its
+    size is checked.  A set grid must have one interval per color.
+    """
 
     values: np.ndarray
+    grid: SampleGrid | None = None
 
     def __post_init__(self):
         values = _unit(self, "values")
@@ -304,6 +312,9 @@ class ColorTrace:
             object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] < 2:
             raise ValueError("need one color per interval (>= 2 intervals)")
+        grid = self.grid
+        if grid is not None and not (isinstance(grid, SampleGrid) and grid.n + 1 == values.shape[0]):
+            raise ValueError(f"ColorTrace.grid must be a SampleGrid of {values.shape[0] - 1} samples")
 
     @property
     def channels(self) -> int:

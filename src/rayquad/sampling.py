@@ -315,7 +315,11 @@ def hierarchical_samples(
     seg = cdf.grid.segment
     merged = np.concatenate(([seg.near], cdf.grid.interior, fine, [seg.far]))
     samples = merged[1:-1]
-    samples.sort()
+    # Two sorted runs, the interior and the monotone draws: a stable sort
+    # merges them in linear time.  Its order differs from another sort's only
+    # among equal values, which are equal bits but for a ±0 draw at near,
+    # and that is dropped below.
+    samples.sort(kind="stable")
     # Drop samples within MERGE_TOL of the one before (or near) or of far.
     gap = samples - merged[:-2]
     keep = np.ones(merged.size, dtype=bool)

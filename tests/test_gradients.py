@@ -92,6 +92,19 @@ class TestRenderGradient:
         with pytest.raises(ValueError):
             grad_render_wrt_tau(ModelKind.LINEAR, grid, tau, colors[:-1])
 
+    def test_colors_of_another_grid_rejected(self):
+        field = AnalyticField(ConstantSlab(2.0, 0.0, 5.0))
+        a, b = (make_uniform_grid(RaySegment(0.0, far), 8) for far in (0.5, 5.0))
+        tau, colors = sample_field(field, a)
+        _, other = sample_field(field, b)
+        for model in ModelKind:
+            with pytest.raises(ValueError, match="another grid"):
+                grad_render_wrt_tau(model, a, tau, other)
+            assert np.array_equal(
+                grad_render_wrt_tau(model, a, tau, colors),
+                grad_render_wrt_tau(model, a, tau, colors.values[:, 0]),
+            )
+
     def test_array_colors_must_be_finite(self, rng):
         grid, tau, colors = moderate_instance(rng)
         for bad in (np.nan, np.inf):

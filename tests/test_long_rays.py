@@ -111,6 +111,21 @@ def plain_grad_render(model, grid, trans, c):
     return grad
 
 
+def same_bits(got, want) -> bool:
+    """Equal bytes, so a -0.0 against a +0.0 counts, which ``np.array_equal`` does not."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def long_ray_on(n):
+    """The ``ray`` fixture's ray on an ``n``-sample uniform grid."""
+    rig = GrazingRig(
+        wall_amplitude=10.0, wall_steepness=40.0, wall_depth=1.0, angles=np.array([0.7])
+    )
+    grid = make_uniform_grid(RaySegment(0.0, 4.0), n)
+    raw, colors = sample_field(rig.ray_field(0.7, 0.05), grid)
+    return grid, apply_far_convention(floor_opacity(raw), FarConvention.OPAQUE_FAR), colors
+
+
 def peak_units(call) -> float:
     """Peak traced memory of ``call()`` in (N + 2)-float arrays; one call
     first, so lazy imports and first-use set-up are not counted."""
@@ -156,6 +171,21 @@ class TestBitIdentity:
             grad_render_wrt_tau(model, grid, tau, grid.points[1:]),
             plain_grad_render(model, grid, trans, grid.points[1:]),
         )
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("intervals", [8191, 8192, 8193, 16385])
+    def test_blocked_gradients(self, model, intervals):
+        # One block, one full block, a full block and one interval, two full
+        # blocks and one.  Under the opaque far plane the last interval's term
+        # is -c * 0.0 = -0.0, which a carry of +0.0 would turn to +0.0.
+        grid, tau, colors = long_ray_on(intervals - 1)
+        trans = interval_pmf(model, grid, tau).transmittance
+        c = colors.values[:, 0]
+        assert same_bits(grad_render_wrt_tau(model, grid, tau, colors), plain_grad_render(model, grid, trans, c))
+        # Weights with runs of equal values give exact zero terms in every block.
+        weights = np.round(grid.points[1:], 1)
+        got = grad_render_wrt_tau(model, grid, tau, weights)
+        assert same_bits(got, plain_grad_render(model, grid, trans, weights))
 
     def test_sample_gradient(self, ray):
         _, grid, _, tau, _ = ray
@@ -204,6 +234,26 @@ class TestBitIdentity:
         fine = hierarchical_samples(cdf, 64, 3)
         assert fine.n < grid.n + 64
         assert np.array_equal(fine.points, plain_merge(cdf, 64, 3))
+
+    @pytest.mark.parametrize("n", [7, N])
+    def test_merge_of_duplicated_draws(self, n):
+        # Monotone draws, each twice, half of them on interior grid points:
+        # the two sorted runs merge with every tie and collision dropped.
+        grid = make_uniform_grid(RaySegment(0.0, 4.0), n)
+        interior = grid.interior
+        on_points = interior[:: max(1, n // 512)]
+        between = 0.5 * (on_points[:-1] + on_points[1:]) + 1e-3 / n
+        draws = np.repeat(np.sort(np.concatenate((on_points, between))), 2)
+
+        class FixedDraws(DiscreteRayCdf):
+            def surrogate_sample(self, u):
+                return draws.copy()
+
+        tau = OpacityTrace(np.ones(n + 2))
+        cdf = FixedDraws(grid, interval_pmf(ModelKind.CONSTANT, grid, tau))
+        fine = hierarchical_samples(cdf, draws.size, 0)
+        assert same_bits(fine.points, plain_merge(cdf, draws.size, 0))
+        assert fine.n == n + between.size
 
     @pytest.mark.parametrize("near", [0.0, 1.0])
     def test_merge_drops_draws_at_the_bounds(self, near):
@@ -289,6 +339,13 @@ class TestAllocationGuard:
     def test_uniform_grid(self, ray):
         _, grid, _, _, _ = ray
         assert peak_units(lambda: make_uniform_grid(grid.segment, N)) <= 2.2
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_render_gradient(self, ray, model):
+        # The result, plus one block of scratch (and one of linear steps), not
+        # the full-length rows of one pass.
+        _, grid, _, tau, colors = ray
+        assert peak_units(lambda: grad_render_wrt_tau(model, grid, tau, colors)) <= 1.3
 
     def test_sample_gradient(self, ray):
         # The result, plus the half-widths of the bins before the draw's,

@@ -22,10 +22,11 @@ from rayquad import (
     make_uniform_grid,
     opaque_trace,
     render,
+    sample_field,
     true_mean_termination,
 )
 from rayquad import quadrature
-from rayquad.fields import AnalyticField, GaussianBump, UniformColor
+from rayquad.fields import AnalyticField, GaussianBump, GradientColor, UniformColor
 from rayquad import fixtures
 
 from conftest import hand_distribution, random_instance, sweep_traces
@@ -377,6 +378,20 @@ class TestRender:
         dist = interval_pmf(ModelKind.CONSTANT, grid, tau)
         with pytest.raises(ValueError):
             render(dist, ColorTrace(np.array([1.0, 0.5, 0.25])))
+
+    def test_colors_of_another_grid_rejected(self):
+        # Read on a's distribution, b's colors once rendered ten times as bright.
+        field = AnalyticField(GaussianBump(3.0, 0.6, 0.25), GradientColor([0.0], [1.0], start=0.0, end=5.0))
+        a, b = (make_uniform_grid(RaySegment(0.0, far), 32) for far in (0.5, 5.0))
+        (tau_a, colors_a), (_, colors_b) = sample_field(field, a), opaque_trace(field, b)
+        assert colors_a.grid is a and colors_b.grid is b
+        dist = interval_pmf(ModelKind.LINEAR, a, tau_a)
+        with pytest.raises(ValueError, match="another grid"):
+            render(dist, colors_b)
+        twin = make_uniform_grid(RaySegment(0.0, 0.5), 32)  # equal points, another object
+        assert np.array_equal(render(dist, sample_field(field, twin)[1]), render(dist, colors_a))
+        # A trace built from bare values has no grid; only its size is checked.
+        assert render(dist, ColorTrace(colors_b.values)).shape == (1,)
 
     def test_rgb_colors_render_per_channel(self):
         grid, tau = two_interval_setup()

@@ -203,6 +203,14 @@ class TestColorTrace:
         assert trace.values.shape == (2, 1)
         assert trace.channels == 1
 
+    def test_grid_needs_one_interval_per_color(self):
+        grid = make_uniform_grid(RaySegment(0.0, 1.0), 2)
+        assert ColorTrace([0.1, 0.2, 0.3]).grid is None
+        assert ColorTrace([0.1, 0.2, 0.3], grid).grid is grid
+        for bad in (make_uniform_grid(RaySegment(0.0, 1.0), 3), grid.points):
+            with pytest.raises(ValueError, match="^ColorTrace.grid must be a SampleGrid of 2 samples$"):
+                ColorTrace([0.1, 0.2, 0.3], bad)
+
 
 def _probe_points(edges):
     """Every edge, one ulp either side of it, points past both ends, and a
