@@ -254,7 +254,7 @@ def _tabulate(densities, segment: RaySegment, base: np.ndarray, n_sub: int) -> _
     fine = widths / 12.0 * (f0 + 4.0 * fq1 + 2.0 * fmid + 4.0 * fq3 + f1)
     err = (fine - coarse) / 15.0
     cumulative = np.zeros((n_rays, n + 1))
-    np.cumsum(fine + err, axis=1, out=cumulative[:, 1:])
+    np.add.accumulate(fine + err, axis=1, out=cumulative[:, 1:])
     dO = cumulative[:, 1:] - cumulative[:, :-1]
     # Hermite coefficients h(t) = O0 + d0 t + a2 t^2 + a3 t^3 on [0, w]: d0 = f0, d1 = f1.
     a2 = (3.0 * dO / widths - 2.0 * f0 - f1) / widths

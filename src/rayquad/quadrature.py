@@ -13,6 +13,14 @@ chance that a ray terminates inside interval j.  Transmittance is
 accumulated in log space and exponentiated once per grid point, which
 avoids underflow compounding in long products across opaque regions.
 
+``_distributions`` takes its steps in this order, each into an array it
+made: the negated optical depth ``-depth_j``; its prefix sums after a zero,
+the log-transmittance; their exponentials, the transmittance; the pmf
+``-(expm1(-depth_j) * T_j)`` in the depth's array; the cross-check against
+``T_j - T_{j+1}`` in the cumulative's array; last, the pmf's prefix sums
+over it.  Negation is exact and rounding is sign-symmetric, so each output
+has the bits of the formulas as written, a -0.0 included.
+
 ``_distributions`` is the one builder of ray distributions, for one ray
 or a stack of rays of one grid size; a stacked row is bit-identical to
 its one-ray build.  ``interval_pmf`` is its one-ray view and the only
@@ -102,36 +110,44 @@ def _distributions(model: ModelKind, widths: np.ndarray, t: np.ndarray):
     if t.min() < 0.0:
         raise ValueError("opacity must be nonnegative to build a ray distribution")
     # Steps write into arrays already made, in the formulas' order, so the
-    # bits are theirs: on long rays a temporary costs more than arithmetic.
+    # bits are theirs: on long rays a pass costs more than the arithmetic.
+    # They work on ``neg = -depth``: negation is exact and rounding is
+    # sign-symmetric, so ``(a + b) * -0.5 * w``, the prefix sums of ``neg``
+    # and ``-(expm1(neg) * T)`` are the bits of the formulas' negations.
     if model is ModelKind.CONSTANT:
-        depth = t[..., :-1] * widths
-        np.putmask(depth[..., -1:], t[..., -1:] >= OPAQUE, t[..., -2:-1] * OPAQUE)
+        # neg = -(t[..., :-1] * widths)
+        neg = np.multiply(t[..., :-1], widths)
+        np.negative(neg, out=neg)
+        np.putmask(neg[..., -1:], t[..., -1:] >= OPAQUE, t[..., -2:-1] * -OPAQUE)
     else:
-        # depth = 0.5 * (t[..., :-1] + t[..., 1:]) * widths
-        depth = t[..., :-1] + t[..., 1:]
-        depth *= 0.5
-        depth *= widths
-    log_t = np.zeros(t.shape)
-    np.cumsum(depth, axis=-1, out=log_t[..., 1:])
-    np.negative(log_t[..., 1:], out=log_t[..., 1:])
+        # neg = -(0.5 * (t[..., :-1] + t[..., 1:]) * widths)
+        neg = np.add(t[..., :-1], t[..., 1:])
+        neg *= -0.5
+        neg *= widths
+    # log_t = [0, -cumsum(depth)]; ``add.accumulate`` is cumsum's loop
+    # without its argument handling.
+    log_t = np.empty(t.shape)
+    log_t[..., 0] = 0.0
+    np.add.accumulate(neg, axis=-1, out=log_t[..., 1:])
     trans = np.exp(log_t)
-    # pmf = trans[..., :-1] * -np.expm1(-depth), in the depth array.
-    pmf = np.negative(depth, out=depth)
-    np.expm1(pmf, out=pmf)
-    np.negative(pmf, out=pmf)
+    # pmf = trans[..., :-1] * -np.expm1(-depth), in the ``neg`` array.
+    pmf = np.expm1(neg, out=neg)
     pmf *= trans[..., :-1]
+    np.negative(pmf, out=pmf)
 
     # max |T_j - T_{j+1} - P_j| <= atol is np.allclose with rtol=0: a NaN
-    # fails it, and neither side can be infinite.  The gap borrows ``cumulative``.
-    cumulative = np.zeros(t.shape)
+    # fails both bounds, and neither side can be infinite.  The gap borrows
+    # ``cumulative``.
+    cumulative = np.empty(t.shape)
+    cumulative[..., 0] = 0.0
     gap = np.subtract(trans[..., :-1], trans[..., 1:], out=cumulative[..., 1:])
     gap -= pmf
-    if not np.abs(gap, out=gap).max() <= _CROSSCHECK_ATOL:
+    if not (gap.max() <= _CROSSCHECK_ATOL and gap.min() >= -_CROSSCHECK_ATOL):
         raise ArithmeticError(
             "interval probabilities disagree with transmittance differences"
         )
 
-    np.cumsum(pmf, axis=-1, out=cumulative[..., 1:])
+    np.add.accumulate(pmf, axis=-1, out=cumulative[..., 1:])
     return log_t, trans, pmf, cumulative
 
 

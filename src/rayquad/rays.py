@@ -25,8 +25,15 @@ many points in order on few edges when the caller takes runs, their run in
 each interval; sizes and order choose.
 ``_check`` is the one finite (and color range) test: ``_frozen`` runs it on
 each array it stores, and a stack of traces runs it once for all rows.
+Color channels meet the range test first: NaN fails every comparison, so
+channels in [0, 1] are finite, and the finite scan runs only to word a
+failure.  ``_unit`` then refuses an array with no channel.  Shape, order
+and size checks sit in each class's ``__post_init__``; a grid's order
+check is its ``widths > 0``, and ``make_uniform_grid`` tests its points'
+order before that to name a segment too narrow for them.
 ``_floored`` and ``_opaque_far`` apply the opacity floor and the opaque-far
-convention in place to one trace or to every row of a stack.
+convention in place to one trace or to every row of a stack;
+``floor_opacity`` writes the floor into one fresh array instead.
 ``_blocks`` is the one rule for long elementwise work: the draw kernels, the
 KS statistic, the weighted sums and the render gradient run over consecutive
 slices of at most ``_BLOCK`` values.
@@ -80,14 +87,19 @@ class _Adopted(NamedTuple):
 def _check(out: np.ndarray, owner: type, name: str, unit: bool = False) -> np.ndarray:
     """``out``, unless an entry is NaN or infinite or, for ``unit`` color channels, outside
     [0, 1]: then ValueError naming field ``name`` of class ``owner``."""
+    if unit:
+        # NaN fails every comparison, so channels in [0, 1] are finite: the range
+        # test alone passes them, and the finite scan below only words a failure.
+        # Python checks a few channels in a third of numpy's time; min/max allocate
+        # no temporaries, and an empty array takes the Python path.
+        channels = out.ravel().tolist() if out.size < 8 else (out.min(), out.max())
+        if all(0.0 <= c <= 1.0 for c in channels):
+            return out
     # count_nonzero: half the cost of ``.all()`` on a short ray.
     if np.count_nonzero(np.isfinite(out)) != out.size:
         raise ValueError(f"{owner.__name__}.{name} must be finite")
     if unit:
-        # Python checks a few channels in a third of numpy's time; min/max allocate no temporaries.
-        channels = out.ravel().tolist() if out.size < 8 else (out.min(), out.max())
-        if not all(0.0 <= c <= 1.0 for c in channels):
-            raise ValueError(f"{owner.__name__}.{name}: color channels must lie in [0, 1]")
+        raise ValueError(f"{owner.__name__}.{name}: color channels must lie in [0, 1]")
     return out
 
 
@@ -106,8 +118,12 @@ def _frozen(owner, name: str, ndmin: int = 1, unit: bool = False) -> np.ndarray:
 
 
 def _unit(owner, name: str, ndmin: int = 1) -> np.ndarray:
-    """``_frozen`` of color channels, each of which must lie in [0, 1]."""
-    return _frozen(owner, name, ndmin, unit=True)
+    """``_frozen`` of color channels, each of which must lie in [0, 1]; an empty
+    array, which has no channel, raises ValueError naming the field."""
+    out = _frozen(owner, name, ndmin, unit=True)
+    if out.size == 0:
+        raise ValueError(f"{type(owner).__name__}.{name} needs at least one color channel")
+    return out
 
 
 # Least value of each sign; 5e-324, the least positive float, starts a positive count at 1.
@@ -349,7 +365,12 @@ def _opaque_far(values: np.ndarray) -> np.ndarray:
 
 def floor_opacity(trace: OpacityTrace) -> OpacityTrace:
     """Clamp interior opacities up to ``EPS_OPACITY``; boundary entries pass through."""
-    return OpacityTrace(_Adopted(_floored(trace.values.copy())))
+    # The clamp writes a fresh array, one pass; a copy clamped in place is two.
+    values = trace.values
+    floored = np.empty_like(values)
+    floored[0], floored[-1] = values[0], values[-1]
+    np.maximum(values[1:-1], EPS_OPACITY, out=floored[1:-1])
+    return OpacityTrace(_Adopted(floored))
 
 
 def apply_far_convention(

@@ -321,9 +321,12 @@ def hierarchical_samples(
     # and that is dropped below.
     samples.sort(kind="stable")
     # Drop samples within MERGE_TOL of the one before (or near) or of far.
-    gap = samples - merged[:-2]
+    # ``far - s > MERGE_TOL`` is monotone on sorted samples, so the last one
+    # decides it for all; with no sample dropped, ``merged`` is the points.
     keep = np.ones(merged.size, dtype=bool)
-    np.greater(gap, MERGE_TOL, out=keep[1:-1])
-    keep[1:-1] &= np.subtract(seg.far, samples, out=gap) > MERGE_TOL
-    del gap  # freed before the grid builds its widths
-    return SampleGrid(interior=_Adopted(merged[keep]), segment=seg)
+    np.greater(samples - merged[:-2], MERGE_TOL, out=keep[1:-1])
+    if not (keep.all() and seg.far - samples[-1] > MERGE_TOL):
+        keep[1:-1] &= seg.far - samples > MERGE_TOL
+        merged = merged[keep]
+    del keep  # freed before the grid builds its widths
+    return SampleGrid(interior=_Adopted(merged), segment=seg)

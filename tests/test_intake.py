@@ -277,6 +277,27 @@ def test_channel_outside_unit_interval_rejected(size, bad):
         UniformColor(value)
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: UniformColor(np.array([])), "UniformColor.value"),
+        (lambda: GradientColor([], [], 1.0, 3.0), "GradientColor.start_value"),
+        (lambda: TwoToneColor([], [], 0.5), "TwoToneColor.before"),
+        (lambda: PiecewiseConstantColor([0.0, 1.0], np.zeros((1, 0))), "PiecewiseConstantColor.values"),
+        (lambda: ColorTrace(np.zeros((4, 0))), "ColorTrace.values"),
+        (
+            lambda: ColorTrace(np.zeros((4, 0)), make_uniform_grid(RaySegment(0.0, 1.0), 3)),
+            "ColorTrace.values",
+        ),
+    ],
+    ids=["uniform", "gradient", "two-tone", "piecewise", "trace", "trace-on-grid"],
+)
+def test_color_without_channels_rejected(build, field):
+    # A color of no channels would render to an empty array, not to a color.
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} needs at least one color channel$"):
+        build()
+
+
 SEGMENT = RaySegment(0.0, 2.0)
 FIELD = AnalyticField(ConstantSlab(1.0, 0.5, 1.5))
 RIG = GrazingRig(10.0, 40.0, 1.0, angles=[0.5])

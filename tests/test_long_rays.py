@@ -35,7 +35,7 @@ from rayquad import (
     shift_sweep,
 )
 from rayquad.fields import LogisticStep, _by_ray
-from rayquad.quadrature import _weighted_sums
+from rayquad.quadrature import _distributions, _weighted_sums
 from rayquad.rays import EPS_OPACITY, _BLOCK
 from rayquad.sampling import MERGE_TOL, _stratified_unit_samples
 
@@ -67,13 +67,13 @@ def plain_tau(step, s):
     return step.amplitude * sig
 
 
-def plain_interval_pmf(model, grid, t):
+def plain_interval_pmf(model, widths, t):
     if model is ModelKind.CONSTANT:
-        depth = t[:-1] * grid.widths
+        depth = t[:-1] * widths
         if t[-1] >= OPAQUE:
             depth[-1] = t[-2] * OPAQUE
     else:
-        depth = 0.5 * (t[:-1] + t[1:]) * grid.widths
+        depth = 0.5 * (t[:-1] + t[1:]) * widths
     log_t = np.concatenate(([0.0], -np.cumsum(depth)))
     trans = np.exp(log_t)
     pmf = trans[:-1] * -np.expm1(-depth)
@@ -112,8 +112,11 @@ def plain_grad_render(model, grid, trans, c):
 
 
 def same_bits(got, want) -> bool:
-    """Equal bytes, so a -0.0 against a +0.0 counts, which ``np.array_equal`` does not."""
-    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    """Equal float64 bits, compared as ``int64`` views, so a -0.0 against a +0.0
+    counts, which ``np.array_equal`` does not."""
+    got, want = np.asarray(got), np.asarray(want)
+    same_kind = got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    return same_kind and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def long_ray_on(n):
@@ -141,16 +144,37 @@ def peak_units(call) -> float:
 class TestBitIdentity:
     @pytest.mark.parametrize("model", MODELS)
     def test_interval_pmf(self, ray, model):
-        _, grid, _, tau, _ = ray
-        dist = interval_pmf(model, grid, OpacityTrace(tau.values))
-        want = plain_interval_pmf(model, grid, tau.values)
-        got = (dist.log_transmittance, dist.transmittance, dist.pmf, dist.cumulative)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        # The raw trace and the opaque-far one.
+        _, grid, raw, tau, _ = ray
+        for t in (raw.values, tau.values):
+            dist = interval_pmf(model, grid, OpacityTrace(t))
+            want = plain_interval_pmf(model, grid.widths, t)
+            got = (dist.log_transmittance, dist.transmittance, dist.pmf, dist.cumulative)
+            for g, w in zip(got, want):
+                assert same_bits(g, w)
+        if model is ModelKind.CONSTANT:
+            # The zero near opacity of the opaque far plane gives a zero first
+            # step, which log-transmittance keeps as -0.0.
+            assert same_bits(dist.log_transmittance[:2], np.array([0.0, -0.0]))
         mids = 0.5 * (grid.points[:-1] + grid.points[1:])
         # One dot product per block of _BLOCK intervals, added in order.
         blocks = [slice(i, i + _BLOCK) for i in range(0, mids.size, _BLOCK)]
         assert expected_depth(dist, grid) == sum(float(dist.pmf[b] @ mids[b]) for b in blocks)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("per_row", [False, True], ids=["shared-widths", "row-widths"])
+    def test_distributions_of_a_stack(self, ray, model, per_row):
+        # Raw, opaque-far and floored rows; each row gets its one-ray formulas' bits.
+        _, grid, raw, tau, _ = ray
+        rows = np.stack([raw.values, tau.values, floor_opacity(raw).values])
+        widths = grid.widths
+        if per_row:
+            widths = np.stack([grid.widths, 1.5 * grid.widths, grid.widths[::-1]])
+        got = _distributions(model, widths, rows)
+        for r, t in enumerate(rows):
+            want = plain_interval_pmf(model, widths if widths.ndim == 1 else widths[r], t)
+            for g, w in zip(got, want):
+                assert same_bits(g[r], w)
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_weighted_sum_of_a_long_row_stacked_and_alone(self, channels):
@@ -215,7 +239,7 @@ class TestBitIdentity:
         else:
             cdf = DiscreteRayCdf(grid, interval_pmf(model, grid, tau))
         fine = hierarchical_samples(cdf, 1024, 7)
-        assert np.array_equal(fine.points, plain_merge(cdf, 1024, 7))
+        assert same_bits(fine.points, plain_merge(cdf, 1024, 7))
 
     @pytest.mark.parametrize(
         "interior, pmf",
@@ -284,10 +308,10 @@ class TestBitIdentity:
 
         floored = np.array(raw.values)
         floored[1:-1] = np.maximum(floored[1:-1], EPS_OPACITY)
-        assert np.array_equal(floor_opacity(raw).values, floored)
+        assert same_bits(floor_opacity(raw).values, floored)
         far = np.array(raw.values)
         far[0], far[-1] = 0.0, OPAQUE
-        assert np.array_equal(apply_far_convention(raw, FarConvention.OPAQUE_FAR).values, far)
+        assert same_bits(apply_far_convention(raw, FarConvention.OPAQUE_FAR).values, far)
 
     def test_logistic_step_on_the_ray(self, ray):
         field, grid, _, _, _ = ray
@@ -339,6 +363,18 @@ class TestAllocationGuard:
     def test_uniform_grid(self, ray):
         _, grid, _, _, _ = ray
         assert peak_units(lambda: make_uniform_grid(grid.segment, N)) <= 2.2
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_hierarchical_samples(self, ray, model):
+        # The merged points, which the grid adopts when no sample is dropped,
+        # and their widths; not a masked copy of them.
+        _, grid, _, tau, _ = ray
+        if model is ModelKind.LINEAR:
+            cdf = ContinuousRayCdf(grid, tau)
+        else:
+            cdf = DiscreteRayCdf(grid, interval_pmf(model, grid, tau))
+        assert hierarchical_samples(cdf, 1024, 7).n == N + 1024
+        assert peak_units(lambda: hierarchical_samples(cdf, 1024, 7)) <= 2.4
 
     @pytest.mark.parametrize("model", MODELS)
     def test_render_gradient(self, ray, model):

@@ -180,6 +180,21 @@ def test_one_distribution_maker():
     assert list(_sites_outside("quadrature.interval_pmf", found)) == []
 
 
+def _cumsum_into_an_output(path):
+    """``file:line`` of every ``cumsum`` call with an ``out`` keyword."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and _named(node.func) == "cumsum":
+            if any(keyword.arg == "out" for keyword in node.keywords):
+                yield f"{path.name}:{node.lineno}"
+
+
+def test_no_cumsum_into_an_output():
+    # ``np.cumsum(x, out=...)`` runs ``np.add.accumulate``'s loop, bit for bit, after
+    # about 3 us more of argument handling, so a prefix sum into a made array
+    # calls ``np.add.accumulate`` itself.
+    assert [site for path in sorted(SOURCES.glob("*.py")) for site in _cumsum_into_an_output(path)] == []
+
+
 def _private_rayquad_names(tree):
     """``line: name`` of each ``_``-name a module imports from ``rayquad``, or reads
     as an attribute of a name it imported from there."""
