@@ -24,16 +24,19 @@ run bit for bit.
 
 Refinement round ``k`` tabulates at ``64 << k`` sub-panels per base
 panel, and the rounds run in waves (``_refine_until_stable``): wave 1
-runs rounds 0 to 2 of every ray, each later wave the rounds each
+plans rounds 0 to 2 of every ray, each later wave the rounds each
 unsettled ray is predicted to need from the rate its differences fall
-at.  The engine's rows are (ray, round) pairs.  A round ``j`` rounds
-coarser than the wave's finest has the finest edges taken every
-``2**j``-th, so one search of the finest edges finds a point's piece in
-every row's table (``_nest``).  Since no row affects another, values and
-settling are those of one round at a time, and a row past a ray's
-settling round is dropped.  A wave that meets any failure is dropped
-whole, and the rest of the call runs one round per pass, so the error
-raised is the one that loop meets first.
+at.  A ray whose last planned table still has an error above the
+tolerance runs on in the same wave, one table at a time, to one round
+past its first table within it (``_wave_tables``).  The engine's rows
+are (ray, round) pairs.  A round ``j`` rounds coarser than the wave's
+finest has the finest edges taken every ``2**j``-th, so one search of
+the finest edges finds a point's piece in every row's table (``_nest``).
+Since no row affects another, values and settling are those of one
+round at a time, and a row past a ray's settling round is dropped.  A
+wave that meets any failure is dropped whole, and the rest of the call
+runs one round per pass, so the error raised is the one that loop meets
+first.
 
 Only ``true_render_batch`` takes rays of mixed profiles.  It splits them
 into batches of one density class, one color class and one base (the
@@ -236,12 +239,15 @@ def _tabulate(densities, segment: RaySegment, base: np.ndarray, n_sub: int) -> _
     edges = np.append(np.linspace(base[:-1], base[1:], n_sub + 1)[:-1].T.ravel(), base[-1])
     left, right = edges[:-1], edges[1:]
     widths = right - left
-    if not (widths > 0).all():
-        k = np.argmin(widths > 0) // n_sub
-        raise ValueError(
-            f"cannot tabulate [{segment.near}, {segment.far}] at {n_sub} sub-panels per base "
-            f"panel: sub-panel edges collide in base panel [{base[k]}, {base[k + 1]}]"
-        )
+    # a3 divides by the squared widths, so no square may underflow to 0 either.
+    square = widths * widths
+    for fits, why in (widths > 0, "sub-panel edges collide"), (square > 0, "widths square to 0"):
+        if not fits.all():
+            k = np.argmin(fits) // n_sub
+            raise ValueError(
+                f"cannot tabulate [{segment.near}, {segment.far}] at {n_sub} sub-panels per base "
+                f"panel: {why} in base panel [{base[k]}, {base[k + 1]}]"
+            )
 
     # One-sided endpoint opacities: one ulp inside each sub-panel.
     points = [np.nextafter(left, np.inf), np.nextafter(right, -np.inf)]
@@ -258,7 +264,7 @@ def _tabulate(densities, segment: RaySegment, base: np.ndarray, n_sub: int) -> _
     dO = cumulative[:, 1:] - cumulative[:, :-1]
     # Hermite coefficients h(t) = O0 + d0 t + a2 t^2 + a3 t^3 on [0, w]: d0 = f0, d1 = f1.
     a2 = (3.0 * dO / widths - 2.0 * f0 - f1) / widths
-    a3 = (f0 + f1 - 2.0 * dO / widths) / (widths * widths)
+    a3 = (f0 + f1 - 2.0 * dO / widths) / square
     # d0 is a copy, so a kept table does not hold every point value alive.
     return _Rows(n_sub, edges, widths, cumulative, f0.copy(), a2, a3, np.abs(err).sum(axis=1))
 
@@ -410,24 +416,34 @@ def _wave_end(first: int, diffs: list, tol: float) -> int:
     return stop
 
 
-def _wave_tables(densities, segment: RaySegment, base: np.ndarray, plan: dict):
+def _wave_tables(densities, segment: RaySegment, base: np.ndarray, plan: dict, tol):
     """One wave's tables, ``plan[p] = (first, last)`` rounds for the ray at position
     ``p``: per round, one ``_tabulate`` of the rays that run it, coarsest first.
+    Unless ``tol`` is None, a ray whose table at ``last`` has an error above it runs on,
+    one round at a time, to one round past its first table within ``tol`` (the
+    settle check compares a round with the one before), never past round 8.
     Returns the ``_Wave`` (``_nest``, ray ``i`` being the ``i``-th of ``plan``) and
     each row's (round, position).  Raises ValueError for a table that cannot be built
     or whose edges do not nest the coarser ones."""
     index = {p: i for i, p in enumerate(plan)}
-    tables, rays, keys = [], [], []
-    for k in sorted({k for first, last in plan.values() for k in range(first, last + 1)}):
-        picked = [p for p, (first, last) in plan.items() if first <= k <= last]
-        rows = _tabulate([densities[p] for p in picked], segment, base, 64 << k)
-        if tables and not np.array_equal(
-            rows.edges[:: rows.n_sub // tables[-1].n_sub], tables[-1].edges
-        ):
-            raise ValueError(f"round {k}'s edges do not nest the wave's coarser rounds")
-        tables.append(rows)
-        rays.append([index[p] for p in picked])
-        keys += [(k, p) for p in picked]
+    last = {p: end for p, (_, end) in plan.items()}
+    above = dict.fromkeys(plan, False)  # run past its plan: its table a round before missed tol
+    k, tables, rays, keys = min(first for first, _ in plan.values()), [], [], []
+    while k <= max(last.values()):
+        picked = [p for p, (first, _) in plan.items() if first <= k <= last[p]]
+        if picked:
+            rows = _tabulate([densities[p] for p in picked], segment, base, 64 << k)
+            if tables and not np.array_equal(
+                rows.edges[:: rows.n_sub // tables[-1].n_sub], tables[-1].edges
+            ):
+                raise ValueError(f"round {k}'s edges do not nest the wave's coarser rounds")
+            tables.append(rows)
+            rays.append([index[p] for p in picked])
+            keys += [(k, p) for p in picked]
+            for p, error in zip(picked, rows.tab_error.tolist()):
+                if tol is not None and last[p] == k < 8 and (above[p] or error > tol):
+                    last[p], above[p] = k + 1, error > tol
+        k += 1
     return _nest(tables, rays), keys
 
 
@@ -443,13 +459,15 @@ def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, i
     The rounds run in waves: one ``_wave_tables`` per wave and one
     ``run_pass(rays, wave)``, where ``rays`` are the ids of the wave's rays and
     ``wave`` holds its (ray, round) table rows; it returns per row (value, error,
-    evaluations), and raises NoConvergenceError for a failed row.  Wave 1 runs rounds
-    0 to 2 (round 0 alone for an exact class); each later wave runs, per unsettled
-    ray, its next round up to the one ``_wave_end`` predicts it settles at.  Rows
-    past the round a ray settles at are dropped.  A wave that meets any failure (a
-    ValueError, a failed row or a ray unsettled at round 8) is dropped whole, and
-    the rest of the call runs one round per pass, the rays at the lowest round,
-    raising the first failure it meets.
+    evaluations), and raises NoConvergenceError for a failed row.  Wave 1 plans rounds
+    0 to 2 (round 0 alone for an exact class); each later wave plans, per unsettled
+    ray, its next round up to the one ``_wave_end`` predicts it settles at.  A smooth
+    ray whose last planned table's error (``_Rows.tab_error``) is above tol runs on to
+    one round past its first table within tol, never past round 8; a plan is never
+    shortened.  Rows past the round a ray settles at are dropped.  A wave that meets
+    any failure (a ValueError, a failed row or a ray unsettled at round 8) is dropped
+    whole, and the rest of the call runs one round per pass, the rays at the lowest
+    round, raising the first failure it meets.
     """
     if not _is_real(tol, "positive"):
         raise ValueError(f"tolerance must be positive and finite, got tol={tol!r}")
@@ -466,7 +484,9 @@ def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, i
         # The wave works on copies, so a dropped wave changes no ray.
         live, new, new_diffs = dict(ahead), list(values), [list(d) for d in diffs]
         try:
-            wave, keys = _wave_tables(densities, segment, base, plan)
+            # One round per pass runs its plan alone; an exact table's error is rounding alone.
+            reach = None if one_round or exact else tol
+            wave, keys = _wave_tables(densities, segment, base, plan, reach)
             results = run_pass([ids[p] for p in plan], wave)
             # Each row's previous round: its ray's row a round down here, else its last value.
             at, now = {key: j for j, key in enumerate(keys)}, np.array([r[0] for r in results])

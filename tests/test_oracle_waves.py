@@ -6,6 +6,10 @@ the same rays and raise the same error with the same partial, bit for bit,
 also when a round past a ray's settling round fails.
 """
 
+import inspect
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,11 +30,12 @@ from rayquad import (
     true_render_batch,
 )
 from rayquad.cli import _RENDER_TOL, main
-from rayquad.fields import GradientColor, TwoToneColor
+from rayquad.fields import GradientColor, TwoToneColor, load_scene
 
 from test_oracle import _render_command_rays, _rows, _UnresolvedCusp
 
 RENDER_SEGMENT = RaySegment(0.0, 4.0)
+SCENES = Path(__file__).parent.parent / "scenes"
 
 
 def one_round_refine(densities, segment, tol, run_pass, ids):
@@ -88,6 +93,24 @@ def render_batch(rays):
     return lambda: true_render_batch(rays, RENDER_SEGMENT, _RENDER_TOL)
 
 
+def record_waves(monkeypatch):
+    """Spy on ``oracle._wave_tables``: per wave, the list returned gets the plan it was
+    given (found by name, not position) and the rounds each ray ran, ``{p: (first, last)}``."""
+    waves, wave_tables = [], oracle._wave_tables
+
+    def spied(*args, **kwargs):
+        plan = inspect.signature(wave_tables).bind(*args, **kwargs).arguments["plan"]
+        wave, keys = wave_tables(*args, **kwargs)
+        ran = {}
+        for k, p in keys:  # rounds ascend
+            ran[p] = (ran.get(p, (k,))[0], k)
+        waves.append((dict(plan), ran))
+        return wave, keys
+
+    monkeypatch.setattr(oracle, "_wave_tables", spied)
+    return waves
+
+
 def count_engine_calls(monkeypatch):
     calls = []
     engine = oracle._adaptive_simpson
@@ -124,6 +147,13 @@ class TestWavesEqualOneRoundAtATime:
     def test_fields(self, monkeypatch, field, tol):
         for call in (true_render, true_mean_termination):
             assert_waves_match_one_round(monkeypatch, lambda: call(field, RENDER_SEGMENT, tol))
+
+    @pytest.mark.parametrize("scene", ["gaussian_bump", "logistic_wall"])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    def test_shipped_scenes(self, monkeypatch, scene, tol):
+        field, segment = load_scene(SCENES / f"{scene}.json")
+        for call in (true_render, true_mean_termination):
+            assert_waves_match_one_round(monkeypatch, lambda: call(field, segment, tol))
 
     def test_field_that_never_stabilizes(self, monkeypatch):
         field, segment = AnalyticField(_UnresolvedCusp(), UniformColor(np.array([0.5]))), RaySegment(0.0, 2.0)
@@ -183,10 +213,11 @@ def edit_tables_at(monkeypatch, n_sub, edit):
     monkeypatch.setattr(oracle, "_tabulate", edited)
 
 
-def drift(monkeypatch, target):
-    """Add ``3**-k`` to the value of each round-``k`` table row of the ray of field
-    ``target``: its differences fall threefold per round, so a wave predicts it
-    settles past round 8, and it is still unsettled there."""
+def drift(monkeypatch, scales):
+    """Add ``scale * 3**-k`` to the value of each round-``k`` table row of the ray of
+    each field of ``scales`` (field id to scale): its differences fall threefold per
+    round, so at scale 1 a wave predicts it settles past round 8, and it is still
+    unsettled there."""
     render_rays = oracle._render_rays
 
     def drifting(fields, segment, rows, bases, tol, weight=None, ids=None):
@@ -194,7 +225,7 @@ def drift(monkeypatch, target):
         results = render_rays(fields, segment, rows, bases, tol, weight, ids)
         rounds = [(wave.n_sub >> s).bit_length() - 7 for s in wave.shift.tolist()]
         return [
-            (value + 3.0**-k, err, evals) if fields[r] is target else (value, err, evals)
+            (value + scales.get(id(fields[r]), 0.0) * 3.0**-k, err, evals)
             for (value, err, evals), r, k in zip(results, wave.ray.tolist(), rounds)
         ]
 
@@ -205,8 +236,9 @@ BREAKS = [fail_from, refuse_tables_from]
 
 
 class TestRoundsPastSettling:
-    """Wave 1 runs rounds 0 to 2.  At 1e-6 the paper scenes settle at round 1, so
-    their round 2 is past settling; at 1e-10 they need it."""
+    """Wave 1 runs rounds 0 to 2, and on to round 4 for the paper scenes at 1e-10,
+    whose round-2 tables miss that tol.  At 1e-6 they settle at round 1, so their
+    round 2 is past settling; at 1e-10 they need it."""
 
     @pytest.mark.parametrize("call", [convergence, shift], ids=["convergence", "shift"])
     @pytest.mark.parametrize("break_round", BREAKS, ids=["depth-limit", "no-table"])
@@ -281,34 +313,87 @@ class TestRoundsPastSettling:
         assert kind is ValueError and message.startswith("integrand is not finite at ")
 
     def test_dropped_wave_changes_no_ray(self, monkeypatch):
-        # Wave 2 runs rounds 3 to 8 of all four rays: rays 0, 1 and 3 settle at
-        # round 6 and ray 2 is unsettled at round 8, so the wave is dropped.  Had
-        # ray 2 kept that wave's round-8 value, its replayed round 8 would settle.
+        # Wave 1 runs rounds 0 to 6 of all four rays, as their tables miss 1e-10 up to
+        # round 5; rays 1 and 3 settle at round 6.  Wave 2 runs round 7 of ray 0, which
+        # settles there, and rounds 7 and 8 of ray 2, unsettled at round 8, so the wave is
+        # dropped and both rays replay round 7.  Had ray 2 kept that wave's round-8 value,
+        # its replayed round 8 would settle.
         batch = [
             AnalyticField(LogisticStep(10.0, 40.0, c), UniformColor(np.array([0.5])))
             for c in (0.5, 1.0, 1.3, 2.5)
         ]
-        drift(monkeypatch, batch[2])
-        plans = []
-        wave_tables = oracle._wave_tables
-        monkeypatch.setattr(
-            oracle, "_wave_tables", lambda *args: plans.append(dict(args[-1])) or wave_tables(*args)
-        )
+        drift(monkeypatch, {id(batch[0]): 2e-7, id(batch[2]): 1.0})
+        waves = record_waves(monkeypatch)
         kind, message, _ = assert_waves_match_one_round(
             monkeypatch, lambda: true_render_batch(batch, RENDER_SEGMENT, 1e-10)
         )
         assert kind is NoConvergenceError and message.endswith("did not stabilize for ray 2")
-        assert plans[1] == dict.fromkeys(range(4), (3, 8))
-        assert plans[2] == dict.fromkeys(range(4), (3, 3))
+        assert waves == [
+            (dict.fromkeys(range(4), (0, 2)), dict.fromkeys(range(4), (0, 6))),
+            ({0: (7, 7), 2: (7, 8)}, {0: (7, 7), 2: (7, 8)}),
+            ({0: (7, 7), 2: (7, 7)}, {0: (7, 7), 2: (7, 7)}),
+            ({2: (8, 8)}, {2: (8, 8)}),
+        ]
 
 
 class TestWaveStructure:
-    @pytest.mark.parametrize("command, most", [("convergence", 2), ("depth", 2), ("render", 1)])
-    def test_engine_calls_at_command_defaults(self, monkeypatch, tmp_path, command, most):
-        # One engine call per round before the waves: 4, 5 and 3.
+    # One engine call per round before the waves: 4, 5 and 3.  Round 2's tables of
+    # convergence and depth miss 1e-10, so their one wave runs rounds 0 to 4.
+    @pytest.mark.parametrize("command", ["convergence", "depth", "render"])
+    def test_engine_calls_at_command_defaults(self, monkeypatch, tmp_path, command):
         calls = count_engine_calls(monkeypatch)
         assert main([command, "--out", str(tmp_path)]) == 0
-        assert 0 < len(calls) <= most
+        assert len(calls) == 1
+
+    def test_render_runs_rounds_0_to_2_in_one_wave(self, monkeypatch, tmp_path):
+        # Every round-2 table is within the render tolerance, so no plan grows.
+        waves = record_waves(monkeypatch)
+        assert main(["render", "--out", str(tmp_path)]) == 0
+        [(plan, ran)] = waves
+        assert plan == ran == dict.fromkeys(range(96), (0, 2))
+        assert sum(last - first + 1 for first, last in ran.values()) == 288
+
+    @pytest.mark.parametrize(
+        "plan, tol, ran",
+        [
+            ({0: (0, 2)}, None, (0, 2)),
+            ({0: (0, 2)}, 1e-6, (0, 2)),
+            ({0: (0, 2)}, 2e-9, (0, 2)),  # round 1 is within tol too: never shorter
+            ({0: (0, 2)}, 1e-10, (0, 4)),  # round 2 misses tol, round 3 is within
+            ({0: (5, 5)}, 1e-14, (5, 7)),
+            ({0: (0, 2)}, 1e-17, (0, 8)),  # every table misses tol: never past round 8
+        ],
+        ids=["no-tol", "within", "within-a-round-early", "above", "above-from-5", "never-within"],
+    )
+    def test_plan_runs_on_past_a_table_above_tol(self, plan, tol, ran):
+        # Table errors of the convergence density by round: 2.64e-8, 1.65e-9,
+        # 1.03e-10, 6.45e-12, 4.03e-13, 2.52e-14, 1.57e-15, 9.85e-17, 1.1e-17.
+        density, segment = fixtures.convergence_scene().density, fixtures.CONVERGENCE_SEGMENT
+        base = oracle._base(density, segment)
+        _, keys = oracle._wave_tables([density], segment, base, plan, tol)
+        assert keys == [(k, 0) for k in range(ran[0], ran[1] + 1)]
+
+    def test_rays_of_a_wave_run_on_each_to_its_own_round(self):
+        # Both planned for rounds 0-2 at 1e-10: the convergence bump's tables miss it up
+        # to round 2 and the sharper bump's up to round 3 (1.06e-10), one round more.
+        densities = [GaussianBump(3.0, 0.6, 0.25), GaussianBump(3.0, 0.6, 0.1)]
+        segment = fixtures.CONVERGENCE_SEGMENT
+        base, plan = oracle._base(densities[0], segment), dict.fromkeys(range(2), (0, 2))
+        _, keys = oracle._wave_tables(densities, segment, base, plan, 1e-10)
+        assert [k for k, p in keys if p == 0] == list(range(5))
+        assert [k for k, p in keys if p == 1] == list(range(6))
+
+    def test_nan_table_error_does_not_extend_the_plan(self, monkeypatch):
+        # Round 2's table error is 1.03e-10, above tol, so wave 1 runs on to round 4;
+        # as NaN it is above nothing, and wave 1 stops at round 2 with two waves in all.
+        def unknown(rows):
+            return rows._replace(tab_error=np.full_like(rows.tab_error, np.nan))
+
+        edit_tables_at(monkeypatch, 256, unknown)
+        waves = record_waves(monkeypatch)
+        value = assert_waves_match_one_round(monkeypatch, convergence(1e-10))
+        assert [ran for _, ran in waves] == [{0: (0, 2)}, {0: (3, 3)}]
+        assert value == outcome(convergence(1e-10)) and not isinstance(value, tuple)
 
     def test_predicted_rounds(self):
         # Fewer than two differences: up to round 2.  Then rounds until the last
@@ -364,6 +449,22 @@ class TestTooNarrowToTabulate:
         message = r"cannot tabulate \[1000000000000000.0, 1000000000000001.0\] at 64 sub-panels"
         with pytest.raises(ValueError, match=message):
             true_mean_termination(fixtures.shift_scene(), segment)
+
+    def test_sub_panels_whose_square_underflows_raise(self):
+        # At 64 sub-panels a width of 1e-160 / 64 squares to 0, and a3 would divide by it.
+        message = (
+            r"cannot tabulate \[0.0, 1e-160\] at 64 sub-panels per base panel: "
+            r"widths square to 0 in base panel \[0.0, 1e-160\]"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                true_render(fixtures.convergence_scene(), RaySegment(0.0, 1e-160))
+
+    def test_sub_panels_whose_square_is_subnormal_still_tabulate(self):
+        # 1e-155 / 64 squares to a subnormal, not 0: the render is finite, and 0.842 / span.
+        value = true_render(fixtures.convergence_scene(), RaySegment(0.0, 1e-155))
+        assert np.isfinite(value).all() and value[0] == pytest.approx(1.684e-156, rel=1e-3)
 
     def test_interval_probabilities_on_edges_one_ulp_apart_raise(self):
         edges = np.array([0.0, 1.0, np.nextafter(1.0, 2.0), 2.0])
