@@ -18,25 +18,24 @@ stabilizes.  The documented error budget of every oracle value is ten
 times the requested tolerance.  One adaptive engine serves the render,
 the mean termination distance and the interval probabilities.  It grows
 all panel trees together, all rays of a batch in one engine call per
-refinement wave; each tree and its sums depend only on its own task,
+refinement pass; each tree and its sums depend only on its own task,
 never on the batch it runs in, so a batched ray matches its single-ray
 run bit for bit.
 
 Refinement round ``k`` tabulates at ``64 << k`` sub-panels per base
-panel, and the rounds run in waves (``_refine_until_stable``): wave 1
-plans rounds 0 to 2 of every ray, each later wave the rounds each
-unsettled ray is predicted to need from the rate its differences fall
-at.  A ray whose last planned table still has an error above the
-tolerance runs on in the same wave, one table at a time, to one round
-past its first table within it (``_wave_tables``).  The engine's rows
-are (ray, round) pairs.  A round ``j`` rounds coarser than the wave's
-finest has the finest edges taken every ``2**j``-th, so one search of
-the finest edges finds a point's piece in every row's table (``_nest``).
-Since no row affects another, values and settling are those of one
-round at a time, and a row past a ray's settling round is dropped.  A
-wave that meets any failure is dropped whole, and the rest of the call
-runs one round per pass, so the error raised is the one that loop meets
-first.
+panel (``_refine_until_stable``).  The first pass runs rounds 0 to 2 of
+every ray (round 0 alone for an exact class), and a ray whose round-2
+table still has an error above the tolerance runs on in it, one table at
+a time, to one round past its first table within it (``_wave_tables``);
+each later pass runs one round of the unsettled rays at the lowest
+round.  The engine's rows are (ray, round) pairs.  A round ``j`` rounds
+coarser than the pass's finest has the finest edges taken every
+``2**j``-th, so one search of the finest edges finds a point's piece in
+every row's table (``_nest``).  Since no row affects another, values and
+settling are those of one round at a time, and a row past a ray's
+settling round is dropped.  A first pass that meets any failure is
+dropped whole, and the call runs one round per pass from round 0, so the
+error raised is the one that loop meets first.
 
 Only ``true_render_batch`` takes rays of mixed profiles.  It splits them
 into batches of one density class, one color class and one base (the
@@ -48,7 +47,7 @@ shared edges and one lookup in its row (``_flat_cumulative``).
 ``_base``, the one panel builder, splits the segment at field
 breakpoints for tables and render tasks alike, as a sorted set of a few
 floats rather than an ``np.unique``.  ``_tabulate``, the one table
-builder, makes every table, all rays of a wave that run one refinement
+builder, makes every table, all rays of a pass that run one refinement
 round in one ``(R, points)`` density call with one sub-panel count: each
 ray's parameters are an ``(R, 1)`` column broadcast against the shared
 points.
@@ -398,53 +397,32 @@ def _render_rays(
     return list(zip(out, err_total, n_evals))
 
 
-def _wave_end(first: int, diffs: list, tol: float) -> int:
-    """The last round a wave runs for a smooth ray whose next round is ``first``.
-
-    Up to round 2 while the ray has fewer than two differences; then every round up to
-    the first where its last difference, falling on at its last rate
-    ``diffs[-2] / diffs[-1]``, would be at most 3 * tol, and only ``first`` where that
-    rate is below 2.  Never past round 8.
-    """
-    if len(diffs) < 2:
-        return 2
-    rate, stop = diffs[-2] / diffs[-1], first
-    if rate >= 2.0:
-        guess = diffs[-1] / rate
-        while guess > 3.0 * tol and stop < 8:
-            stop, guess = stop + 1, guess / rate
-    return stop
-
-
-def _wave_tables(densities, segment: RaySegment, base: np.ndarray, plan: dict, tol):
-    """One wave's tables, ``plan[p] = (first, last)`` rounds for the ray at position
-    ``p``: per round, one ``_tabulate`` of the rays that run it, coarsest first.
-    Unless ``tol`` is None, a ray whose table at ``last`` has an error above it runs on,
-    one round at a time, to one round past its first table within ``tol`` (the
-    settle check compares a round with the one before), never past round 8.
-    Returns the ``_Wave`` (``_nest``, ray ``i`` being the ``i``-th of ``plan``) and
-    each row's (round, position).  Raises ValueError for a table that cannot be built
-    or whose edges do not nest the coarser ones."""
-    index = {p: i for i, p in enumerate(plan)}
-    last = {p: end for p, (_, end) in plan.items()}
-    above = dict.fromkeys(plan, False)  # run past its plan: its table a round before missed tol
-    k, tables, rays, keys = min(first for first, _ in plan.values()), [], [], []
-    while k <= max(last.values()):
-        picked = [p for p, (first, _) in plan.items() if first <= k <= last[p]]
-        if picked:
-            rows = _tabulate([densities[p] for p in picked], segment, base, 64 << k)
-            if tables and not np.array_equal(
-                rows.edges[:: rows.n_sub // tables[-1].n_sub], tables[-1].edges
-            ):
-                raise ValueError(f"round {k}'s edges do not nest the wave's coarser rounds")
-            tables.append(rows)
-            rays.append([index[p] for p in picked])
-            keys += [(k, p) for p in picked]
-            for p, error in zip(picked, rows.tab_error.tolist()):
-                if tol is not None and last[p] == k < 8 and (above[p] or error > tol):
-                    last[p], above[p] = k + 1, error > tol
+def _wave_tables(densities, segment: RaySegment, base: np.ndarray, rays, first, last, tol):
+    """One pass's tables: rounds ``first`` to ``last`` of the rays at positions ``rays``,
+    per round one ``_tabulate`` of the rays that run it, coarsest first.  Unless ``tol``
+    is None, a ray whose table at ``last`` has an error above it runs on, one round at a
+    time, to one round past its first table within ``tol`` (the settle check compares a
+    round with the one before), never past round 8.  Returns the ``_Wave`` (``_nest``,
+    ray ``i`` being ``rays[i]``) and each row's (round, position).  Raises ValueError for
+    a table that cannot be built or whose edges do not nest the coarser ones."""
+    # Each ray's last round, and whether it runs past ``last``: its table a round before missed tol.
+    ends, above = [last] * len(rays), [False] * len(rays)
+    picked, k, tables, index, keys = list(range(len(rays))), first, [], [], []
+    while picked:
+        rows = _tabulate([densities[rays[i]] for i in picked], segment, base, 64 << k)
+        if tables and not np.array_equal(
+            rows.edges[:: rows.n_sub // tables[-1].n_sub], tables[-1].edges
+        ):
+            raise ValueError(f"round {k}'s edges do not nest the wave's coarser rounds")
+        tables.append(rows)
+        index.append(picked)
+        keys += [(k, rays[i]) for i in picked]
+        for i, error in zip(picked, rows.tab_error.tolist()):
+            if tol is not None and ends[i] == k < 8 and (above[i] or error > tol):
+                ends[i], above[i] = k + 1, error > tol
         k += 1
-    return _nest(tables, rays), keys
+        picked = [i for i in picked if ends[i] >= k]
+    return _nest(tables, index), keys
 
 
 def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, ids) -> np.ndarray:
@@ -456,64 +434,54 @@ def _refine_until_stable(densities, segment: RaySegment, tol: float, run_pass, i
     raises NoConvergenceError with its last pass as the partial.  The densities
     share one class and one base.
 
-    The rounds run in waves: one ``_wave_tables`` per wave and one
-    ``run_pass(rays, wave)``, where ``rays`` are the ids of the wave's rays and
-    ``wave`` holds its (ray, round) table rows; it returns per row (value, error,
-    evaluations), and raises NoConvergenceError for a failed row.  Wave 1 plans rounds
-    0 to 2 (round 0 alone for an exact class); each later wave plans, per unsettled
-    ray, its next round up to the one ``_wave_end`` predicts it settles at.  A smooth
-    ray whose last planned table's error (``_Rows.tab_error``) is above tol runs on to
-    one round past its first table within tol, never past round 8; a plan is never
-    shortened.  Rows past the round a ray settles at are dropped.  A wave that meets
-    any failure (a ValueError, a failed row or a ray unsettled at round 8) is dropped
-    whole, and the rest of the call runs one round per pass, the rays at the lowest
-    round, raising the first failure it meets.
+    Each pass is one ``_wave_tables`` and one ``run_pass(rays, wave)``, where ``rays``
+    are the ids of the pass's rays and ``wave`` holds its (ray, round) table rows; it
+    returns per row (value, error, evaluations), and raises NoConvergenceError for a
+    failed row.  The first pass runs rounds 0 to 2 of every ray (round 0 alone for an
+    exact class), and a smooth ray whose round-2 table error (``_Rows.tab_error``) is
+    above tol runs on to one round past its first table within tol, never past round 8.
+    Rows past the round a ray settles at are dropped.  Each later pass runs one round
+    of the unsettled rays at the lowest round.  A first pass that meets any failure (a
+    ValueError, a failed row or a ray unsettled at round 8) is dropped whole, and the
+    call runs one round per pass from round 0, raising the first failure it meets.
     """
     if not _is_real(tol, "positive"):
         raise ValueError(f"tolerance must be positive and finite, got tol={tol!r}")
     base, exact = _base(densities[0], segment), _is_exact_class(densities[0])
     ahead = dict.fromkeys(range(len(ids)), 0)  # each unsettled ray's next round, by position
-    values, diffs = [None] * len(ids), [[] for _ in ids]
-    one_round = False
+    values = [None] * len(ids)
+    # The first pass's last round and the tol it runs on past; an exact table's error is rounding.
+    first_pass = (0, None) if exact else (2, tol)
     while ahead:
         low = min(ahead.values())
-        if one_round:
-            plan = {p: (low, low) for p, k in ahead.items() if k == low}
-        else:
-            plan = {p: (k, 0 if exact else _wave_end(k, diffs[p], tol)) for p, k in ahead.items()}
-        # The wave works on copies, so a dropped wave changes no ray.
-        live, new, new_diffs = dict(ahead), list(values), [list(d) for d in diffs]
+        rays = [p for p, k in ahead.items() if k == low]
         try:
-            # One round per pass runs its plan alone; an exact table's error is rounding alone.
-            reach = None if one_round or exact else tol
-            wave, keys = _wave_tables(densities, segment, base, plan, reach)
-            results = run_pass([ids[p] for p in plan], wave)
+            wave, keys = _wave_tables(densities, segment, base, rays, low, *(first_pass or (low, None)))
+            results = run_pass([ids[p] for p in rays], wave)
             # Each row's previous round: its ray's row a round down here, else its last value.
             at, now = {key: j for j, key in enumerate(keys)}, np.array([r[0] for r in results])
-            before = [now[at[k - 1, p]] if (k - 1, p) in at else new[p] if k else now[j]
+            before = [now[at[k - 1, p]] if (k - 1, p) in at else values[p] if k else now[j]
                       for j, (k, p) in enumerate(keys)]
             steps = np.max(np.abs(now - np.array(before)), axis=1).tolist()
-            for (k, p), (value, err, evals), diff in zip(keys, results, steps):
-                if p not in live:
+            for (k, p), (value, err, evals), step in zip(keys, results, steps):
+                if p not in ahead:
                     continue  # past the round this ray settled at
-                if k:
-                    new_diffs[p].append(diff)
-                new[p] = value
-                if (new_diffs[p][-1] <= 3.0 * tol) if k else exact:
-                    del live[p]
+                values[p] = value
+                if (step <= 3.0 * tol) if k else exact:
+                    del ahead[p]
                 elif k == 8:
                     raise NoConvergenceError(
                         f"cumulative opacity tabulation did not stabilize for ray {ids[p]}",
                         partial=IntegrationResult(float(value[0]), err, evals),
                     )
                 else:
-                    live[p] = k + 1
+                    ahead[p] = k + 1
         except (ValueError, NoConvergenceError):
-            if one_round:
+            if first_pass is None:
                 raise
-            one_round = True
-            continue
-        ahead, values, diffs = live, new, new_diffs
+            # A dropped first pass leaves every ray as it started: at round 0, with no value.
+            ahead, values = dict.fromkeys(range(len(ids)), 0), [None] * len(ids)
+        first_pass = None
     return np.array(values)
 
 

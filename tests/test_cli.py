@@ -146,8 +146,8 @@ class TestSpecValidation:
         assert [name for name, _ in sites] == ["main"], sites
 
     def test_oracle_holds_one_try(self):
-        # A wave that meets a failure is dropped and replayed one round per pass;
-        # no other oracle path catches an error to emulate that order.
+        # A first pass that meets a failure is dropped and replayed one round per
+        # pass; no other oracle path catches an error to emulate that order.
         sites = _try_sites(oracle)
         assert [name for name, _ in sites] == ["_refine_until_stable"], sites
 

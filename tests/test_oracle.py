@@ -389,8 +389,8 @@ class TestTrueRenderBatch:
 
     def test_render_rays_are_one_batch_per_round(self, monkeypatch):
         # The ``render`` command's rays have no breakpoints, so each round
-        # tabulates every ray that runs it on one grid.  All 96 run in wave 1,
-        # rounds 0 to 2, with one engine call; 79 of them need round 2.
+        # tabulates every ray that runs it on one grid.  All 96 run in the first
+        # pass, rounds 0 to 2, with one engine call; 79 of them need round 2.
         builds, calls = [], []
         tabulate, engine = oracle._tabulate, oracle._adaptive_simpson
 

@@ -1,13 +1,15 @@
-"""The oracle's refinement waves against the loop they replaced, one round per pass.
+"""The oracle's refinement passes against the loop of one round per pass.
 
 ``one_round_refine`` is that loop: each round tabulates every unsettled ray and
-runs one engine pass over them.  The waves must give the same values, settle
-the same rays and raise the same error with the same partial, bit for bit,
-also when a round past a ray's settling round fails.
+runs one engine pass over them.  The oracle's first pass runs several rounds at
+once; it must give the same values, settle the same rays and raise the same
+error with the same partial, bit for bit, also when a round past a ray's
+settling round fails.
 """
 
 import inspect
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -94,21 +96,42 @@ def render_batch(rays):
 
 
 def record_waves(monkeypatch):
-    """Spy on ``oracle._wave_tables``: per wave, the list returned gets the plan it was
-    given (found by name, not position) and the rounds each ray ran, ``{p: (first, last)}``."""
+    """Spy on ``oracle._wave_tables``: per pass, the list returned gets the ray positions
+    and the ``first`` and ``last`` rounds it was given (found by name, not position) and
+    the rounds each ray ran, ``{p: (first, last)}``."""
     waves, wave_tables = [], oracle._wave_tables
 
     def spied(*args, **kwargs):
-        plan = inspect.signature(wave_tables).bind(*args, **kwargs).arguments["plan"]
+        given = inspect.signature(wave_tables).bind(*args, **kwargs).arguments
         wave, keys = wave_tables(*args, **kwargs)
         ran = {}
         for k, p in keys:  # rounds ascend
             ran[p] = (ran.get(p, (k,))[0], k)
-        waves.append((dict(plan), ran))
+        waves.append(((list(given["rays"]), given["first"], given["last"]), ran))
         return wave, keys
 
     monkeypatch.setattr(oracle, "_wave_tables", spied)
     return waves
+
+
+def first_pass_calls():
+    """Oracle calls whose rays all settle in the first pass: the paper scenes and the two
+    smooth shipped scenes through both entry points at tol 1e-6 to 1e-12, and the
+    ``render`` command's 96 rays at 1e-6 and 1e-8."""
+    scenes = {
+        "convergence": (fixtures.convergence_scene(), fixtures.CONVERGENCE_SEGMENT),
+        "shift": (fixtures.shift_scene(), fixtures.SHIFT_SEGMENT),
+        "gaussian_bump": load_scene(SCENES / "gaussian_bump.json"),
+        "logistic_wall": load_scene(SCENES / "logistic_wall.json"),
+    }
+    for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+        for name, (field, segment) in scenes.items():
+            for call in (true_render, true_mean_termination):
+                one = partial(call, field, segment, tol)
+                yield pytest.param(one, id=f"{name}-{call.__name__}-{tol:g}")
+        if tol >= 1e-8:
+            rays = partial(true_render_batch, _render_command_rays(), RENDER_SEGMENT, tol)
+            yield pytest.param(rays, id=f"render-rays-{tol:g}")
 
 
 def count_engine_calls(monkeypatch):
@@ -216,8 +239,7 @@ def edit_tables_at(monkeypatch, n_sub, edit):
 def drift(monkeypatch, scales):
     """Add ``scale * 3**-k`` to the value of each round-``k`` table row of the ray of
     each field of ``scales`` (field id to scale): its differences fall threefold per
-    round, so at scale 1 a wave predicts it settles past round 8, and it is still
-    unsettled there."""
+    round, so at scale 1 it is still unsettled at round 8."""
     render_rays = oracle._render_rays
 
     def drifting(fields, segment, rows, bases, tol, weight=None, ids=None):
@@ -313,11 +335,10 @@ class TestRoundsPastSettling:
         assert kind is ValueError and message.startswith("integrand is not finite at ")
 
     def test_dropped_wave_changes_no_ray(self, monkeypatch):
-        # Wave 1 runs rounds 0 to 6 of all four rays, as their tables miss 1e-10 up to
-        # round 5; rays 1 and 3 settle at round 6.  Wave 2 runs round 7 of ray 0, which
-        # settles there, and rounds 7 and 8 of ray 2, unsettled at round 8, so the wave is
-        # dropped and both rays replay round 7.  Had ray 2 kept that wave's round-8 value,
-        # its replayed round 8 would settle.
+        # The first pass runs rounds 0 to 6 of all four rays, as their tables miss 1e-10
+        # up to round 5; rays 1 and 3 settle at round 6.  Then one round per pass: round 7
+        # of rays 0 and 2, where ray 0 settles, and round 8 of ray 2, unsettled there,
+        # which raises.  Three passes, so three engine calls.
         batch = [
             AnalyticField(LogisticStep(10.0, 40.0, c), UniformColor(np.array([0.5])))
             for c in (0.5, 1.0, 1.3, 2.5)
@@ -329,10 +350,9 @@ class TestRoundsPastSettling:
         )
         assert kind is NoConvergenceError and message.endswith("did not stabilize for ray 2")
         assert waves == [
-            (dict.fromkeys(range(4), (0, 2)), dict.fromkeys(range(4), (0, 6))),
-            ({0: (7, 7), 2: (7, 8)}, {0: (7, 7), 2: (7, 8)}),
-            ({0: (7, 7), 2: (7, 7)}, {0: (7, 7), 2: (7, 7)}),
-            ({2: (8, 8)}, {2: (8, 8)}),
+            (([0, 1, 2, 3], 0, 2), dict.fromkeys(range(4), (0, 6))),
+            (([0, 2], 7, 7), {0: (7, 7), 2: (7, 7)}),
+            (([2], 8, 8), {2: (8, 8)}),
         ]
 
 
@@ -345,23 +365,30 @@ class TestWaveStructure:
         assert main([command, "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("call", first_pass_calls())
+    def test_smooth_calls_settle_in_the_first_pass(self, monkeypatch, call):
+        calls = count_engine_calls(monkeypatch)
+        call()
+        assert len(calls) == 1
+
     def test_render_runs_rounds_0_to_2_in_one_wave(self, monkeypatch, tmp_path):
-        # Every round-2 table is within the render tolerance, so no plan grows.
+        # Every round-2 table is within the render tolerance, so no ray runs on.
         waves = record_waves(monkeypatch)
         assert main(["render", "--out", str(tmp_path)]) == 0
         [(plan, ran)] = waves
-        assert plan == ran == dict.fromkeys(range(96), (0, 2))
+        assert plan == (list(range(96)), 0, 2)
+        assert ran == dict.fromkeys(range(96), (0, 2))
         assert sum(last - first + 1 for first, last in ran.values()) == 288
 
     @pytest.mark.parametrize(
         "plan, tol, ran",
         [
-            ({0: (0, 2)}, None, (0, 2)),
-            ({0: (0, 2)}, 1e-6, (0, 2)),
-            ({0: (0, 2)}, 2e-9, (0, 2)),  # round 1 is within tol too: never shorter
-            ({0: (0, 2)}, 1e-10, (0, 4)),  # round 2 misses tol, round 3 is within
-            ({0: (5, 5)}, 1e-14, (5, 7)),
-            ({0: (0, 2)}, 1e-17, (0, 8)),  # every table misses tol: never past round 8
+            ((0, 2), None, (0, 2)),
+            ((0, 2), 1e-6, (0, 2)),
+            ((0, 2), 2e-9, (0, 2)),  # round 1 is within tol too: never shorter
+            ((0, 2), 1e-10, (0, 4)),  # round 2 misses tol, round 3 is within
+            ((5, 5), 1e-14, (5, 7)),
+            ((0, 2), 1e-17, (0, 8)),  # every table misses tol: never past round 8
         ],
         ids=["no-tol", "within", "within-a-round-early", "above", "above-from-5", "never-within"],
     )
@@ -370,7 +397,7 @@ class TestWaveStructure:
         # 1.03e-10, 6.45e-12, 4.03e-13, 2.52e-14, 1.57e-15, 9.85e-17, 1.1e-17.
         density, segment = fixtures.convergence_scene().density, fixtures.CONVERGENCE_SEGMENT
         base = oracle._base(density, segment)
-        _, keys = oracle._wave_tables([density], segment, base, plan, tol)
+        _, keys = oracle._wave_tables([density], segment, base, [0], *plan, tol)
         assert keys == [(k, 0) for k in range(ran[0], ran[1] + 1)]
 
     def test_rays_of_a_wave_run_on_each_to_its_own_round(self):
@@ -378,14 +405,14 @@ class TestWaveStructure:
         # to round 2 and the sharper bump's up to round 3 (1.06e-10), one round more.
         densities = [GaussianBump(3.0, 0.6, 0.25), GaussianBump(3.0, 0.6, 0.1)]
         segment = fixtures.CONVERGENCE_SEGMENT
-        base, plan = oracle._base(densities[0], segment), dict.fromkeys(range(2), (0, 2))
-        _, keys = oracle._wave_tables(densities, segment, base, plan, 1e-10)
+        base = oracle._base(densities[0], segment)
+        _, keys = oracle._wave_tables(densities, segment, base, [0, 1], 0, 2, 1e-10)
         assert [k for k, p in keys if p == 0] == list(range(5))
         assert [k for k, p in keys if p == 1] == list(range(6))
 
     def test_nan_table_error_does_not_extend_the_plan(self, monkeypatch):
-        # Round 2's table error is 1.03e-10, above tol, so wave 1 runs on to round 4;
-        # as NaN it is above nothing, and wave 1 stops at round 2 with two waves in all.
+        # Round 2's table error is 1.03e-10, above tol, so the first pass runs on to round
+        # 4; as NaN it is above nothing, and the first pass stops at round 2, then round 3.
         def unknown(rows):
             return rows._replace(tab_error=np.full_like(rows.tab_error, np.nan))
 
@@ -394,15 +421,6 @@ class TestWaveStructure:
         value = assert_waves_match_one_round(monkeypatch, convergence(1e-10))
         assert [ran for _, ran in waves] == [{0: (0, 2)}, {0: (3, 3)}]
         assert value == outcome(convergence(1e-10)) and not isinstance(value, tuple)
-
-    def test_predicted_rounds(self):
-        # Fewer than two differences: up to round 2.  Then rounds until the last
-        # difference, falling at its last rate, reaches 3 * tol, and one round below rate 2.
-        assert oracle._wave_end(1, [1.0], 1e-10) == 2
-        assert oracle._wave_end(3, [6.84e-8, 4.27e-9], 1e-10) == 3
-        assert oracle._wave_end(3, [1.03e-7, 6.47e-9], 1e-10) == 4
-        assert oracle._wave_end(5, [1.0, 0.6], 1e-10) == 5
-        assert oracle._wave_end(3, [1.0, 0.5], 1e-10) == 8
 
 
 class TestNestedEdges:

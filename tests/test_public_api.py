@@ -82,11 +82,12 @@ def test_traced_methods_exist(cls, name):
 
 
 def _module_level_definitions(tree):
-    """Public functions, classes and constants a module defines."""
+    """Functions and classes a module defines, and its public constants."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
+            yield node.name
+            continue
+        if isinstance(node, ast.Assign):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names = [node.target.id]
@@ -95,7 +96,7 @@ def _module_level_definitions(tree):
         yield from (name for name in names if not name.startswith("_"))
 
 
-def _public_definitions():
+def _definitions():
     for path in sorted(SOURCES.glob("*.py")):
         for name in _module_level_definitions(ast.parse(path.read_text())):
             yield pytest.param(path, name, id=f"{path.stem}.{name}")
@@ -114,19 +115,21 @@ def _read_outside_own_definition(tree, name) -> bool:
     )
 
 
-@pytest.mark.parametrize("module, name", _public_definitions())
+@pytest.mark.parametrize("module, name", _definitions())
 def test_public_name_is_used_outside_tests(module, name):
-    # A public name that only tests reach belongs in the tests.  Its own
-    # module counts by the code that reads it outside the name's own
-    # definition; every other library module, the benchmark, the demos and
-    # the docs count by any mention.  The package's re-exports in
-    # __init__.py do not count: they name every public name, used or not.
-    # Nor does the benchmark's span tracer, which lists the names it wraps.
+    # A public name, or a private function or class, that only tests reach
+    # belongs in the tests.  Its own module counts by the code that reads it
+    # outside the name's own definition; every other library module, the
+    # benchmark, the demos and, for a public name, the docs count by any
+    # mention.  The package's re-exports in __init__.py do not count: they
+    # name every public name, used or not.  Nor does the benchmark's span
+    # tracer, which lists the names it wraps.
     if _read_outside_own_definition(ast.parse(module.read_text()), name):
         return
     skip = (module, SOURCES / "__init__.py", ROOT / "bench" / "tracer.py")
     texts = [p.read_text() for p in sorted(SOURCES.glob("*.py")) if p not in skip]
-    for pattern in ("bench/*.py", "demos/*.py", "README.md", "docs/**/*"):
+    docs = () if name.startswith("_") else ("README.md", "docs/**/*")
+    for pattern in ("bench/*.py", "demos/*.py", *docs):
         texts += [p.read_text() for p in sorted(ROOT.glob(pattern)) if p.is_file() and p not in skip]
     word = re.compile(rf"\b{re.escape(name)}\b")
     assert any(word.search(text) for text in texts), f"{module.stem}.{name} is used only by tests"
